@@ -1,9 +1,9 @@
 """Gaussian fields conditioned on a large linear functional.
 
-Sample fields exactly conditioned on the event |<T|phi>| >= u through the
-adapted-basis construction, compute the non-random limit profile C|T> the
-conditioned field concentrates onto, and verify the uniform concentration
-(and its per-sample bound chain) empirically.
+Sample fields exactly conditioned on the event |<T|phi>| >= u by a rank-one
+update of an unconditional draw, compute the non-random limit profile C|T>
+the conditioned field concentrates onto, and verify the uniform
+concentration (and its per-sample bound chain) empirically.
 """
 
 from .covariance import (
@@ -51,6 +51,7 @@ from .sampling import (
     REAL,
     ConditionSpec,
     FieldSample,
+    condition_pathwise,
     sample_conditional,
     sample_t_u,
     sample_unconditional,

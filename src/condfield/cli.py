@@ -200,6 +200,12 @@ def cmd_condition(args) -> int:
     return EXIT_OK
 
 
+def _sweep(setup: _Setup, u_list, config=None) -> cc.SweepReport:
+    return cc.sweep(setup.factor, setup.functional, setup.cov, u_list, setup.mc,
+                    scalar=setup.scalar, mode=setup.mode, rho=setup.rho,
+                    theta=setup.theta, seed=setup.seed, config=config)
+
+
 def cmd_sweep(args) -> int:
     setup = _Setup(args)
     out = args.out or "sweep.csv"
@@ -208,11 +214,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad u-list {args.u_list!r}") from exc
     config = {**setup.config, "u_list": u_list}
-    report = cc.sweep(
-        setup.factor, setup.functional, setup.cov, u_list, setup.mc,
-        scalar=setup.scalar, mode=setup.mode, rho=setup.rho, theta=setup.theta,
-        seed=setup.seed, config=config,
-    )
+    report = _sweep(setup, u_list, config)
     rows = [
         [r.u, r.sample_index, r.rho, r.theta, r.sup_dist, r.l2_dist, r.bound_rhs,
          float(r.ratio.real), float(r.ratio.imag), r.r,
@@ -267,22 +269,11 @@ def cmd_verify(args) -> int:
         result["passed"] = bool(passed)
         result["passed_with_warning"] = bool(passed and result["smoothness_warning"])
     else:  # bounds
-        consts = fn.constants(setup.functional, setup.cov)
-        prof = fn.profile(setup.functional, setup.cov)
-        violations = 0
-        for i in range(setup.mc):
-            spec = sp.ConditionSpec(u=args.u, scalar=setup.scalar, mode=setup.mode,
-                                    rho=setup.rho, theta=setup.theta)
-            noise = sp.white_noise(setup.grid.m, setup.grid.w, setup.scalar,
-                                   sp.substream(setup.seed, 0, i))
-            sample = sp.sample_conditional(setup.factor, setup.functional, spec,
-                                           sp.substream(setup.seed, 1, 0, i), noise=noise)
-            rec = cc.distance_record(sample, prof, consts, setup.grid, sample_index=i)
-            if not rec.est0_ok or (rec.applicable and not rec.est12_ok):
-                violations += 1
-        result = {"u": args.u, "n_mc": setup.mc, "violations": violations,
-                  "passed": violations == 0}
-        passed = result["passed"]
+        report = _sweep(setup, [args.u])
+        violations = sum(not r.est0_ok or (r.applicable and not r.est12_ok)
+                         for r in report.records)
+        passed = violations == 0
+        result = {"u": args.u, "n_mc": setup.mc, "violations": violations, "passed": passed}
     _write_json(out, {"config": {**setup.config, "u": args.u}, "which": args.which,
                       "result": result})
     return EXIT_OK if passed else EXIT_VERIFY

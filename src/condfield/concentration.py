@@ -27,24 +27,22 @@ def _phase(sample: sp.FieldSample):
     return 1.0
 
 
-def normalized_sup_distance(sample: sp.FieldSample, profile: np.ndarray, grid: Grid) -> float:
-    """|| phi_u/||phi_u||_2 - e^{i theta} p/||p||_2 ||_inf."""
+def _normalized_diff(sample: sp.FieldSample, profile: np.ndarray, grid: Grid) -> np.ndarray:
     nrm_s = l2_norm(sample.values, grid)
     nrm_p = l2_norm(profile, grid)
     if nrm_s == 0.0 or nrm_p == 0.0:
         raise ZeroVector("cannot normalize a zero vector")
-    diff = sample.values / nrm_s - _phase(sample) * np.asarray(profile) / nrm_p
-    return sup_norm(diff)
+    return sample.values / nrm_s - _phase(sample) * np.asarray(profile) / nrm_p
+
+
+def normalized_sup_distance(sample: sp.FieldSample, profile: np.ndarray, grid: Grid) -> float:
+    """|| phi_u/||phi_u||_2 - e^{i theta} p/||p||_2 ||_inf."""
+    return sup_norm(_normalized_diff(sample, profile, grid))
 
 
 def normalized_l2_distance(sample: sp.FieldSample, profile: np.ndarray, grid: Grid) -> float:
     """Same difference measured in the weighted L2 norm (diagnostic)."""
-    nrm_s = l2_norm(sample.values, grid)
-    nrm_p = l2_norm(profile, grid)
-    if nrm_s == 0.0 or nrm_p == 0.0:
-        raise ZeroVector("cannot normalize a zero vector")
-    diff = sample.values / nrm_s - _phase(sample) * np.asarray(profile) / nrm_p
-    return l2_norm(diff, grid)
+    return l2_norm(_normalized_diff(sample, profile, grid), grid)
 
 
 def estimate0_rhs(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid) -> float:
@@ -114,8 +112,9 @@ def distance_record(
     grid: Grid,
     sample_index: int = 0,
 ) -> DistanceRecord:
-    sup_d = normalized_sup_distance(sample, profile, grid)
-    l2_d = normalized_l2_distance(sample, profile, grid)
+    diff = _normalized_diff(sample, profile, grid)
+    sup_d = sup_norm(diff)
+    l2_d = l2_norm(diff, grid)
     rhs = estimate0_rhs(sample, k, grid)
     chk = ratio_bounds_check(sample, k, grid)
     est12 = chk["est1_ok"] and chk["est2_ok"] and chk["limit1_ok"] and chk["limit2_ok"]
@@ -163,6 +162,8 @@ def sweep(
     u_list = [float(u) for u in u_list]
     if not u_list:
         raise EmptyUList("u_list must contain at least one threshold")
+    specs = [sp.ConditionSpec(u=u, scalar=scalar, mode=mode, rho=rho, theta=theta)
+             for u in u_list]
     if any(b <= a for a, b in zip(u_list, u_list[1:])):
         raise EmptyUList(f"u_list must be strictly ascending, got {u_list}")
     if n_mc < 1:
@@ -171,29 +172,23 @@ def sweep(
     grid = cov.grid
     prof = fn.profile(t, cov)
     consts = fn.constants(t, cov)
+    _, tct = sp.sqrt_tct(factor, t)
     records = []
     for i in range(n_mc):
-        noise = sp.white_noise(grid.m, grid.w, scalar, sp.substream(seed, 0, i))
-        for j, u in enumerate(u_list):
-            spec = sp.ConditionSpec(u=u, scalar=scalar, mode=mode, rho=rho, theta=theta)
-            rng = sp.substream(seed, 1, j, i)
-            sample = sp.sample_conditional(factor, t, spec, rng, noise=noise)
+        xi = sp.white_noise(grid.m, grid.w, scalar, sp.substream(seed, 0, i))
+        draws = [(spec, *sp.sample_t_u(spec, tct, sp.substream(seed, 1, j, i)))
+                 for j, spec in enumerate(specs)]
+        for sample in sp.condition_pathwise(factor, t, xi, draws):
             records.append(distance_record(sample, prof, consts, grid, sample_index=i))
 
-    per_u = []
-    medians = []
-    for u in u_list:
-        sup_d = np.array([r.sup_dist for r in records if r.u == u])
-        l2_d = np.array([r.l2_dist for r in records if r.u == u])
-        q10, q50, q90 = np.quantile(sup_d, [0.1, 0.5, 0.9])
-        per_u.append(
-            {"u": u, "q10": float(q10), "q50": float(q50), "q90": float(q90),
-             "l2_q50": float(np.quantile(l2_d, 0.5))}
-        )
-        medians.append(float(q50))
-    slope = None
-    if len(u_list) >= 2:
-        slope = float(np.polyfit(np.log(u_list), np.log(medians), 1)[0])
+    # records run over (i, u), so column j of each array holds threshold u_list[j]
+    sup_d = np.array([r.sup_dist for r in records]).reshape(n_mc, len(u_list))
+    l2_d = np.array([r.l2_dist for r in records]).reshape(n_mc, len(u_list))
+    q10, q50, q90 = np.quantile(sup_d, [0.1, 0.5, 0.9], axis=0)
+    l2_q50 = np.quantile(l2_d, 0.5, axis=0)
+    per_u = [{"u": u, "q10": float(a), "q50": float(b), "q90": float(c), "l2_q50": float(d)}
+             for u, a, b, c, d in zip(u_list, q10, q50, q90, l2_q50)]
+    slope = float(np.polyfit(np.log(u_list), np.log(q50), 1)[0]) if len(u_list) >= 2 else None
     return SweepReport(
         u_list=tuple(u_list),
         per_u=tuple(per_u),
@@ -217,12 +212,13 @@ def verify_prop1(
     if n_mc < 1000:
         raise ValueError(f"need n_mc >= 1000, got {n_mc}")
     tct_val = fn.tct(t, cov)
-    factor = cv.sqrt_factor(cov)
     grid = cov.grid
+    # <T|C^{1/2} xi> = <C^{1/2} T|xi>: one matvec in all, not one per draw
+    s_t, _ = sp.sqrt_tct(cv.sqrt_factor(cov), t)
     vals = np.empty(n_mc, dtype=complex if scalar == sp.COMPLEX else float)
     for i in range(n_mc):
         xi = sp.white_noise(grid.m, grid.w, scalar, sp.substream(seed, 0, i))
-        vals[i] = inner(t.coeff, factor.apply(xi), grid)
+        vals[i] = inner(s_t, xi, grid)
     finite = bool(np.all(np.isfinite(vals)))
     var_hat = float(np.mean(np.abs(vals) ** 2)) if scalar == sp.COMPLEX else float(np.mean(vals ** 2))
     tol = 5.0 / math.sqrt(n_mc) + 0.02

@@ -28,9 +28,9 @@ class SquaredExponential:
     ell: float
 
     def __post_init__(self):
-        if self.variance <= 0 or self.ell <= 0:
+        if not (0 < self.variance < np.inf and 0 < self.ell < np.inf):
             raise InvalidKernelParams(
-                f"squared-exponential needs variance > 0 and ell > 0, "
+                f"squared-exponential needs finite variance > 0 and ell > 0, "
                 f"got {self.variance}, {self.ell}"
             )
 
@@ -57,9 +57,9 @@ class Exponential:
     ell: float
 
     def __post_init__(self):
-        if self.variance <= 0 or self.ell <= 0:
+        if not (0 < self.variance < np.inf and 0 < self.ell < np.inf):
             raise InvalidKernelParams(
-                f"exponential needs variance > 0 and ell > 0, "
+                f"exponential needs finite variance > 0 and ell > 0, "
                 f"got {self.variance}, {self.ell}"
             )
 
@@ -95,8 +95,8 @@ class RankK:
         if not self.modes or len(set(ks)) != len(ks):
             raise InvalidKernelParams(f"mode indices must be distinct and nonempty: {self.modes}")
         for lam, k in self.modes:
-            if lam <= 0 or k < 0 or k != int(k):
-                raise InvalidKernelParams(f"need lam > 0 and integer k >= 0, got ({lam}, {k})")
+            if not 0 < lam < np.inf or k < 0 or k != int(k):
+                raise InvalidKernelParams(f"need 0 < lam < inf, integer k >= 0: ({lam}, {k})")
 
     def mode_shape(self, x, k: int, a: float, b: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)

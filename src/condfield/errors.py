@@ -50,7 +50,7 @@ class DegenerateFunctional(CondfieldError):
 
 
 class NegativeU(CondfieldError):
-    """Conditioning threshold must be nonnegative."""
+    """Conditioning threshold must be finite and nonnegative."""
 
 
 class ZeroVector(CondfieldError):

@@ -34,8 +34,8 @@ class Grid:
 
 def make_grid(a: float, b: float, m: int) -> Grid:
     """Build the midpoint grid x_i = a + (i + 1/2) h, h = (b - a) / M."""
-    if not b > a:
-        raise NonpositiveLength(f"need b > a, got a={a}, b={b}")
+    if not -np.inf < a < b < np.inf:
+        raise NonpositiveLength(f"need finite a < b, got a={a}, b={b}")
     if m < 2:
         raise TooFewPoints(f"need at least 2 grid points, got {m}")
     h = (b - a) / m

@@ -1,11 +1,11 @@
 """Exact sampling of fields, unconditional and conditioned on <T|phi>.
 
 Unconditional draws realize the spectral expansion phi = C^{1/2} xi with xi
-white with respect to the weighted inner product.  Conditional draws use the
-adapted direction v = C^{1/2} T / sqrt(<T|C|T>): the white noise is split into
-its v-component and the orthogonal rest, and the v-coefficient is replaced by
-the conditional coefficient t_u with |t_u|^2 = rho + u^2 / <T|C|T>.  The
-conditioning event |<T|phi_u>| >= u then holds by construction, exactly.
+white with respect to the weighted inner product.  Conditional draws add a
+rank-one update (Matheron's rule): phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v,
+with v = C^{1/2} T / sqrt(<T|C|T>), t_1 = <v|xi> and |t_u|^2 = rho + u^2/<T|C|T>.
+This equals the adapted-basis split C^{1/2}(t_u v + xi_perp), so it has the
+same law; one draw serves every threshold, and |<T|phi_u>| >= u exactly.
 
 Reproducibility: streams are counter-based (Philox) and splittable.  Sample i
 of a batch uses substream(seed, path..., i), so batches are order-independent
@@ -46,14 +46,14 @@ class ConditionSpec:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.u < 0:
-            raise NegativeU(f"threshold u must be >= 0, got {self.u}")
+        if not 0 <= self.u < math.inf:
+            raise NegativeU(f"threshold u must be finite and >= 0, got {self.u}")
         if self.scalar not in (REAL, COMPLEX):
             raise ValueError(f"scalar must be {REAL!r} or {COMPLEX!r}")
         if self.mode not in (FIXED_RHO, RANDOM):
             raise ValueError(f"mode must be {FIXED_RHO!r} or {RANDOM!r}")
-        if self.mode == FIXED_RHO and self.rho < 0:
-            raise ValueError(f"rho must be >= 0, got {self.rho}")
+        if self.mode == FIXED_RHO and not (0 <= self.rho < math.inf and math.isfinite(self.theta)):
+            raise ValueError(f"need finite rho >= 0 and theta, got {self.rho}, {self.theta}")
         if self.scalar == REAL and self.mode == FIXED_RHO and self.theta != 0.0:
             raise ValueError("real scalar field requires theta = 0")
 
@@ -136,6 +136,41 @@ def sample_t_u(spec: ConditionSpec, tct: float, rng: np.random.Generator):
     return t_u, float(t_u * t_u - base), 0.0
 
 
+def sqrt_tct(factor: SqrtFactor, t: LinearFunctional):
+    """C^{1/2} T and <T|C|T> = ||C^{1/2} T||^2, both from the factor."""
+    g = factor.grid
+    if t.grid.m != g.m or t.grid.a != g.a or t.grid.b != g.b:
+        raise GridMismatch("functional and factor built on different grids")
+    s_t = factor.apply(t.coeff)
+    tct = float(inner(s_t, s_t, g).real)
+    if tct <= 1e-300:
+        raise DegenerateFunctional("C^{1/2} T is numerically zero")
+    return s_t, tct
+
+
+def condition_pathwise(factor: SqrtFactor, t: LinearFunctional, xi, draws, seed_label=None):
+    """One conditioned FieldSample per (spec, t_u, rho, theta) in `draws`, all
+    from the white noise xi: phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v, with
+    residual energy r^2 = ||xi - t_1 v||^2.  v is taken from the factor, which
+    keeps <T|phi_u> = sqrt(<T|C|T>) t_u exact to roundoff under clipping."""
+    g = factor.grid
+    s_t, tct = sqrt_tct(factor, t)
+    v = s_t / math.sqrt(tct)
+    s_v = factor.apply(v)
+    phi = factor.apply(xi)
+    t1 = inner(v, xi, g)
+    rest = xi - t1 * v
+    r2 = float(inner(rest, rest, g).real)
+    samples = []
+    for spec, t_u, rho, theta in draws:
+        values = phi + (t_u - t1) * s_v
+        values = values.real if spec.scalar == REAL else values
+        values.setflags(write=False)
+        samples.append(FieldSample(values=values, scalar=spec.scalar, t_u=t_u, r2=r2,
+                                   u=spec.u, rho=rho, theta=theta, seed=seed_label))
+    return samples
+
+
 def sample_conditional(
     factor: SqrtFactor,
     t: LinearFunctional,
@@ -145,42 +180,17 @@ def sample_conditional(
     t_u_override=None,
     seed_label=None,
 ) -> FieldSample:
-    """Draw phi_u = C^{1/2}(t_u v + xi_perp) with v the adapted unit direction.
+    """Draw phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v (see `condition_pathwise`),
+    which has the law of the adapted-basis split C^{1/2}(t_u v + xi_perp).
 
     `noise` and `t_u_override` are test hooks: forced white-noise vector and
     forced (t_u, rho, theta) triple.
     """
     g = factor.grid
-    if t.grid.m != g.m or t.grid.a != g.a or t.grid.b != g.b:
-        raise GridMismatch("functional and factor built on different grids")
-    s_t = factor.apply(t.coeff)
-    tct = float(inner(s_t, s_t, g).real)
-    if tct <= 1e-300:
-        raise DegenerateFunctional("C^{1/2} T is numerically zero")
-    v = s_t / math.sqrt(tct)
-
+    _, tct = sqrt_tct(factor, t)
     xi = white_noise(g.m, g.w, spec.scalar, rng) if noise is None else np.asarray(noise)
-    if t_u_override is None:
-        t_u, rho, theta = sample_t_u(spec, tct, rng)
-    else:
-        t_u, rho, theta = t_u_override
-    c = inner(v, xi, g)
-    xi_perp = xi - c * v
-    r2 = float(inner(xi_perp, xi_perp, g).real)
-    values = factor.apply(t_u * v + xi_perp)
-    if spec.scalar == REAL:
-        values = values.real
-    values.setflags(write=False)
-    return FieldSample(
-        values=values,
-        scalar=spec.scalar,
-        t_u=t_u,
-        r2=r2,
-        u=spec.u,
-        rho=rho,
-        theta=theta,
-        seed=seed_label,
-    )
+    t_u, rho, theta = sample_t_u(spec, tct, rng) if t_u_override is None else t_u_override
+    return condition_pathwise(factor, t, xi, [(spec, t_u, rho, theta)], seed_label)[0]
 
 
 def t1_of(sample: FieldSample, t: LinearFunctional, tct: float):

@@ -2,7 +2,10 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
+import condfield as cf
+from condfield import concentration
 from condfield.cli import main
 
 
@@ -126,3 +129,41 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
 def test_usage_error_exits_2():
     assert run(["sweep"]) == 2  # missing --u-list
     assert run(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["condition", "--u", "nan"],
+    ["condition", "--u", "inf"],
+    ["condition", "--u", "10", "--mode", "fixed-rho:nan"],
+    ["profile", "--kernel", "sqexp:nan:0.2"],
+    ["sweep", "--u-list", "10,nan", "--mc", "5"],
+])
+def test_non_finite_input_exits_2(tmp_path, args):
+    out = tmp_path / "o.csv"
+    assert run(args + ["--grid", "64", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_verify_bounds_zero_mc_exits_2(tmp_path):
+    assert run(["verify", "bounds", "--mc", "0", "--grid", "64",
+                "--out", str(tmp_path / "v.json")]) == 2
+
+
+@pytest.mark.parametrize("slack", [concentration.BOUND_SLACK, -0.1])
+@pytest.mark.parametrize("scalar, mode", [("complex", "fixed-rho:1"), ("real", "random")])
+def test_verify_bounds_counts_like_sweep(tmp_path, monkeypatch, slack, scalar, mode):
+    # a negative slack makes part of the records fail, so the counts are not
+    # trivially zero on both sides
+    monkeypatch.setattr(concentration, "BOUND_SLACK", slack)
+    out = tmp_path / "v.json"
+    code = run(["verify", "bounds", "--u", "100", "--mc", "40", "--grid", "64",
+                "--scalar", scalar, "--mode", mode, "--seed", "5", "--out", str(out)])
+    g = cf.make_grid(0, 1, 64)
+    cov = cf.assemble(cf.SquaredExponential(1, 0.2), g)
+    t = cf.make_point_functional(g, 0.5)
+    rep = cf.sweep(cf.sqrt_factor(cov), t, cov, [100.0], 40, scalar=scalar,
+                   mode=mode.split(":")[0], seed=5)
+    expected = sum(not r.est0_ok or (r.applicable and not r.est12_ok) for r in rep.records)
+    assert json.loads(out.read_text())["result"]["violations"] == expected
+    assert code == (0 if expected == 0 else 3)
+    assert (expected > 0) == (slack < 0)

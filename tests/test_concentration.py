@@ -3,6 +3,7 @@ import pytest
 
 from condfield import errors
 from condfield.concentration import (
+    distance_record,
     estimate0_rhs,
     normalized_sup_distance,
     ratio_bounds_check,
@@ -11,8 +12,13 @@ from condfield.concentration import (
     verify_prop3,
 )
 from condfield.covariance import Exponential, SquaredExponential, assemble, sqrt_factor
-from condfield.functionals import constants, make_point_functional, profile
-from condfield.grid import l2_norm, make_grid, sup_norm
+from condfield.functionals import (
+    constants,
+    make_integral_functional,
+    make_point_functional,
+    profile,
+)
+from condfield.grid import inner, l2_norm, make_grid, sup_norm
 from condfield.sampling import (
     COMPLEX,
     FIXED_RHO,
@@ -21,7 +27,9 @@ from condfield.sampling import (
     ConditionSpec,
     FieldSample,
     sample_conditional,
+    sample_t_u,
     substream,
+    white_noise,
 )
 
 
@@ -205,3 +213,67 @@ def test_discretization_insensitivity():
         medians[m] = [p["q50"] for p in rep.per_u]
     for a, b in zip(medians[128], medians[256]):
         assert abs(b - a) / a < 0.25  # modest n_mc; acceptance test tightens this
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("kernel, weight, scalar, mode, rho, theta, u_list", [
+    (SquaredExponential(1, 0.2), None, COMPLEX, FIXED_RHO, 1.0, 0.0, [10, 1e4, 1e8]),
+    (SquaredExponential(1, 0.2), "cosine", COMPLEX, FIXED_RHO, 2.0, 0.7, [1, 1e3, 1e6]),
+    (Exponential(1, 0.1), None, REAL, RANDOM, 1.0, 0.0, [10, 1e4, 1e8]),
+    (Exponential(1, 0.1), "cosine", COMPLEX, RANDOM, 1.0, 0.0, [1, 1e2, 1e5]),
+])
+def test_sweep_matches_adapted_basis_records(kernel, weight, scalar, mode, rho, theta,
+                                             u_list, adapted_split):
+    # every sweep record against one built from the adapted-basis split with
+    # the same substreams; distances (and at large u the bound) are
+    # differences of unit-scale vectors, so they get an absolute floor
+    g = make_grid(0, 1, 128)
+    cov = assemble(kernel, g)
+    fac = sqrt_factor(cov)
+    t = make_point_functional(g, 0.5) if weight is None else make_integral_functional(g, weight)
+    prof, k = profile(t, cov), constants(t, cov)
+    s_t = fac.apply(t.coeff)
+    tct = float(inner(s_t, s_t, g).real)
+    n_mc, seed = 30, 12
+    rep = sweep(fac, t, cov, u_list, n_mc, scalar=scalar, mode=mode, rho=rho,
+                theta=theta, seed=seed)
+    ref = []
+    for i in range(n_mc):
+        xi = white_noise(g.m, g.w, scalar, substream(seed, 0, i))
+        for j, u in enumerate(u_list):
+            spec = ConditionSpec(u=float(u), scalar=scalar, mode=mode, rho=rho, theta=theta)
+            t_u, rho_j, theta_j = sample_t_u(spec, tct, substream(seed, 1, j, i))
+            values, r2 = adapted_split(fac, t, xi, t_u, scalar)
+            s = FieldSample(values=values, scalar=scalar, t_u=t_u, r2=r2, u=float(u),
+                            rho=rho_j, theta=theta_j)
+            ref.append(distance_record(s, prof, k, g, sample_index=i))
+    assert len(rep.records) == len(ref)
+    for a, b in zip(rep.records, ref):
+        for name in ("u", "sample_index", "applicable", "est0_ok", "est12_ok"):
+            assert getattr(a, name) == getattr(b, name)
+        for name in ("rho", "theta", "ratio", "r"):
+            assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12 * abs(getattr(b, name))
+        assert abs(a.bound_rhs - b.bound_rhs) <= 1e-12 * b.bound_rhs + 64 * EPS * k.a_const
+        for name in ("sup_dist", "l2_dist"):
+            assert abs(getattr(a, name) - getattr(b, name)) <= 64 * EPS
+    assert rep.violations_est0 == sum(not r.est0_ok for r in ref)
+    assert rep.violations_est12 == sum(r.applicable and not r.est12_ok for r in ref)
+
+
+@pytest.mark.parametrize("scalar", [REAL, COMPLEX])
+def test_verify_prop1_matches_per_field_reference(scalar):
+    # <C^{1/2} T|xi> against <T|phi> read off every formed field
+    g = make_grid(0, 1, 64)
+    cov = assemble(SquaredExponential(1, 0.2), g)
+    t = make_point_functional(g, 0.5)
+    fac = sqrt_factor(cov)
+    n_mc, seed = 2000, 5
+    vals = np.array([inner(t.coeff, fac.apply(white_noise(g.m, g.w, scalar,
+                                                          substream(seed, 0, i))), g)
+                     for i in range(n_mc)])
+    var_ref = float(np.mean(np.abs(vals) ** 2))
+    res = verify_prop1(t, cov, n_mc, seed=seed, scalar=scalar)
+    assert res["all_finite"]
+    assert abs(res["var_hat"] - var_ref) <= 1e-12 * var_ref

@@ -207,3 +207,28 @@ def test_determinism(setup64):
     b = sample_conditional(fac, t, spec, substream(42, 1, 2))
     assert np.array_equal(a.values, b.values)
     assert a.t_u == b.t_u and a.rho == b.rho and a.theta == b.theta
+
+
+@pytest.mark.parametrize("kernel, n_clipped", [(SquaredExponential(1, 0.2), 55),
+                                               (Exponential(1, 0.1), 0)])
+@pytest.mark.parametrize("scalar", [REAL, COMPLEX])
+def test_pathwise_matches_adapted_basis_split(kernel, n_clipped, scalar, adapted_split):
+    # the rank-one update and the adapted-basis split are the same draw, to
+    # roundoff, with and without clipped eigenvalues
+    g = make_grid(0, 1, 128)
+    fac = sqrt_factor(assemble(kernel, g))
+    assert fac.n_clipped == n_clipped
+    t = make_point_functional(g, 0.5)
+    s_t = fac.apply(t.coeff)
+    tct = float(inner(s_t, s_t, g).real)
+    for i in range(20):
+        xi = white_noise(g.m, g.w, scalar, substream(30, 0, i))
+        for u in (0.0, 10.0, 1e4, 1e8):
+            spec = ConditionSpec(u=u, scalar=scalar, mode=RANDOM)
+            draw = sample_t_u(spec, tct, substream(30, 1, i))
+            s = sample_conditional(fac, t, spec, substream(0, 0), noise=xi, t_u_override=draw)
+            values, r2 = adapted_split(fac, t, xi, draw[0], scalar)
+            assert np.max(np.abs(s.values - values)) <= 1e-12 * np.max(np.abs(values))
+            assert s.r2 >= 0.0
+            assert abs(s.r2 - r2) <= 1e-12 * r2
+            assert (s.t_u, s.rho, s.theta, s.u) == (*draw, u)
