@@ -9,6 +9,7 @@ config error, 3 verification failure.
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -112,8 +113,6 @@ class _Setup:
         self.grid = make_grid(a, b, args.grid)
         self.kernel = cv.kernel_from_spec(args.kernel)
         self.functional = fn.functional_from_spec(args.functional, self.grid)
-        self.cov = cv.assemble(self.kernel, self.grid)
-        self.factor = cv.sqrt_factor(self.cov)
         self.scalar = args.scalar
         self.mode, self.rho, self.theta = _parse_mode(args.mode)
         self.mc = args.mc
@@ -130,6 +129,16 @@ class _Setup:
             "seed": self.seed,
         }
 
+    # built on first use: verify prop3 assembles on its own grid, and only
+    # condition, sweep and verify bounds draw from the factor
+    @functools.cached_property
+    def cov(self) -> cv.CovOperator:
+        return cv.assemble(self.kernel, self.grid)
+
+    @functools.cached_property
+    def factor(self) -> cv.SqrtFactor:
+        return cv.sqrt_factor(self.cov)
+
 
 def _sidecar(path: str) -> str:
     root, _ = os.path.splitext(path)
@@ -137,9 +146,10 @@ def _sidecar(path: str) -> str:
 
 
 def _write_json(path: str, payload: dict):
+    # serialized before the file opens, so a non-finite value leaves no file
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path: str, header, rows):
@@ -160,13 +170,8 @@ def cmd_profile(args) -> int:
     if t.kind in ("point", "derivative"):
         curve = fn.analytic_derivative_curve(setup.kernel, setup.grid.points, t.x0, t.n)
     header = ["x", "profile_value"] + (["analytic_value"] if curve is not None else [])
-    rows = []
-    for i, x in enumerate(setup.grid.points):
-        row = [float(x), float(prof[i])]
-        if curve is not None:
-            row.append(float(curve[i]))
-        rows.append(row)
-    _write_csv(out, header, rows)
+    columns = [setup.grid.points, prof] + ([curve] if curve is not None else [])
+    _write_csv(out, header, ([float(v) for v in row] for row in zip(*columns)))
     return EXIT_OK
 
 
@@ -200,10 +205,10 @@ def cmd_condition(args) -> int:
     return EXIT_OK
 
 
-def _sweep(setup: _Setup, u_list, config=None) -> cc.SweepReport:
+def _sweep(setup: _Setup, u_list) -> cc.SweepReport:
     return cc.sweep(setup.factor, setup.functional, setup.cov, u_list, setup.mc,
                     scalar=setup.scalar, mode=setup.mode, rho=setup.rho,
-                    theta=setup.theta, seed=setup.seed, config=config)
+                    theta=setup.theta, seed=setup.seed)
 
 
 def cmd_sweep(args) -> int:
@@ -213,8 +218,7 @@ def cmd_sweep(args) -> int:
         u_list = [float(v) for v in args.u_list.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad u-list {args.u_list!r}") from exc
-    config = {**setup.config, "u_list": u_list}
-    report = _sweep(setup, u_list, config)
+    report = _sweep(setup, u_list)
     rows = [
         [r.u, r.sample_index, r.rho, r.theta, r.sup_dist, r.l2_dist, r.bound_rhs,
          float(r.ratio.real), float(r.ratio.imag), r.r,
@@ -225,7 +229,7 @@ def cmd_sweep(args) -> int:
                      "bound_rhs", "ratio_re", "ratio_im", "r", "applicable",
                      "est0_ok", "est12_ok"], rows)
     _write_json(_sidecar(out), {
-        "config": config,
+        "config": {**setup.config, "u_list": u_list},
         "per_u": list(report.per_u),
         "slope": report.slope,
         "violations_est0": report.violations_est0,

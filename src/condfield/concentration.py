@@ -27,66 +27,65 @@ def _phase(sample: sp.FieldSample):
     return 1.0
 
 
-def _normalized_diff(sample: sp.FieldSample, profile: np.ndarray, grid: Grid) -> np.ndarray:
-    nrm_s = l2_norm(sample.values, grid)
+def _normalized_diff(sample: sp.FieldSample, nrm: float, profile: np.ndarray,
+                     grid: Grid) -> np.ndarray:
     nrm_p = l2_norm(profile, grid)
-    if nrm_s == 0.0 or nrm_p == 0.0:
+    if nrm == 0.0 or nrm_p == 0.0:
         raise ZeroVector("cannot normalize a zero vector")
-    return sample.values / nrm_s - _phase(sample) * np.asarray(profile) / nrm_p
+    return sample.values / nrm - _phase(sample) * np.asarray(profile) / nrm_p
 
 
 def normalized_sup_distance(sample: sp.FieldSample, profile: np.ndarray, grid: Grid) -> float:
     """|| phi_u/||phi_u||_2 - e^{i theta} p/||p||_2 ||_inf."""
-    return sup_norm(_normalized_diff(sample, profile, grid))
+    return sup_norm(_normalized_diff(sample, l2_norm(sample.values, grid), profile, grid))
 
 
 def normalized_l2_distance(sample: sp.FieldSample, profile: np.ndarray, grid: Grid) -> float:
     """Same difference measured in the weighted L2 norm (diagnostic)."""
-    return l2_norm(_normalized_diff(sample, profile, grid), grid)
+    return l2_norm(_normalized_diff(sample, l2_norm(sample.values, grid), profile, grid), grid)
 
 
-def estimate0_rhs(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid) -> float:
-    """The envelope A * (|t_u/||phi||_2 - e^{i theta} B|^2 + r^2/||phi||_2^2)^{1/2},
-    which dominates the normalized sup distance for every sample."""
-    nrm = l2_norm(sample.values, grid)
+def _estimate0_rhs(sample: sp.FieldSample, nrm: float, k: fn.TheoryConstants) -> float:
     if nrm == 0.0:
         raise ZeroVector("zero sample norm")
     a1 = sample.t_u / nrm - _phase(sample) * k.b_const
     return k.a_const * math.sqrt(abs(a1) ** 2 + sample.r2 / nrm ** 2)
 
 
-def ratio_bounds_check(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid) -> dict:
-    """Check the two-sided ratio bound and the residual bound, gated on
-    |t_u| > D r (the 'large first coefficient' regime where they apply)."""
-    nrm = l2_norm(sample.values, grid)
+def estimate0_rhs(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid) -> float:
+    """The envelope A * (|t_u/||phi||_2 - e^{i theta} B|^2 + r^2/||phi||_2^2)^{1/2},
+    which dominates the normalized sup distance for every sample."""
+    return _estimate0_rhs(sample, l2_norm(sample.values, grid), k)
+
+
+def _ratio_bounds_check(sample: sp.FieldSample, nrm: float, k: fn.TheoryConstants) -> dict:
     tu_abs = abs(sample.t_u)
     r = math.sqrt(sample.r2)
-    applicable = tu_abs > k.d_const * r
-    out = {
-        "applicable": applicable,
-        "ratio": sample.t_u / nrm,
-        "r": r,
-        "est1_ok": True,
-        "est2_ok": True,
-        "limit1_ok": True,
-        "limit2_ok": True,
-    }
+    dr = k.d_const * r
+    applicable = tu_abs > dr
+    out = {"applicable": applicable, "ratio": sample.t_u / nrm, "r": r,
+           "est1_ok": True, "est2_ok": True, "limit1_ok": True, "limit2_ok": True}
     if not applicable:
         return out
     ratio_abs = tu_abs / nrm
-    dr = k.d_const * r
     lower = k.b_const / (1.0 + dr / tu_abs)
     upper = k.b_const / (1.0 - dr / tu_abs)
     tol = BOUND_SLACK * (1.0 + k.b_const)
     out["est1_ok"] = (lower - tol) <= ratio_abs <= (upper + tol)
     resid = sample.r2 / nrm ** 2
-    resid_bound = (k.b_const * r / (tu_abs - dr)) ** 2
-    out["est2_ok"] = resid <= resid_bound + tol
+    resid_env = k.b_const * r / (tu_abs - dr)
+    out["est2_ok"] = resid <= resid_env ** 2 + tol
     # algebraic consequences of the two estimates, asserted directly
     env = k.b_const * dr / (tu_abs - dr)
     out["limit1_ok"] = abs(out["ratio"] - _phase(sample) * k.b_const) <= env + tol
-    out["limit2_ok"] = math.sqrt(resid) <= k.b_const * r / (tu_abs - dr) + tol
+    out["limit2_ok"] = math.sqrt(resid) <= resid_env + tol
     return out
+
+
+def ratio_bounds_check(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid) -> dict:
+    """Check the two-sided ratio bound and the residual bound, gated on
+    |t_u| > D r (the 'large first coefficient' regime where they apply)."""
+    return _ratio_bounds_check(sample, l2_norm(sample.values, grid), k)
 
 
 @dataclass(frozen=True)
@@ -112,11 +111,12 @@ def distance_record(
     grid: Grid,
     sample_index: int = 0,
 ) -> DistanceRecord:
-    diff = _normalized_diff(sample, profile, grid)
+    nrm = l2_norm(sample.values, grid)
+    diff = _normalized_diff(sample, nrm, profile, grid)
     sup_d = sup_norm(diff)
     l2_d = l2_norm(diff, grid)
-    rhs = estimate0_rhs(sample, k, grid)
-    chk = ratio_bounds_check(sample, k, grid)
+    rhs = _estimate0_rhs(sample, nrm, k)
+    chk = _ratio_bounds_check(sample, nrm, k)
     est12 = chk["est1_ok"] and chk["est2_ok"] and chk["limit1_ok"] and chk["limit2_ok"]
     return DistanceRecord(
         u=float(sample.u),
@@ -142,7 +142,6 @@ class SweepReport:
     violations_est0: int
     violations_est12: int
     records: tuple = field(repr=False)
-    config: dict = field(default_factory=dict)
 
 
 def sweep(
@@ -156,7 +155,6 @@ def sweep(
     rho: float = 1.0,
     theta: float = 0.0,
     seed: int = 0,
-    config: dict | None = None,
 ) -> SweepReport:
     """Paired-seed sweep over thresholds; see module docstring."""
     u_list = [float(u) for u in u_list]
@@ -173,13 +171,13 @@ def sweep(
     prof = fn.profile(t, cov)
     consts = fn.constants(t, cov)
     _, tct = sp.sqrt_tct(factor, t)
-    records = []
-    for i in range(n_mc):
-        xi = sp.white_noise(grid.m, grid.w, scalar, sp.substream(seed, 0, i))
-        draws = [(spec, *sp.sample_t_u(spec, tct, sp.substream(seed, 1, j, i)))
-                 for j, spec in enumerate(specs)]
-        for sample in sp.condition_pathwise(factor, t, xi, draws):
-            records.append(distance_record(sample, prof, consts, grid, sample_index=i))
+    noises = (sp.white_noise(grid.m, grid.w, scalar, sp.substream(seed, 0, i))
+              for i in range(n_mc))
+    draws = ([(spec, *sp.sample_t_u(spec, tct, sp.substream(seed, 1, j, i)))
+              for j, spec in enumerate(specs)] for i in range(n_mc))
+    records = [distance_record(sample, prof, consts, grid, sample_index=i)
+               for i, samples in enumerate(sp.condition_pathwise(factor, t, noises, draws))
+               for sample in samples]
 
     # records run over (i, u), so column j of each array holds threshold u_list[j]
     sup_d = np.array([r.sup_dist for r in records]).reshape(n_mc, len(u_list))
@@ -188,7 +186,10 @@ def sweep(
     l2_q50 = np.quantile(l2_d, 0.5, axis=0)
     per_u = [{"u": u, "q10": float(a), "q50": float(b), "q90": float(c), "l2_q50": float(d)}
              for u, a, b, c, d in zip(u_list, q10, q50, q90, l2_q50)]
-    slope = float(np.polyfit(np.log(u_list), np.log(q50), 1)[0]) if len(u_list) >= 2 else None
+    # the rate fit needs log u, so a leading u = 0 (the only possible one) is left out
+    skip = int(u_list[0] == 0.0)
+    slope = (float(np.polyfit(np.log(u_list[skip:]), np.log(q50[skip:]), 1)[0])
+             if len(u_list) - skip >= 2 else None)
     return SweepReport(
         u_list=tuple(u_list),
         per_u=tuple(per_u),
@@ -196,7 +197,6 @@ def sweep(
         violations_est0=sum(not r.est0_ok for r in records),
         violations_est12=sum(r.applicable and not r.est12_ok for r in records),
         records=tuple(records),
-        config=dict(config or {}),
     )
 
 

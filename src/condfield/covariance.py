@@ -45,9 +45,6 @@ class SquaredExponential:
     def smooth(self) -> bool:
         return True
 
-    def spec_string(self) -> str:
-        return f"sqexp:{self.variance!r}:{self.ell!r}"
-
 
 @dataclass(frozen=True)
 class Exponential:
@@ -73,9 +70,6 @@ class Exponential:
     @property
     def smooth(self) -> bool:
         return False
-
-    def spec_string(self) -> str:
-        return f"exp:{self.variance!r}:{self.ell!r}"
 
 
 @dataclass(frozen=True)
@@ -121,9 +115,6 @@ class RankK:
     @property
     def smooth(self) -> bool:
         return True
-
-    def spec_string(self) -> str:
-        return "rankk:" + ",".join(f"{lam!r}@{k}" for lam, k in self.modes)
 
 
 @dataclass(frozen=True)
@@ -177,15 +168,16 @@ class SqrtFactor:
         return self.s @ phi
 
 
-def sqrt_factor(cov: CovOperator, clip_tol: float = DEFAULT_CLIP_TOL) -> SqrtFactor:
+def sqrt_factor(cov: CovOperator) -> SqrtFactor:
     """Spectral square root of op, clipping roundoff-negative eigenvalues.
 
-    Eigenvalues in [-clip_tol * lam_max, 0] are set to zero; anything below
-    that window means the kernel was not positive semidefinite and raises.
+    Eigenvalues in the fixed window [-DEFAULT_CLIP_TOL * lam_max, 0] are set to
+    zero; anything below it means the kernel was not positive semidefinite and
+    raises.  The window is recorded as `SqrtFactor.clip_tol`.
     """
     lam, vec = np.linalg.eigh(cov.op)
     lam_max = float(lam[-1])
-    floor = -clip_tol * max(lam_max, 0.0)
+    floor = -DEFAULT_CLIP_TOL * max(lam_max, 0.0)
     if lam[0] < floor:
         raise NotPositive(
             f"eigenvalue {lam[0]:.3e} below the clip window {floor:.3e}; "
@@ -205,7 +197,7 @@ def sqrt_factor(cov: CovOperator, clip_tol: float = DEFAULT_CLIP_TOL) -> SqrtFac
         s=s,
         eigenvalues=lam_desc,
         eigenvectors=vec_desc,
-        clip_tol=float(clip_tol),
+        clip_tol=DEFAULT_CLIP_TOL,
         n_clipped=int(np.count_nonzero(clipped)),
     )
 

@@ -5,7 +5,9 @@ white with respect to the weighted inner product.  Conditional draws add a
 rank-one update (Matheron's rule): phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v,
 with v = C^{1/2} T / sqrt(<T|C|T>), t_1 = <v|xi> and |t_u|^2 = rho + u^2/<T|C|T>.
 This equals the adapted-basis split C^{1/2}(t_u v + xi_perp), so it has the
-same law; one draw serves every threshold, and |<T|phi_u>| >= u exactly.
+same law, and |<T|phi_u>| >= u exactly.  Only xi changes between samples:
+`condition_pathwise` forms v and C^{1/2} v once and conditions a stream of
+noise vectors, each on all of its thresholds.
 
 Reproducibility: streams are counter-based (Philox) and splittable.  Sample i
 of a batch uses substream(seed, path..., i), so batches are order-independent
@@ -69,7 +71,6 @@ class FieldSample:
     u: float | None = None
     rho: float | None = None
     theta: float | None = None
-    seed: object = None
 
 
 def white_noise(m: int, w: float, scalar: str, rng: np.random.Generator) -> np.ndarray:
@@ -88,14 +89,13 @@ def sample_unconditional(
     scalar: str,
     rng: np.random.Generator,
     noise: np.ndarray | None = None,
-    seed_label=None,
 ) -> FieldSample:
     """Draw phi = C^{1/2} xi.  `noise` overrides xi (test hook)."""
     g = factor.grid
     xi = white_noise(g.m, g.w, scalar, rng) if noise is None else np.asarray(noise)
     values = factor.apply(xi)
     values.setflags(write=False)
-    return FieldSample(values=values, scalar=scalar, seed=seed_label)
+    return FieldSample(values=values, scalar=scalar)
 
 
 def truncated_normal_lower(alpha: float, rng: np.random.Generator) -> float:
@@ -148,27 +148,31 @@ def sqrt_tct(factor: SqrtFactor, t: LinearFunctional):
     return s_t, tct
 
 
-def condition_pathwise(factor: SqrtFactor, t: LinearFunctional, xi, draws, seed_label=None):
-    """One conditioned FieldSample per (spec, t_u, rho, theta) in `draws`, all
-    from the white noise xi: phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v, with
-    residual energy r^2 = ||xi - t_1 v||^2.  v is taken from the factor, which
-    keeps <T|phi_u> = sqrt(<T|C|T>) t_u exact to roundoff under clipping."""
+def condition_pathwise(factor: SqrtFactor, t: LinearFunctional, noises, draws):
+    """Condition each white-noise vector in `noises` on its list of
+    (spec, t_u, rho, theta) draws, taken in step from `draws`; yields one list
+    of FieldSample per vector.  Each is phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v
+    with residual energy r^2 = ||xi - t_1 v||^2; v and C^{1/2} v are formed once
+    per call.  v is taken from the factor, which keeps
+    <T|phi_u> = sqrt(<T|C|T>) t_u exact to roundoff under clipping.  Both
+    iterables are consumed lazily, so generators keep one xi alive at a time."""
     g = factor.grid
     s_t, tct = sqrt_tct(factor, t)
     v = s_t / math.sqrt(tct)
     s_v = factor.apply(v)
-    phi = factor.apply(xi)
-    t1 = inner(v, xi, g)
-    rest = xi - t1 * v
-    r2 = float(inner(rest, rest, g).real)
-    samples = []
-    for spec, t_u, rho, theta in draws:
-        values = phi + (t_u - t1) * s_v
-        values = values.real if spec.scalar == REAL else values
-        values.setflags(write=False)
-        samples.append(FieldSample(values=values, scalar=spec.scalar, t_u=t_u, r2=r2,
-                                   u=spec.u, rho=rho, theta=theta, seed=seed_label))
-    return samples
+    for xi, xi_draws in zip(noises, draws, strict=True):
+        phi = factor.apply(xi)
+        t1 = inner(v, xi, g)
+        rest = xi - t1 * v
+        r2 = float(inner(rest, rest, g).real)
+        samples = []
+        for spec, t_u, rho, theta in xi_draws:
+            values = phi + (t_u - t1) * s_v
+            values = values.real if spec.scalar == REAL else values
+            values.setflags(write=False)
+            samples.append(FieldSample(values=values, scalar=spec.scalar, t_u=t_u, r2=r2,
+                                       u=spec.u, rho=rho, theta=theta))
+        yield samples
 
 
 def sample_conditional(
@@ -178,7 +182,6 @@ def sample_conditional(
     rng: np.random.Generator,
     noise: np.ndarray | None = None,
     t_u_override=None,
-    seed_label=None,
 ) -> FieldSample:
     """Draw phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v (see `condition_pathwise`),
     which has the law of the adapted-basis split C^{1/2}(t_u v + xi_perp).
@@ -190,7 +193,7 @@ def sample_conditional(
     _, tct = sqrt_tct(factor, t)
     xi = white_noise(g.m, g.w, spec.scalar, rng) if noise is None else np.asarray(noise)
     t_u, rho, theta = sample_t_u(spec, tct, rng) if t_u_override is None else t_u_override
-    return condition_pathwise(factor, t, xi, [(spec, t_u, rho, theta)], seed_label)[0]
+    return next(condition_pathwise(factor, t, [xi], [[(spec, t_u, rho, theta)]]))[0]
 
 
 def t1_of(sample: FieldSample, t: LinearFunctional, tct: float):

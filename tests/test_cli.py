@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import condfield as cf
-from condfield import concentration
+from condfield import cli, concentration, covariance
 from condfield.cli import main
 
 
@@ -167,3 +167,49 @@ def test_verify_bounds_counts_like_sweep(tmp_path, monkeypatch, slack, scalar, m
     assert json.loads(out.read_text())["result"]["violations"] == expected
     assert code == (0 if expected == 0 else 3)
     assert (expected > 0) == (slack < 0)
+
+
+def test_sweep_slope_skips_u_zero(tmp_path):
+    # log 0 is left out of the rate fit: u = 0 first gives the slope of the rest
+    # (fixed-rho draws do not depend on the threshold's substream)
+    slopes = []
+    for u_list in ("0,10,100", "10,100"):
+        out = tmp_path / f"s{len(slopes)}.csv"
+        assert run(["sweep", "--u-list", u_list, "--mode", "fixed-rho:1", "--mc", "20",
+                    "--grid", "64", "--seed", "5", "--out", str(out)]) == 0
+        slopes.append(json.loads(out.with_suffix(".json").read_text())["slope"])
+    assert slopes[1] is not None
+    assert slopes[0] == slopes[1]
+    g = cf.make_grid(0, 1, 64)
+    cov = cf.assemble(cf.SquaredExponential(1, 0.2), g)
+    rep = cf.sweep(cf.sqrt_factor(cov), cf.make_point_functional(g, 0.5), cov, [0.0, 10.0], 5)
+    assert rep.slope is None
+
+
+def test_write_json_rejects_non_finite(tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        cli._write_json(str(path), {"value": float("nan")})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv, factorizations", [
+    (["profile"], 0),
+    (["condition", "--u", "100"], 1),
+    (["sweep", "--u-list", "10,100", "--mc", "20"], 1),
+    (["verify", "prop1", "--mc", "1000"], 1),
+    (["verify", "prop3"], 1),
+    (["verify", "bounds", "--mc", "20"], 1),
+], ids=["profile", "condition", "sweep", "prop1", "prop3", "bounds"])
+def test_one_factorization_per_command(tmp_path, monkeypatch, argv, factorizations):
+    calls = []
+    sqrt_factor = covariance.sqrt_factor
+
+    def counting(cov):
+        calls.append(cov.grid.m)
+        return sqrt_factor(cov)
+
+    monkeypatch.setattr(covariance, "sqrt_factor", counting)
+    out = tmp_path / ("o.json" if argv[0] == "verify" else "o.csv")
+    assert run(argv + ["--grid", "64", "--out", str(out)]) == 0
+    assert calls == [64] * factorizations

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from condfield import errors
+from condfield import concentration, errors
 from condfield.concentration import (
     distance_record,
     estimate0_rhs,
+    normalized_l2_distance,
     normalized_sup_distance,
     ratio_bounds_check,
     sweep,
@@ -277,3 +278,39 @@ def test_verify_prop1_matches_per_field_reference(scalar):
     res = verify_prop1(t, cov, n_mc, seed=seed, scalar=scalar)
     assert res["all_finite"]
     assert abs(res["var_hat"] - var_ref) <= 1e-12 * var_ref
+
+
+@pytest.mark.parametrize("slack", [concentration.BOUND_SLACK, -0.1])
+@pytest.mark.parametrize("scalar, mode, theta", [
+    (REAL, RANDOM, 0.0),
+    (COMPLEX, FIXED_RHO, 0.7),
+    (COMPLEX, RANDOM, 0.0),
+])
+def test_distance_record_matches_public_bound_functions(monkeypatch, slack, scalar, mode,
+                                                        theta):
+    # the record shares one sample norm with the bound chain; every field must
+    # equal, bitwise, what the public one-sample functions compute. A negative
+    # slack makes part of the flags fail, so they are not all trivially true.
+    monkeypatch.setattr(concentration, "BOUND_SLACK", slack)
+    g = make_grid(0, 1, 64)
+    cov = assemble(Exponential(1, 0.1), g)
+    fac = sqrt_factor(cov)
+    t = make_integral_functional(g, "cosine")
+    prof, consts = profile(t, cov), constants(t, cov)
+    flags = set()
+    for i in range(10):
+        for u in (1.0, 30.0, 1e4):
+            spec = ConditionSpec(u=u, scalar=scalar, mode=mode, rho=0.5, theta=theta)
+            s = sample_conditional(fac, t, spec, substream(9, i))
+            rec = distance_record(s, prof, consts, g, sample_index=i)
+            chk = ratio_bounds_check(s, consts, g)
+            est12 = chk["est1_ok"] and chk["est2_ok"] and chk["limit1_ok"] and chk["limit2_ok"]
+            assert rec.sup_dist == normalized_sup_distance(s, prof, g)
+            assert rec.l2_dist == normalized_l2_distance(s, prof, g)
+            assert rec.bound_rhs == estimate0_rhs(s, consts, g)
+            assert (rec.ratio, rec.r, rec.applicable, rec.est12_ok) == \
+                (complex(chk["ratio"]), chk["r"], chk["applicable"], est12)
+            assert rec.est0_ok == (rec.sup_dist <= rec.bound_rhs + slack * (1 + rec.bound_rhs))
+            flags.add((rec.applicable, rec.est12_ok))
+    assert {applicable for applicable, _ in flags} == {True, False}
+    assert ((True, False) in flags) == (slack < 0)

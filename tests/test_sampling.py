@@ -11,9 +11,11 @@ from condfield.sampling import (
     RANDOM,
     REAL,
     ConditionSpec,
+    condition_pathwise,
     sample_conditional,
     sample_t_u,
     sample_unconditional,
+    sqrt_tct,
     substream,
     t1_of,
     truncated_normal_lower,
@@ -232,3 +234,37 @@ def test_pathwise_matches_adapted_basis_split(kernel, n_clipped, scalar, adapted
             assert s.r2 >= 0.0
             assert abs(s.r2 - r2) <= 1e-12 * r2
             assert (s.t_u, s.rho, s.theta, s.u) == (*draw, u)
+
+
+def _assert_same_sample(a, b):
+    assert a.values.dtype == b.values.dtype
+    assert a.values.tobytes() == b.values.tobytes()
+    assert (a.scalar, a.t_u, a.r2, a.u, a.rho, a.theta) == \
+        (b.scalar, b.t_u, b.r2, b.u, b.rho, b.theta)
+
+
+@pytest.mark.parametrize("scalar, mode, theta", [
+    (REAL, RANDOM, 0.0),
+    (COMPLEX, FIXED_RHO, 0.7),
+    (COMPLEX, RANDOM, 0.0),
+])
+def test_condition_pathwise_stream_matches_single_calls(setup64, scalar, mode, theta):
+    # one call over three noise vectors, fed by generators, gives bitwise the
+    # samples of three one-vector calls, and its first sample is sample_conditional's
+    g, cov, fac, t = setup64
+    _, tct = sqrt_tct(fac, t)
+    specs = [ConditionSpec(u=u, scalar=scalar, mode=mode, rho=2.0, theta=theta)
+             for u in (0.0, 10.0, 1e6)]
+    noises = [white_noise(g.m, g.w, scalar, substream(3, 0, i)) for i in range(3)]
+    draws = [[(spec, *sample_t_u(spec, tct, substream(3, 1, j, i)))
+              for j, spec in enumerate(specs)] for i in range(3)]
+    streamed = list(condition_pathwise(fac, t, iter(noises), iter(draws)))
+    assert [len(samples) for samples in streamed] == [3, 3, 3]
+    for xi, xi_draws, samples in zip(noises, draws, streamed):
+        (single,) = condition_pathwise(fac, t, [xi], [xi_draws])
+        for got, want in zip(samples, single, strict=True):
+            _assert_same_sample(got, want)
+    spec, *t_u_triple = draws[0][0]
+    ref = sample_conditional(fac, t, spec, substream(0, 0), noise=noises[0],
+                             t_u_override=tuple(t_u_triple))
+    _assert_same_sample(streamed[0][0], ref)
