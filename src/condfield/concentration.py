@@ -15,7 +15,7 @@ import numpy as np
 from . import covariance as cv
 from . import functionals as fn
 from . import sampling as sp
-from .errors import EmptyUList, ZeroVector
+from .errors import EmptyUList, ThresholdOverflow, ZeroVector
 from .grid import Grid, inner, l2_norm, make_grid, sup_norm
 
 BOUND_SLACK = 1e-9
@@ -32,6 +32,8 @@ def _normalized_diff(sample: sp.FieldSample, nrm: float, profile: np.ndarray,
     nrm_p = l2_norm(profile, grid)
     if nrm == 0.0 or nrm_p == 0.0:
         raise ZeroVector("cannot normalize a zero vector")
+    if not nrm < math.inf:  # also NaN, which an overflowing complex vdot gives
+        raise ThresholdOverflow(f"||phi_u||^2 is not representable at u = {sample.u}")
     return sample.values / nrm - _phase(sample) * np.asarray(profile) / nrm_p
 
 
@@ -215,12 +217,11 @@ def verify_prop1(
     grid = cov.grid
     # <T|C^{1/2} xi> = <C^{1/2} T|xi>: one matvec in all, not one per draw
     s_t, _ = sp.sqrt_tct(cv.sqrt_factor(cov), t)
-    vals = np.empty(n_mc, dtype=complex if scalar == sp.COMPLEX else float)
-    for i in range(n_mc):
-        xi = sp.white_noise(grid.m, grid.w, scalar, sp.substream(seed, 0, i))
-        vals[i] = inner(s_t, xi, grid)
+    noises = (sp.white_noise(grid.m, grid.w, scalar, sp.substream(seed, 0, i))
+              for i in range(n_mc))
+    vals = np.array([inner(s_t, xi, grid) for xi in noises], dtype=complex)
     finite = bool(np.all(np.isfinite(vals)))
-    var_hat = float(np.mean(np.abs(vals) ** 2)) if scalar == sp.COMPLEX else float(np.mean(vals ** 2))
+    var_hat = float(np.mean(np.abs(vals) ** 2))
     tol = 5.0 / math.sqrt(n_mc) + 0.02
     rel_err = abs(var_hat / tct_val - 1.0)
     return {
@@ -250,7 +251,9 @@ def verify_prop3(
     seed: int = 0,
 ) -> dict:
     """Condition on a large n-th derivative at x0 and compare the normalized
-    sample against the normalized analytic curve d^n C(x, x0)/d x0^n."""
+    profile and sample against the normalized analytic curve d^n C(x, x0)/d x0^n.
+    A nonsmooth kernel (n >= 1) has no curve: it raises `smoothness_warning`,
+    and `passed` is the sample's envelope bound (estimate 0)."""
     grid = make_grid(a, b, m)
     t = fn.make_derivative_functional(grid, x0, n, order)
     cov = cv.assemble(kernel, grid)
@@ -271,6 +274,12 @@ def verify_prop3(
     rec = distance_record(sample, prof, consts, grid)
     if curve is not None:
         sample_sup_dist = normalized_sup_distance(sample, curve, grid)
+    profile_tol, sample_tol = 1e-3, 1e-2
+    if smoothness_warning:
+        passed = rec.est0_ok
+    else:
+        passed = (profile_sup_dist is not None and profile_sup_dist <= profile_tol
+                  and sample_sup_dist <= sample_tol)
     return {
         "n": n,
         "order": order,
@@ -281,4 +290,8 @@ def verify_prop3(
         "sample_sup_dist_discrete": rec.sup_dist,
         "bound_rhs": rec.bound_rhs,
         "smoothness_warning": smoothness_warning,
+        "profile_tolerance": profile_tol,
+        "sample_tolerance": sample_tol,
+        "passed": passed,
+        "passed_with_warning": passed and smoothness_warning,
     }

@@ -21,8 +21,8 @@ DEFAULT_CLIP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class SquaredExponential:
-    """C(x, y) = variance * exp(-(x - y)^2 / (2 ell^2))."""
+class _Stationary:
+    """C(x, y) = variance * decay(x - y); subclasses name and define decay."""
 
     variance: float
     ell: float
@@ -30,46 +30,37 @@ class SquaredExponential:
     def __post_init__(self):
         if not (0 < self.variance < np.inf and 0 < self.ell < np.inf):
             raise InvalidKernelParams(
-                f"squared-exponential needs finite variance > 0 and ell > 0, "
+                f"{self.name} needs finite variance > 0 and ell > 0, "
                 f"got {self.variance}, {self.ell}"
             )
 
     def pair(self, x, y):
-        d = np.subtract.outer(np.asarray(x), np.asarray(y))
-        return self.variance * np.exp(-(d ** 2) / (2.0 * self.ell ** 2))
+        return self.variance * self.decay(np.subtract.outer(np.asarray(x), np.asarray(y)))
 
     def matrix(self, grid: Grid) -> np.ndarray:
         return self.pair(grid.points, grid.points)
-
-    @property
-    def smooth(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
-class Exponential:
+class SquaredExponential(_Stationary):
+    """C(x, y) = variance * exp(-(x - y)^2 / (2 ell^2))."""
+
+    name = "squared-exponential"
+    smooth = True
+
+    def decay(self, d):
+        return np.exp(-(d ** 2) / (2.0 * self.ell ** 2))
+
+
+@dataclass(frozen=True)
+class Exponential(_Stationary):
     """C(x, y) = variance * exp(-|x - y| / ell).  Not differentiable at x = y."""
 
-    variance: float
-    ell: float
+    name = "exponential"
+    smooth = False
 
-    def __post_init__(self):
-        if not (0 < self.variance < np.inf and 0 < self.ell < np.inf):
-            raise InvalidKernelParams(
-                f"exponential needs finite variance > 0 and ell > 0, "
-                f"got {self.variance}, {self.ell}"
-            )
-
-    def pair(self, x, y):
-        d = np.subtract.outer(np.asarray(x), np.asarray(y))
-        return self.variance * np.exp(-np.abs(d) / self.ell)
-
-    def matrix(self, grid: Grid) -> np.ndarray:
-        return self.pair(grid.points, grid.points)
-
-    @property
-    def smooth(self) -> bool:
-        return False
+    def decay(self, d):
+        return np.exp(-np.abs(d) / self.ell)
 
 
 @dataclass(frozen=True)
@@ -83,6 +74,7 @@ class RankK:
     """
 
     modes: tuple  # ((lam, k), ...)
+    smooth = True
 
     def __post_init__(self):
         ks = [k for _, k in self.modes]
@@ -111,10 +103,6 @@ class RankK:
             if k >= grid.m:
                 raise InvalidKernelParams(f"mode index {k} needs a grid with M > {k}")
         return self.pair(grid.points, grid.points, grid.a, grid.b)
-
-    @property
-    def smooth(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -187,9 +175,8 @@ def sqrt_factor(cov: CovOperator) -> SqrtFactor:
     lam = np.where(clipped, 0.0, lam)
     s = (vec * np.sqrt(lam)) @ vec.T
     s = 0.5 * (s + s.T)
-    order = np.argsort(lam)[::-1]
-    lam_desc = lam[order].copy()
-    vec_desc = vec[:, order].copy()
+    # eigh returns ascending eigenvalues, and clipping keeps that order
+    lam_desc, vec_desc = lam[::-1], vec[:, ::-1]
     for arr in (s, lam_desc, vec_desc):
         arr.setflags(write=False)
     return SqrtFactor(

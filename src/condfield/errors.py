@@ -53,6 +53,10 @@ class NegativeU(CondfieldError):
     """Conditioning threshold must be finite and nonnegative."""
 
 
+class ThresholdOverflow(CondfieldError):
+    """Threshold so large that |t_u|^2 or ||phi_u||^2 overflows a double."""
+
+
 class ZeroVector(CondfieldError):
     """Normalization of a zero vector was requested."""
 

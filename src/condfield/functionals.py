@@ -158,13 +158,17 @@ def _check_grids(t: LinearFunctional, cov: cv.CovOperator):
 
 
 def tct(t: LinearFunctional, cov: cv.CovOperator) -> float:
-    """<T|C|T>, the variance of <T|phi> over unconditional samples."""
+    """<T|C|T>, the variance of <T|phi> over unconditional samples.
+
+    Since |C(x, y)| <= A^2, its roundoff is at most eps A^2 (w sum_i |T_i|)^2;
+    a value not above 100 times that bound (1% roundoff) is rejected."""
     _check_grids(t, cov)
     val = float(inner(t.coeff, cov.apply(t.coeff), t.grid).real)
-    a2 = cv.point_variance_max(cov)
-    tnorm2 = l2_norm(t.coeff, t.grid) ** 2
-    if val <= 1e-14 * a2 * tnorm2:
-        raise DegenerateFunctional(f"<T|C|T> = {val:.3e} is numerically zero")
+    w_t1 = t.grid.w * float(np.abs(t.coeff).sum())
+    bound = np.finfo(float).eps * cv.point_variance_max(cov) * w_t1 ** 2
+    if val <= 100.0 * bound:
+        raise DegenerateFunctional(f"<T|C|T> = {val:.6g} is numerically zero: not above "
+                                   f"100x its roundoff bound {bound:.3g}")
     return val
 
 

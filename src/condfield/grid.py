@@ -59,9 +59,10 @@ def inner(psi, phi, grid: Grid):
 
 
 def l2_norm(phi, grid: Grid) -> float:
-    """Weighted L2 norm, sqrt(<phi|phi>)."""
-    val = inner(phi, phi, grid)
-    return float(np.sqrt(val.real if np.iscomplexobj(val) else val))
+    """Weighted L2 norm, sqrt(<phi|phi>).  Weighting the real part alone keeps
+    an overflowing sum at inf, with no NaN from the zero imaginary part."""
+    phi = _check(phi, grid)
+    return float(np.sqrt(grid.w * np.vdot(phi, phi).real))
 
 
 def sup_norm(phi) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import SqrtFactor
-from .errors import DegenerateFunctional, GridMismatch, NegativeU
+from .errors import DegenerateFunctional, GridMismatch, NegativeU, ThresholdOverflow
 from .functionals import LinearFunctional
 from .grid import inner
 
@@ -103,14 +103,18 @@ def truncated_normal_lower(alpha: float, rng: np.random.Generator) -> float:
 
     Plain rejection for alpha <= 0 (acceptance >= 1/2); for alpha > 0 a
     shifted-exponential proposal with the optimal rate
-    lam = (alpha + sqrt(alpha^2 + 4)) / 2, stable for thresholds >> 1.
+    lam = (alpha + sqrt(alpha^2 + 4)) / 2, stable for thresholds >> 1.  Where
+    alpha^2 overflows, lam is alpha and every proposal rounds to alpha.
     """
     if alpha <= 0.0:
         while True:
             z = rng.standard_normal()
             if z >= alpha:
                 return float(z)
-    lam = (alpha + math.sqrt(alpha * alpha + 4.0)) / 2.0
+    a2 = alpha * alpha
+    if not a2 < math.inf:
+        return float(alpha)
+    lam = (alpha + math.sqrt(a2 + 4.0)) / 2.0
     while True:
         z = alpha + rng.exponential(1.0 / lam)
         if rng.random() <= math.exp(-((z - lam) ** 2) / 2.0):
@@ -118,22 +122,28 @@ def truncated_normal_lower(alpha: float, rng: np.random.Generator) -> float:
 
 
 def sample_t_u(spec: ConditionSpec, tct: float, rng: np.random.Generator):
-    """Draw (t_u, rho, theta) for the conditional first coefficient."""
+    """Draw (t_u, rho, theta) for the conditional first coefficient, with
+    |t_u|^2 = rho + u^2/<T|C|T>; raises ThresholdOverflow where that overflows."""
     if tct <= 0.0:
         raise DegenerateFunctional(f"<T|C|T> = {tct} must be positive")
-    base = spec.u ** 2 / tct
-    if spec.mode == FIXED_RHO:
-        rho, theta = spec.rho, spec.theta
+    try:
+        base = spec.u ** 2 / tct
+    except OverflowError:  # float ** raises where * and / return inf
+        base = spec.u * (spec.u / tct)
+    if spec.mode == RANDOM and spec.scalar == REAL:
+        t_u = truncated_normal_lower(spec.u / math.sqrt(tct), rng)
+        rho, theta = float(t_u * t_u - base), 0.0
+    else:
+        if spec.mode == FIXED_RHO:
+            rho, theta = spec.rho, spec.theta
+        else:
+            rho = float(rng.exponential(1.0))
+            theta = float(rng.uniform(0.0, 2.0 * math.pi))
         mag = math.sqrt(rho + base)
         t_u = mag * complex(math.cos(theta), math.sin(theta)) if spec.scalar == COMPLEX else mag
-        return t_u, rho, theta
-    if spec.scalar == COMPLEX:
-        rho = float(rng.exponential(1.0))
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        mag = math.sqrt(rho + base)
-        return mag * complex(math.cos(theta), math.sin(theta)), rho, theta
-    t_u = truncated_normal_lower(spec.u / math.sqrt(tct), rng)
-    return t_u, float(t_u * t_u - base), 0.0
+    if not rho + base < math.inf:  # NaN too, from inf - inf
+        raise ThresholdOverflow(f"|t_u|^2 is not representable in doubles at u = {spec.u}")
+    return t_u, rho, theta
 
 
 def sqrt_tct(factor: SqrtFactor, t: LinearFunctional):

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -20,3 +22,16 @@ def _adapted_split(factor, t, xi, t_u, scalar):
 @pytest.fixture
 def adapted_split():
     return _adapted_split
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test after 20 s instead of stalling the suite on a hang."""
+    def expire(signum, frame):
+        pytest.fail("did not return within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

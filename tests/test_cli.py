@@ -213,3 +213,79 @@ def test_one_factorization_per_command(tmp_path, monkeypatch, argv, factorizatio
     out = tmp_path / ("o.json" if argv[0] == "verify" else "o.csv")
     assert run(argv + ["--grid", "64", "--out", str(out)]) == 0
     assert calls == [64] * factorizations
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--scalar", "real"],
+    ["profile", "--mode", "random"],
+    ["profile", "--mc", "10"],
+    ["profile", "--seed", "1"],
+    ["condition", "--u", "10", "--mc", "10"],
+    ["verify", "prop1", "--mc", "1000", "--mode", "random"],
+    ["verify", "prop1", "--mc", "1000", "--u", "10"],
+    ["verify", "prop3", "--mc", "10"],
+], ids=lambda argv: " ".join(argv))
+def test_option_the_command_does_not_read_exits_2(tmp_path, argv):
+    assert run(argv + ["--grid", "64", "--out", str(tmp_path / "o.json")]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["condition", "--u", "10"], {"scalar", "mode", "rho", "theta", "seed", "u"}),
+    (["sweep", "--u-list", "10,100", "--mc", "5"],
+     {"scalar", "mode", "rho", "theta", "mc", "seed", "u_list"}),
+    (["verify", "prop1", "--mc", "1000"], {"scalar", "mc", "seed"}),
+    (["verify", "prop3"], {"scalar", "mode", "rho", "theta", "seed", "u"}),
+    (["verify", "bounds", "--mc", "5"], {"scalar", "mode", "rho", "theta", "mc", "seed", "u"}),
+], ids=["condition", "sweep", "prop1", "prop3", "bounds"])
+def test_config_echoes_exactly_the_options_read(tmp_path, argv, keys):
+    # condition and sweep write o.json as the sidecar of o.csv
+    out = tmp_path / ("o.json" if argv[0] == "verify" else "o.csv")
+    assert run(argv + ["--grid", "64", "--out", str(out)]) == 0
+    config = json.loads((tmp_path / "o.json").read_text())["config"]
+    assert set(config) == {"domain", "grid", "kernel", "functional"} | keys
+
+
+@pytest.mark.parametrize("kernel, spec, order, grid", [
+    (cf.SquaredExponential(1, 0.3), "sqexp:1:0.3", 4, 128),
+    (cf.Exponential(1, 0.5), "exp:1:0.5", 4, 128),
+    (cf.SquaredExponential(1, 0.3), "sqexp:1:0.3", 2, 16),  # profile off by 1%: fails
+])
+def test_verify_prop3_reports_the_library_verdict(tmp_path, kernel, spec, order, grid):
+    out = tmp_path / "v.json"
+    code = run(["verify", "prop3", "--functional", f"dpoint:0.5:1:{order}", "--kernel", spec,
+                "--grid", str(grid), "--out", str(out)])
+    expected = cf.verify_prop3(kernel, 0.5, 1, order, 1e6, m=grid)
+    assert json.loads(out.read_text())["result"] == expected
+    assert code == (0 if expected["passed"] else 3)
+    assert expected["passed"] == (grid == 128)
+
+
+def test_env_seed_read_only_by_commands_with_seed(tmp_path, monkeypatch):
+    monkeypatch.setenv("CONDENSATE_SEED", "abc")
+    assert run(["profile", "--grid", "64", "--out", str(tmp_path / "p.csv")]) == 0
+    assert run(["condition", "--u", "10", "--grid", "64",
+                "--out", str(tmp_path / "c.csv")]) == 2
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["condition", "--kernel", "sqexp:1e-4:0.2", "--scalar", "real", "--mode", "random",
+     "--u", "1e153"],
+    ["condition", "--u", "1e155"],
+    ["condition", "--u", "1e154"],
+    ["sweep", "--u-list", "10,1e155", "--mc", "5"],
+    ["verify", "bounds", "--u", "1e155", "--mc", "5"],
+], ids=lambda argv: " ".join(argv))
+def test_overflowing_threshold_exits_2(tmp_path, deadline, argv):
+    # |t_u|^2 overflows in every case but u = 1e154, where ||phi_u||^2 alone does
+    assert run(argv + ["--grid", "64", "--out", str(tmp_path / "o.json")]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_largest_thresholds_stay_finite(tmp_path, deadline):
+    out = tmp_path / "c.csv"
+    assert run(["condition", "--u", "1e150", "--grid", "64", "--out", str(out)]) == 0
+    assert np.all(np.isfinite(np.array(read_csv(out)[1:], dtype=float)))
+    sidecar = json.loads((tmp_path / "c.json").read_text())
+    assert all(np.isfinite(v) for k, v in sidecar.items() if k != "config")

@@ -5,6 +5,7 @@ import sympy
 from condfield import errors
 from condfield.covariance import RankK, SquaredExponential, assemble
 from condfield.functionals import (
+    LinearFunctional,
     analytic_derivative_curve,
     constants,
     functional_from_spec,
@@ -219,3 +220,27 @@ def test_functional_from_spec(grid64, tmp_path):
         functional_from_spec("spline:0.5", grid64)
     with pytest.raises(errors.ConfigError):
         functional_from_spec("point:2.5", grid64)
+
+
+@pytest.mark.parametrize("spec, m, exact", [
+    ("dpoint:0.5:2", 2048, 1875.0),  # 3 / ell^4
+    ("dpoint:0.5:3:6", 512, 234375.0),  # 15 / ell^6
+])
+def test_tct_gate_accepts_values_above_roundoff(spec, m, exact):
+    g = make_grid(0, 1, m)
+    assert tct(functional_from_spec(spec, g), assemble(SquaredExponential(1, 0.2), g)) == \
+        pytest.approx(exact, rel=1e-4)
+
+
+@pytest.mark.parametrize("spec, m", [("dpoint:0.5:3:6", 2048), ("dpoint:0.5:4:6", 1024)])
+def test_tct_gate_rejects_values_lost_in_roundoff(spec, m):
+    # at M = 2048 the 3rd-derivative value is off by a third from cancellation
+    g = make_grid(0, 1, m)
+    with pytest.raises(errors.DegenerateFunctional, match="roundoff bound"):
+        tct(functional_from_spec(spec, g), assemble(SquaredExponential(1, 0.2), g))
+
+
+def test_tct_gate_rejects_zero_functional(grid64):
+    zero = LinearFunctional(grid=grid64, coeff=np.zeros(64))
+    with pytest.raises(errors.DegenerateFunctional, match="numerically zero"):
+        tct(zero, assemble(SquaredExponential(1, 0.2), grid64))

@@ -268,3 +268,17 @@ def test_condition_pathwise_stream_matches_single_calls(setup64, scalar, mode, t
     ref = sample_conditional(fac, t, spec, substream(0, 0), noise=noises[0],
                              t_u_override=tuple(t_u_triple))
     _assert_same_sample(streamed[0][0], ref)
+
+
+@pytest.mark.parametrize("alpha", [1e155, 1e300])
+def test_truncated_normal_returns_where_alpha_squared_overflows(deadline, alpha):
+    # alpha^2 overflows here; the optimal rate must not, or every proposal is rejected
+    assert truncated_normal_lower(alpha, substream(19, 0)) >= alpha
+
+
+@pytest.mark.parametrize("scalar, mode", [(REAL, FIXED_RHO), (REAL, RANDOM), (COMPLEX, RANDOM)])
+def test_sample_t_u_overflowing_square_raises(deadline, scalar, mode):
+    # u^2 overflows a double at u = 1e155; u^2/<T|C|T> alone does at u = 1e153
+    for u, tct in ((1e155, 1.0), (1e153, 1e-4)):
+        with pytest.raises(errors.ThresholdOverflow):
+            sample_t_u(ConditionSpec(u=u, scalar=scalar, mode=mode), tct, substream(20, 0))
