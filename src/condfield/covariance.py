@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidKernelParams, LengthMismatch, NotPositive
-from .grid import Grid
+from .errors import InvalidKernelParams, NotPositive
+from .grid import Grid, _check
 
 DEFAULT_CLIP_TOL = 1e-12
 
@@ -107,53 +107,45 @@ class RankK:
 
 @dataclass(frozen=True)
 class CovOperator:
-    """Discretized covariance operator on a grid."""
+    """Discretized covariance operator on a grid; K[i, j] = C(x_i, x_j) is op / w."""
 
     grid: Grid
     kernel: object
-    kmat: np.ndarray = field(repr=False)  # K[i, j] = C(x_i, x_j)
     op: np.ndarray = field(repr=False)  # w * K, the operator on value vectors
     trace: float
 
     def apply(self, phi) -> np.ndarray:
-        phi = np.asarray(phi)
-        if phi.shape != (self.grid.m,):
-            raise LengthMismatch(f"vector of shape {phi.shape}, grid M={self.grid.m}")
-        return self.op @ phi
+        return self.op @ _check(phi, self.grid)
 
 
 def assemble(kernel, grid: Grid) -> CovOperator:
-    """Evaluate the kernel on the grid and form op = w * K."""
+    """Evaluate the kernel on the grid and form op = w * K from the symmetrized K."""
     kmat = np.asarray(kernel.matrix(grid), dtype=float)
     kmat = 0.5 * (kmat + kmat.T)
-    kmat.setflags(write=False)
+    trace = float(grid.w * np.trace(kmat))
     op = grid.w * kmat
     op.setflags(write=False)
-    trace = float(grid.w * np.trace(kmat))
-    return CovOperator(grid=grid, kernel=kernel, kmat=kmat, op=op, trace=trace)
+    return CovOperator(grid=grid, kernel=kernel, op=op, trace=trace)
 
 
 def point_variance_max(cov: CovOperator) -> float:
-    """Largest pointwise variance max_i C(x_i, x_i); the constant A^2."""
-    return float(np.max(np.diag(cov.kmat)))
+    """Largest pointwise variance max_i C(x_i, x_i); the constant A^2.  Exact
+    where w is a power of two, within 1 ulp elsewhere."""
+    return float(np.max(np.diag(cov.op)) / cov.grid.w)
 
 
 @dataclass(frozen=True)
 class SqrtFactor:
-    """Symmetric square root of the covariance operator, from eigh."""
+    """Symmetric square root of the covariance operator op = w * K, from eigh."""
 
     grid: Grid
     s: np.ndarray = field(repr=False)  # symmetric, s @ s == op
-    eigenvalues: np.ndarray = field(repr=False)  # descending, post-clip
-    eigenvectors: np.ndarray = field(repr=False)  # columns, plain-orthonormal
+    eigenvalues: np.ndarray = field(repr=False)  # of op, descending, post-clip
     clip_tol: float
     n_clipped: int
 
     def apply(self, phi) -> np.ndarray:
-        phi = np.asarray(phi)
-        if phi.shape != (self.grid.m,):
-            raise LengthMismatch(f"vector of shape {phi.shape}, grid M={self.grid.m}")
-        return self.s @ phi
+        return self.s @ _check(phi, self.grid)
 
 
 def sqrt_factor(cov: CovOperator) -> SqrtFactor:
@@ -176,14 +168,13 @@ def sqrt_factor(cov: CovOperator) -> SqrtFactor:
     s = (vec * np.sqrt(lam)) @ vec.T
     s = 0.5 * (s + s.T)
     # eigh returns ascending eigenvalues, and clipping keeps that order
-    lam_desc, vec_desc = lam[::-1], vec[:, ::-1]
-    for arr in (s, lam_desc, vec_desc):
+    lam_desc = lam[::-1]
+    for arr in (s, lam_desc):
         arr.setflags(write=False)
     return SqrtFactor(
         grid=cov.grid,
         s=s,
         eigenvalues=lam_desc,
-        eigenvectors=vec_desc,
         clip_tol=DEFAULT_CLIP_TOL,
         n_clipped=int(np.count_nonzero(clipped)),
     )

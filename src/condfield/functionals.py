@@ -40,27 +40,39 @@ class LinearFunctional:
         return inner(self.coeff, phi, self.grid)
 
 
-def _nearest_index(grid: Grid, x0: float) -> int:
-    if x0 < grid.a or x0 > grid.b:
+def _functional(grid: Grid, coeff, kind: str, **fields) -> LinearFunctional:
+    """The one constructor path: copy, validate and freeze a coefficient vector."""
+    coeff = np.array(coeff, dtype=float)
+    if coeff.shape != (grid.m,):
+        raise GridMismatch(f"coefficients of shape {coeff.shape} on grid M={grid.m}")
+    if not np.all(np.isfinite(coeff)):
+        raise ConfigError(f"{kind} functional has non-finite coefficients")
+    if not np.any(coeff):
+        raise DegenerateFunctional(f"{kind} functional is identically zero")
+    coeff.setflags(write=False)
+    return LinearFunctional(grid=grid, coeff=coeff, kind=kind, **fields)
+
+
+def _snapped(grid: Grid, x0: float, offsets, weights, kind: str, **fields):
+    """Place stencil `weights` at `offsets` around the grid index nearest x0."""
+    if not grid.a <= x0 <= grid.b:  # NaN fails too
         raise OutOfDomain(f"x0={x0} outside [{grid.a}, {grid.b}]")
     # argmin returns the first minimizer, so exact midpoints snap downward
-    return int(np.argmin(np.abs(grid.points - x0)))
+    i0 = int(np.argmin(np.abs(grid.points - x0)))
+    if i0 + offsets[0] < 0 or i0 + offsets[-1] >= grid.m:
+        raise StencilOutOfRange(
+            f"stencil {offsets[0]}..{offsets[-1]} around index {i0} "
+            f"does not fit in a grid of {grid.m} points"
+        )
+    coeff = np.zeros(grid.m)
+    coeff[i0 + offsets] = weights
+    return _functional(grid, coeff, kind, x0=float(grid.points[i0]),
+                       snap_distance=float(abs(grid.points[i0] - x0)), **fields)
 
 
 def make_point_functional(grid: Grid, x0: float) -> LinearFunctional:
     """Dirac mass at the grid point nearest x0: <T|phi> = phi_{i0} exactly."""
-    i0 = _nearest_index(grid, x0)
-    coeff = np.zeros(grid.m)
-    coeff[i0] = 1.0 / grid.w
-    coeff.setflags(write=False)
-    return LinearFunctional(
-        grid=grid,
-        coeff=coeff,
-        kind="point",
-        x0=float(grid.points[i0]),
-        n=0,
-        snap_distance=float(abs(grid.points[i0] - x0)),
-    )
+    return _snapped(grid, x0, np.array([0]), 1.0 / grid.w, "point")
 
 
 def stencil_coefficients(n: int, order: int):
@@ -91,24 +103,8 @@ def make_derivative_functional(
     if n == 0:
         return make_point_functional(grid, x0)
     offsets, coeffs = stencil_coefficients(n, order)
-    i0 = _nearest_index(grid, x0)
-    if i0 + offsets[0] < 0 or i0 + offsets[-1] >= grid.m:
-        raise StencilOutOfRange(
-            f"stencil {offsets[0]}..{offsets[-1]} around index {i0} "
-            f"does not fit in a grid of {grid.m} points"
-        )
-    coeff = np.zeros(grid.m)
-    coeff[i0 + offsets] = coeffs / (grid.w * grid.w ** n)
-    coeff.setflags(write=False)
-    return LinearFunctional(
-        grid=grid,
-        coeff=coeff,
-        kind="derivative",
-        x0=float(grid.points[i0]),
-        n=int(n),
-        order=int(order),
-        snap_distance=float(abs(grid.points[i0] - x0)),
-    )
+    return _snapped(grid, x0, offsets, coeffs / (grid.w * grid.w ** n), "derivative",
+                    n=int(n), order=int(order))
 
 
 _NAMED_WEIGHTS = {
@@ -124,36 +120,18 @@ def make_integral_functional(grid: Grid, weight) -> LinearFunctional:
     samples on the grid.
     """
     if isinstance(weight, str):
-        try:
-            values = _NAMED_WEIGHTS[weight](grid.points, grid.a, grid.b)
-        except KeyError:
-            raise ConfigError(f"unknown integral weight {weight!r}") from None
-    else:
-        values = np.asarray(weight, dtype=float)
-        if values.shape != (grid.m,):
-            raise GridMismatch(f"weight of shape {values.shape} on grid M={grid.m}")
-    if not np.any(values):
-        raise DegenerateFunctional("integral weight is identically zero")
-    values = values.copy()
-    values.setflags(write=False)
-    return LinearFunctional(grid=grid, coeff=values, kind="integral")
+        if weight not in _NAMED_WEIGHTS:
+            raise ConfigError(f"unknown integral weight {weight!r}")
+        weight = _NAMED_WEIGHTS[weight](grid.points, grid.a, grid.b)
+    return _functional(grid, weight, "integral")
 
 
 def make_custom_functional(grid: Grid, coeff) -> LinearFunctional:
-    coeff = np.asarray(coeff, dtype=float)
-    if coeff.shape != (grid.m,):
-        raise GridMismatch(f"coefficients of shape {coeff.shape} on grid M={grid.m}")
-    if not np.any(coeff):
-        raise DegenerateFunctional("custom functional is identically zero")
-    coeff = coeff.copy()
-    coeff.setflags(write=False)
-    return LinearFunctional(grid=grid, coeff=coeff, kind="custom")
+    return _functional(grid, coeff, "custom")
 
 
 def _check_grids(t: LinearFunctional, cov: cv.CovOperator):
-    if t.grid is not cov.grid and (
-        t.grid.m != cov.grid.m or t.grid.a != cov.grid.a or t.grid.b != cov.grid.b
-    ):
+    if t.grid != cov.grid:
         raise GridMismatch("functional and operator built on different grids")
 
 
@@ -224,11 +202,8 @@ def analytic_derivative_curve(kernel, x, x0: float, n: int):
         s = (x - x0) / kernel.ell
         he = np.polynomial.hermite_e.HermiteE.basis(n)(s)
         return kernel.variance * kernel.ell ** (-n) * he * np.exp(-(s ** 2) / 2.0)
-    if n == 0 and hasattr(kernel, "pair"):
-        try:
-            return np.asarray(kernel.pair(x, x0))
-        except TypeError:  # RankK.pair needs the domain endpoints
-            return None
+    if n == 0 and isinstance(kernel, cv.Exponential):
+        return np.asarray(kernel.pair(x, x0))
     return None
 
 

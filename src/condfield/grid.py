@@ -10,6 +10,7 @@ conjugate-linear in the first argument.  Every other module goes through
 and nowhere else.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,12 +20,13 @@ from .errors import EmptyVector, LengthMismatch, NonpositiveLength, TooFewPoints
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform midpoint grid on the interval [a, b] with M points."""
+    """Uniform midpoint grid on the interval [a, b] with M points.  Grids compare
+    and hash by (a, b, m, w); the points are a function of (a, b, m)."""
 
     a: float
     b: float
     m: int
-    points: np.ndarray = field(repr=False)
+    points: np.ndarray = field(repr=False, compare=False)
     w: float
 
     @property
@@ -36,8 +38,8 @@ def make_grid(a: float, b: float, m: int) -> Grid:
     """Build the midpoint grid x_i = a + (i + 1/2) h, h = (b - a) / M."""
     if not -np.inf < a < b < np.inf:
         raise NonpositiveLength(f"need finite a < b, got a={a}, b={b}")
-    if m < 2:
-        raise TooFewPoints(f"need at least 2 grid points, got {m}")
+    if not (isinstance(m, numbers.Integral) and m >= 2):
+        raise TooFewPoints(f"need an integer number of grid points >= 2, got {m!r}")
     h = (b - a) / m
     points = a + (np.arange(m) + 0.5) * h
     points.setflags(write=False)

@@ -148,11 +148,10 @@ def sample_t_u(spec: ConditionSpec, tct: float, rng: np.random.Generator):
 
 def sqrt_tct(factor: SqrtFactor, t: LinearFunctional):
     """C^{1/2} T and <T|C|T> = ||C^{1/2} T||^2, both from the factor."""
-    g = factor.grid
-    if t.grid.m != g.m or t.grid.a != g.a or t.grid.b != g.b:
+    if t.grid != factor.grid:
         raise GridMismatch("functional and factor built on different grids")
     s_t = factor.apply(t.coeff)
-    tct = float(inner(s_t, s_t, g).real)
+    tct = float(inner(s_t, s_t, t.grid).real)
     if tct <= 1e-300:
         raise DegenerateFunctional("C^{1/2} T is numerically zero")
     return s_t, tct

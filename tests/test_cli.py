@@ -289,3 +289,17 @@ def test_largest_thresholds_stay_finite(tmp_path, deadline):
     assert np.all(np.isfinite(np.array(read_csv(out)[1:], dtype=float)))
     sidecar = json.loads((tmp_path / "c.json").read_text())
     assert all(np.isfinite(v) for k, v in sidecar.items() if k != "config")
+
+
+@pytest.mark.parametrize("spec", ["point:nan", "dpoint:nan:1", "custom:nan", "custom:inf"])
+@pytest.mark.parametrize("command", [["profile"], ["condition", "--u", "100"]])
+def test_non_finite_functional_exits_2(tmp_path, command, spec):
+    if spec.startswith("custom:"):
+        values = np.ones(64)
+        values[10] = float(spec.split(":")[1])
+        path = tmp_path / "f.csv"
+        np.savetxt(path, values, delimiter=",")
+        spec = f"custom:@{path}"
+    out = tmp_path / "o.csv"
+    assert run(command + ["--grid", "64", "--functional", spec, "--out", str(out)]) == 2
+    assert not list(tmp_path.glob("o.*"))

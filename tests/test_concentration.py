@@ -314,3 +314,15 @@ def test_distance_record_matches_public_bound_functions(monkeypatch, slack, scal
             flags.add((rec.applicable, rec.est12_ok))
     assert {applicable for applicable, _ in flags} == {True, False}
     assert ((True, False) in flags) == (slack < 0)
+
+
+@pytest.mark.parametrize("other", [(0, 1, 65), (0, 2, 64)])
+def test_mismatched_factor_grid_raises(other):
+    g = make_grid(0, 1, 64)
+    t = make_point_functional(g, 0.5)
+    cov = assemble(SquaredExponential(1, 0.2), g)
+    fac = sqrt_factor(assemble(SquaredExponential(1, 0.2), make_grid(*other)))
+    with pytest.raises(errors.GridMismatch):
+        sample_conditional(fac, t, ConditionSpec(u=10.0), substream(0, 0))
+    with pytest.raises(errors.GridMismatch):
+        sweep(fac, t, cov, [10.0], 5)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ def grid64():
 
 def test_sqexp_assemble_diagonal(grid64):
     cov = assemble(SquaredExponential(1, 0.2), grid64)
-    assert np.allclose(np.diag(cov.kmat), 1.0)
+    assert np.allclose(np.diag(cov.op) / grid64.w, 1.0)
     assert np.allclose(np.diag(cov.op), 1.0 / 64)
     assert cov.trace == pytest.approx(1.0)
 
@@ -31,8 +33,8 @@ def test_exponential_assemble(grid64):
     cov = assemble(Exponential(2, 0.5), grid64)
     x = grid64.points
     expected = 2 * np.exp(-np.abs(np.subtract.outer(x, x)) / 0.5)
-    assert np.allclose(cov.kmat, expected)
-    assert np.allclose(cov.kmat, cov.kmat.T)
+    assert np.allclose(cov.op / grid64.w, expected)
+    assert np.allclose(cov.op, cov.op.T)
 
 
 def test_invalid_kernel_params():
@@ -87,7 +89,7 @@ def test_sqrt_factor_residual():
 def test_sqrt_factor_rejects_negative_eigenvalue(grid64):
     cov = assemble(SquaredExponential(1, 0.2), grid64)
     bad = cov.op - 0.1 * np.eye(grid64.m)
-    bad_cov = CovOperator(grid=grid64, kernel=None, kmat=bad / grid64.w, op=bad,
+    bad_cov = CovOperator(grid=grid64, kernel=None, op=bad,
                           trace=float(np.trace(bad)))
     with pytest.raises(errors.NotPositive):
         sqrt_factor(bad_cov)
@@ -150,3 +152,24 @@ def test_kernel_from_spec():
         kernel_from_spec("matern:1:0.2")
     with pytest.raises(errors.ConfigError):
         kernel_from_spec("sqexp:oops:0.2")
+
+
+def test_one_matrix_per_operator(grid64):
+    cov = assemble(SquaredExponential(1, 0.2), grid64)
+    fac = sqrt_factor(cov)
+    for obj, name in ((cov, "op"), (fac, "s")):
+        square = [f.name for f in dataclasses.fields(obj)
+                  if np.shape(getattr(obj, f.name)) == (64, 64)]
+        assert square == [name]
+
+
+@pytest.mark.parametrize("kernel", [SquaredExponential(3, 0.2), Exponential(2.5, 0.3),
+                                    RankK(((1.0, 0), (2.5, 1)))], ids=repr)
+@pytest.mark.parametrize("m", [64, 100, 200, 333])
+def test_point_variance_max_within_one_ulp(kernel, m):
+    grid = make_grid(0, 1, m)
+    exact = float(np.max(np.diag(kernel.matrix(grid))))
+    got = point_variance_max(assemble(kernel, grid))
+    assert abs(got - exact) <= np.spacing(exact)
+    if m == 64:  # w = 1/64, a power of two, so op / w undoes w * K exactly
+        assert got == exact

@@ -3,7 +3,7 @@ import pytest
 import sympy
 
 from condfield import errors
-from condfield.covariance import RankK, SquaredExponential, assemble
+from condfield.covariance import Exponential, RankK, SquaredExponential, assemble
 from condfield.functionals import (
     LinearFunctional,
     analytic_derivative_curve,
@@ -123,7 +123,7 @@ def test_profile_point_eval_is_kernel_column(grid64):
     cov = assemble(SquaredExponential(1, 0.2), grid64)
     t = make_point_functional(grid64, 0.5)
     i0 = int(np.argmin(np.abs(grid64.points - 0.5)))
-    assert np.allclose(profile(t, cov), cov.kmat[:, i0], rtol=1e-12)
+    assert np.allclose(profile(t, cov), cov.kernel.matrix(grid64)[:, i0], rtol=1e-12)
 
 
 def test_profile_derivative_matches_symbolic_curve():
@@ -244,3 +244,37 @@ def test_tct_gate_rejects_zero_functional(grid64):
     zero = LinearFunctional(grid=grid64, coeff=np.zeros(64))
     with pytest.raises(errors.DegenerateFunctional, match="numerically zero"):
         tct(zero, assemble(SquaredExponential(1, 0.2), grid64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("make", [make_custom_functional, make_integral_functional])
+def test_constructors_reject_non_finite_coefficients(grid64, make, bad):
+    values = np.ones(64)
+    values[5] = bad
+    with pytest.raises(errors.ConfigError, match="non-finite"):
+        make(grid64, values)
+
+
+def test_nan_evaluation_point_is_out_of_domain(grid64):
+    with pytest.raises(errors.OutOfDomain):
+        make_point_functional(grid64, np.nan)
+    with pytest.raises(errors.OutOfDomain):
+        make_derivative_functional(grid64, np.nan, 1)
+
+
+def test_analytic_curve_at_n0_by_kernel(grid64):
+    x = grid64.points
+    exp = Exponential(2, 0.3)
+    assert np.array_equal(analytic_derivative_curve(exp, x, 0.5, 0), exp.pair(x, 0.5))
+    assert analytic_derivative_curve(RankK(((1.0, 0), (2.0, 1))), x, 0.5, 0) is None
+    sq = SquaredExponential(2, 0.3)
+    assert np.allclose(analytic_derivative_curve(sq, x, 0.5, 0), sq.pair(x, 0.5),
+                       rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("other", [(0, 1, 65), (0, 2, 64)])
+@pytest.mark.parametrize("fn", [tct, profile, constants])
+def test_mismatched_operator_grid_raises(grid64, other, fn):
+    cov = assemble(SquaredExponential(1, 0.2), make_grid(*other))
+    with pytest.raises(errors.GridMismatch):
+        fn(make_point_functional(grid64, 0.5), cov)

@@ -102,3 +102,18 @@ def test_norm_comparison(phi):
     if not np.any(phi):
         return
     assert l2_norm(phi, g) <= np.sqrt(g.b - g.a) * sup_norm(phi) * (1 + 1e-12)
+
+
+def test_make_grid_rejects_non_integer_m():
+    # a float M would give M points of spacing (b - a)/M for the truncated M
+    for m in (2.5, 8.0, "8"):
+        with pytest.raises(errors.TooFewPoints):
+            make_grid(0, 1, m)
+    assert make_grid(0, 1, np.int64(8)).m == 8
+
+
+def test_grids_compare_and_hash_by_value():
+    g1, g2 = make_grid(0, 1, 64), make_grid(0, 1, 64)
+    assert g1 is not g2
+    assert g1 == g2 and hash(g1) == hash(g2)
+    assert g1 != make_grid(0, 1, 65) and g1 != make_grid(0, 2, 64)

@@ -76,9 +76,9 @@ def test_unconditional_covariance_matches_kernel():
     for i in range(n):
         samples[i] = sample_unconditional(fac, COMPLEX, substream(21, 0, i)).values
     emp = (samples.conj().T @ samples).real / n
-    diag = np.diag(cov.kmat)
-    se = np.sqrt((np.outer(diag, diag) + cov.kmat ** 2) / n)
-    assert np.all(np.abs(emp - cov.kmat) < 5 * se)
+    diag = np.diag(cov.op) / g.w
+    se = np.sqrt((np.outer(diag, diag) + (cov.op / g.w) ** 2) / n)
+    assert np.all(np.abs(emp - cov.op / g.w) < 5 * se)
 
 
 def test_sample_t_u_fixed_rho():
@@ -191,7 +191,8 @@ def test_orthogonal_direction_stays_standard_normal():
     e[3] = 1.0
     nu = e - inner(v, e, g) * v
     nu = nu / np.sqrt(inner(nu, nu, g).real)
-    inv_sqrt = (fac.eigenvectors / fac.eigenvalues ** 0.5) @ fac.eigenvectors.T
+    lam, vec = np.linalg.eigh(cov.op)
+    inv_sqrt = (vec / lam ** 0.5) @ vec.T
     spec = ConditionSpec(u=2.0, scalar=COMPLEX, mode=RANDOM)
     n = 5000
     coeffs = np.empty(n, dtype=complex)
