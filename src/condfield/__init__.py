@@ -21,10 +21,7 @@ from .concentration import (
     DistanceRecord,
     SweepReport,
     distance_record,
-    estimate0_rhs,
-    normalized_l2_distance,
     normalized_sup_distance,
-    ratio_bounds_check,
     sweep,
     verify_prop1,
     verify_prop3,
@@ -54,9 +51,7 @@ from .sampling import (
     condition_pathwise,
     sample_conditional,
     sample_t_u,
-    sample_unconditional,
     substream,
-    t1_of,
     truncated_normal_lower,
     white_noise,
 )

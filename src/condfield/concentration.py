@@ -15,7 +15,7 @@ import numpy as np
 from . import covariance as cv
 from . import functionals as fn
 from . import sampling as sp
-from .errors import EmptyUList, ThresholdOverflow, ZeroVector
+from .errors import ConfigError, EmptyUList, ThresholdOverflow, ZeroVector
 from .grid import Grid, inner, l2_norm, make_grid, sup_norm
 
 BOUND_SLACK = 1e-9
@@ -42,54 +42,6 @@ def normalized_sup_distance(sample: sp.FieldSample, profile: np.ndarray, grid: G
     return sup_norm(_normalized_diff(sample, l2_norm(sample.values, grid), profile, grid))
 
 
-def normalized_l2_distance(sample: sp.FieldSample, profile: np.ndarray, grid: Grid) -> float:
-    """Same difference measured in the weighted L2 norm (diagnostic)."""
-    return l2_norm(_normalized_diff(sample, l2_norm(sample.values, grid), profile, grid), grid)
-
-
-def _estimate0_rhs(sample: sp.FieldSample, nrm: float, k: fn.TheoryConstants) -> float:
-    if nrm == 0.0:
-        raise ZeroVector("zero sample norm")
-    a1 = sample.t_u / nrm - _phase(sample) * k.b_const
-    return k.a_const * math.sqrt(abs(a1) ** 2 + sample.r2 / nrm ** 2)
-
-
-def estimate0_rhs(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid) -> float:
-    """The envelope A * (|t_u/||phi||_2 - e^{i theta} B|^2 + r^2/||phi||_2^2)^{1/2},
-    which dominates the normalized sup distance for every sample."""
-    return _estimate0_rhs(sample, l2_norm(sample.values, grid), k)
-
-
-def _ratio_bounds_check(sample: sp.FieldSample, nrm: float, k: fn.TheoryConstants) -> dict:
-    tu_abs = abs(sample.t_u)
-    r = math.sqrt(sample.r2)
-    dr = k.d_const * r
-    applicable = tu_abs > dr
-    out = {"applicable": applicable, "ratio": sample.t_u / nrm, "r": r,
-           "est1_ok": True, "est2_ok": True, "limit1_ok": True, "limit2_ok": True}
-    if not applicable:
-        return out
-    ratio_abs = tu_abs / nrm
-    lower = k.b_const / (1.0 + dr / tu_abs)
-    upper = k.b_const / (1.0 - dr / tu_abs)
-    tol = BOUND_SLACK * (1.0 + k.b_const)
-    out["est1_ok"] = (lower - tol) <= ratio_abs <= (upper + tol)
-    resid = sample.r2 / nrm ** 2
-    resid_env = k.b_const * r / (tu_abs - dr)
-    out["est2_ok"] = resid <= resid_env ** 2 + tol
-    # algebraic consequences of the two estimates, asserted directly
-    env = k.b_const * dr / (tu_abs - dr)
-    out["limit1_ok"] = abs(out["ratio"] - _phase(sample) * k.b_const) <= env + tol
-    out["limit2_ok"] = math.sqrt(resid) <= resid_env + tol
-    return out
-
-
-def ratio_bounds_check(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid) -> dict:
-    """Check the two-sided ratio bound and the residual bound, gated on
-    |t_u| > D r (the 'large first coefficient' regime where they apply)."""
-    return _ratio_bounds_check(sample, l2_norm(sample.values, grid), k)
-
-
 @dataclass(frozen=True)
 class DistanceRecord:
     u: float
@@ -113,24 +65,53 @@ def distance_record(
     grid: Grid,
     sample_index: int = 0,
 ) -> DistanceRecord:
+    """Distances of one sample to the profile, and its check of the bound chain.
+
+    With N = ||phi_u||_2, p the profile, A, B, D the theory constants and
+    r^2 the residual noise energy:
+    - estimate 0 (the envelope, every sample): the sup distance
+      ||phi_u/N - e^{i theta} p/||p||_2||_inf is at most
+      bound_rhs = A (|t_u/N - e^{i theta} B|^2 + r^2/N^2)^{1/2};
+    - estimates 1-2, where |t_u| > D r (`applicable`): the ratio bound
+      B/(1 + D r/|t_u|) <= |t_u|/N <= B/(1 - D r/|t_u|), the residual bound
+      r/N <= B r/(|t_u| - D r), and the consequence
+      |t_u/N - e^{i theta} B| <= B D r/(|t_u| - D r).
+    Each comparison allows BOUND_SLACK; est12_ok is True where the chain does
+    not apply.
+    """
     nrm = l2_norm(sample.values, grid)
     diff = _normalized_diff(sample, nrm, profile, grid)
     sup_d = sup_norm(diff)
-    l2_d = l2_norm(diff, grid)
-    rhs = _estimate0_rhs(sample, nrm, k)
-    chk = _ratio_bounds_check(sample, nrm, k)
-    est12 = chk["est1_ok"] and chk["est2_ok"] and chk["limit1_ok"] and chk["limit2_ok"]
+    b = k.b_const
+    ratio = sample.t_u / nrm
+    a1 = abs(ratio - _phase(sample) * b)
+    resid = sample.r2 / nrm ** 2
+    rhs = k.a_const * math.sqrt(a1 ** 2 + resid)
+    tu_abs = abs(sample.t_u)
+    r = math.sqrt(sample.r2)
+    dr = k.d_const * r
+    applicable = tu_abs > dr
+    est12 = True
+    if applicable:
+        tol = BOUND_SLACK * (1.0 + b)
+        lower = b / (1.0 + dr / tu_abs)
+        upper = b / (1.0 - dr / tu_abs)
+        resid_env = b * r / (tu_abs - dr)
+        est12 = ((lower - tol) <= tu_abs / nrm <= (upper + tol)
+                 and resid <= resid_env ** 2 + tol
+                 and a1 <= b * dr / (tu_abs - dr) + tol
+                 and math.sqrt(resid) <= resid_env + tol)
     return DistanceRecord(
         u=float(sample.u),
         sample_index=int(sample_index),
         rho=float(sample.rho),
         theta=float(sample.theta),
         sup_dist=sup_d,
-        l2_dist=l2_d,
+        l2_dist=l2_norm(diff, grid),
         bound_rhs=rhs,
-        ratio=complex(chk["ratio"]),
-        r=chk["r"],
-        applicable=chk["applicable"],
+        ratio=complex(ratio),
+        r=r,
+        applicable=applicable,
         est0_ok=sup_d <= rhs + BOUND_SLACK * (1.0 + rhs),
         est12_ok=est12,
     )
@@ -253,33 +234,33 @@ def verify_prop3(
     """Condition on a large n-th derivative at x0 and compare the normalized
     profile and sample against the normalized analytic curve d^n C(x, x0)/d x0^n.
     A nonsmooth kernel (n >= 1) has no curve: it raises `smoothness_warning`,
-    and `passed` is the sample's envelope bound (estimate 0)."""
+    and `passed` is the sample's envelope bound (estimate 0).  Any other
+    kernel without a closed-form curve raises ConfigError."""
     grid = make_grid(a, b, m)
     t = fn.make_derivative_functional(grid, x0, n, order)
+    smoothness_warning = n >= 1 and not kernel.smooth
+    curve = fn.analytic_derivative_curve(kernel, grid.points, t.x0, n)
+    if curve is None and not smoothness_warning:
+        raise ConfigError(f"no closed-form d^{n} C(x, x0)/d x0^{n} for "
+                          f"{type(kernel).__name__}: nothing to compare against")
     cov = cv.assemble(kernel, grid)
     factor = cv.sqrt_factor(cov)
     consts = fn.constants(t, cov)
     prof = fn.profile(t, cov)
 
-    smoothness_warning = n >= 1 and not getattr(kernel, "smooth", False)
-    curve = fn.analytic_derivative_curve(kernel, grid.points, t.x0, n)
-    profile_sup_dist = None
-    sample_sup_dist = None
-    if curve is not None:
-        diff = prof / l2_norm(prof, grid) - curve / l2_norm(curve, grid)
-        profile_sup_dist = sup_norm(diff)
-
     spec = sp.ConditionSpec(u=u_big, scalar=scalar, mode=mode, rho=rho, theta=theta)
     sample = sp.sample_conditional(factor, t, spec, sp.substream(seed, 2, 0))
     rec = distance_record(sample, prof, consts, grid)
+    profile_sup_dist = sample_sup_dist = None
     if curve is not None:
+        diff = prof / l2_norm(prof, grid) - curve / l2_norm(curve, grid)
+        profile_sup_dist = sup_norm(diff)
         sample_sup_dist = normalized_sup_distance(sample, curve, grid)
     profile_tol, sample_tol = 1e-3, 1e-2
     if smoothness_warning:
         passed = rec.est0_ok
     else:
-        passed = (profile_sup_dist is not None and profile_sup_dist <= profile_tol
-                  and sample_sup_dist <= sample_tol)
+        passed = profile_sup_dist <= profile_tol and sample_sup_dist <= sample_tol
     return {
         "n": n,
         "order": order,

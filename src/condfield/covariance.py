@@ -112,7 +112,6 @@ class CovOperator:
     grid: Grid
     kernel: object
     op: np.ndarray = field(repr=False)  # w * K, the operator on value vectors
-    trace: float
 
     def apply(self, phi) -> np.ndarray:
         return self.op @ _check(phi, self.grid)
@@ -122,10 +121,9 @@ def assemble(kernel, grid: Grid) -> CovOperator:
     """Evaluate the kernel on the grid and form op = w * K from the symmetrized K."""
     kmat = np.asarray(kernel.matrix(grid), dtype=float)
     kmat = 0.5 * (kmat + kmat.T)
-    trace = float(grid.w * np.trace(kmat))
     op = grid.w * kmat
     op.setflags(write=False)
-    return CovOperator(grid=grid, kernel=kernel, op=op, trace=trace)
+    return CovOperator(grid=grid, kernel=kernel, op=op)
 
 
 def point_variance_max(cov: CovOperator) -> float:

@@ -100,8 +100,6 @@ def make_derivative_functional(
     grid: Grid, x0: float, n: int, order: int = 2
 ) -> LinearFunctional:
     """Stencil approximation of phi -> phi^(n)(x0), accuracy O(h^order)."""
-    if n == 0:
-        return make_point_functional(grid, x0)
     offsets, coeffs = stencil_coefficients(n, order)
     return _snapped(grid, x0, offsets, coeffs / (grid.w * grid.w ** n), "derivative",
                     n=int(n), order=int(order))
@@ -171,10 +169,6 @@ class TheoryConstants:
     a_const: float  # sqrt of max pointwise variance
     b_const: float  # sqrt(tct / tc2t)
     d_const: float  # a_const * b_const * sqrt(b - a)
-
-    def threshold(self, u: float) -> float:
-        """The conditioning event on t_1: |t_1| >= u / sqrt(<T|C|T>)."""
-        return u / np.sqrt(self.tct)
 
 
 def constants(t: LinearFunctional, cov: cv.CovOperator) -> TheoryConstants:

@@ -1,7 +1,7 @@
-"""Exact sampling of fields, unconditional and conditioned on <T|phi>.
+"""Exact sampling of fields conditioned on <T|phi>.
 
-Unconditional draws realize the spectral expansion phi = C^{1/2} xi with xi
-white with respect to the weighted inner product.  Conditional draws add a
+An unconditional draw is the spectral expansion phi = C^{1/2} xi with xi
+white with respect to the weighted inner product.  A conditional draw adds a
 rank-one update (Matheron's rule): phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v,
 with v = C^{1/2} T / sqrt(<T|C|T>), t_1 = <v|xi> and |t_u|^2 = rho + u^2/<T|C|T>.
 This equals the adapted-basis split C^{1/2}(t_u v + xi_perp), so it has the
@@ -82,20 +82,6 @@ def white_noise(m: int, w: float, scalar: str, rng: np.random.Generator) -> np.n
     else:
         t = rng.standard_normal(m)
     return t / np.sqrt(w)
-
-
-def sample_unconditional(
-    factor: SqrtFactor,
-    scalar: str,
-    rng: np.random.Generator,
-    noise: np.ndarray | None = None,
-) -> FieldSample:
-    """Draw phi = C^{1/2} xi.  `noise` overrides xi (test hook)."""
-    g = factor.grid
-    xi = white_noise(g.m, g.w, scalar, rng) if noise is None else np.asarray(noise)
-    values = factor.apply(xi)
-    values.setflags(write=False)
-    return FieldSample(values=values, scalar=scalar)
 
 
 def truncated_normal_lower(alpha: float, rng: np.random.Generator) -> float:
@@ -189,25 +175,15 @@ def sample_conditional(
     t: LinearFunctional,
     spec: ConditionSpec,
     rng: np.random.Generator,
-    noise: np.ndarray | None = None,
-    t_u_override=None,
 ) -> FieldSample:
     """Draw phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v (see `condition_pathwise`),
     which has the law of the adapted-basis split C^{1/2}(t_u v + xi_perp).
 
-    `noise` and `t_u_override` are test hooks: forced white-noise vector and
-    forced (t_u, rho, theta) triple.
+    Both draws come from `rng`, in this order: the white noise xi
+    (`white_noise`), then (t_u, rho, theta) (`sample_t_u`).
     """
     g = factor.grid
     _, tct = sqrt_tct(factor, t)
-    xi = white_noise(g.m, g.w, spec.scalar, rng) if noise is None else np.asarray(noise)
-    t_u, rho, theta = sample_t_u(spec, tct, rng) if t_u_override is None else t_u_override
+    xi = white_noise(g.m, g.w, spec.scalar, rng)
+    t_u, rho, theta = sample_t_u(spec, tct, rng)
     return next(condition_pathwise(factor, t, [xi], [[(spec, t_u, rho, theta)]]))[0]
-
-
-def t1_of(sample: FieldSample, t: LinearFunctional, tct: float):
-    """Adapted first coefficient t_1 = <T|phi> / sqrt(<T|C|T>)."""
-    if tct <= 0.0:
-        raise DegenerateFunctional(f"<T|C|T> = {tct} must be positive")
-    val = inner(t.coeff, sample.values, t.grid) / math.sqrt(tct)
-    return val if sample.scalar == COMPLEX else float(val.real if np.iscomplexobj(val) else val)

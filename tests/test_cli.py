@@ -303,3 +303,37 @@ def test_non_finite_functional_exits_2(tmp_path, command, spec):
     out = tmp_path / "o.csv"
     assert run(command + ["--grid", "64", "--functional", spec, "--out", str(out)]) == 2
     assert not list(tmp_path.glob("o.*"))
+
+
+@pytest.mark.parametrize("command", [["profile"], ["verify", "prop3"]])
+def test_dpoint_at_n0_with_unsupported_order_exits_2(tmp_path, command):
+    out = tmp_path / "o.json"
+    assert run(command + ["--grid", "64", "--functional", "dpoint:0.5:0:5",
+                          "--out", str(out)]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_dpoint_at_n0_is_point_evaluation(tmp_path):
+    point, dpoint = tmp_path / "p.csv", tmp_path / "d.csv"
+    for spec, out in (("point:0.5", point), ("dpoint:0.5:0", dpoint)):
+        assert run(["profile", "--grid", "64", "--functional", spec, "--out", str(out)]) == 0
+    assert dpoint.read_bytes() == point.read_bytes()
+    out = tmp_path / "v.json"
+    assert run(["verify", "prop3", "--grid", "64", "--functional", "dpoint:0.5:0:4",
+                "--out", str(out)]) == 0
+    res = json.loads(out.read_text())["result"]
+    assert (res["n"], res["order"]) == (0, 4)
+
+
+@pytest.mark.parametrize("kernel, spec, functional, n", [
+    (cf.RankK(((1.0, 0),)), "rankk:1@0", "point:0.5", 0),
+    (cf.RankK(((1.0, 1), (2.0, 2))), "rankk:1@1,2@2", "dpoint:0.5:1", 1),
+])
+def test_verify_prop3_without_a_curve_exits_2(tmp_path, kernel, spec, functional, n):
+    # a smooth kernel with no closed-form curve leaves nothing to compare:
+    # a usage error, not a failed theorem (exit 3)
+    with pytest.raises(cf.errors.ConfigError):
+        cf.verify_prop3(kernel, 0.5, n, 2, 1e6, m=64)
+    assert run(["verify", "prop3", "--grid", "64", "--kernel", spec, "--functional", functional,
+                "--out", str(tmp_path / "v.json")]) == 2
+    assert not any(tmp_path.iterdir())

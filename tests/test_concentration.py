@@ -4,10 +4,7 @@ import pytest
 from condfield import concentration, errors
 from condfield.concentration import (
     distance_record,
-    estimate0_rhs,
-    normalized_l2_distance,
     normalized_sup_distance,
-    ratio_bounds_check,
     sweep,
     verify_prop1,
     verify_prop3,
@@ -27,6 +24,7 @@ from condfield.sampling import (
     REAL,
     ConditionSpec,
     FieldSample,
+    condition_pathwise,
     sample_conditional,
     sample_t_u,
     substream,
@@ -59,7 +57,7 @@ def test_sup_distance_sign_flip(setup128):
 def test_sup_distance_zero_noise_sample(setup128):
     g, cov, fac, t, prof, k = setup128
     spec = ConditionSpec(u=3.0, mode=FIXED_RHO, rho=0.0)
-    s = sample_conditional(fac, t, spec, substream(0, 0), noise=np.zeros(g.m))
+    (s,), = condition_pathwise(fac, t, [np.zeros(g.m)], [[(spec, 3.0, 0.0, 0.0)]])
     assert normalized_sup_distance(s, prof, g) < 1e-12
     with pytest.raises(errors.ZeroVector):
         normalized_sup_distance(FieldSample(values=np.zeros(g.m), scalar=REAL,
@@ -69,10 +67,10 @@ def test_sup_distance_zero_noise_sample(setup128):
 def test_estimate0_zero_noise_vanishes(setup128):
     g, cov, fac, t, prof, k = setup128
     spec = ConditionSpec(u=3.0, mode=FIXED_RHO, rho=0.0)
-    s = sample_conditional(fac, t, spec, substream(0, 0), noise=np.zeros(g.m))
-    assert estimate0_rhs(s, k, g) == pytest.approx(0.0, abs=1e-10)
-    chk = ratio_bounds_check(s, k, g)
-    assert abs(chk["ratio"]) == pytest.approx(k.b_const, rel=1e-10)
+    (s,), = condition_pathwise(fac, t, [np.zeros(g.m)], [[(spec, 3.0, 0.0, 0.0)]])
+    rec = distance_record(s, prof, k, g)
+    assert rec.bound_rhs == pytest.approx(0.0, abs=1e-10)
+    assert abs(rec.ratio) == pytest.approx(k.b_const, rel=1e-10)
 
 
 def test_estimate0_dominates_sup_distance(setup128):
@@ -81,7 +79,8 @@ def test_estimate0_dominates_sup_distance(setup128):
     spec = ConditionSpec(u=100.0, scalar=COMPLEX, mode=RANDOM)
     for i in range(100):
         s = sample_conditional(fac, t, spec, substream(14, i))
-        assert normalized_sup_distance(s, prof, g) <= estimate0_rhs(s, k, g) + 1e-9
+        assert normalized_sup_distance(s, prof, g) <= \
+            distance_record(s, prof, k, g).bound_rhs + 1e-9
 
 
 def test_estimate0_homogeneous_in_a(setup128):
@@ -90,7 +89,8 @@ def test_estimate0_homogeneous_in_a(setup128):
     s = sample_conditional(fac, t, spec, substream(15, 0))
     k2 = type(k)(tct=k.tct, tc2t=k.tc2t, a_const=2 * k.a_const,
                  b_const=k.b_const, d_const=k.d_const)
-    assert estimate0_rhs(s, k2, g) == pytest.approx(2 * estimate0_rhs(s, k, g), rel=1e-12)
+    assert distance_record(s, prof, k2, g).bound_rhs == \
+        pytest.approx(2 * distance_record(s, prof, k, g).bound_rhs, rel=1e-12)
 
 
 def test_ratio_bounds_gate(setup128):
@@ -98,8 +98,7 @@ def test_ratio_bounds_gate(setup128):
     # tiny t_u relative to noise: not applicable, no assertion made
     spec = ConditionSpec(u=0.0, mode=FIXED_RHO, rho=0.01)
     s = sample_conditional(fac, t, spec, substream(16, 0))
-    chk = ratio_bounds_check(s, k, g)
-    assert not chk["applicable"]
+    assert not distance_record(s, prof, k, g).applicable
 
 
 def test_ratio_bounds_hold_at_large_u(setup128):
@@ -107,10 +106,9 @@ def test_ratio_bounds_hold_at_large_u(setup128):
     spec = ConditionSpec(u=1000.0, scalar=COMPLEX, mode=RANDOM)
     for i in range(200):
         s = sample_conditional(fac, t, spec, substream(17, i))
-        chk = ratio_bounds_check(s, k, g)
-        assert chk["applicable"]
-        assert chk["est1_ok"] and chk["est2_ok"]
-        assert chk["limit1_ok"] and chk["limit2_ok"]
+        rec = distance_record(s, prof, k, g)
+        assert rec.applicable
+        assert rec.est12_ok  # ratio bound, residual bound and their two consequences
 
 
 def test_sweep_acceptance_configuration(setup128):
@@ -286,11 +284,10 @@ def test_verify_prop1_matches_per_field_reference(scalar):
     (COMPLEX, FIXED_RHO, 0.7),
     (COMPLEX, RANDOM, 0.0),
 ])
-def test_distance_record_matches_public_bound_functions(monkeypatch, slack, scalar, mode,
-                                                        theta):
-    # the record shares one sample norm with the bound chain; every field must
-    # equal, bitwise, what the public one-sample functions compute. A negative
-    # slack makes part of the flags fail, so they are not all trivially true.
+def test_distance_record_flags_follow_the_slack(monkeypatch, slack, scalar, mode, theta):
+    # the record's sup distance is the public one, and its flags compare the
+    # bound chain under BOUND_SLACK. A negative slack makes part of the flags
+    # fail, so they are not all trivially true.
     monkeypatch.setattr(concentration, "BOUND_SLACK", slack)
     g = make_grid(0, 1, 64)
     cov = assemble(Exponential(1, 0.1), g)
@@ -303,13 +300,7 @@ def test_distance_record_matches_public_bound_functions(monkeypatch, slack, scal
             spec = ConditionSpec(u=u, scalar=scalar, mode=mode, rho=0.5, theta=theta)
             s = sample_conditional(fac, t, spec, substream(9, i))
             rec = distance_record(s, prof, consts, g, sample_index=i)
-            chk = ratio_bounds_check(s, consts, g)
-            est12 = chk["est1_ok"] and chk["est2_ok"] and chk["limit1_ok"] and chk["limit2_ok"]
             assert rec.sup_dist == normalized_sup_distance(s, prof, g)
-            assert rec.l2_dist == normalized_l2_distance(s, prof, g)
-            assert rec.bound_rhs == estimate0_rhs(s, consts, g)
-            assert (rec.ratio, rec.r, rec.applicable, rec.est12_ok) == \
-                (complex(chk["ratio"]), chk["r"], chk["applicable"], est12)
             assert rec.est0_ok == (rec.sup_dist <= rec.bound_rhs + slack * (1 + rec.bound_rhs))
             flags.add((rec.applicable, rec.est12_ok))
     assert {applicable for applicable, _ in flags} == {True, False}

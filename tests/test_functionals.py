@@ -163,7 +163,6 @@ def test_constants_scaling(grid64):
     assert k4.tct == pytest.approx(4 * k1.tct, rel=1e-12)
     assert k4.b_const == pytest.approx(k1.b_const / 2, rel=1e-12)
     assert k1.a_const == 1.0
-    assert k1.threshold(3.0) == pytest.approx(3.0 / np.sqrt(k1.tct))
 
 
 def test_tc2t_identity(grid64):
@@ -278,3 +277,13 @@ def test_mismatched_operator_grid_raises(grid64, other, fn):
     cov = assemble(SquaredExponential(1, 0.2), make_grid(*other))
     with pytest.raises(errors.GridMismatch):
         fn(make_point_functional(grid64, 0.5), cov)
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_derivative_at_n0_is_the_point_functional(grid64, order):
+    # n = 0 goes through the stencil path too, so its order is validated
+    t = make_derivative_functional(grid64, 0.5, 0, order)
+    assert t.coeff.tobytes() == make_point_functional(grid64, 0.5).coeff.tobytes()
+    assert (t.n, t.order) == (0, order)
+    with pytest.raises(errors.UnsupportedOrder):
+        make_derivative_functional(grid64, 0.5, 0, order + 1)

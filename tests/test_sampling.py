@@ -14,10 +14,8 @@ from condfield.sampling import (
     condition_pathwise,
     sample_conditional,
     sample_t_u,
-    sample_unconditional,
     sqrt_tct,
     substream,
-    t1_of,
     truncated_normal_lower,
     white_noise,
 )
@@ -40,7 +38,8 @@ def test_condition_spec_validation():
 
 def test_forced_zero_noise_gives_zero_field(setup64):
     g, cov, fac, t = setup64
-    s = sample_unconditional(fac, COMPLEX, substream(0, 0), noise=np.zeros(64))
+    (s,), = condition_pathwise(fac, t, [np.zeros(64)],
+                               [[(ConditionSpec(u=0.0, rho=0.0), 0.0, 0.0, 0.0)]])
     assert np.all(s.values == 0)
 
 
@@ -50,8 +49,8 @@ def test_unconditional_pointwise_variance(setup64):
     n = 20000
     acc = np.zeros(g.m)
     for i in range(n):
-        s = sample_unconditional(fac, COMPLEX, substream(7, 0, i))
-        acc += np.abs(s.values) ** 2
+        values = fac.apply(white_noise(g.m, g.w, COMPLEX, substream(7, 0, i)))
+        acc += np.abs(values) ** 2
     var = acc / n
     assert np.all(np.abs(var - 1.0) < 0.05)
 
@@ -74,7 +73,7 @@ def test_unconditional_covariance_matches_kernel():
     n = 20000
     samples = np.empty((n, g.m), dtype=complex)
     for i in range(n):
-        samples[i] = sample_unconditional(fac, COMPLEX, substream(21, 0, i)).values
+        samples[i] = fac.apply(white_noise(g.m, g.w, COMPLEX, substream(21, 0, i)))
     emp = (samples.conj().T @ samples).real / n
     diag = np.diag(cov.op) / g.w
     se = np.sqrt((np.outer(diag, diag) + (cov.op / g.w) ** 2) / n)
@@ -139,7 +138,7 @@ def test_conditional_event_complex_field(setup64):
 def test_zero_noise_hook_gives_collinear_profile(setup64):
     g, cov, fac, t = setup64
     spec = ConditionSpec(u=3.0, mode=FIXED_RHO, rho=0.0)
-    s = sample_conditional(fac, t, spec, substream(0, 0), noise=np.zeros(64))
+    (s,), = condition_pathwise(fac, t, [np.zeros(64)], [[(spec, 3.0, 0.0, 0.0)]])
     expected = (3.0 / 1.0) * cov.apply(t.coeff)  # tct = 1 here
     assert np.allclose(s.values, expected, atol=1e-10)
     assert s.r2 == 0.0
@@ -150,11 +149,9 @@ def test_t1_roundtrip(setup64):
     spec = ConditionSpec(u=2.0, scalar=COMPLEX, mode=RANDOM)
     for i in range(50):
         s = sample_conditional(fac, t, spec, substream(6, i))
-        assert t1_of(s, t, 1.0) == pytest.approx(s.t_u, rel=1e-10)
+        assert inner(t.coeff, s.values, g) == pytest.approx(s.t_u, rel=1e-10)  # sqrt(tct) = 1
     prof = cov.apply(t.coeff)
-    from condfield.sampling import FieldSample
-    ps = FieldSample(values=prof, scalar=REAL, theta=0.0)
-    assert t1_of(ps, t, 1.0) == pytest.approx(1.0, rel=1e-12)  # tct / sqrt(tct)
+    assert inner(t.coeff, prof, g) == pytest.approx(1.0, rel=1e-12)  # tct / sqrt(tct), tct = 1
 
 
 def test_adapted_basis_hygiene(setup64):
@@ -229,7 +226,7 @@ def test_pathwise_matches_adapted_basis_split(kernel, n_clipped, scalar, adapted
         for u in (0.0, 10.0, 1e4, 1e8):
             spec = ConditionSpec(u=u, scalar=scalar, mode=RANDOM)
             draw = sample_t_u(spec, tct, substream(30, 1, i))
-            s = sample_conditional(fac, t, spec, substream(0, 0), noise=xi, t_u_override=draw)
+            (s,), = condition_pathwise(fac, t, [xi], [[(spec, *draw)]])
             values, r2 = adapted_split(fac, t, xi, draw[0], scalar)
             assert np.max(np.abs(s.values - values)) <= 1e-12 * np.max(np.abs(values))
             assert s.r2 >= 0.0
@@ -251,7 +248,8 @@ def _assert_same_sample(a, b):
 ])
 def test_condition_pathwise_stream_matches_single_calls(setup64, scalar, mode, theta):
     # one call over three noise vectors, fed by generators, gives bitwise the
-    # samples of three one-vector calls, and its first sample is sample_conditional's
+    # samples of three one-vector calls; sample_conditional is one such call on
+    # xi and then (t_u, rho, theta), drawn in that order from its one stream
     g, cov, fac, t = setup64
     _, tct = sqrt_tct(fac, t)
     specs = [ConditionSpec(u=u, scalar=scalar, mode=mode, rho=2.0, theta=theta)
@@ -265,10 +263,11 @@ def test_condition_pathwise_stream_matches_single_calls(setup64, scalar, mode, t
         (single,) = condition_pathwise(fac, t, [xi], [xi_draws])
         for got, want in zip(samples, single, strict=True):
             _assert_same_sample(got, want)
-    spec, *t_u_triple = draws[0][0]
-    ref = sample_conditional(fac, t, spec, substream(0, 0), noise=noises[0],
-                             t_u_override=tuple(t_u_triple))
-    _assert_same_sample(streamed[0][0], ref)
+    for spec in specs:
+        rng = substream(3, 2)
+        xi = white_noise(g.m, g.w, scalar, rng)
+        (want,), = condition_pathwise(fac, t, [xi], [[(spec, *sample_t_u(spec, tct, rng))]])
+        _assert_same_sample(sample_conditional(fac, t, spec, substream(3, 2)), want)
 
 
 @pytest.mark.parametrize("alpha", [1e155, 1e300])
