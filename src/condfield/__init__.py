@@ -37,7 +37,6 @@ from .functionals import (
     make_integral_functional,
     make_point_functional,
     profile,
-    tc2t,
     tct,
 )
 from .grid import Grid, inner, l2_norm, make_grid, sup_norm

@@ -145,11 +145,11 @@ def cmd_condition(setup: _Setup, out) -> int:
     out = out or "condition.csv"
     spec = sp.ConditionSpec(u=setup.u, scalar=setup.scalar, mode=setup.mode,
                             rho=setup.rho, theta=setup.theta)
+    # the constants carry the roundoff gate on <T|C|T>, so they come before the draw
+    consts = fn.constants(setup.functional, setup.cov)
     rng = sp.substream(setup.seed, 3, 0)
     sample = sp.sample_conditional(setup.factor, setup.functional, spec, rng)
-    prof = fn.profile(setup.functional, setup.cov)
-    consts = fn.constants(setup.functional, setup.cov)
-    rec = cc.distance_record(sample, prof, consts, setup.grid)
+    rec = cc.distance_record(sample, consts, setup.grid)
     rows = [
         [float(x), float(np.real(v)), float(np.imag(v))]
         for x, v in zip(setup.grid.points, sample.values)

@@ -28,8 +28,7 @@ def _phase(sample: sp.FieldSample):
 
 
 def _normalized_diff(sample: sp.FieldSample, nrm: float, profile: np.ndarray,
-                     grid: Grid) -> np.ndarray:
-    nrm_p = l2_norm(profile, grid)
+                     nrm_p: float) -> np.ndarray:
     if nrm == 0.0 or nrm_p == 0.0:
         raise ZeroVector("cannot normalize a zero vector")
     if not nrm < math.inf:  # also NaN, which an overflowing complex vdot gives
@@ -39,7 +38,8 @@ def _normalized_diff(sample: sp.FieldSample, nrm: float, profile: np.ndarray,
 
 def normalized_sup_distance(sample: sp.FieldSample, profile: np.ndarray, grid: Grid) -> float:
     """|| phi_u/||phi_u||_2 - e^{i theta} p/||p||_2 ||_inf."""
-    return sup_norm(_normalized_diff(sample, l2_norm(sample.values, grid), profile, grid))
+    return sup_norm(_normalized_diff(sample, l2_norm(sample.values, grid), profile,
+                                     l2_norm(profile, grid)))
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,14 @@ class DistanceRecord:
 
 def distance_record(
     sample: sp.FieldSample,
-    profile: np.ndarray,
     k: fn.TheoryConstants,
     grid: Grid,
     sample_index: int = 0,
 ) -> DistanceRecord:
     """Distances of one sample to the profile, and its check of the bound chain.
 
-    With N = ||phi_u||_2, p the profile, A, B, D the theory constants and
-    r^2 the residual noise energy:
+    With N = ||phi_u||_2, p = k.profile with ||p||_2 = k.profile_norm, A, B, D
+    the other theory constants and r^2 the residual noise energy:
     - estimate 0 (the envelope, every sample): the sup distance
       ||phi_u/N - e^{i theta} p/||p||_2||_inf is at most
       bound_rhs = A (|t_u/N - e^{i theta} B|^2 + r^2/N^2)^{1/2};
@@ -80,7 +79,7 @@ def distance_record(
     not apply.
     """
     nrm = l2_norm(sample.values, grid)
-    diff = _normalized_diff(sample, nrm, profile, grid)
+    diff = _normalized_diff(sample, nrm, k.profile, k.profile_norm)
     sup_d = sup_norm(diff)
     b = k.b_const
     ratio = sample.t_u / nrm
@@ -151,14 +150,13 @@ def sweep(
         raise ValueError(f"n_mc must be >= 1, got {n_mc}")
 
     grid = cov.grid
-    prof = fn.profile(t, cov)
     consts = fn.constants(t, cov)
     _, tct = sp.sqrt_tct(factor, t)
     noises = (sp.white_noise(grid.m, grid.w, scalar, sp.substream(seed, 0, i))
               for i in range(n_mc))
     draws = ([(spec, *sp.sample_t_u(spec, tct, sp.substream(seed, 1, j, i)))
               for j, spec in enumerate(specs)] for i in range(n_mc))
-    records = [distance_record(sample, prof, consts, grid, sample_index=i)
+    records = [distance_record(sample, consts, grid, sample_index=i)
                for i, samples in enumerate(sp.condition_pathwise(factor, t, noises, draws))
                for sample in samples]
 
@@ -246,14 +244,13 @@ def verify_prop3(
     cov = cv.assemble(kernel, grid)
     factor = cv.sqrt_factor(cov)
     consts = fn.constants(t, cov)
-    prof = fn.profile(t, cov)
 
     spec = sp.ConditionSpec(u=u_big, scalar=scalar, mode=mode, rho=rho, theta=theta)
     sample = sp.sample_conditional(factor, t, spec, sp.substream(seed, 2, 0))
-    rec = distance_record(sample, prof, consts, grid)
+    rec = distance_record(sample, consts, grid)
     profile_sup_dist = sample_sup_dist = None
     if curve is not None:
-        diff = prof / l2_norm(prof, grid) - curve / l2_norm(curve, grid)
+        diff = consts.profile / consts.profile_norm - curve / l2_norm(curve, grid)
         profile_sup_dist = sup_norm(diff)
         sample_sup_dist = normalized_sup_distance(sample, curve, grid)
     profile_tol, sample_tol = 1e-3, 1e-2

@@ -84,25 +84,18 @@ class RankK:
             if not 0 < lam < np.inf or k < 0 or k != int(k):
                 raise InvalidKernelParams(f"need 0 < lam < inf, integer k >= 0: ({lam}, {k})")
 
-    def mode_shape(self, x, k: int, a: float, b: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if k == 0:
-            return np.full_like(x, 1.0 / np.sqrt(b - a))
-        return np.sqrt(2.0 / (b - a)) * np.cos(k * np.pi * (x - a) / (b - a))
-
-    def pair(self, x, y, a: float, b: float):
+    def matrix(self, grid: Grid) -> np.ndarray:
+        a, b, x = grid.a, grid.b, grid.points
         out = 0.0
         for lam, k in self.modes:
-            ex = self.mode_shape(x, k, a, b)
-            ey = self.mode_shape(y, k, a, b)
-            out = out + lam * np.multiply.outer(ex, ey)
-        return out
-
-    def matrix(self, grid: Grid) -> np.ndarray:
-        for _, k in self.modes:
             if k >= grid.m:
                 raise InvalidKernelParams(f"mode index {k} needs a grid with M > {k}")
-        return self.pair(grid.points, grid.points, grid.a, grid.b)
+            if k == 0:
+                e = np.full_like(x, 1.0 / np.sqrt(b - a))
+            else:
+                e = np.sqrt(2.0 / (b - a)) * np.cos(k * np.pi * (x - a) / (b - a))
+            out = out + lam * np.multiply.outer(e, e)
+        return out
 
 
 @dataclass(frozen=True)

@@ -111,17 +111,12 @@ _NAMED_WEIGHTS = {
 }
 
 
-def make_integral_functional(grid: Grid, weight) -> LinearFunctional:
-    """<T|phi> = w * sum_i weight_i phi_i, a quadrature of integral(weight * phi).
-
-    `weight` is either a named profile ("uniform", "cosine") or an array of
-    samples on the grid.
-    """
-    if isinstance(weight, str):
-        if weight not in _NAMED_WEIGHTS:
-            raise ConfigError(f"unknown integral weight {weight!r}")
-        weight = _NAMED_WEIGHTS[weight](grid.points, grid.a, grid.b)
-    return _functional(grid, weight, "integral")
+def make_integral_functional(grid: Grid, weight: str) -> LinearFunctional:
+    """<T|phi> = w * sum_i weight(x_i) phi_i, a quadrature of integral(weight * phi),
+    for a named weight profile ("uniform", "cosine")."""
+    if weight not in _NAMED_WEIGHTS:
+        raise ConfigError(f"unknown integral weight {weight!r}")
+    return _functional(grid, _NAMED_WEIGHTS[weight](grid.points, grid.a, grid.b), "integral")
 
 
 def make_custom_functional(grid: Grid, coeff) -> LinearFunctional:
@@ -133,55 +128,61 @@ def _check_grids(t: LinearFunctional, cov: cv.CovOperator):
         raise GridMismatch("functional and operator built on different grids")
 
 
-def tct(t: LinearFunctional, cov: cv.CovOperator) -> float:
-    """<T|C|T>, the variance of <T|phi> over unconditional samples.
-
-    Since |C(x, y)| <= A^2, its roundoff is at most eps A^2 (w sum_i |T_i|)^2;
-    a value not above 100 times that bound (1% roundoff) is rejected."""
-    _check_grids(t, cov)
-    val = float(inner(t.coeff, cov.apply(t.coeff), t.grid).real)
-    w_t1 = t.grid.w * float(np.abs(t.coeff).sum())
-    bound = np.finfo(float).eps * cv.point_variance_max(cov) * w_t1 ** 2
-    if val <= 100.0 * bound:
-        raise DegenerateFunctional(f"<T|C|T> = {val:.6g} is numerically zero: not above "
-                                   f"100x its roundoff bound {bound:.3g}")
-    return val
-
-
-def tc2t(t: LinearFunctional, cov: cv.CovOperator) -> float:
-    """<T|C^2|T> = ||C T||_2^2."""
-    _check_grids(t, cov)
-    return l2_norm(cov.apply(t.coeff), t.grid) ** 2
-
-
 def profile(t: LinearFunctional, cov: cv.CovOperator) -> np.ndarray:
     """The limit profile direction C|T> (phase factor applied downstream)."""
     _check_grids(t, cov)
     return cov.apply(t.coeff)
 
 
+def _gated_tct(t: LinearFunctional, p: np.ndarray, a2: float) -> float:
+    """<T|C|T> = <T|p> with p = C T and a2 = A^2.
+
+    Since |C(x, y)| <= A^2, its roundoff is at most eps A^2 (w sum_i |T_i|)^2;
+    a value not above 100 times that bound (1% roundoff) is rejected."""
+    val = float(inner(t.coeff, p, t.grid).real)
+    w_t1 = t.grid.w * float(np.abs(t.coeff).sum())
+    bound = np.finfo(float).eps * a2 * w_t1 ** 2
+    if val <= 100.0 * bound:
+        raise DegenerateFunctional(f"<T|C|T> = {val:.6g} is numerically zero: not above "
+                                   f"100x its roundoff bound {bound:.3g}")
+    return val
+
+
+def tct(t: LinearFunctional, cov: cv.CovOperator) -> float:
+    """<T|C|T>, the variance of <T|phi> over unconditional samples, under the
+    roundoff gate of `constants`."""
+    return _gated_tct(t, profile(t, cov), cv.point_variance_max(cov))
+
+
 @dataclass(frozen=True)
 class TheoryConstants:
-    """Scalars driving the concentration bounds."""
+    """The limit profile p = C T and the scalars of the bound chain derived
+    from it; <T|C^2|T> is profile_norm ** 2."""
 
-    tct: float  # <T|C|T>
-    tc2t: float  # <T|C^2|T>
+    profile: np.ndarray = field(repr=False, compare=False)  # p = C T, read-only
+    profile_norm: float  # ||p||_2
+    tct: float  # <T|C|T> = <T|p>
     a_const: float  # sqrt of max pointwise variance
-    b_const: float  # sqrt(tct / tc2t)
+    b_const: float  # sqrt(<T|C|T> / <T|C^2|T>)
     d_const: float  # a_const * b_const * sqrt(b - a)
 
 
 def constants(t: LinearFunctional, cov: cv.CovOperator) -> TheoryConstants:
-    tct_val = tct(t, cov)
-    tc2t_val = tc2t(t, cov)
-    if tc2t_val <= 0.0:
+    """Form p = C T (the one application of C) and A^2 once, and derive the
+    gated <T|C|T>, ||p||_2 and A, B, D from them."""
+    p = profile(t, cov)
+    p.setflags(write=False)
+    a2 = cv.point_variance_max(cov)
+    tct_val = _gated_tct(t, p, a2)
+    p_norm = l2_norm(p, t.grid)
+    tc2t = p_norm ** 2
+    if tc2t <= 0.0:
         raise DegenerateFunctional("<T|C^2|T> is zero")
-    a_const = float(np.sqrt(cv.point_variance_max(cov)))
-    b_const = float(np.sqrt(tct_val / tc2t_val))
+    a_const = float(np.sqrt(a2))
+    b_const = float(np.sqrt(tct_val / tc2t))
     d_const = a_const * b_const * float(np.sqrt(t.grid.length))
-    return TheoryConstants(
-        tct=tct_val, tc2t=tc2t_val, a_const=a_const, b_const=b_const, d_const=d_const
-    )
+    return TheoryConstants(profile=p, profile_norm=p_norm, tct=tct_val, a_const=a_const,
+                           b_const=b_const, d_const=d_const)
 
 
 def analytic_derivative_curve(kernel, x, x0: float, n: int):

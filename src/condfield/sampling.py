@@ -66,11 +66,11 @@ class FieldSample:
 
     values: np.ndarray = field(repr=False)
     scalar: str
-    t_u: complex | float | None = None
-    r2: float | None = None  # residual noise energy sum_{n>=2} |t_n|^2
-    u: float | None = None
-    rho: float | None = None
-    theta: float | None = None
+    t_u: complex | float
+    r2: float  # residual noise energy sum_{n>=2} |t_n|^2
+    u: float
+    rho: float
+    theta: float
 
 
 def white_noise(m: int, w: float, scalar: str, rng: np.random.Generator) -> np.ndarray:
@@ -138,8 +138,8 @@ def sqrt_tct(factor: SqrtFactor, t: LinearFunctional):
         raise GridMismatch("functional and factor built on different grids")
     s_t = factor.apply(t.coeff)
     tct = float(inner(s_t, s_t, t.grid).real)
-    if tct <= 1e-300:
-        raise DegenerateFunctional("C^{1/2} T is numerically zero")
+    if not tct > 0.0:  # guards the division by sqrt(tct); `constants` gates roundoff
+        raise DegenerateFunctional("C^{1/2} T is zero")
     return s_t, tct
 
 

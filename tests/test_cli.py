@@ -193,26 +193,34 @@ def test_write_json_rejects_non_finite(tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("argv, factorizations", [
-    (["profile"], 0),
-    (["condition", "--u", "100"], 1),
-    (["sweep", "--u-list", "10,100", "--mc", "20"], 1),
-    (["verify", "prop1", "--mc", "1000"], 1),
-    (["verify", "prop3"], 1),
-    (["verify", "bounds", "--mc", "20"], 1),
+@pytest.mark.parametrize("argv, factorizations, cov_applies", [
+    (["profile"], 0, 1),
+    (["condition", "--u", "100"], 1, 1),
+    (["sweep", "--u-list", "10,100", "--mc", "20"], 1, 1),
+    (["verify", "prop1", "--mc", "1000"], 1, 1),
+    (["verify", "prop3"], 1, 1),
+    (["verify", "bounds", "--mc", "20"], 1, 1),
 ], ids=["profile", "condition", "sweep", "prop1", "prop3", "bounds"])
-def test_one_factorization_per_command(tmp_path, monkeypatch, argv, factorizations):
-    calls = []
+def test_one_factorization_per_command(tmp_path, monkeypatch, argv, factorizations,
+                                       cov_applies):
+    calls, applies = [], []
     sqrt_factor = covariance.sqrt_factor
+    apply = covariance.CovOperator.apply
 
     def counting(cov):
         calls.append(cov.grid.m)
         return sqrt_factor(cov)
 
+    def counting_apply(cov, phi):
+        applies.append(cov.grid.m)
+        return apply(cov, phi)
+
     monkeypatch.setattr(covariance, "sqrt_factor", counting)
+    monkeypatch.setattr(covariance.CovOperator, "apply", counting_apply)
     out = tmp_path / ("o.json" if argv[0] == "verify" else "o.csv")
     assert run(argv + ["--grid", "64", "--out", str(out)]) == 0
     assert calls == [64] * factorizations
+    assert applies == [64] * cov_applies
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,13 +45,13 @@ def setup128():
 
 def test_sup_distance_collinear_is_zero(setup128):
     g, cov, fac, t, prof, k = setup128
-    s = FieldSample(values=2.5 * prof, scalar=REAL, theta=0.0)
+    s = FieldSample(values=2.5 * prof, scalar=REAL, t_u=1.0, r2=0.0, u=0.0, rho=0.0, theta=0.0)
     assert normalized_sup_distance(s, prof, g) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_sup_distance_sign_flip(setup128):
     g, cov, fac, t, prof, k = setup128
-    s = FieldSample(values=-prof, scalar=REAL, theta=0.0)
+    s = FieldSample(values=-prof, scalar=REAL, t_u=1.0, r2=0.0, u=0.0, rho=0.0, theta=0.0)
     expected = 2 * sup_norm(prof) / l2_norm(prof, g)
     assert normalized_sup_distance(s, prof, g) == pytest.approx(expected, rel=1e-12)
 
@@ -60,15 +62,15 @@ def test_sup_distance_zero_noise_sample(setup128):
     (s,), = condition_pathwise(fac, t, [np.zeros(g.m)], [[(spec, 3.0, 0.0, 0.0)]])
     assert normalized_sup_distance(s, prof, g) < 1e-12
     with pytest.raises(errors.ZeroVector):
-        normalized_sup_distance(FieldSample(values=np.zeros(g.m), scalar=REAL,
-                                            theta=0.0), prof, g)
+        normalized_sup_distance(FieldSample(values=np.zeros(g.m), scalar=REAL, t_u=1.0,
+                                            r2=0.0, u=0.0, rho=0.0, theta=0.0), prof, g)
 
 
 def test_estimate0_zero_noise_vanishes(setup128):
     g, cov, fac, t, prof, k = setup128
     spec = ConditionSpec(u=3.0, mode=FIXED_RHO, rho=0.0)
     (s,), = condition_pathwise(fac, t, [np.zeros(g.m)], [[(spec, 3.0, 0.0, 0.0)]])
-    rec = distance_record(s, prof, k, g)
+    rec = distance_record(s, k, g)
     assert rec.bound_rhs == pytest.approx(0.0, abs=1e-10)
     assert abs(rec.ratio) == pytest.approx(k.b_const, rel=1e-10)
 
@@ -80,17 +82,16 @@ def test_estimate0_dominates_sup_distance(setup128):
     for i in range(100):
         s = sample_conditional(fac, t, spec, substream(14, i))
         assert normalized_sup_distance(s, prof, g) <= \
-            distance_record(s, prof, k, g).bound_rhs + 1e-9
+            distance_record(s, k, g).bound_rhs + 1e-9
 
 
 def test_estimate0_homogeneous_in_a(setup128):
     g, cov, fac, t, prof, k = setup128
     spec = ConditionSpec(u=50.0, scalar=COMPLEX, mode=RANDOM)
     s = sample_conditional(fac, t, spec, substream(15, 0))
-    k2 = type(k)(tct=k.tct, tc2t=k.tc2t, a_const=2 * k.a_const,
-                 b_const=k.b_const, d_const=k.d_const)
-    assert distance_record(s, prof, k2, g).bound_rhs == \
-        pytest.approx(2 * distance_record(s, prof, k, g).bound_rhs, rel=1e-12)
+    k2 = dataclasses.replace(k, a_const=2 * k.a_const)
+    assert distance_record(s, k2, g).bound_rhs == \
+        pytest.approx(2 * distance_record(s, k, g).bound_rhs, rel=1e-12)
 
 
 def test_ratio_bounds_gate(setup128):
@@ -98,7 +99,7 @@ def test_ratio_bounds_gate(setup128):
     # tiny t_u relative to noise: not applicable, no assertion made
     spec = ConditionSpec(u=0.0, mode=FIXED_RHO, rho=0.01)
     s = sample_conditional(fac, t, spec, substream(16, 0))
-    assert not distance_record(s, prof, k, g).applicable
+    assert not distance_record(s, k, g).applicable
 
 
 def test_ratio_bounds_hold_at_large_u(setup128):
@@ -106,7 +107,7 @@ def test_ratio_bounds_hold_at_large_u(setup128):
     spec = ConditionSpec(u=1000.0, scalar=COMPLEX, mode=RANDOM)
     for i in range(200):
         s = sample_conditional(fac, t, spec, substream(17, i))
-        rec = distance_record(s, prof, k, g)
+        rec = distance_record(s, k, g)
         assert rec.applicable
         assert rec.est12_ok  # ratio bound, residual bound and their two consequences
 
@@ -247,7 +248,7 @@ def test_sweep_matches_adapted_basis_records(kernel, weight, scalar, mode, rho, 
             values, r2 = adapted_split(fac, t, xi, t_u, scalar)
             s = FieldSample(values=values, scalar=scalar, t_u=t_u, r2=r2, u=float(u),
                             rho=rho_j, theta=theta_j)
-            ref.append(distance_record(s, prof, k, g, sample_index=i))
+            ref.append(distance_record(s, k, g, sample_index=i))
     assert len(rep.records) == len(ref)
     for a, b in zip(rep.records, ref):
         for name in ("u", "sample_index", "applicable", "est0_ok", "est12_ok"):
@@ -299,7 +300,7 @@ def test_distance_record_flags_follow_the_slack(monkeypatch, slack, scalar, mode
         for u in (1.0, 30.0, 1e4):
             spec = ConditionSpec(u=u, scalar=scalar, mode=mode, rho=0.5, theta=theta)
             s = sample_conditional(fac, t, spec, substream(9, i))
-            rec = distance_record(s, prof, consts, g, sample_index=i)
+            rec = distance_record(s, consts, g, sample_index=i)
             assert rec.sup_dist == normalized_sup_distance(s, prof, g)
             assert rec.est0_ok == (rec.sup_dist <= rec.bound_rhs + slack * (1 + rec.bound_rhs))
             flags.add((rec.applicable, rec.est12_ok))

@@ -11,6 +11,7 @@ from condfield.sampling import (
     RANDOM,
     REAL,
     ConditionSpec,
+    FieldSample,
     condition_pathwise,
     sample_conditional,
     sample_t_u,
@@ -34,6 +35,11 @@ def test_condition_spec_validation():
     with pytest.raises(ValueError):
         ConditionSpec(u=1.0, scalar=REAL, theta=1.57)
     ConditionSpec(u=0.0, scalar=REAL)  # fine
+
+
+def test_field_sample_needs_its_conditioning_record():
+    with pytest.raises(TypeError):
+        FieldSample(values=np.ones(4), scalar=REAL, theta=0.0)
 
 
 def test_forced_zero_noise_gives_zero_field(setup64):
@@ -282,3 +288,15 @@ def test_sample_t_u_overflowing_square_raises(deadline, scalar, mode):
     for u, tct in ((1e155, 1.0), (1e153, 1e-4)):
         with pytest.raises(errors.ThresholdOverflow):
             sample_t_u(ConditionSpec(u=u, scalar=scalar, mode=mode), tct, substream(20, 0))
+
+
+def test_tiny_variance_draw_is_not_rejected_by_a_fixed_floor():
+    # <T|C|T> = 1e-305 is far above its roundoff bound; with u = 1e-145 the
+    # draw exists and hits the threshold
+    g = make_grid(0, 1, 64)
+    t = make_point_functional(g, 0.5)
+    fac = sqrt_factor(assemble(SquaredExponential(1e-305, 0.2), g))
+    spec = ConditionSpec(u=1e-145, scalar=REAL, mode=RANDOM)
+    s = sample_conditional(fac, t, spec, substream(0, 0))
+    assert np.all(np.isfinite(s.values))
+    assert abs(t(s.values)) / spec.u == pytest.approx(1.0, rel=1e-12)
