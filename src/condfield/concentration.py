@@ -16,9 +16,12 @@ from . import covariance as cv
 from . import functionals as fn
 from . import sampling as sp
 from .errors import ConfigError, EmptyUList, ThresholdOverflow, ZeroVector
-from .grid import Grid, inner, l2_norm, make_grid, sup_norm
+from .grid import Grid, l2_norm, make_grid, sup_norm
 
 BOUND_SLACK = 1e-9
+# Rows of noise `verify_prop1` holds at once (1 MB of complex noise at M = 512).
+# Rows come in sequence from one stream, so this caps memory only.
+NOISE_BLOCK = 128
 
 
 def _phase(sample: sp.FieldSample):
@@ -189,16 +192,21 @@ def verify_prop1(
     scalar: str = sp.COMPLEX,
 ) -> dict:
     """Finite-sample surrogate of the a.s. finiteness of <T|phi>: every sampled
-    value finite, and the empirical variance close to <T|C|T>."""
+    value finite, and the empirical variance close to <T|C|T>.
+
+    The n_mc noise vectors are successive draws from the one stream
+    substream(seed, 0), read NOISE_BLOCK rows at a time."""
     if n_mc < 1000:
         raise ValueError(f"need n_mc >= 1000, got {n_mc}")
     tct_val = fn.tct(t, cov)
     grid = cov.grid
-    # <T|C^{1/2} xi> = <C^{1/2} T|xi>: one matvec in all, not one per draw
+    # <T|C^{1/2} xi> = <C^{1/2} T|xi>: one matvec per block of draws, none per draw
     s_t, _ = sp.sqrt_tct(cv.sqrt_factor(cov), t)
-    noises = (sp.white_noise(grid.m, grid.w, scalar, sp.substream(seed, 0, i))
-              for i in range(n_mc))
-    vals = np.array([inner(s_t, xi, grid) for xi in noises], dtype=complex)
+    rng = sp.substream(seed, 0)
+    vals = np.concatenate([
+        grid.w * (sp.white_noise(grid.m, grid.w, scalar, rng, n=min(NOISE_BLOCK, n_mc - k))
+                  @ s_t.conj())
+        for k in range(0, n_mc, NOISE_BLOCK)])
     finite = bool(np.all(np.isfinite(vals)))
     var_hat = float(np.mean(np.abs(vals) ** 2))
     tol = 5.0 / math.sqrt(n_mc) + 0.02

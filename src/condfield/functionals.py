@@ -163,7 +163,7 @@ class TheoryConstants:
     profile_norm: float  # ||p||_2
     tct: float  # <T|C|T> = <T|p>
     a_const: float  # sqrt of max pointwise variance
-    b_const: float  # sqrt(<T|C|T> / <T|C^2|T>)
+    b_const: float  # sqrt(<T|C|T> / <T|C^2|T>) = sqrt(<T|C|T>) / ||p||_2
     d_const: float  # a_const * b_const * sqrt(b - a)
 
 
@@ -175,11 +175,10 @@ def constants(t: LinearFunctional, cov: cv.CovOperator) -> TheoryConstants:
     a2 = cv.point_variance_max(cov)
     tct_val = _gated_tct(t, p, a2)
     p_norm = l2_norm(p, t.grid)
-    tc2t = p_norm ** 2
-    if tc2t <= 0.0:
-        raise DegenerateFunctional("<T|C^2|T> is zero")
+    if not p_norm > 0.0:
+        raise DegenerateFunctional("||C T||_2 is zero")
     a_const = float(np.sqrt(a2))
-    b_const = float(np.sqrt(tct_val / tc2t))
+    b_const = float(np.sqrt(tct_val) / p_norm)
     d_const = a_const * b_const * float(np.sqrt(t.grid.length))
     return TheoryConstants(profile=p, profile_norm=p_norm, tct=tct_val, a_const=a_const,
                            b_const=b_const, d_const=d_const)

@@ -60,11 +60,22 @@ def inner(psi, phi, grid: Grid):
     return grid.w * np.vdot(psi, phi)
 
 
+# Below this a weighted sum of squares has lost relative accuracy to underflow.
+_UNDERFLOW = np.finfo(float).tiny / np.finfo(float).eps
+
+
 def l2_norm(phi, grid: Grid) -> float:
     """Weighted L2 norm, sqrt(<phi|phi>).  Weighting the real part alone keeps
-    an overflowing sum at inf, with no NaN from the zero imaginary part."""
+    an overflowing sum at inf, with no NaN from the zero imaginary part.  A
+    nonzero phi whose sum underflows is scaled by max_i |phi_i| first."""
     phi = _check(phi, grid)
-    return float(np.sqrt(grid.w * np.vdot(phi, phi).real))
+    sq = grid.w * np.vdot(phi, phi).real
+    if sq < _UNDERFLOW:
+        scale = sup_norm(phi)
+        if scale > 0.0:
+            unit = phi / scale
+            return float(scale * np.sqrt(grid.w * np.vdot(unit, unit).real))
+    return float(np.sqrt(sq))
 
 
 def sup_norm(phi) -> float:

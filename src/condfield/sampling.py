@@ -9,9 +9,11 @@ same law, and |<T|phi_u>| >= u exactly.  Only xi changes between samples:
 `condition_pathwise` forms v and C^{1/2} v once and conditions a stream of
 noise vectors, each on all of its thresholds.
 
-Reproducibility: streams are counter-based (Philox) and splittable.  Sample i
-of a batch uses substream(seed, path..., i), so batches are order-independent
-and safe to generate in parallel.
+Reproducibility: streams are counter-based (Philox) and splittable.  Sweeps
+and conditional draws give sample i its own substream(seed, path..., i), so
+they are order-independent and safe to generate in parallel.  `verify prop1`
+draws its unconditional noise from one stream, substream(seed, 0), read in
+fixed-size blocks whose size does not change the draws.
 """
 
 import math
@@ -73,14 +75,19 @@ class FieldSample:
     theta: float
 
 
-def white_noise(m: int, w: float, scalar: str, rng: np.random.Generator) -> np.ndarray:
+def white_noise(m: int, w: float, scalar: str, rng: np.random.Generator,
+                n: int | None = None) -> np.ndarray:
     """Noise vector whose coefficients in any weighted-orthonormal basis are
-    i.i.d. standard (complex: independent re/im parts of variance 1/2)."""
+    i.i.d. standard (complex: independent re/im parts of variance 1/2).
+
+    With a count `n`, an (n, m) block whose row k is bitwise the k-th of n
+    successive single draws from the same `rng`."""
+    lead = () if n is None else (n,)
     if scalar == COMPLEX:
-        g = rng.standard_normal(2 * m)
-        t = (g[:m] + 1j * g[m:]) / np.sqrt(2.0)
+        g = rng.standard_normal(lead + (2 * m,))
+        t = (g[..., :m] + 1j * g[..., m:]) / np.sqrt(2.0)
     else:
-        t = rng.standard_normal(m)
+        t = rng.standard_normal(lead + (m,))
     return t / np.sqrt(w)
 
 

@@ -299,6 +299,16 @@ def test_largest_thresholds_stay_finite(tmp_path, deadline):
     assert all(np.isfinite(v) for k, v in sidecar.items() if k != "config")
 
 
+@pytest.mark.parametrize("variance", ["1e-158", "1e-200"])
+def test_sweep_keeps_the_profile_where_its_squared_norm_underflows(tmp_path, variance):
+    # w * sum |p_i|^2 is subnormal (1e-158) or zero (1e-200) in doubles
+    out = tmp_path / "s.csv"
+    assert run(["sweep", "--kernel", f"sqexp:{variance}:0.2", "--u-list", "1,2", "--mc", "5",
+                "--out", str(out)]) == 0
+    report = json.loads((tmp_path / "s.json").read_text())
+    assert report["violations_est0"] == report["violations_est12"] == 0
+
+
 @pytest.mark.parametrize("spec", ["point:nan", "dpoint:nan:1", "custom:nan", "custom:inf"])
 @pytest.mark.parametrize("command", [["profile"], ["condition", "--u", "100"]])
 def test_non_finite_functional_exits_2(tmp_path, command, spec):

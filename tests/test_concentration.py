@@ -270,13 +270,39 @@ def test_verify_prop1_matches_per_field_reference(scalar):
     t = make_point_functional(g, 0.5)
     fac = sqrt_factor(cov)
     n_mc, seed = 2000, 5
-    vals = np.array([inner(t.coeff, fac.apply(white_noise(g.m, g.w, scalar,
-                                                          substream(seed, 0, i))), g)
-                     for i in range(n_mc)])
+    rng = substream(seed, 0)
+    vals = np.array([inner(t.coeff, fac.apply(white_noise(g.m, g.w, scalar, rng)), g)
+                     for _ in range(n_mc)])
     var_ref = float(np.mean(np.abs(vals) ** 2))
     res = verify_prop1(t, cov, n_mc, seed=seed, scalar=scalar)
     assert res["all_finite"]
     assert abs(res["var_hat"] - var_ref) <= 1e-12 * var_ref
+
+
+def test_verify_prop1_builds_one_stream(monkeypatch):
+    builds = []
+
+    def counting_substream(*key):
+        builds.append(key)
+        return substream(*key)
+
+    monkeypatch.setattr(concentration.sp, "substream", counting_substream)
+    g = make_grid(0, 1, 32)
+    cov = assemble(SquaredExponential(1, 0.2), g)
+    for n_mc in (1000, 1300):
+        verify_prop1(make_point_functional(g, 0.5), cov, n_mc, seed=3)
+    assert builds == [(3, 0), (3, 0)]
+
+
+@pytest.mark.parametrize("scalar", [REAL, COMPLEX])
+def test_verify_prop1_block_size_only_caps_memory(monkeypatch, scalar):
+    g = make_grid(0, 1, 64)
+    cov = assemble(Exponential(1, 0.1), g)
+    t = make_point_functional(g, 0.3)
+    ref = verify_prop1(t, cov, 1000, seed=2, scalar=scalar)["var_hat"]
+    monkeypatch.setattr(concentration, "NOISE_BLOCK", 7)
+    res = verify_prop1(t, cov, 1000, seed=2, scalar=scalar)["var_hat"]
+    assert abs(res - ref) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("slack", [concentration.BOUND_SLACK, -0.1])

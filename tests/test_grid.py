@@ -104,6 +104,17 @@ def test_norm_comparison(phi):
     assert l2_norm(phi, g) <= np.sqrt(g.b - g.a) * sup_norm(phi) * (1 + 1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    x=arrays(np.float64, 24, elements=st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))),
+    c=st.floats(1e-290, 1.0),
+)
+def test_l2_norm_is_homogeneous_down_to_underflow(x, c):
+    g = make_grid(-2, 3, 24)
+    ref = c * l2_norm(x, g)
+    assert abs(l2_norm(c * x, g) - ref) <= 8 * np.finfo(float).eps * ref
+
+
 def test_make_grid_rejects_non_integer_m():
     # a float M would give M points of spacing (b - a)/M for the truncated M
     for m in (2.5, 8.0, "8"):

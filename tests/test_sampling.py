@@ -106,6 +106,16 @@ def test_sample_t_u_random_complex_event():
         assert 0 <= theta < 2 * np.pi
 
 
+@pytest.mark.parametrize("scalar", [REAL, COMPLEX])
+def test_white_noise_block_rows_are_successive_draws(scalar):
+    block = white_noise(16, 0.25, scalar, substream(11, 0), n=7)
+    rng = substream(11, 0)
+    singles = np.array([white_noise(16, 0.25, scalar, rng) for _ in range(7)])
+    assert block.shape == (7, 16)
+    assert block.dtype == singles.dtype
+    assert block.tobytes() == singles.tobytes()
+
+
 def test_truncated_normal_half_normal_mean():
     # analytic oracle: mean of |N(0,1)| is sqrt(2/pi)
     rng = substream(17, 0)
