@@ -2,9 +2,9 @@
 verification of the bound chain, threshold sweeps, and the two proposition
 checks.
 
-Sweeps use a paired design (common random numbers): sample index i reuses the
-same noise substream across every threshold u, so the u -> infinity limit is
-observed along fixed noise realizations.
+Sweeps use a paired design (common random numbers): sample i reads its noise
+xi and then each threshold's draw, in ascending u, from substream(seed, 0, i),
+so the u -> infinity limit is observed along fixed noise realizations.
 """
 
 import math
@@ -154,13 +154,9 @@ def sweep(
 
     grid = cov.grid
     consts = fn.constants(t, cov)
-    _, tct = sp.sqrt_tct(factor, t)
-    noises = (sp.white_noise(grid.m, grid.w, scalar, sp.substream(seed, 0, i))
-              for i in range(n_mc))
-    draws = ([(spec, *sp.sample_t_u(spec, tct, sp.substream(seed, 1, j, i)))
-              for j, spec in enumerate(specs)] for i in range(n_mc))
+    rngs = (sp.substream(seed, 0, i) for i in range(n_mc))
     records = [distance_record(sample, consts, grid, sample_index=i)
-               for i, samples in enumerate(sp.condition_pathwise(factor, t, noises, draws))
+               for i, samples in enumerate(sp.condition_pathwise(factor, t, specs, rngs))
                for sample in samples]
 
     # records run over (i, u), so column j of each array holds threshold u_list[j]

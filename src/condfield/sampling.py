@@ -6,14 +6,15 @@ rank-one update (Matheron's rule): phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v,
 with v = C^{1/2} T / sqrt(<T|C|T>), t_1 = <v|xi> and |t_u|^2 = rho + u^2/<T|C|T>.
 This equals the adapted-basis split C^{1/2}(t_u v + xi_perp), so it has the
 same law, and |<T|phi_u>| >= u exactly.  Only xi changes between samples:
-`condition_pathwise` forms v and C^{1/2} v once and conditions a stream of
-noise vectors, each on all of its thresholds.
+`condition_pathwise` forms v and C^{1/2} v once per call.
 
-Reproducibility: streams are counter-based (Philox) and splittable.  Sweeps
-and conditional draws give sample i its own substream(seed, path..., i), so
-they are order-independent and safe to generate in parallel.  `verify prop1`
-draws its unconditional noise from one stream, substream(seed, 0), read in
-fixed-size blocks whose size does not change the draws.
+Reproducibility: streams are counter-based (Philox) and splittable.  A
+conditioned sample is one stream read in one order: xi, then (t_u, rho,
+theta) for each threshold.  Sweeps and conditional draws give sample i its
+own substream(seed, path..., i), so they are order-independent and safe to
+generate in parallel.  `verify prop1` draws its unconditional noise from one
+stream, substream(seed, 0), read in fixed-size blocks whose size does not
+change the draws.
 """
 
 import math
@@ -150,29 +151,36 @@ def sqrt_tct(factor: SqrtFactor, t: LinearFunctional):
     return s_t, tct
 
 
-def condition_pathwise(factor: SqrtFactor, t: LinearFunctional, noises, draws):
-    """Condition each white-noise vector in `noises` on its list of
-    (spec, t_u, rho, theta) draws, taken in step from `draws`; yields one list
-    of FieldSample per vector.  Each is phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v
-    with residual energy r^2 = ||xi - t_1 v||^2; v and C^{1/2} v are formed once
-    per call.  v is taken from the factor, which keeps
-    <T|phi_u> = sqrt(<T|C|T>) t_u exact to roundoff under clipping.  Both
-    iterables are consumed lazily, so generators keep one xi alive at a time."""
+def condition_pathwise(factor: SqrtFactor, t: LinearFunctional, specs, rngs):
+    """Condition one sample per stream in `rngs` (consumed lazily) on every
+    spec in the list `specs`; yields one list of FieldSample per stream.  Each
+    stream is read as xi (`white_noise`, of the specs' one scalar type), then
+    (t_u, rho, theta) for each spec in order (`sample_t_u`).  Each sample is
+    phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v with r^2 = ||xi - t_1 v||^2;
+    C^{1/2} T, <T|C|T>, v and C^{1/2} v are formed once per call, v from the
+    factor, which keeps <T|phi_u> = sqrt(<T|C|T>) t_u exact to roundoff under
+    clipping.  Raises ValueError unless the specs share one scalar type."""
+    scalars = {spec.scalar for spec in specs}
+    if len(scalars) != 1:
+        raise ValueError(f"need specs of exactly one scalar type, got {sorted(scalars)}")
+    (scalar,) = scalars
     g = factor.grid
     s_t, tct = sqrt_tct(factor, t)
     v = s_t / math.sqrt(tct)
     s_v = factor.apply(v)
-    for xi, xi_draws in zip(noises, draws, strict=True):
+    for rng in rngs:
+        xi = white_noise(g.m, g.w, scalar, rng)
         phi = factor.apply(xi)
         t1 = inner(v, xi, g)
         rest = xi - t1 * v
         r2 = float(inner(rest, rest, g).real)
         samples = []
-        for spec, t_u, rho, theta in xi_draws:
+        for spec in specs:
+            t_u, rho, theta = sample_t_u(spec, tct, rng)
             values = phi + (t_u - t1) * s_v
-            values = values.real if spec.scalar == REAL else values
+            values = values.real if scalar == REAL else values
             values.setflags(write=False)
-            samples.append(FieldSample(values=values, scalar=spec.scalar, t_u=t_u, r2=r2,
+            samples.append(FieldSample(values=values, scalar=scalar, t_u=t_u, r2=r2,
                                        u=spec.u, rho=rho, theta=theta))
         yield samples
 
@@ -183,14 +191,8 @@ def sample_conditional(
     spec: ConditionSpec,
     rng: np.random.Generator,
 ) -> FieldSample:
-    """Draw phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v (see `condition_pathwise`),
-    which has the law of the adapted-basis split C^{1/2}(t_u v + xi_perp).
-
-    Both draws come from `rng`, in this order: the white noise xi
-    (`white_noise`), then (t_u, rho, theta) (`sample_t_u`).
+    """Draw phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v, which has the law of
+    the adapted-basis split C^{1/2}(t_u v + xi_perp): the one-spec, one-stream
+    call of `condition_pathwise`, so `rng` gives xi and then (t_u, rho, theta).
     """
-    g = factor.grid
-    _, tct = sqrt_tct(factor, t)
-    xi = white_noise(g.m, g.w, spec.scalar, rng)
-    t_u, rho, theta = sample_t_u(spec, tct, rng)
-    return next(condition_pathwise(factor, t, [xi], [[(spec, t_u, rho, theta)]]))[0]
+    return next(condition_pathwise(factor, t, [spec], [rng]))[0]

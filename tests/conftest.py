@@ -24,6 +24,19 @@ def adapted_split():
     return _adapted_split
 
 
+class _ZeroStream:
+    """Stand-in stream whose normals are all zero, so `white_noise` reads
+    xi = 0; a fixed-rho `sample_t_u` reads nothing else from it."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+@pytest.fixture
+def zero_stream():
+    return _ZeroStream()
+
+
 @pytest.fixture
 def deadline():
     """Fail the test after 20 s instead of stalling the suite on a hang."""

@@ -193,19 +193,22 @@ def test_write_json_rejects_non_finite(tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("argv, factorizations, cov_applies", [
-    (["profile"], 0, 1),
-    (["condition", "--u", "100"], 1, 1),
-    (["sweep", "--u-list", "10,100", "--mc", "20"], 1, 1),
-    (["verify", "prop1", "--mc", "1000"], 1, 1),
-    (["verify", "prop3"], 1, 1),
-    (["verify", "bounds", "--mc", "20"], 1, 1),
+@pytest.mark.parametrize("argv, factorizations, cov_applies, factor_applies", [
+    (["profile"], 0, 1, 0),
+    (["condition", "--u", "100"], 1, 1, 3),
+    (["sweep", "--u-list", "10,100", "--mc", "20"], 1, 1, 22),
+    (["verify", "prop1", "--mc", "1000"], 1, 1, 1),
+    (["verify", "prop3"], 1, 1, 3),
+    (["verify", "bounds", "--mc", "20"], 1, 1, 22),
 ], ids=["profile", "condition", "sweep", "prop1", "prop3", "bounds"])
 def test_one_factorization_per_command(tmp_path, monkeypatch, argv, factorizations,
-                                       cov_applies):
-    calls, applies = [], []
+                                       cov_applies, factor_applies):
+    # a conditioned draw applies the factor to T and v once per run and to
+    # each xi once: 2 + n_mc; prop1 applies it to T only
+    calls, applies, factor_calls = [], [], []
     sqrt_factor = covariance.sqrt_factor
     apply = covariance.CovOperator.apply
+    factor_apply = covariance.SqrtFactor.apply
 
     def counting(cov):
         calls.append(cov.grid.m)
@@ -215,12 +218,18 @@ def test_one_factorization_per_command(tmp_path, monkeypatch, argv, factorizatio
         applies.append(cov.grid.m)
         return apply(cov, phi)
 
+    def counting_factor_apply(factor, phi):
+        factor_calls.append(factor.grid.m)
+        return factor_apply(factor, phi)
+
     monkeypatch.setattr(covariance, "sqrt_factor", counting)
     monkeypatch.setattr(covariance.CovOperator, "apply", counting_apply)
+    monkeypatch.setattr(covariance.SqrtFactor, "apply", counting_factor_apply)
     out = tmp_path / ("o.json" if argv[0] == "verify" else "o.csv")
     assert run(argv + ["--grid", "64", "--out", str(out)]) == 0
     assert calls == [64] * factorizations
     assert applies == [64] * cov_applies
+    assert factor_calls == [64] * factor_applies
 
 
 @pytest.mark.parametrize("argv", [

@@ -56,20 +56,20 @@ def test_sup_distance_sign_flip(setup128):
     assert normalized_sup_distance(s, prof, g) == pytest.approx(expected, rel=1e-12)
 
 
-def test_sup_distance_zero_noise_sample(setup128):
+def test_sup_distance_zero_noise_sample(setup128, zero_stream):
     g, cov, fac, t, prof, k = setup128
     spec = ConditionSpec(u=3.0, mode=FIXED_RHO, rho=0.0)
-    (s,), = condition_pathwise(fac, t, [np.zeros(g.m)], [[(spec, 3.0, 0.0, 0.0)]])
+    (s,), = condition_pathwise(fac, t, [spec], [zero_stream])
     assert normalized_sup_distance(s, prof, g) < 1e-12
     with pytest.raises(errors.ZeroVector):
         normalized_sup_distance(FieldSample(values=np.zeros(g.m), scalar=REAL, t_u=1.0,
                                             r2=0.0, u=0.0, rho=0.0, theta=0.0), prof, g)
 
 
-def test_estimate0_zero_noise_vanishes(setup128):
+def test_estimate0_zero_noise_vanishes(setup128, zero_stream):
     g, cov, fac, t, prof, k = setup128
     spec = ConditionSpec(u=3.0, mode=FIXED_RHO, rho=0.0)
-    (s,), = condition_pathwise(fac, t, [np.zeros(g.m)], [[(spec, 3.0, 0.0, 0.0)]])
+    (s,), = condition_pathwise(fac, t, [spec], [zero_stream])
     rec = distance_record(s, k, g)
     assert rec.bound_rhs == pytest.approx(0.0, abs=1e-10)
     assert abs(rec.ratio) == pytest.approx(k.b_const, rel=1e-10)
@@ -227,8 +227,9 @@ EPS = np.finfo(float).eps
 def test_sweep_matches_adapted_basis_records(kernel, weight, scalar, mode, rho, theta,
                                              u_list, adapted_split):
     # every sweep record against one built from the adapted-basis split with
-    # the same substreams; distances (and at large u the bound) are
-    # differences of unit-scale vectors, so they get an absolute floor
+    # xi and then each threshold's draw, in u order, read from substream(seed, 0, i);
+    # distances (and at large u the bound) are differences of unit-scale
+    # vectors, so they get an absolute floor
     g = make_grid(0, 1, 128)
     cov = assemble(kernel, g)
     fac = sqrt_factor(cov)
@@ -241,10 +242,11 @@ def test_sweep_matches_adapted_basis_records(kernel, weight, scalar, mode, rho, 
                 theta=theta, seed=seed)
     ref = []
     for i in range(n_mc):
-        xi = white_noise(g.m, g.w, scalar, substream(seed, 0, i))
-        for j, u in enumerate(u_list):
+        rng = substream(seed, 0, i)
+        xi = white_noise(g.m, g.w, scalar, rng)
+        for u in u_list:
             spec = ConditionSpec(u=float(u), scalar=scalar, mode=mode, rho=rho, theta=theta)
-            t_u, rho_j, theta_j = sample_t_u(spec, tct, substream(seed, 1, j, i))
+            t_u, rho_j, theta_j = sample_t_u(spec, tct, rng)
             values, r2 = adapted_split(fac, t, xi, t_u, scalar)
             s = FieldSample(values=values, scalar=scalar, t_u=t_u, r2=r2, u=float(u),
                             rho=rho_j, theta=theta_j)
@@ -260,6 +262,45 @@ def test_sweep_matches_adapted_basis_records(kernel, weight, scalar, mode, rho, 
             assert abs(getattr(a, name) - getattr(b, name)) <= 64 * EPS
     assert rep.violations_est0 == sum(not r.est0_ok for r in ref)
     assert rep.violations_est12 == sum(r.applicable and not r.est12_ok for r in ref)
+
+
+@pytest.mark.parametrize("scalar", [REAL, COMPLEX])
+def test_sweep_record_is_the_conditional_draw_on_its_stream(setup128, scalar):
+    # one draw path: record i of a one-threshold sweep is sample_conditional on
+    # substream(seed, 0, i), field by field and bitwise
+    g, cov, fac, t, prof, k = setup128
+    spec = ConditionSpec(u=100.0, scalar=scalar, mode=RANDOM)
+    n_mc, seed = 6, 21
+    rep = sweep(fac, t, cov, [spec.u], n_mc, scalar=scalar, mode=RANDOM, seed=seed)
+    assert len(rep.records) == n_mc
+    for i, rec in enumerate(rep.records):
+        want = distance_record(sample_conditional(fac, t, spec, substream(seed, 0, i)), k, g, i)
+        for f in dataclasses.fields(rec):
+            assert getattr(rec, f.name) == getattr(want, f.name), f.name
+
+
+def test_sweep_builds_one_stream_per_sample(setup128, monkeypatch):
+    g, cov, fac, t, prof, k = setup128
+    builds = []
+
+    def counting_substream(*key):
+        builds.append(key)
+        return substream(*key)
+
+    monkeypatch.setattr(concentration.sp, "substream", counting_substream)
+    sweep(fac, t, cov, [10.0, 100.0, 1000.0], 4, scalar=REAL, mode=RANDOM, seed=8)
+    assert builds == [(8, 0, i) for i in range(4)]
+
+
+def test_sweep_records_do_not_depend_on_the_sample_count(setup128):
+    # sample i reads only its own stream, so a shorter sweep is a prefix of a
+    # longer one; the real rejection sampler reads a varying number of draws
+    g, cov, fac, t, prof, k = setup128
+    u_list = [10.0, 100.0, 1000.0]
+    short, long = (sweep(fac, t, cov, u_list, n_mc, scalar=REAL, mode=RANDOM, seed=5)
+                   for n_mc in (3, 5))
+    assert len(long.records) == 5 * len(u_list)
+    assert short.records == long.records[:3 * len(u_list)]
 
 
 @pytest.mark.parametrize("scalar", [REAL, COMPLEX])

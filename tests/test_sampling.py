@@ -42,10 +42,10 @@ def test_field_sample_needs_its_conditioning_record():
         FieldSample(values=np.ones(4), scalar=REAL, theta=0.0)
 
 
-def test_forced_zero_noise_gives_zero_field(setup64):
+def test_forced_zero_noise_gives_zero_field(setup64, zero_stream):
     g, cov, fac, t = setup64
-    (s,), = condition_pathwise(fac, t, [np.zeros(64)],
-                               [[(ConditionSpec(u=0.0, rho=0.0), 0.0, 0.0, 0.0)]])
+    (s,), = condition_pathwise(fac, t, [ConditionSpec(u=0.0, rho=0.0)], [zero_stream])
+    assert s.t_u == 0.0
     assert np.all(s.values == 0)
 
 
@@ -151,10 +151,11 @@ def test_conditional_event_complex_field(setup64):
             assert abs(s.t_u) ** 2 == pytest.approx(s.rho + u ** 2 / 1.0, rel=1e-10)
 
 
-def test_zero_noise_hook_gives_collinear_profile(setup64):
+def test_zero_noise_hook_gives_collinear_profile(setup64, zero_stream):
     g, cov, fac, t = setup64
     spec = ConditionSpec(u=3.0, mode=FIXED_RHO, rho=0.0)
-    (s,), = condition_pathwise(fac, t, [np.zeros(64)], [[(spec, 3.0, 0.0, 0.0)]])
+    (s,), = condition_pathwise(fac, t, [spec], [zero_stream])
+    assert s.t_u == pytest.approx(3.0, rel=1e-12)  # u / sqrt(tct), tct = 1
     expected = (3.0 / 1.0) * cov.apply(t.coeff)  # tct = 1 here
     assert np.allclose(s.values, expected, atol=1e-10)
     assert s.r2 == 0.0
@@ -238,11 +239,13 @@ def test_pathwise_matches_adapted_basis_split(kernel, n_clipped, scalar, adapted
     s_t = fac.apply(t.coeff)
     tct = float(inner(s_t, s_t, g).real)
     for i in range(20):
-        xi = white_noise(g.m, g.w, scalar, substream(30, 0, i))
         for u in (0.0, 10.0, 1e4, 1e8):
             spec = ConditionSpec(u=u, scalar=scalar, mode=RANDOM)
-            draw = sample_t_u(spec, tct, substream(30, 1, i))
-            (s,), = condition_pathwise(fac, t, [xi], [[(spec, *draw)]])
+            (s,), = condition_pathwise(fac, t, [spec], [substream(30, 0, i)])
+            # the reference reads xi and then the draw from a fresh stream, same key
+            rng = substream(30, 0, i)
+            xi = white_noise(g.m, g.w, scalar, rng)
+            draw = sample_t_u(spec, tct, rng)
             values, r2 = adapted_split(fac, t, xi, draw[0], scalar)
             assert np.max(np.abs(s.values - values)) <= 1e-12 * np.max(np.abs(values))
             assert s.r2 >= 0.0
@@ -263,27 +266,35 @@ def _assert_same_sample(a, b):
     (COMPLEX, RANDOM, 0.0),
 ])
 def test_condition_pathwise_stream_matches_single_calls(setup64, scalar, mode, theta):
-    # one call over three noise vectors, fed by generators, gives bitwise the
-    # samples of three one-vector calls; sample_conditional is one such call on
-    # xi and then (t_u, rho, theta), drawn in that order from its one stream
+    # one call over three streams, fed by a generator, gives bitwise the
+    # samples of three one-stream calls; each stream is read as xi and then
+    # (t_u, rho, theta) for each spec in order; sample_conditional is the
+    # one-spec, one-stream call
     g, cov, fac, t = setup64
     _, tct = sqrt_tct(fac, t)
     specs = [ConditionSpec(u=u, scalar=scalar, mode=mode, rho=2.0, theta=theta)
              for u in (0.0, 10.0, 1e6)]
-    noises = [white_noise(g.m, g.w, scalar, substream(3, 0, i)) for i in range(3)]
-    draws = [[(spec, *sample_t_u(spec, tct, substream(3, 1, j, i)))
-              for j, spec in enumerate(specs)] for i in range(3)]
-    streamed = list(condition_pathwise(fac, t, iter(noises), iter(draws)))
+    streamed = list(condition_pathwise(fac, t, specs, (substream(3, 0, i) for i in range(3))))
     assert [len(samples) for samples in streamed] == [3, 3, 3]
-    for xi, xi_draws, samples in zip(noises, draws, streamed):
-        (single,) = condition_pathwise(fac, t, [xi], [xi_draws])
+    for i, samples in enumerate(streamed):
+        (single,) = condition_pathwise(fac, t, specs, [substream(3, 0, i)])
         for got, want in zip(samples, single, strict=True):
             _assert_same_sample(got, want)
+        rng = substream(3, 0, i)
+        white_noise(g.m, g.w, scalar, rng)
+        assert [(s.t_u, s.rho, s.theta) for s in samples] == \
+            [sample_t_u(spec, tct, rng) for spec in specs]
     for spec in specs:
-        rng = substream(3, 2)
-        xi = white_noise(g.m, g.w, scalar, rng)
-        (want,), = condition_pathwise(fac, t, [xi], [[(spec, *sample_t_u(spec, tct, rng))]])
+        (want,), = condition_pathwise(fac, t, [spec], [substream(3, 2)])
         _assert_same_sample(sample_conditional(fac, t, spec, substream(3, 2)), want)
+
+
+def test_condition_pathwise_needs_specs_of_one_scalar_type(setup64):
+    # xi's scalar type comes from the specs, so it must be one type
+    g, cov, fac, t = setup64
+    for specs in ([], [ConditionSpec(u=1.0, scalar=REAL), ConditionSpec(u=2.0, scalar=COMPLEX)]):
+        with pytest.raises(ValueError, match="one scalar type"):
+            next(condition_pathwise(fac, t, specs, [substream(0, 0)]))
 
 
 @pytest.mark.parametrize("alpha", [1e155, 1e300])
