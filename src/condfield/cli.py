@@ -119,13 +119,15 @@ def _write_json(path: str, payload: dict):
         fh.write(text + "\n")
 
 
-def _write_csv(path: str, header, rows):
+def _write_csv(path: str, header, columns):
+    """Write equal-length arrays as CSV columns, NOISE_BLOCK rows at a time;
+    booleans as 0/1, and floats as repr(float), which csv writes for a float."""
+    columns = [c.astype(int) if c.dtype == bool else c for c in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
-                             else v for v in row])
+        for k in range(0, len(columns[0]), sp.NOISE_BLOCK):
+            writer.writerows(zip(*(c[k:k + sp.NOISE_BLOCK].tolist() for c in columns)))
 
 
 def cmd_profile(setup: _Setup, out) -> int:
@@ -136,8 +138,7 @@ def cmd_profile(setup: _Setup, out) -> int:
         curve = fn.analytic_derivative_curve(setup.kernel, setup.grid.points, t.x0, t.n)
     header = ["x", "profile_value"] + (["analytic_value"] if curve is not None else [])
     columns = [setup.grid.points, prof] + ([curve] if curve is not None else [])
-    _write_csv(out or "profile.csv", header,
-               ([float(v) for v in row] for row in zip(*columns)))
+    _write_csv(out or "profile.csv", header, columns)
     return EXIT_OK
 
 
@@ -150,23 +151,13 @@ def cmd_condition(setup: _Setup, out) -> int:
     rng = sp.substream(setup.seed, 3, 0)
     sample = sp.sample_conditional(setup.factor, setup.functional, spec, rng)
     rec = cc.distance_record(sample, consts, setup.grid)
-    rows = [
-        [float(x), float(np.real(v)), float(np.imag(v))]
-        for x, v in zip(setup.grid.points, sample.values)
-    ]
-    _write_csv(out, ["x", "re_phi", "im_phi"], rows)
+    _write_csv(out, ["x", "re_phi", "im_phi"],
+               [setup.grid.points, np.real(sample.values), np.imag(sample.values)])
     _write_json(_sidecar(out), {
-        "config": setup.config,
-        "u": float(setup.u),
-        "rho": float(sample.rho),
-        "theta": float(sample.theta),
-        "t_u_re": float(np.real(sample.t_u)),
-        "t_u_im": float(np.imag(sample.t_u)),
-        "r2": float(sample.r2),
-        "sup_dist": rec.sup_dist,
-        "l2_dist": rec.l2_dist,
-        "bound_rhs": rec.bound_rhs,
-    })
+        "config": setup.config, "u": float(setup.u), "rho": float(sample.rho),
+        "theta": float(sample.theta), "t_u_re": float(np.real(sample.t_u)),
+        "t_u_im": float(np.imag(sample.t_u)), "r2": float(sample.r2),
+        "sup_dist": rec.sup_dist, "l2_dist": rec.l2_dist, "bound_rhs": rec.bound_rhs})
     return EXIT_OK
 
 
@@ -179,22 +170,14 @@ def _sweep(setup: _Setup, u_list) -> cc.SweepReport:
 def cmd_sweep(setup: _Setup, out) -> int:
     out = out or "sweep.csv"
     report = _sweep(setup, setup.u_list)
-    rows = [
-        [r.u, r.sample_index, r.rho, r.theta, r.sup_dist, r.l2_dist, r.bound_rhs,
-         float(r.ratio.real), float(r.ratio.imag), r.r,
-         int(r.applicable), int(r.est0_ok), int(r.est12_ok)]
-        for r in report.records
-    ]
-    _write_csv(out, ["u", "sample_index", "rho", "theta", "sup_dist", "l2_dist",
-                     "bound_rhs", "ratio_re", "ratio_im", "r", "applicable",
-                     "est0_ok", "est12_ok"], rows)
+    c = report.columns
+    c = dict(c, ratio_re=c["ratio"].real, ratio_im=c["ratio"].imag)
+    header = ["u", "sample_index", "rho", "theta", "sup_dist", "l2_dist", "bound_rhs",
+              "ratio_re", "ratio_im", "r", "applicable", "est0_ok", "est12_ok"]
+    _write_csv(out, header, [c[name] for name in header])
     _write_json(_sidecar(out), {
-        "config": setup.config,
-        "per_u": list(report.per_u),
-        "slope": report.slope,
-        "violations_est0": report.violations_est0,
-        "violations_est12": report.violations_est12,
-    })
+        "config": setup.config, "per_u": list(report.per_u), "slope": report.slope,
+        "violations_est0": report.violations_est0, "violations_est12": report.violations_est12})
     if report.violations_est0 or report.violations_est12:
         print("theorem bound violated; see report", file=sys.stderr)
         return EXIT_VERIFY
@@ -221,7 +204,8 @@ def check_prop3(setup: _Setup) -> dict:
 def check_bounds(setup: _Setup) -> dict:
     report = _sweep(setup, [setup.u])
     # est12_ok is True wherever the chain does not apply
-    violations = sum(not r.est0_ok or not r.est12_ok for r in report.records)
+    c = report.columns
+    violations = int(np.count_nonzero(~c["est0_ok"] | ~c["est12_ok"]))
     return {"u": setup.u, "n_mc": setup.mc, "violations": violations,
             "passed": violations == 0}
 

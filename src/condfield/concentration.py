@@ -4,9 +4,13 @@ checks.
 
 Sweeps use a paired design (common random numbers): sample i reads its noise
 xi and then each threshold's draw, in ascending u, from substream(seed, 0, i),
-so the u -> infinity limit is observed along fixed noise realizations.
+so the u -> infinity limit is observed along fixed noise realizations.  The
+samples are drawn and scored NOISE_BLOCK at a time (`sp.condition_blocks`,
+`record_columns`), and the records are kept as columns.
 """
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -16,33 +20,31 @@ from . import covariance as cv
 from . import functionals as fn
 from . import sampling as sp
 from .errors import ConfigError, EmptyUList, ThresholdOverflow, ZeroVector
-from .grid import Grid, l2_norm, make_grid, sup_norm
+from .grid import Grid, l2_norm, l2_norms, make_grid, sup_norm
+from .sampling import NOISE_BLOCK
 
 BOUND_SLACK = 1e-9
-# Rows of noise `verify_prop1` holds at once (1 MB of complex noise at M = 512).
-# Rows come in sequence from one stream, so this caps memory only.
-NOISE_BLOCK = 128
 
 
-def _phase(sample: sp.FieldSample):
-    if sample.scalar == sp.COMPLEX:
-        return complex(math.cos(sample.theta), math.sin(sample.theta))
-    return 1.0
-
-
-def _normalized_diff(sample: sp.FieldSample, nrm: float, profile: np.ndarray,
-                     nrm_p: float) -> np.ndarray:
-    if nrm == 0.0 or nrm_p == 0.0:
+def _distances(sample: sp.FieldSample, profile: np.ndarray, nrm_p: float, grid: Grid):
+    """For a FieldSample or a block of them: per sample the phase e^{i theta},
+    N = ||phi_u||_2, and the sup and L2 norms of phi_u/N - e^{i theta} p/nrm_p."""
+    theta = np.atleast_1d(sample.theta)
+    phase = (np.cos(theta) + 1j * np.sin(theta) if sample.scalar == sp.COMPLEX
+             else np.ones(len(theta)))
+    values = np.atleast_2d(sample.values)
+    nrm = l2_norms(values, grid)
+    if nrm_p == 0.0 or not np.all(nrm):
         raise ZeroVector("cannot normalize a zero vector")
-    if not nrm < math.inf:  # also NaN, which an overflowing complex vdot gives
+    if not np.all(nrm < math.inf):  # also NaN
         raise ThresholdOverflow(f"||phi_u||^2 is not representable at u = {sample.u}")
-    return sample.values / nrm - _phase(sample) * np.asarray(profile) / nrm_p
+    diff = values / nrm[:, None] - phase[:, None] * np.asarray(profile) / nrm_p
+    return phase, nrm, np.abs(diff).max(axis=1), l2_norms(diff, grid)
 
 
 def normalized_sup_distance(sample: sp.FieldSample, profile: np.ndarray, grid: Grid) -> float:
     """|| phi_u/||phi_u||_2 - e^{i theta} p/||p||_2 ||_inf."""
-    return sup_norm(_normalized_diff(sample, l2_norm(sample.values, grid), profile,
-                                     l2_norm(profile, grid)))
+    return float(_distances(sample, profile, l2_norm(profile, grid), grid)[2][0])
 
 
 @dataclass(frozen=True)
@@ -61,13 +63,10 @@ class DistanceRecord:
     est12_ok: bool
 
 
-def distance_record(
-    sample: sp.FieldSample,
-    k: fn.TheoryConstants,
-    grid: Grid,
-    sample_index: int = 0,
-) -> DistanceRecord:
-    """Distances of one sample to the profile, and its check of the bound chain.
+def record_columns(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid) -> dict:
+    """Distances to the profile, and the check of the bound chain, of a
+    FieldSample or of a block of them (`sp.condition_blocks`): every
+    DistanceRecord field but sample_index, as an array with one entry per sample.
 
     With N = ||phi_u||_2, p = k.profile with ||p||_2 = k.profile_norm, A, B, D
     the other theory constants and r^2 the residual noise energy:
@@ -81,42 +80,38 @@ def distance_record(
     Each comparison allows BOUND_SLACK; est12_ok is True where the chain does
     not apply.
     """
-    nrm = l2_norm(sample.values, grid)
-    diff = _normalized_diff(sample, nrm, k.profile, k.profile_norm)
-    sup_d = sup_norm(diff)
+    phase, nrm, sup_d, l2_d = _distances(sample, k.profile, k.profile_norm, grid)
+    t_u, r2, rho, theta = map(np.atleast_1d, (sample.t_u, sample.r2, sample.rho, sample.theta))
     b = k.b_const
-    ratio = sample.t_u / nrm
-    a1 = abs(ratio - _phase(sample) * b)
-    resid = sample.r2 / nrm ** 2
-    rhs = k.a_const * math.sqrt(a1 ** 2 + resid)
-    tu_abs = abs(sample.t_u)
-    r = math.sqrt(sample.r2)
+    ratio = t_u / nrm
+    a1 = np.abs(ratio - phase * b)
+    resid = r2 / nrm ** 2
+    rhs = k.a_const * np.sqrt(a1 ** 2 + resid)
+    tu_abs = np.abs(t_u)
+    r = np.sqrt(r2)
     dr = k.d_const * r
     applicable = tu_abs > dr
-    est12 = True
-    if applicable:
-        tol = BOUND_SLACK * (1.0 + b)
-        lower = b / (1.0 + dr / tu_abs)
-        upper = b / (1.0 - dr / tu_abs)
+    tol = BOUND_SLACK * (1.0 + b)
+    with np.errstate(all="ignore"):  # held is not read where the chain does not apply
         resid_env = b * r / (tu_abs - dr)
-        est12 = ((lower - tol) <= tu_abs / nrm <= (upper + tol)
-                 and resid <= resid_env ** 2 + tol
-                 and a1 <= b * dr / (tu_abs - dr) + tol
-                 and math.sqrt(resid) <= resid_env + tol)
-    return DistanceRecord(
-        u=float(sample.u),
-        sample_index=int(sample_index),
-        rho=float(sample.rho),
-        theta=float(sample.theta),
-        sup_dist=sup_d,
-        l2_dist=l2_norm(diff, grid),
-        bound_rhs=rhs,
-        ratio=complex(ratio),
-        r=r,
-        applicable=applicable,
-        est0_ok=sup_d <= rhs + BOUND_SLACK * (1.0 + rhs),
-        est12_ok=est12,
-    )
+        held = ((b / (1.0 + dr / tu_abs) - tol <= tu_abs / nrm)
+                & (tu_abs / nrm <= b / (1.0 - dr / tu_abs) + tol)
+                & (resid <= resid_env ** 2 + tol)
+                & (a1 <= b * dr / (tu_abs - dr) + tol)
+                & (np.sqrt(resid) <= resid_env + tol))
+    return {"u": np.full(len(r), float(sample.u)), "rho": rho, "theta": theta,
+            "sup_dist": sup_d, "l2_dist": l2_d, "bound_rhs": rhs,
+            "ratio": ratio.astype(complex), "r": r, "applicable": applicable,
+            "est0_ok": sup_d <= rhs + BOUND_SLACK * (1.0 + rhs),
+            "est12_ok": ~applicable | held}
+
+
+def distance_record(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid,
+                    sample_index: int = 0) -> DistanceRecord:
+    """Distances of one sample to the profile, and its check of the bound
+    chain: the one-row call of `record_columns`."""
+    return DistanceRecord(sample_index=int(sample_index), **{
+        name: col[0].item() for name, col in record_columns(sample, k, grid).items()})
 
 
 @dataclass(frozen=True)
@@ -126,21 +121,19 @@ class SweepReport:
     slope: float | None
     violations_est0: int
     violations_est12: int
-    records: tuple = field(repr=False)
+    # one array per DistanceRecord field, in record order: sample i, then u
+    columns: dict = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def records(self) -> tuple:
+        """The records as DistanceRecord objects, built on first use."""
+        rows = zip(*(self.columns[f.name].tolist() for f in dataclasses.fields(DistanceRecord)))
+        return tuple(DistanceRecord(*row) for row in rows)
 
 
-def sweep(
-    factor: cv.SqrtFactor,
-    t: fn.LinearFunctional,
-    cov: cv.CovOperator,
-    u_list,
-    n_mc: int,
-    scalar: str = sp.COMPLEX,
-    mode: str = sp.FIXED_RHO,
-    rho: float = 1.0,
-    theta: float = 0.0,
-    seed: int = 0,
-) -> SweepReport:
+def sweep(factor: cv.SqrtFactor, t: fn.LinearFunctional, cov: cv.CovOperator, u_list,
+          n_mc: int, scalar: str = sp.COMPLEX, mode: str = sp.FIXED_RHO, rho: float = 1.0,
+          theta: float = 0.0, seed: int = 0) -> SweepReport:
     """Paired-seed sweep over thresholds; see module docstring."""
     u_list = [float(u) for u in u_list]
     if not u_list:
@@ -152,18 +145,17 @@ def sweep(
     if n_mc < 1:
         raise ValueError(f"n_mc must be >= 1, got {n_mc}")
 
-    grid = cov.grid
     consts = fn.constants(t, cov)
     rngs = (sp.substream(seed, 0, i) for i in range(n_mc))
-    records = [distance_record(sample, consts, grid, sample_index=i)
-               for i, samples in enumerate(sp.condition_pathwise(factor, t, specs, rngs))
-               for sample in samples]
-
-    # records run over (i, u), so column j of each array holds threshold u_list[j]
-    sup_d = np.array([r.sup_dist for r in records]).reshape(n_mc, len(u_list))
-    l2_d = np.array([r.l2_dist for r in records]).reshape(n_mc, len(u_list))
-    q10, q50, q90 = np.quantile(sup_d, [0.1, 0.5, 0.9], axis=0)
-    l2_q50 = np.quantile(l2_d, 0.5, axis=0)
+    # one dict per (block of samples, u), u fastest, so parts[j::len(specs)] are the
+    # blocks of u_list[j], which goes to column j of each (n_mc, len(u_list)) array
+    parts = [record_columns(s, consts, cov.grid)
+             for s in sp.condition_blocks(factor, t, specs, rngs)]
+    cols = {name: np.stack([np.concatenate([c[name] for c in parts[j::len(specs)]])
+                            for j in range(len(specs))], axis=1) for name in parts[0]}
+    cols["sample_index"] = np.repeat(np.arange(n_mc)[:, None], len(specs), axis=1)
+    q10, q50, q90 = np.quantile(cols["sup_dist"], [0.1, 0.5, 0.9], axis=0)
+    l2_q50 = np.quantile(cols["l2_dist"], 0.5, axis=0)
     per_u = [{"u": u, "q10": float(a), "q50": float(b), "q90": float(c), "l2_q50": float(d)}
              for u, a, b, c, d in zip(u_list, q10, q50, q90, l2_q50)]
     # the rate fit needs log u, so a leading u = 0 (the only possible one) is left out
@@ -171,22 +163,15 @@ def sweep(
     slope = (float(np.polyfit(np.log(u_list[skip:]), np.log(q50[skip:]), 1)[0])
              if len(u_list) - skip >= 2 else None)
     return SweepReport(
-        u_list=tuple(u_list),
-        per_u=tuple(per_u),
-        slope=slope,
-        violations_est0=sum(not r.est0_ok for r in records),
-        violations_est12=sum(r.applicable and not r.est12_ok for r in records),
-        records=tuple(records),
+        u_list=tuple(u_list), per_u=tuple(per_u), slope=slope,
+        violations_est0=int(np.count_nonzero(~cols["est0_ok"])),
+        violations_est12=int(np.count_nonzero(cols["applicable"] & ~cols["est12_ok"])),
+        columns={f.name: cols[f.name].ravel() for f in dataclasses.fields(DistanceRecord)},
     )
 
 
-def verify_prop1(
-    t: fn.LinearFunctional,
-    cov: cv.CovOperator,
-    n_mc: int,
-    seed: int = 0,
-    scalar: str = sp.COMPLEX,
-) -> dict:
+def verify_prop1(t: fn.LinearFunctional, cov: cv.CovOperator, n_mc: int, seed: int = 0,
+                 scalar: str = sp.COMPLEX) -> dict:
     """Finite-sample surrogate of the a.s. finiteness of <T|phi>: every sampled
     value finite, and the empirical variance close to <T|C|T>.
 
@@ -207,32 +192,14 @@ def verify_prop1(
     var_hat = float(np.mean(np.abs(vals) ** 2))
     tol = 5.0 / math.sqrt(n_mc) + 0.02
     rel_err = abs(var_hat / tct_val - 1.0)
-    return {
-        "n_mc": n_mc,
-        "all_finite": finite,
-        "var_hat": var_hat,
-        "tct": tct_val,
-        "rel_err": rel_err,
-        "tolerance": tol,
-        "passed": finite and rel_err <= tol,
-    }
+    return {"n_mc": n_mc, "all_finite": finite, "var_hat": var_hat, "tct": tct_val,
+            "rel_err": rel_err, "tolerance": tol, "passed": finite and rel_err <= tol}
 
 
-def verify_prop3(
-    kernel,
-    x0: float,
-    n: int,
-    order: int,
-    u_big: float,
-    a: float = 0.0,
-    b: float = 1.0,
-    m: int = 256,
-    scalar: str = sp.COMPLEX,
-    mode: str = sp.FIXED_RHO,
-    rho: float = 1.0,
-    theta: float = 0.0,
-    seed: int = 0,
-) -> dict:
+def verify_prop3(kernel, x0: float, n: int, order: int, u_big: float, a: float = 0.0,
+                 b: float = 1.0, m: int = 256, scalar: str = sp.COMPLEX,
+                 mode: str = sp.FIXED_RHO, rho: float = 1.0, theta: float = 0.0,
+                 seed: int = 0) -> dict:
     """Condition on a large n-th derivative at x0 and compare the normalized
     profile and sample against the normalized analytic curve d^n C(x, x0)/d x0^n.
     A nonsmooth kernel (n >= 1) has no curve: it raises `smoothness_warning`,

@@ -136,7 +136,15 @@ class SqrtFactor:
     n_clipped: int
 
     def apply(self, phi) -> np.ndarray:
-        return self.s @ _check(phi, self.grid)
+        """s @ phi for a vector; for an (n, M) block, s applied to every row in one
+        real GEMM, block @ s, with a complex block's real rows on its imaginary rows."""
+        if np.ndim(phi) == 1:
+            return self.s @ _check(phi, self.grid)
+        phi = _check(phi, self.grid, rows=True)
+        if not np.iscomplexobj(phi):
+            return phi @ self.s
+        re, im = np.split(np.concatenate((phi.real, phi.imag)) @ self.s, 2)
+        return re + 1j * im
 
 
 def sqrt_factor(cov: CovOperator) -> SqrtFactor:

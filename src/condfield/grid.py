@@ -6,8 +6,8 @@ All field vectors in the package are plain numpy arrays of point values on a
     <psi|phi> = w * sum_i conj(psi_i) * phi_i,   w = (b - a) / M,
 
 conjugate-linear in the first argument.  Every other module goes through
-``inner`` / ``l2_norm`` / ``sup_norm`` so the weight bookkeeping lives here
-and nowhere else.
+``inner`` / ``l2_norm`` / ``sup_norm``, or their row forms on (n, M) blocks, so
+the weight bookkeeping lives here and nowhere else.
 """
 
 import numbers
@@ -46,10 +46,10 @@ def make_grid(a: float, b: float, m: int) -> Grid:
     return Grid(a=float(a), b=float(b), m=int(m), points=points, w=h)
 
 
-def _check(phi: np.ndarray, grid: Grid) -> np.ndarray:
-    phi = np.asarray(phi)
-    if phi.shape != (grid.m,):
-        raise LengthMismatch(f"vector of shape {phi.shape} on grid with M={grid.m}")
+def _check(phi: np.ndarray, grid: Grid, rows: bool = False) -> np.ndarray:
+    phi = np.asarray(phi)  # a vector, or an (n, M) block where `rows` is set
+    if phi.ndim != 1 + rows or phi.shape[-1] != grid.m:
+        raise LengthMismatch(f"array of shape {phi.shape} on grid with M={grid.m}")
     return phi
 
 
@@ -64,18 +64,35 @@ def inner(psi, phi, grid: Grid):
 _UNDERFLOW = np.finfo(float).tiny / np.finfo(float).eps
 
 
-def l2_norm(phi, grid: Grid) -> float:
-    """Weighted L2 norm, sqrt(<phi|phi>).  Weighting the real part alone keeps
-    an overflowing sum at inf, with no NaN from the zero imaginary part.  A
-    nonzero phi whose sum underflows is scaled by max_i |phi_i| first."""
-    phi = _check(phi, grid)
-    sq = grid.w * np.vdot(phi, phi).real
-    if sq < _UNDERFLOW:
-        scale = sup_norm(phi)
+def inners(psi, block, grid: Grid) -> np.ndarray:
+    """<psi|row> for each row of an (n, M) block, summed row by row."""
+    return grid.w * (_check(block, grid, rows=True) * _check(psi, grid).conj()).sum(axis=1)
+
+
+def _sum_squares(x: np.ndarray) -> np.ndarray:
+    # of the real and imaginary parts, so an overflowing sum is inf (callers check), not NaN
+    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    with np.errstate(over="ignore"):
+        return sum(np.square(part).sum(axis=-1) for part in parts)
+
+
+def l2_norms(block, grid: Grid) -> np.ndarray:
+    """Weighted L2 norm of each row of an (n, M) block, summed row by row.  A
+    nonzero row whose weighted sum of squares underflows is scaled by its
+    max_i |phi_i| first."""
+    block = _check(block, grid, rows=True)
+    sq = grid.w * _sum_squares(block)
+    nrm = np.sqrt(sq)
+    for i in np.flatnonzero(sq < _UNDERFLOW):
+        scale = sup_norm(block[i])
         if scale > 0.0:
-            unit = phi / scale
-            return float(scale * np.sqrt(grid.w * np.vdot(unit, unit).real))
-    return float(np.sqrt(sq))
+            nrm[i] = scale * np.sqrt(grid.w * _sum_squares(block[i] / scale))
+    return nrm
+
+
+def l2_norm(phi, grid: Grid) -> float:
+    """Weighted L2 norm, sqrt(<phi|phi>): the one-row call of `l2_norms`."""
+    return float(l2_norms(_check(phi, grid)[None], grid)[0])
 
 
 def sup_norm(phi) -> float:

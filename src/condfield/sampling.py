@@ -5,8 +5,10 @@ white with respect to the weighted inner product.  A conditional draw adds a
 rank-one update (Matheron's rule): phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v,
 with v = C^{1/2} T / sqrt(<T|C|T>), t_1 = <v|xi> and |t_u|^2 = rho + u^2/<T|C|T>.
 This equals the adapted-basis split C^{1/2}(t_u v + xi_perp), so it has the
-same law, and |<T|phi_u>| >= u exactly.  Only xi changes between samples:
-`condition_pathwise` forms v and C^{1/2} v once per call.
+same law, and |<T|phi_u>| >= u exactly.  `condition_blocks` forms v and
+C^{1/2} v once per call and draws NOISE_BLOCK samples at a time: one GEMM
+applies the factor to their xi rows, zero-padded to NOISE_BLOCK rows, so a
+one-sample call gives bitwise the draw of a sweep; t_1 and r^2 are row sums.
 
 Reproducibility: streams are counter-based (Philox) and splittable.  A
 conditioned sample is one stream read in one order: xi, then (t_u, rho,
@@ -17,6 +19,7 @@ stream, substream(seed, 0), read in fixed-size blocks whose size does not
 change the draws.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -25,13 +28,18 @@ import numpy as np
 from .covariance import SqrtFactor
 from .errors import DegenerateFunctional, GridMismatch, NegativeU, ThresholdOverflow
 from .functionals import LinearFunctional
-from .grid import inner
+from .grid import inner, inners, l2_norms
 
 REAL = "real"
 COMPLEX = "complex"
 
 FIXED_RHO = "fixed-rho"
 RANDOM = "random"
+
+# Rows of noise drawn and multiplied at once (1 MB of complex noise at M = 512).
+# Conditioned blocks are zero-padded to this many rows: a GEMM row is bitwise
+# the same at every position of a block of fixed width, not across widths.
+NOISE_BLOCK = 128
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -65,7 +73,8 @@ class ConditionSpec:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """One realization plus its conditioning record."""
+    """One realization plus its conditioning record; in a block of them
+    (`condition_blocks`), values, t_u, r2, rho and theta have a sample axis."""
 
     values: np.ndarray = field(repr=False)
     scalar: str
@@ -84,12 +93,16 @@ def white_noise(m: int, w: float, scalar: str, rng: np.random.Generator,
     With a count `n`, an (n, m) block whose row k is bitwise the k-th of n
     successive single draws from the same `rng`."""
     lead = () if n is None else (n,)
-    if scalar == COMPLEX:
-        g = rng.standard_normal(lead + (2 * m,))
-        t = (g[..., :m] + 1j * g[..., m:]) / np.sqrt(2.0)
-    else:
-        t = rng.standard_normal(lead + (m,))
-    return t / np.sqrt(w)
+    if scalar == REAL:
+        return rng.standard_normal(lead + (m,)) / np.sqrt(w)
+    g = rng.standard_normal(lead + (2 * m,))
+    # complex / real multiplies by the reciprocal, so scaling g in place gives
+    # bitwise ((re + 1j im) / sqrt(2)) / sqrt(w), with no complex temporaries
+    g *= 1.0 / np.sqrt(2.0)
+    g *= 1.0 / np.sqrt(w)
+    out = np.empty(lead + (m,), complex)
+    out.real, out.imag = g[..., :m], g[..., m:]
+    return out
 
 
 def truncated_normal_lower(alpha: float, rng: np.random.Generator) -> float:
@@ -151,15 +164,15 @@ def sqrt_tct(factor: SqrtFactor, t: LinearFunctional):
     return s_t, tct
 
 
-def condition_pathwise(factor: SqrtFactor, t: LinearFunctional, specs, rngs):
-    """Condition one sample per stream in `rngs` (consumed lazily) on every
-    spec in the list `specs`; yields one list of FieldSample per stream.  Each
-    stream is read as xi (`white_noise`, of the specs' one scalar type), then
-    (t_u, rho, theta) for each spec in order (`sample_t_u`).  Each sample is
-    phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v with r^2 = ||xi - t_1 v||^2;
-    C^{1/2} T, <T|C|T>, v and C^{1/2} v are formed once per call, v from the
-    factor, which keeps <T|phi_u> = sqrt(<T|C|T>) t_u exact to roundoff under
-    clipping.  Raises ValueError unless the specs share one scalar type."""
+def condition_blocks(factor: SqrtFactor, t: LinearFunctional, specs, rngs):
+    """Condition one sample per stream in `rngs`, read NOISE_BLOCK streams at a
+    time, on every spec in the list `specs`; yields for each block of streams
+    one FieldSample block per spec, in order.  Each stream is read as xi
+    (`white_noise`, of the specs' one scalar type), then (t_u, rho, theta) for
+    each spec in order (`sample_t_u`).  Each sample is phi_u = C^{1/2} xi +
+    (t_u - t_1) C^{1/2} v with r^2 = ||xi - t_1 v||^2; v comes from the factor,
+    which keeps <T|phi_u> = sqrt(<T|C|T>) t_u exact to roundoff under clipping.
+    Raises ValueError unless the specs share one scalar type."""
     scalars = {spec.scalar for spec in specs}
     if len(scalars) != 1:
         raise ValueError(f"need specs of exactly one scalar type, got {sorted(scalars)}")
@@ -168,29 +181,40 @@ def condition_pathwise(factor: SqrtFactor, t: LinearFunctional, specs, rngs):
     s_t, tct = sqrt_tct(factor, t)
     v = s_t / math.sqrt(tct)
     s_v = factor.apply(v)
-    for rng in rngs:
-        xi = white_noise(g.m, g.w, scalar, rng)
-        phi = factor.apply(xi)
-        t1 = inner(v, xi, g)
-        rest = xi - t1 * v
-        r2 = float(inner(rest, rest, g).real)
-        samples = []
-        for spec in specs:
-            t_u, rho, theta = sample_t_u(spec, tct, rng)
-            values = phi + (t_u - t1) * s_v
-            values = values.real if scalar == REAL else values
-            values.setflags(write=False)
-            samples.append(FieldSample(values=values, scalar=scalar, t_u=t_u, r2=r2,
-                                       u=spec.u, rho=rho, theta=theta))
-        yield samples
+    rngs = iter(rngs)
+    while chunk := list(itertools.islice(rngs, NOISE_BLOCK)):
+        n = len(chunk)
+        xi = np.zeros((NOISE_BLOCK, g.m), complex if scalar == COMPLEX else float)
+        t_u = np.empty((n, len(specs)), xi.dtype)
+        rho, theta = np.empty((2, n, len(specs)))
+        for i, rng in enumerate(chunk):
+            xi[i] = white_noise(g.m, g.w, scalar, rng)
+            for j, spec in enumerate(specs):
+                t_u[i, j], rho[i, j], theta[i, j] = sample_t_u(spec, tct, rng)
+        phi = factor.apply(xi)[:n]
+        t1 = inners(v, xi[:n], g)
+        r2 = l2_norms(xi[:n] - t1[:, None] * v, g) ** 2
+        for j, spec in enumerate(specs):
+            yield FieldSample(values=phi + (t_u[:, j] - t1)[:, None] * s_v, scalar=scalar,
+                              t_u=t_u[:, j], r2=r2, u=spec.u, rho=rho[:, j], theta=theta[:, j])
 
 
-def sample_conditional(
-    factor: SqrtFactor,
-    t: LinearFunctional,
-    spec: ConditionSpec,
-    rng: np.random.Generator,
-) -> FieldSample:
+def condition_pathwise(factor: SqrtFactor, t: LinearFunctional, specs, rngs):
+    """`condition_blocks` one stream at a time: yields, per stream in `rngs`,
+    one list of read-only FieldSample, one per spec."""
+    blocks = condition_blocks(factor, t, specs, rngs)
+    for first in blocks:  # the first spec's block, then the other specs' on the same streams
+        block = [first, *itertools.islice(blocks, len(specs) - 1)]
+        for s in block:
+            s.values.setflags(write=False)
+        for i in range(len(block[0].r2)):
+            yield [FieldSample(values=s.values[i], scalar=s.scalar, t_u=s.t_u[i].item(),
+                               r2=float(s.r2[i]), u=s.u, rho=float(s.rho[i]),
+                               theta=float(s.theta[i])) for s in block]
+
+
+def sample_conditional(factor: SqrtFactor, t: LinearFunctional, spec: ConditionSpec,
+                       rng: np.random.Generator) -> FieldSample:
     """Draw phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v, which has the law of
     the adapted-basis split C^{1/2}(t_u v + xi_perp): the one-spec, one-stream
     call of `condition_pathwise`, so `rng` gives xi and then (t_u, rho, theta).

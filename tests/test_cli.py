@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -196,15 +197,16 @@ def test_write_json_rejects_non_finite(tmp_path):
 @pytest.mark.parametrize("argv, factorizations, cov_applies, factor_applies", [
     (["profile"], 0, 1, 0),
     (["condition", "--u", "100"], 1, 1, 3),
-    (["sweep", "--u-list", "10,100", "--mc", "20"], 1, 1, 22),
+    (["sweep", "--u-list", "10,100", "--mc", "20"], 1, 1, 3),
     (["verify", "prop1", "--mc", "1000"], 1, 1, 1),
     (["verify", "prop3"], 1, 1, 3),
-    (["verify", "bounds", "--mc", "20"], 1, 1, 22),
+    (["verify", "bounds", "--mc", "20"], 1, 1, 3),
 ], ids=["profile", "condition", "sweep", "prop1", "prop3", "bounds"])
 def test_one_factorization_per_command(tmp_path, monkeypatch, argv, factorizations,
                                        cov_applies, factor_applies):
     # a conditioned draw applies the factor to T and v once per run and to
-    # each xi once: 2 + n_mc; prop1 applies it to T only
+    # each block of NOISE_BLOCK xi rows once: 2 + ceil(n_mc / NOISE_BLOCK);
+    # prop1 applies it to T only
     calls, applies, factor_calls = [], [], []
     sqrt_factor = covariance.sqrt_factor
     apply = covariance.CovOperator.apply
@@ -364,3 +366,49 @@ def test_verify_prop3_without_a_curve_exits_2(tmp_path, kernel, spec, functional
     assert run(["verify", "prop3", "--grid", "64", "--kernel", spec, "--functional", functional,
                 "--out", str(tmp_path / "v.json")]) == 2
     assert not any(tmp_path.iterdir())
+
+
+def _row_by_row_csv(header, rows) -> bytes:
+    # the row-at-a-time writer the column writer replaced: floats as repr(float)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                         for v in row])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("functional", ["point:0.5", "integral:cosine"])
+def test_profile_csv_is_the_row_by_row_csv(tmp_path, functional):
+    out = tmp_path / "p.csv"
+    assert run(["profile", "--functional", functional, "--grid", "64", "--out", str(out)]) == 0
+    g = cf.make_grid(0, 1, 64)
+    kernel = cf.SquaredExponential(1, 0.2)
+    t = cf.functional_from_spec(functional, g)
+    columns = [g.points, cf.profile(t, cf.assemble(kernel, g))]
+    header = ["x", "profile_value"]
+    if t.kind == "point":
+        columns.append(cf.analytic_derivative_curve(kernel, g.points, t.x0, t.n))
+        header.append("analytic_value")
+    want = _row_by_row_csv(header, ([float(v) for v in row] for row in zip(*columns)))
+    assert out.read_bytes() == want
+
+
+@pytest.mark.parametrize("scalar, mode", [("complex", "fixed-rho:1:0.3"), ("real", "random")])
+def test_sweep_csv_keeps_its_header_and_float_format(tmp_path, scalar, mode):
+    # more rows than one NOISE_BLOCK, so the CSV is written in several blocks
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--grid", "64", "--u-list", "10,1000", "--mc", "70", "--scalar", scalar,
+            "--mode", mode, "--seed", "3", "--out", str(out)]
+    assert run(argv) == 0
+    setup = cli._Setup(cli.build_parser().parse_args(argv))
+    records = cli._sweep(setup, setup.u_list).records
+    want = _row_by_row_csv(
+        ["u", "sample_index", "rho", "theta", "sup_dist", "l2_dist", "bound_rhs",
+         "ratio_re", "ratio_im", "r", "applicable", "est0_ok", "est12_ok"],
+        ([r.u, r.sample_index, r.rho, r.theta, r.sup_dist, r.l2_dist, r.bound_rhs,
+          float(r.ratio.real), float(r.ratio.imag), r.r,
+          int(r.applicable), int(r.est0_ok), int(r.est12_ok)] for r in records))
+    assert len(records) == 140
+    assert out.read_bytes() == want

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from condfield.grid import inner, l2_norm, make_grid, sup_norm
 from condfield.sampling import (
     COMPLEX,
     FIXED_RHO,
+    NOISE_BLOCK,
     RANDOM,
     REAL,
     ConditionSpec,
@@ -301,6 +303,56 @@ def test_sweep_records_do_not_depend_on_the_sample_count(setup128):
                    for n_mc in (3, 5))
     assert len(long.records) == 5 * len(u_list)
     assert short.records == long.records[:3 * len(u_list)]
+
+
+def _same_columns(a, b):
+    return a.keys() == b.keys() and all(a[k].dtype == b[k].dtype
+                                        and a[k].tobytes() == b[k].tobytes() for k in a)
+
+
+@pytest.mark.parametrize("scalar", [REAL, COMPLEX])
+def test_sweep_records_past_one_block_are_a_prefix(setup128, scalar):
+    # every block is zero-padded to NOISE_BLOCK rows, so a record depends neither
+    # on n_mc nor on its position in its block
+    g, cov, fac, t, prof, k = setup128
+    u_list = [10.0, 1000.0]
+    short, long = (sweep(fac, t, cov, u_list, n_mc, scalar=scalar, mode=RANDOM, seed=6)
+                   for n_mc in (NOISE_BLOCK + 3, 2 * NOISE_BLOCK))
+    cut = (NOISE_BLOCK + 3) * len(u_list)
+    assert _same_columns(short.columns, {name: col[:cut] for name, col in long.columns.items()})
+    assert short.records == long.records[:cut]
+
+
+@pytest.mark.parametrize("scalar", [REAL, COMPLEX])
+def test_sweep_record_in_the_second_block_is_the_conditional_draw(setup128, scalar):
+    g, cov, fac, t, prof, k = setup128
+    spec = ConditionSpec(u=100.0, scalar=scalar, mode=RANDOM)
+    i, seed = NOISE_BLOCK + 1, 23
+    rep = sweep(fac, t, cov, [spec.u], NOISE_BLOCK + 2, scalar=scalar, mode=RANDOM, seed=seed)
+    want = distance_record(sample_conditional(fac, t, spec, substream(seed, 0, i)), k, g, i)
+    for f in dataclasses.fields(want):
+        assert getattr(rep.records[i], f.name) == getattr(want, f.name), f.name
+
+
+def test_sweep_memory_holds_no_field_per_record():
+    # past the first block, the sweep keeps a few scalars per record (about 100
+    # bytes) and no field vector (2 kB each at M = 256); its records are built
+    # only on request
+    g = make_grid(0, 1, 256)
+    cov = assemble(Exponential(1, 0.1), g)
+    fac = sqrt_factor(cov)
+    t = make_point_functional(g, 0.5)
+
+    def peak(n_mc):
+        tracemalloc.start()
+        try:
+            sweep(fac, t, cov, [10.0, 1000.0], n_mc, scalar=REAL, mode=RANDOM, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(NOISE_BLOCK), peak(8 * NOISE_BLOCK)
+    assert (large - small) / (2 * 7 * NOISE_BLOCK) <= 256
 
 
 @pytest.mark.parametrize("scalar", [REAL, COMPLEX])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from condfield import errors
-from condfield.grid import inner, l2_norm, make_grid, sup_norm
+from condfield.grid import inner, inners, l2_norm, l2_norms, make_grid, sup_norm
 
 
 def test_make_grid_midpoints():
@@ -128,3 +128,36 @@ def test_grids_compare_and_hash_by_value():
     assert g1 is not g2
     assert g1 == g2 and hash(g1) == hash(g2)
     assert g1 != make_grid(0, 1, 65) and g1 != make_grid(0, 2, 64)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_l2_norms_rescale_an_underflowing_row_in_a_block(dtype):
+    # a block mixing an ordinary row, rows whose sum of squares underflows and
+    # a zero row: each row's norm is its one-row norm, and the tiny rows are
+    # rescaled as l2_norm rescales a vector
+    g = make_grid(-2, 3, 24)
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0.5, 2.0, 24).astype(dtype)
+    if dtype is complex:
+        x = x + 1j * rng.uniform(0.5, 2.0, 24)
+    c = [1.0, 1e-160, 1e-300, 0.0]
+    block = np.array([ci * x for ci in c])
+    norms = l2_norms(block, g)
+    ref = np.sqrt(g.w * np.sum(np.abs(x) ** 2))
+    for row, ci, nrm in zip(block, c, norms):
+        assert nrm == l2_norm(row, g)
+        assert abs(nrm - ci * ref) <= 8 * np.finfo(float).eps * ci * ref
+    assert norms[-1] == 0.0
+
+
+def test_inners_are_the_rows_inner_products():
+    g = make_grid(0, 2, 9)
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=9)
+    block = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
+    got = inners(psi, block, g)
+    for row, value in zip(block, got):
+        assert value == pytest.approx(inner(psi, row, g), rel=1e-14)
+    assert inners(psi, block[2:3], g)[0] == got[2]
+    with pytest.raises(errors.LengthMismatch):
+        l2_norms(np.ones(9), g)

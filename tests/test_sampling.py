@@ -116,6 +116,22 @@ def test_white_noise_block_rows_are_successive_draws(scalar):
     assert block.tobytes() == singles.tobytes()
 
 
+@pytest.mark.parametrize("scalar", [REAL, COMPLEX])
+@pytest.mark.parametrize("n", [None, 7])
+@pytest.mark.parametrize("m, w", [(16, 0.25), (64, 1.0 / 64), (33, 0.3)])
+def test_white_noise_is_bitwise_the_plain_expression(scalar, n, m, w):
+    # complex: ((re + 1j im) / sqrt(2)) / sqrt(w) from one read of 2m normals a row
+    lead = () if n is None else (n,)
+    for seed in range(4):
+        got = white_noise(m, w, scalar, substream(seed, 5), n=n)
+        g = substream(seed, 5).standard_normal(lead + ((2 * m,) if scalar == COMPLEX else (m,)))
+        if scalar == COMPLEX:
+            g = (g[..., :m] + 1j * g[..., m:]) / np.sqrt(2.0)
+        want = g / np.sqrt(w)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_truncated_normal_half_normal_mean():
     # analytic oracle: mean of |N(0,1)| is sqrt(2/pi)
     rng = substream(17, 0)
