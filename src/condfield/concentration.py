@@ -175,18 +175,17 @@ def verify_prop1(t: fn.LinearFunctional, cov: cv.CovOperator, n_mc: int, seed: i
     """Finite-sample surrogate of the a.s. finiteness of <T|phi>: every sampled
     value finite, and the empirical variance close to <T|C|T>.
 
-    The n_mc noise vectors are successive draws from the one stream
-    substream(seed, 0), read NOISE_BLOCK rows at a time."""
+    The n_mc coefficient vectors (P each, the factor's rank) are successive
+    draws from the one stream substream(seed, 0), read NOISE_BLOCK rows at a time."""
     if n_mc < 1000:
         raise ValueError(f"need n_mc >= 1000, got {n_mc}")
     tct_val = fn.tct(t, cov)
-    grid = cov.grid
-    # <T|C^{1/2} xi> = <C^{1/2} T|xi>: one matvec per block of draws, none per draw
-    s_t, _ = sp.sqrt_tct(cv.sqrt_factor(cov), t)
+    factor = cv.sqrt_factor(cov)
+    # <T|L g> = <w L^T T|g>: one matvec per block of draws, none per draw
+    l_t, _ = sp.sqrt_tct(factor, t)
     rng = sp.substream(seed, 0)
     vals = np.concatenate([
-        grid.w * (sp.white_noise(grid.m, grid.w, scalar, rng, n=min(NOISE_BLOCK, n_mc - k))
-                  @ s_t.conj())
+        sp.white_noise(factor.rank, scalar, rng, n=min(NOISE_BLOCK, n_mc - k)) @ l_t.conj()
         for k in range(0, n_mc, NOISE_BLOCK)])
     finite = bool(np.all(np.isfinite(vals)))
     var_hat = float(np.mean(np.abs(vals) ** 2))

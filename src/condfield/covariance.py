@@ -1,4 +1,4 @@
-"""Covariance kernels, the discretized covariance operator and its square root.
+"""Covariance kernels, the discretized covariance operator and its factor.
 
 Coordinate convention (the single source of truth for weight bookkeeping):
 field vectors hold point values, the operator matrix is ``op = w * K`` with
@@ -7,14 +7,16 @@ approximation of the integral operator.  With this convention the pointwise
 variance of generated samples equals the kernel diagonal C(x, x), while
 orthonormality of eigenmodes is with respect to the weighted inner product:
 a plain-orthonormal eigenvector v corresponds to the weighted-orthonormal
-mode v / sqrt(w).
+mode v / sqrt(w).  A field is the factor applied to i.i.d. standard
+coefficients, one per mode of nonzero eigenvalue.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidKernelParams, NotPositive
+from .errors import InvalidKernelParams, LengthMismatch, NotPositive
 from .grid import Grid, _check
 
 DEFAULT_CLIP_TOL = 1e-12
@@ -127,56 +129,63 @@ def point_variance_max(cov: CovOperator) -> float:
 
 @dataclass(frozen=True)
 class SqrtFactor:
-    """Symmetric square root of the covariance operator op = w * K, from eigh."""
+    """Factor L = V_P sqrt(Lambda_P / w) of K = op / w = L L^T, from eigh: the
+    P = M - n_clipped eigenpairs of op that the clip leaves nonzero.  Column n
+    is the Karhunen-Loeve term sqrt(lam_n) e_n; the adjoint of L is w L^T."""
 
     grid: Grid
-    s: np.ndarray = field(repr=False)  # symmetric, s @ s == op
-    eigenvalues: np.ndarray = field(repr=False)  # of op, descending, post-clip
+    modes: np.ndarray = field(repr=False)  # L, M x P, columns by descending eigenvalue
+    eigenvalues: np.ndarray = field(repr=False)  # of op, all M, descending, post-clip
     clip_tol: float
     n_clipped: int
 
-    def apply(self, phi) -> np.ndarray:
-        """s @ phi for a vector; for an (n, M) block, s applied to every row in one
-        real GEMM, block @ s, with a complex block's real rows on its imaginary rows."""
-        if np.ndim(phi) == 1:
-            return self.s @ _check(phi, self.grid)
-        phi = _check(phi, self.grid, rows=True)
-        if not np.iscomplexobj(phi):
-            return phi @ self.s
-        re, im = np.split(np.concatenate((phi.real, phi.imag)) @ self.s, 2)
+    @property
+    def rank(self) -> int:
+        return self.modes.shape[1]
+
+    @functools.cached_property
+    def s(self) -> np.ndarray:
+        """Symmetric root of op, V_P sqrt(Lambda_P) V_P^T, formed on first read."""
+        b = self.modes * np.sqrt(self.grid.w / np.sqrt(self.eigenvalues[:self.rank]))
+        s = b @ b.T  # b = V_P Lambda_P^{1/4}
+        s.setflags(write=False)
+        return s
+
+    def apply(self, g) -> np.ndarray:
+        """L g for P coefficients g, or for each row of an (n, P) block in one
+        real GEMM, with a complex block's real rows on its imaginary rows."""
+        g = np.asarray(g)
+        if g.ndim not in (1, 2) or g.shape[-1] != self.rank:
+            raise LengthMismatch(f"noise of shape {g.shape} for a factor of rank {self.rank}")
+        if not np.iscomplexobj(g):
+            return g @ self.modes.T
+        parts = np.stack((g.real, g.imag))
+        re, im = (parts.reshape(-1, self.rank) @ self.modes.T).reshape(parts.shape[:-1] + (-1,))
         return re + 1j * im
 
 
 def sqrt_factor(cov: CovOperator) -> SqrtFactor:
-    """Spectral square root of op, clipping roundoff-negative eigenvalues.
+    """Spectral factor of op, clipping roundoff-negative eigenvalues.
 
     Eigenvalues in the fixed window [-DEFAULT_CLIP_TOL * lam_max, 0] are set to
-    zero; anything below it means the kernel was not positive semidefinite and
-    raises.  The window is recorded as `SqrtFactor.clip_tol`.
+    zero, and their modes dropped; anything below it means the kernel was not
+    positive semidefinite and raises.  The window is `SqrtFactor.clip_tol`.
     """
     lam, vec = np.linalg.eigh(cov.op)
-    lam_max = float(lam[-1])
-    floor = -DEFAULT_CLIP_TOL * max(lam_max, 0.0)
+    floor = -DEFAULT_CLIP_TOL * max(float(lam[-1]), 0.0)
     if lam[0] < floor:
         raise NotPositive(
             f"eigenvalue {lam[0]:.3e} below the clip window {floor:.3e}; "
             "covariance is not positive semidefinite"
         )
-    clipped = lam < 0.0
-    lam = np.where(clipped, 0.0, lam)
-    s = (vec * np.sqrt(lam)) @ vec.T
-    s = 0.5 * (s + s.T)
-    # eigh returns ascending eigenvalues, and clipping keeps that order
-    lam_desc = lam[::-1]
-    for arr in (s, lam_desc):
+    # eigh returns ascending eigenvalues, so the clipped ones (<= 0) lead
+    n_clipped = int(np.count_nonzero(lam <= 0.0))
+    lam_desc = np.where(lam <= 0.0, 0.0, lam)[::-1]
+    modes = vec[:, n_clipped:][:, ::-1] * np.sqrt(lam_desc[:lam.size - n_clipped] / cov.grid.w)
+    for arr in (modes, lam_desc):
         arr.setflags(write=False)
-    return SqrtFactor(
-        grid=cov.grid,
-        s=s,
-        eigenvalues=lam_desc,
-        clip_tol=DEFAULT_CLIP_TOL,
-        n_clipped=int(np.count_nonzero(clipped)),
-    )
+    return SqrtFactor(grid=cov.grid, modes=modes, eigenvalues=lam_desc,
+                      clip_tol=DEFAULT_CLIP_TOL, n_clipped=n_clipped)
 
 
 def kernel_from_spec(text: str):

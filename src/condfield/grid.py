@@ -64,11 +64,6 @@ def inner(psi, phi, grid: Grid):
 _UNDERFLOW = np.finfo(float).tiny / np.finfo(float).eps
 
 
-def inners(psi, block, grid: Grid) -> np.ndarray:
-    """<psi|row> for each row of an (n, M) block, summed row by row."""
-    return grid.w * (_check(block, grid, rows=True) * _check(psi, grid).conj()).sum(axis=1)
-
-
 def _sum_squares(x: np.ndarray) -> np.ndarray:
     # of the real and imaginary parts, so an overflowing sum is inf (callers check), not NaN
     parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)

@@ -1,17 +1,18 @@
 """Exact sampling of fields conditioned on <T|phi>.
 
-An unconditional draw is the spectral expansion phi = C^{1/2} xi with xi
-white with respect to the weighted inner product.  A conditional draw adds a
-rank-one update (Matheron's rule): phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v,
-with v = C^{1/2} T / sqrt(<T|C|T>), t_1 = <v|xi> and |t_u|^2 = rho + u^2/<T|C|T>.
-This equals the adapted-basis split C^{1/2}(t_u v + xi_perp), so it has the
-same law, and |<T|phi_u>| >= u exactly.  `condition_blocks` forms v and
-C^{1/2} v once per call and draws NOISE_BLOCK samples at a time: one GEMM
-applies the factor to their xi rows, zero-padded to NOISE_BLOCK rows, so a
-one-sample call gives bitwise the draw of a sweep; t_1 and r^2 are row sums.
+An unconditional draw is the Karhunen-Loeve series phi = L g over the P modes
+of nonzero eigenvalue (`SqrtFactor`), with g i.i.d. standard.  A conditional
+draw adds a rank-one update (Matheron's rule) in coefficient space: with
+l = w L^T T, so <T|L g> = <l|g> and <T|C|T> = ||l||^2, v = l/||l||,
+t_1 = <v|g> and |t_u|^2 = rho + u^2/<T|C|T>, phi_u = L g + (t_u - t_1) L v.
+This is the adapted-basis split L(t_u v + g_perp), so it has the same law, and
+|<T|phi_u>| >= u exactly.  `condition_blocks` forms v and L v once per call
+and draws NOISE_BLOCK samples at a time: one GEMM applies the factor to their
+g rows, zero-padded to NOISE_BLOCK rows, so a one-sample call gives bitwise
+the draw of a sweep; t_1 and r^2 are row sums.
 
 Reproducibility: streams are counter-based (Philox) and splittable.  A
-conditioned sample is one stream read in one order: xi, then (t_u, rho,
+conditioned sample is one stream read in one order: g, then (t_u, rho,
 theta) for each threshold.  Sweeps and conditional draws give sample i its
 own substream(seed, path..., i), so they are order-independent and safe to
 generate in parallel.  `verify prop1` draws its unconditional noise from one
@@ -28,7 +29,6 @@ import numpy as np
 from .covariance import SqrtFactor
 from .errors import DegenerateFunctional, GridMismatch, NegativeU, ThresholdOverflow
 from .functionals import LinearFunctional
-from .grid import inner, inners, l2_norms
 
 REAL = "real"
 COMPLEX = "complex"
@@ -36,7 +36,7 @@ COMPLEX = "complex"
 FIXED_RHO = "fixed-rho"
 RANDOM = "random"
 
-# Rows of noise drawn and multiplied at once (1 MB of complex noise at M = 512).
+# Rows of noise drawn and multiplied at once (at most 1 MB of complex noise at M = 512).
 # Conditioned blocks are zero-padded to this many rows: a GEMM row is bitwise
 # the same at every position of a block of fixed width, not across widths.
 NOISE_BLOCK = 128
@@ -85,21 +85,19 @@ class FieldSample:
     theta: float
 
 
-def white_noise(m: int, w: float, scalar: str, rng: np.random.Generator,
+def white_noise(m: int, scalar: str, rng: np.random.Generator,
                 n: int | None = None) -> np.ndarray:
-    """Noise vector whose coefficients in any weighted-orthonormal basis are
-    i.i.d. standard (complex: independent re/im parts of variance 1/2).
+    """m i.i.d. standard coefficients (complex: independent re/im parts of
+    variance 1/2, from one read of 2m normals).
 
     With a count `n`, an (n, m) block whose row k is bitwise the k-th of n
     successive single draws from the same `rng`."""
     lead = () if n is None else (n,)
     if scalar == REAL:
-        return rng.standard_normal(lead + (m,)) / np.sqrt(w)
+        return rng.standard_normal(lead + (m,))
     g = rng.standard_normal(lead + (2 * m,))
-    # complex / real multiplies by the reciprocal, so scaling g in place gives
-    # bitwise ((re + 1j im) / sqrt(2)) / sqrt(w), with no complex temporaries
+    # as complex / real does, times the reciprocal: bitwise (re + 1j im) / sqrt(2)
     g *= 1.0 / np.sqrt(2.0)
-    g *= 1.0 / np.sqrt(w)
     out = np.empty(lead + (m,), complex)
     out.real, out.imag = g[..., :m], g[..., m:]
     return out
@@ -154,48 +152,48 @@ def sample_t_u(spec: ConditionSpec, tct: float, rng: np.random.Generator):
 
 
 def sqrt_tct(factor: SqrtFactor, t: LinearFunctional):
-    """C^{1/2} T and <T|C|T> = ||C^{1/2} T||^2, both from the factor."""
+    """l = w L^T T, so that <T|L g> = <l|g>, and <T|C|T> = ||l||^2."""
     if t.grid != factor.grid:
         raise GridMismatch("functional and factor built on different grids")
-    s_t = factor.apply(t.coeff)
-    tct = float(inner(s_t, s_t, t.grid).real)
+    l_t = t.grid.w * (factor.modes.T @ t.coeff)
+    tct = float(np.vdot(l_t, l_t).real)
     if not tct > 0.0:  # guards the division by sqrt(tct); `constants` gates roundoff
-        raise DegenerateFunctional("C^{1/2} T is zero")
-    return s_t, tct
+        raise DegenerateFunctional("L^T T is zero")
+    return l_t, tct
 
 
 def condition_blocks(factor: SqrtFactor, t: LinearFunctional, specs, rngs):
     """Condition one sample per stream in `rngs`, read NOISE_BLOCK streams at a
     time, on every spec in the list `specs`; yields for each block of streams
-    one FieldSample block per spec, in order.  Each stream is read as xi
-    (`white_noise`, of the specs' one scalar type), then (t_u, rho, theta) for
-    each spec in order (`sample_t_u`).  Each sample is phi_u = C^{1/2} xi +
-    (t_u - t_1) C^{1/2} v with r^2 = ||xi - t_1 v||^2; v comes from the factor,
-    which keeps <T|phi_u> = sqrt(<T|C|T>) t_u exact to roundoff under clipping.
-    Raises ValueError unless the specs share one scalar type."""
+    one FieldSample block per spec, in order.  Each stream is read as the P
+    coefficients g (`white_noise`, of the specs' one scalar type), then
+    (t_u, rho, theta) for each spec in order (`sample_t_u`).  Each sample is
+    phi_u = L g + (t_u - t_1) L v with r^2 = ||g - t_1 v||^2, which keeps
+    <T|phi_u> = sqrt(<T|C|T>) t_u exact to roundoff.  Raises ValueError unless
+    the specs share one scalar type."""
     scalars = {spec.scalar for spec in specs}
     if len(scalars) != 1:
         raise ValueError(f"need specs of exactly one scalar type, got {sorted(scalars)}")
     (scalar,) = scalars
-    g = factor.grid
-    s_t, tct = sqrt_tct(factor, t)
-    v = s_t / math.sqrt(tct)
-    s_v = factor.apply(v)
+    l_t, tct = sqrt_tct(factor, t)
+    v = l_t / math.sqrt(tct)
+    l_v = factor.apply(v)
     rngs = iter(rngs)
     while chunk := list(itertools.islice(rngs, NOISE_BLOCK)):
         n = len(chunk)
-        xi = np.zeros((NOISE_BLOCK, g.m), complex if scalar == COMPLEX else float)
-        t_u = np.empty((n, len(specs)), xi.dtype)
+        g = np.zeros((NOISE_BLOCK, factor.rank), complex if scalar == COMPLEX else float)
+        t_u = np.empty((n, len(specs)), g.dtype)
         rho, theta = np.empty((2, n, len(specs)))
         for i, rng in enumerate(chunk):
-            xi[i] = white_noise(g.m, g.w, scalar, rng)
+            g[i] = white_noise(factor.rank, scalar, rng)
             for j, spec in enumerate(specs):
                 t_u[i, j], rho[i, j], theta[i, j] = sample_t_u(spec, tct, rng)
-        phi = factor.apply(xi)[:n]
-        t1 = inners(v, xi[:n], g)
-        r2 = l2_norms(xi[:n] - t1[:, None] * v, g) ** 2
+        phi = factor.apply(g)[:n]
+        # row sums, not GEMV: a row's t_1 and r^2 do not depend on the block
+        t1 = (g[:n] * v.conj()).sum(axis=1)
+        r2 = (np.abs(g[:n] - t1[:, None] * v) ** 2).sum(axis=1)
         for j, spec in enumerate(specs):
-            yield FieldSample(values=phi + (t_u[:, j] - t1)[:, None] * s_v, scalar=scalar,
+            yield FieldSample(values=phi + (t_u[:, j] - t1)[:, None] * l_v, scalar=scalar,
                               t_u=t_u[:, j], r2=r2, u=spec.u, rho=rho[:, j], theta=theta[:, j])
 
 
@@ -215,8 +213,7 @@ def condition_pathwise(factor: SqrtFactor, t: LinearFunctional, specs, rngs):
 
 def sample_conditional(factor: SqrtFactor, t: LinearFunctional, spec: ConditionSpec,
                        rng: np.random.Generator) -> FieldSample:
-    """Draw phi_u = C^{1/2} xi + (t_u - t_1) C^{1/2} v, which has the law of
-    the adapted-basis split C^{1/2}(t_u v + xi_perp): the one-spec, one-stream
-    call of `condition_pathwise`, so `rng` gives xi and then (t_u, rho, theta).
-    """
+    """Draw phi_u = L g + (t_u - t_1) L v, which has the law of the
+    adapted-basis split L(t_u v + g_perp): the one-spec, one-stream call of
+    `condition_pathwise`, so `rng` gives g and then (t_u, rho, theta)."""
     return next(condition_pathwise(factor, t, [spec], [rng]))[0]

@@ -7,16 +7,20 @@ from condfield.grid import inner
 from condfield.sampling import REAL
 
 
-def _adapted_split(factor, t, xi, t_u, scalar):
-    """Reference conditional draw in the adapted basis: replace the
-    v-coefficient of xi by t_u, phi_u = C^{1/2}(t_u v + xi_perp), and return
-    (values, r2) with r2 = ||xi_perp||^2."""
-    g = factor.grid
-    s_t = factor.apply(t.coeff)
-    v = s_t / np.sqrt(inner(s_t, s_t, g).real)
-    xi_perp = xi - inner(v, xi, g) * v
-    values = factor.apply(t_u * v + xi_perp)
-    return (values.real if scalar == REAL else values), float(inner(xi_perp, xi_perp, g).real)
+def _adapted_split(factor, t, g, t_u, scalar):
+    """Reference conditional draw in the adapted basis, on the grid: embed the
+    P coefficients g as the white noise xi = V_P g / sqrt(w), replace its
+    v-coefficient by t_u, phi_u = C^{1/2}(t_u v + xi_perp) with the symmetric
+    root C^{1/2} and v = C^{1/2} T / sqrt(<T|C|T>), and return (values, r2)
+    with r2 = ||xi_perp||^2."""
+    grid = factor.grid
+    # factor.modes = V_P sqrt(Lambda_P / w)
+    xi = (factor.modes / np.sqrt(factor.eigenvalues[:factor.rank])) @ g
+    s_t = factor.s @ t.coeff
+    v = s_t / np.sqrt(inner(s_t, s_t, grid).real)
+    xi_perp = xi - inner(v, xi, grid) * v
+    values = factor.s @ (t_u * v + xi_perp)
+    return (values.real if scalar == REAL else values), float(inner(xi_perp, xi_perp, grid).real)
 
 
 @pytest.fixture
@@ -26,7 +30,7 @@ def adapted_split():
 
 class _ZeroStream:
     """Stand-in stream whose normals are all zero, so `white_noise` reads
-    xi = 0; a fixed-rho `sample_t_u` reads nothing else from it."""
+    g = 0; a fixed-rho `sample_t_u` reads nothing else from it."""
 
     def standard_normal(self, shape):
         return np.zeros(shape)

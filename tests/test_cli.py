@@ -196,17 +196,17 @@ def test_write_json_rejects_non_finite(tmp_path):
 
 @pytest.mark.parametrize("argv, factorizations, cov_applies, factor_applies", [
     (["profile"], 0, 1, 0),
-    (["condition", "--u", "100"], 1, 1, 3),
-    (["sweep", "--u-list", "10,100", "--mc", "20"], 1, 1, 3),
-    (["verify", "prop1", "--mc", "1000"], 1, 1, 1),
-    (["verify", "prop3"], 1, 1, 3),
-    (["verify", "bounds", "--mc", "20"], 1, 1, 3),
+    (["condition", "--u", "100"], 1, 1, 2),
+    (["sweep", "--u-list", "10,100", "--mc", "20"], 1, 1, 2),
+    (["verify", "prop1", "--mc", "1000"], 1, 1, 0),
+    (["verify", "prop3"], 1, 1, 2),
+    (["verify", "bounds", "--mc", "20"], 1, 1, 2),
 ], ids=["profile", "condition", "sweep", "prop1", "prop3", "bounds"])
 def test_one_factorization_per_command(tmp_path, monkeypatch, argv, factorizations,
                                        cov_applies, factor_applies):
-    # a conditioned draw applies the factor to T and v once per run and to
-    # each block of NOISE_BLOCK xi rows once: 2 + ceil(n_mc / NOISE_BLOCK);
-    # prop1 applies it to T only
+    # a conditioned draw applies the factor to v once per run and to each
+    # block of NOISE_BLOCK noise rows once: 1 + ceil(n_mc / NOISE_BLOCK);
+    # L^T T is not an apply, and prop1 needs nothing else
     calls, applies, factor_calls = [], [], []
     sqrt_factor = covariance.sqrt_factor
     apply = covariance.CovOperator.apply

@@ -12,7 +12,13 @@ from condfield.concentration import (
     verify_prop1,
     verify_prop3,
 )
-from condfield.covariance import Exponential, SquaredExponential, assemble, sqrt_factor
+from condfield.covariance import (
+    Exponential,
+    RankK,
+    SquaredExponential,
+    assemble,
+    sqrt_factor,
+)
 from condfield.functionals import (
     constants,
     make_integral_functional,
@@ -31,6 +37,7 @@ from condfield.sampling import (
     condition_pathwise,
     sample_conditional,
     sample_t_u,
+    sqrt_tct,
     substream,
     white_noise,
 )
@@ -237,15 +244,14 @@ def test_sweep_matches_adapted_basis_records(kernel, weight, scalar, mode, rho, 
     fac = sqrt_factor(cov)
     t = make_point_functional(g, 0.5) if weight is None else make_integral_functional(g, weight)
     prof, k = profile(t, cov), constants(t, cov)
-    s_t = fac.apply(t.coeff)
-    tct = float(inner(s_t, s_t, g).real)
+    _, tct = sqrt_tct(fac, t)
     n_mc, seed = 30, 12
     rep = sweep(fac, t, cov, u_list, n_mc, scalar=scalar, mode=mode, rho=rho,
                 theta=theta, seed=seed)
     ref = []
     for i in range(n_mc):
         rng = substream(seed, 0, i)
-        xi = white_noise(g.m, g.w, scalar, rng)
+        xi = white_noise(fac.rank, scalar, rng)
         for u in u_list:
             spec = ConditionSpec(u=float(u), scalar=scalar, mode=mode, rho=rho, theta=theta)
             t_u, rho_j, theta_j = sample_t_u(spec, tct, rng)
@@ -364,7 +370,7 @@ def test_verify_prop1_matches_per_field_reference(scalar):
     fac = sqrt_factor(cov)
     n_mc, seed = 2000, 5
     rng = substream(seed, 0)
-    vals = np.array([inner(t.coeff, fac.apply(white_noise(g.m, g.w, scalar, rng)), g)
+    vals = np.array([inner(t.coeff, fac.apply(white_noise(fac.rank, scalar, rng)), g)
                      for _ in range(n_mc)])
     var_ref = float(np.mean(np.abs(vals) ** 2))
     res = verify_prop1(t, cov, n_mc, seed=seed, scalar=scalar)
@@ -437,3 +443,70 @@ def test_mismatched_factor_grid_raises(other):
         sample_conditional(fac, t, ConditionSpec(u=10.0), substream(0, 0))
     with pytest.raises(errors.GridMismatch):
         sweep(fac, t, cov, [10.0], 5)
+
+
+@pytest.mark.parametrize("kernel, m, scalar, mode", [
+    (SquaredExponential(1, 0.2), 256, COMPLEX, FIXED_RHO),
+    (SquaredExponential(1, 0.2), 256, REAL, RANDOM),
+    (RankK(((4.0, 1), (1.0, 3), (0.5, 0))), 100, COMPLEX, FIXED_RHO),
+    (RankK(((4.0, 1), (1.0, 3), (0.5, 0))), 100, REAL, RANDOM),
+], ids=["sqexp-complex", "sqexp-real", "rankk-complex", "rankk-real"])
+def test_bound_chain_holds_with_fewer_modes_than_points(kernel, m, scalar, mode):
+    # r is the residual over P < M modes; estimates 0-2 still follow, because
+    # every row of L has norm sqrt(K(x, x)) <= A
+    g = make_grid(0, 1, m)
+    cov = assemble(kernel, g)
+    fac = sqrt_factor(cov)
+    assert fac.rank < m
+    t = make_point_functional(g, 0.5)
+    a2 = constants(t, cov).a_const ** 2
+    rows2 = np.sum(fac.modes ** 2, axis=1)
+    assert np.all(np.abs(rows2 - np.diag(cov.op) / g.w) <= 1e-10 * a2)
+    rep = sweep(fac, t, cov, [10, 100, 1000, 10000], 200, scalar=scalar, mode=mode, seed=3)
+    assert rep.violations_est0 == rep.violations_est12 == 0
+    assert -1.15 <= rep.slope <= -0.85
+
+
+class _RecordingStream:
+    """A stream that records how many normals each read draws."""
+
+    def __init__(self, rng, reads):
+        self.rng, self.reads = rng, reads
+
+    def standard_normal(self, shape):
+        self.reads.append(int(np.prod(shape)))
+        return self.rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("scalar, per_coefficient", [(REAL, 1), (COMPLEX, 2)])
+def test_verify_prop1_reads_p_normals_per_draw(monkeypatch, scalar, per_coefficient):
+    # one coefficient per mode the clip leaves, P < M here, and nothing else
+    g = make_grid(0, 1, 64)
+    cov = assemble(SquaredExponential(1, 0.2), g)
+    p = sqrt_factor(cov).rank
+    assert p < g.m
+    reads = []
+    monkeypatch.setattr(concentration.sp, "substream",
+                        lambda *key: _RecordingStream(substream(*key), reads))
+    n_mc = 1000 + 3
+    verify_prop1(make_point_functional(g, 0.5), cov, n_mc, seed=4, scalar=scalar)
+    assert sum(reads) == n_mc * p * per_coefficient
+
+
+def test_no_command_forms_the_symmetric_root(monkeypatch):
+    # sweep and verify_prop1 read only the M x P factor, never its cached root
+    g = make_grid(0, 1, 64)
+    cov = assemble(SquaredExponential(1, 0.2), g)
+    t = make_point_functional(g, 0.5)
+    made = []
+
+    def recording(c):
+        made.append(sqrt_factor(c))
+        return made[-1]
+
+    monkeypatch.setattr(concentration.cv, "sqrt_factor", recording)
+    fac = sqrt_factor(cov)
+    sweep(fac, t, cov, [10.0, 100.0], 5, scalar=REAL, mode=RANDOM, seed=1)
+    verify_prop1(t, cov, 1000, seed=1)
+    assert len(made) == 1
+    assert all("s" not in vars(f) for f in (fac, *made))

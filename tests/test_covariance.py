@@ -138,7 +138,7 @@ def test_sqrt_applied_twice_matches_operator(grid64):
     rng = np.random.default_rng(13)
     for _ in range(5):
         phi = rng.normal(size=64)
-        twice = fac.apply(fac.apply(phi))
+        twice = fac.s @ (fac.s @ phi)
         direct = cov.apply(phi)
         assert np.linalg.norm(twice - direct) <= 1e-9 * np.linalg.norm(direct)
 
@@ -156,10 +156,9 @@ def test_kernel_from_spec():
 def test_one_matrix_per_operator(grid64):
     cov = assemble(SquaredExponential(1, 0.2), grid64)
     fac = sqrt_factor(cov)
-    for obj, name in ((cov, "op"), (fac, "s")):
-        square = [f.name for f in dataclasses.fields(obj)
-                  if np.shape(getattr(obj, f.name)) == (64, 64)]
-        assert square == [name]
+    square = [f.name for obj in (cov, fac) for f in dataclasses.fields(obj)
+              if np.shape(getattr(obj, f.name)) == (64, 64)]
+    assert square == ["op"]
 
 
 @pytest.mark.parametrize("kernel", [SquaredExponential(3, 0.2), Exponential(2.5, 0.3),
@@ -172,3 +171,53 @@ def test_point_variance_max_within_one_ulp(kernel, m):
     assert abs(got - exact) <= np.spacing(exact)
     if m == 64:  # w = 1/64, a power of two, so op / w undoes w * K exactly
         assert got == exact
+
+
+@pytest.mark.parametrize("kernel, rank", [
+    (SquaredExponential(1, 0.2), 73),
+    (Exponential(1, 0.1), 128),
+    (RankK(((4.0, 1), (1.0, 3), (0.5, 0))), None),
+], ids=repr)
+def test_factor_keeps_the_modes_the_clip_leaves(kernel, rank):
+    # P = M - n_clipped, and L L^T w is the operator: the same matrix as the
+    # symmetric root squared, within criterion 1's 1e-10
+    g = make_grid(0, 1, 128)
+    cov = assemble(kernel, g)
+    fac = sqrt_factor(cov)
+    assert fac.rank == g.m - fac.n_clipped == (rank or fac.rank)
+    assert fac.rank >= len(getattr(kernel, "modes", ()))
+    assert fac.modes.shape == (g.m, fac.rank)
+    assert np.all(fac.eigenvalues[:fac.rank] > 0) and np.all(fac.eigenvalues[fac.rank:] == 0)
+    llt = fac.modes @ fac.modes.T * g.w
+    scale = np.linalg.norm(cov.op)
+    assert np.linalg.norm(llt - cov.op) <= 1e-10 * scale
+    assert np.linalg.norm(llt - fac.s @ fac.s) <= 1e-10 * scale
+
+
+def test_factor_stores_one_m_by_p_array():
+    g = make_grid(0, 1, 128)
+    fac = sqrt_factor(assemble(SquaredExponential(1, 0.2), g))
+    shapes = {f.name: np.shape(getattr(fac, f.name)) for f in dataclasses.fields(fac)
+              if isinstance(getattr(fac, f.name), np.ndarray)}
+    assert shapes == {"modes": (128, 73), "eigenvalues": (128,)}
+    assert "s" not in vars(fac)  # the symmetric root is formed only when read
+
+
+def test_factor_apply_reads_p_coefficients():
+    g = make_grid(0, 1, 128)
+    fac = sqrt_factor(assemble(SquaredExponential(1, 0.2), g))
+    p = fac.rank
+    for bad in (np.ones(g.m), np.ones((4, g.m)), np.ones((2, 2, p)), np.ones(())):
+        with pytest.raises(errors.LengthMismatch):
+            fac.apply(bad)
+    rng = np.random.default_rng(14)
+    block = rng.normal(size=(5, p)) + 1j * rng.normal(size=(5, p))
+    psi = rng.normal(size=g.m)
+    for rows in (block.real, block):
+        got = fac.apply(rows)
+        for row, want in zip(got, rows):
+            assert np.allclose(row, fac.modes @ want, rtol=0, atol=1e-13)
+            assert np.allclose(fac.apply(want), fac.modes @ want, rtol=0, atol=1e-13)
+            # w L^T is the adjoint of L under the weighted inner product
+            assert np.vdot(g.w * fac.modes.T @ psi, want) == pytest.approx(inner(psi, row, g),
+                                                                          rel=1e-12)

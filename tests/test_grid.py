@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from condfield import errors
-from condfield.grid import inner, inners, l2_norm, l2_norms, make_grid, sup_norm
+from condfield.grid import inner, l2_norm, l2_norms, make_grid, sup_norm
 
 
 def test_make_grid_midpoints():
@@ -150,14 +150,6 @@ def test_l2_norms_rescale_an_underflowing_row_in_a_block(dtype):
     assert norms[-1] == 0.0
 
 
-def test_inners_are_the_rows_inner_products():
-    g = make_grid(0, 2, 9)
-    rng = np.random.default_rng(5)
-    psi = rng.normal(size=9)
-    block = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
-    got = inners(psi, block, g)
-    for row, value in zip(block, got):
-        assert value == pytest.approx(inner(psi, row, g), rel=1e-14)
-    assert inners(psi, block[2:3], g)[0] == got[2]
+def test_l2_norms_rejects_a_vector():
     with pytest.raises(errors.LengthMismatch):
-        l2_norms(np.ones(9), g)
+        l2_norms(np.ones(9), make_grid(0, 2, 9))

@@ -55,7 +55,7 @@ def test_unconditional_pointwise_variance(setup64):
     n = 20000
     acc = np.zeros(g.m)
     for i in range(n):
-        values = fac.apply(white_noise(g.m, g.w, COMPLEX, substream(7, 0, i)))
+        values = fac.apply(white_noise(fac.rank, COMPLEX, substream(7, 0, i)))
         acc += np.abs(values) ** 2
     var = acc / n
     assert np.all(np.abs(var - 1.0) < 0.05)
@@ -67,7 +67,7 @@ def test_complex_coefficient_null_second_moment(setup64):
     n = 20000
     rng_vals = np.empty(n, dtype=complex)
     for i in range(n):
-        xi = white_noise(1, 1.0, COMPLEX, substream(9, 0, i))
+        xi = white_noise(1, COMPLEX, substream(9, 0, i))
         rng_vals[i] = xi[0] ** 2
     assert abs(rng_vals.mean()) < 4 / np.sqrt(n)
 
@@ -79,7 +79,7 @@ def test_unconditional_covariance_matches_kernel():
     n = 20000
     samples = np.empty((n, g.m), dtype=complex)
     for i in range(n):
-        samples[i] = fac.apply(white_noise(g.m, g.w, COMPLEX, substream(21, 0, i)))
+        samples[i] = fac.apply(white_noise(fac.rank, COMPLEX, substream(21, 0, i)))
     emp = (samples.conj().T @ samples).real / n
     diag = np.diag(cov.op) / g.w
     se = np.sqrt((np.outer(diag, diag) + (cov.op / g.w) ** 2) / n)
@@ -108,9 +108,9 @@ def test_sample_t_u_random_complex_event():
 
 @pytest.mark.parametrize("scalar", [REAL, COMPLEX])
 def test_white_noise_block_rows_are_successive_draws(scalar):
-    block = white_noise(16, 0.25, scalar, substream(11, 0), n=7)
+    block = white_noise(16, scalar, substream(11, 0), n=7)
     rng = substream(11, 0)
-    singles = np.array([white_noise(16, 0.25, scalar, rng) for _ in range(7)])
+    singles = np.array([white_noise(16, scalar, rng) for _ in range(7)])
     assert block.shape == (7, 16)
     assert block.dtype == singles.dtype
     assert block.tobytes() == singles.tobytes()
@@ -120,16 +120,20 @@ def test_white_noise_block_rows_are_successive_draws(scalar):
 @pytest.mark.parametrize("n", [None, 7])
 @pytest.mark.parametrize("m, w", [(16, 0.25), (64, 1.0 / 64), (33, 0.3)])
 def test_white_noise_is_bitwise_the_plain_expression(scalar, n, m, w):
-    # complex: ((re + 1j im) / sqrt(2)) / sqrt(w) from one read of 2m normals a row
+    # complex: (re + 1j im) / sqrt(2) from one read of 2m normals a row. That
+    # in-place scaling rests on complex / real multiplying by the reciprocal,
+    # which is checked here at the scales 1/sqrt(w) as well
     lead = () if n is None else (n,)
     for seed in range(4):
-        got = white_noise(m, w, scalar, substream(seed, 5), n=n)
+        got = white_noise(m, scalar, substream(seed, 5), n=n)
         g = substream(seed, 5).standard_normal(lead + ((2 * m,) if scalar == COMPLEX else (m,)))
         if scalar == COMPLEX:
             g = (g[..., :m] + 1j * g[..., m:]) / np.sqrt(2.0)
-        want = g / np.sqrt(w)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+        assert got.shape == g.shape and got.dtype == g.dtype
+        assert got.tobytes() == g.tobytes()
+        if scalar == COMPLEX:
+            got *= 1.0 / np.sqrt(w)
+            assert got.tobytes() == (g / np.sqrt(w)).tobytes()
 
 
 def test_truncated_normal_half_normal_mean():
@@ -188,20 +192,20 @@ def test_t1_roundtrip(setup64):
 
 
 def test_adapted_basis_hygiene(setup64):
+    # in the factor's P-dimensional coefficient space, with its plain inner product
     g, cov, fac, t = setup64
-    s_t = fac.apply(t.coeff)
-    tct = float(inner(s_t, s_t, g).real)
-    v = s_t / np.sqrt(tct)
-    assert inner(v, v, g).real == pytest.approx(1.0, abs=1e-12)
+    l_t, tct = sqrt_tct(fac, t)
+    v = l_t / np.sqrt(tct)
+    assert np.vdot(v, v).real == pytest.approx(1.0, abs=1e-12)
     for i in range(20):
-        xi = white_noise(g.m, g.w, COMPLEX, substream(8, i))
-        c = inner(v, xi, g)
+        xi = white_noise(fac.rank, COMPLEX, substream(8, i))
+        c = np.vdot(v, xi)
         xi_perp = xi - c * v
-        assert abs(inner(v, xi_perp, g)) < 1e-12 * np.sqrt(inner(xi, xi, g).real)
+        assert abs(np.vdot(v, xi_perp)) < 1e-12 * np.sqrt(np.vdot(xi, xi).real)
         # Pythagoras in the adapted basis
         t_u = 3.7 + 0.4j
-        total = inner(t_u * v + xi_perp, t_u * v + xi_perp, g).real
-        r2 = inner(xi_perp, xi_perp, g).real
+        total = np.vdot(t_u * v + xi_perp, t_u * v + xi_perp).real
+        r2 = np.vdot(xi_perp, xi_perp).real
         assert total == pytest.approx(abs(t_u) ** 2 + r2, rel=1e-10)
 
 
@@ -213,7 +217,7 @@ def test_orthogonal_direction_stays_standard_normal():
     fac = sqrt_factor(cov)
     assert fac.n_clipped == 0
     t = make_point_functional(g, 0.5)
-    s_t = fac.apply(t.coeff)
+    s_t = fac.s @ t.coeff
     tct = float(inner(s_t, s_t, g).real)
     v = s_t / np.sqrt(tct)
     # fixed direction orthogonal to v (weighted Gram-Schmidt on a coordinate)
@@ -252,15 +256,14 @@ def test_pathwise_matches_adapted_basis_split(kernel, n_clipped, scalar, adapted
     fac = sqrt_factor(assemble(kernel, g))
     assert fac.n_clipped == n_clipped
     t = make_point_functional(g, 0.5)
-    s_t = fac.apply(t.coeff)
-    tct = float(inner(s_t, s_t, g).real)
+    _, tct = sqrt_tct(fac, t)
     for i in range(20):
         for u in (0.0, 10.0, 1e4, 1e8):
             spec = ConditionSpec(u=u, scalar=scalar, mode=RANDOM)
             (s,), = condition_pathwise(fac, t, [spec], [substream(30, 0, i)])
             # the reference reads xi and then the draw from a fresh stream, same key
             rng = substream(30, 0, i)
-            xi = white_noise(g.m, g.w, scalar, rng)
+            xi = white_noise(fac.rank, scalar, rng)
             draw = sample_t_u(spec, tct, rng)
             values, r2 = adapted_split(fac, t, xi, draw[0], scalar)
             assert np.max(np.abs(s.values - values)) <= 1e-12 * np.max(np.abs(values))
@@ -297,7 +300,7 @@ def test_condition_pathwise_stream_matches_single_calls(setup64, scalar, mode, t
         for got, want in zip(samples, single, strict=True):
             _assert_same_sample(got, want)
         rng = substream(3, 0, i)
-        white_noise(g.m, g.w, scalar, rng)
+        white_noise(fac.rank, scalar, rng)
         assert [(s.t_u, s.rho, s.theta) for s in samples] == \
             [sample_t_u(spec, tct, rng) for spec in specs]
     for spec in specs:
