@@ -37,7 +37,6 @@ from .functionals import (
     make_integral_functional,
     make_point_functional,
     profile,
-    tct,
 )
 from .grid import Grid, inner, l2_norm, make_grid, sup_norm
 from .sampling import (
@@ -47,7 +46,6 @@ from .sampling import (
     REAL,
     ConditionSpec,
     FieldSample,
-    condition_pathwise,
     sample_conditional,
     sample_t_u,
     substream,

@@ -121,7 +121,11 @@ def _write_json(path: str, payload: dict):
 
 def _write_csv(path: str, header, columns):
     """Write equal-length arrays as CSV columns, NOISE_BLOCK rows at a time;
-    booleans as 0/1, and floats as repr(float), which csv writes for a float."""
+    booleans as 0/1, and floats as repr(float), which csv writes for a float.
+    A non-finite float or complex value raises ValueError and leaves no file."""
+    for name, c in zip(header, columns):
+        if c.dtype.kind in "fc" and not np.all(np.isfinite(c)):
+            raise ValueError(f"column {name} holds a non-finite value")
     columns = [c.astype(int) if c.dtype == bool else c for c in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

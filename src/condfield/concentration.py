@@ -116,7 +116,6 @@ def distance_record(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid,
 
 @dataclass(frozen=True)
 class SweepReport:
-    u_list: tuple
     per_u: tuple  # dicts {u, q10, q50, q90, l2_q50}
     slope: float | None
     violations_est0: int
@@ -147,12 +146,15 @@ def sweep(factor: cv.SqrtFactor, t: fn.LinearFunctional, cov: cv.CovOperator, u_
 
     consts = fn.constants(t, cov)
     rngs = (sp.substream(seed, 0, i) for i in range(n_mc))
-    # one dict per (block of samples, u), u fastest, so parts[j::len(specs)] are the
-    # blocks of u_list[j], which goes to column j of each (n_mc, len(u_list)) array
-    parts = [record_columns(s, consts, cov.grid)
-             for s in sp.condition_blocks(factor, t, specs, rngs)]
-    cols = {name: np.stack([np.concatenate([c[name] for c in parts[j::len(specs)]])
-                            for j in range(len(specs))], axis=1) for name in parts[0]}
+    # per block of samples, one dict per u, and u_list[j] goes to column j of each
+    # (n_mc, len(u_list)) array; scored through map, so that no name holds a
+    # scored block while the next one is drawn
+    def score(block):
+        return [record_columns(s, consts, cov.grid) for s in block]
+
+    blocks = list(map(score, sp.condition_blocks(factor, t, specs, rngs)))
+    cols = {name: np.concatenate([np.stack([c[name] for c in block], axis=1) for block in blocks])
+            for name in blocks[0][0]}
     cols["sample_index"] = np.repeat(np.arange(n_mc)[:, None], len(specs), axis=1)
     q10, q50, q90 = np.quantile(cols["sup_dist"], [0.1, 0.5, 0.9], axis=0)
     l2_q50 = np.quantile(cols["l2_dist"], 0.5, axis=0)
@@ -163,7 +165,7 @@ def sweep(factor: cv.SqrtFactor, t: fn.LinearFunctional, cov: cv.CovOperator, u_
     slope = (float(np.polyfit(np.log(u_list[skip:]), np.log(q50[skip:]), 1)[0])
              if len(u_list) - skip >= 2 else None)
     return SweepReport(
-        u_list=tuple(u_list), per_u=tuple(per_u), slope=slope,
+        per_u=tuple(per_u), slope=slope,
         violations_est0=int(np.count_nonzero(~cols["est0_ok"])),
         violations_est12=int(np.count_nonzero(cols["applicable"] & ~cols["est12_ok"])),
         columns={f.name: cols[f.name].ravel() for f in dataclasses.fields(DistanceRecord)},
@@ -179,7 +181,7 @@ def verify_prop1(t: fn.LinearFunctional, cov: cv.CovOperator, n_mc: int, seed: i
     draws from the one stream substream(seed, 0), read NOISE_BLOCK rows at a time."""
     if n_mc < 1000:
         raise ValueError(f"need n_mc >= 1000, got {n_mc}")
-    tct_val = fn.tct(t, cov)
+    tct_val = fn.constants(t, cov).tct
     factor = cv.sqrt_factor(cov)
     # <T|L g> = <w L^T T|g>: one matvec per block of draws, none per draw
     l_t, _ = sp.sqrt_tct(factor, t)

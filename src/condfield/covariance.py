@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidKernelParams, LengthMismatch, NotPositive
+from .errors import ConfigError, InvalidKernelParams, LengthMismatch, NotPositive
 from .grid import Grid, _check
 
 DEFAULT_CLIP_TOL = 1e-12
@@ -49,6 +49,12 @@ class SquaredExponential(_Stationary):
 
     name = "squared-exponential"
     smooth = True
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < 2.0 * self.ell * self.ell < np.inf:  # decay divides by it
+            raise InvalidKernelParams(f"{self.name} needs 2 ell^2 to be a positive finite "
+                                      f"double, got ell = {self.ell}")
 
     def decay(self, d):
         return np.exp(-(d ** 2) / (2.0 * self.ell ** 2))
@@ -136,12 +142,14 @@ class SqrtFactor:
     grid: Grid
     modes: np.ndarray = field(repr=False)  # L, M x P, columns by descending eigenvalue
     eigenvalues: np.ndarray = field(repr=False)  # of op, all M, descending, post-clip
-    clip_tol: float
-    n_clipped: int
 
     @property
     def rank(self) -> int:
         return self.modes.shape[1]
+
+    @property
+    def n_clipped(self) -> int:  # eigenvalues the clip set to zero; L drops their modes
+        return self.grid.m - self.rank
 
     @functools.cached_property
     def s(self) -> np.ndarray:
@@ -169,7 +177,7 @@ def sqrt_factor(cov: CovOperator) -> SqrtFactor:
 
     Eigenvalues in the fixed window [-DEFAULT_CLIP_TOL * lam_max, 0] are set to
     zero, and their modes dropped; anything below it means the kernel was not
-    positive semidefinite and raises.  The window is `SqrtFactor.clip_tol`.
+    positive semidefinite and raises.
     """
     lam, vec = np.linalg.eigh(cov.op)
     floor = -DEFAULT_CLIP_TOL * max(float(lam[-1]), 0.0)
@@ -184,15 +192,12 @@ def sqrt_factor(cov: CovOperator) -> SqrtFactor:
     modes = vec[:, n_clipped:][:, ::-1] * np.sqrt(lam_desc[:lam.size - n_clipped] / cov.grid.w)
     for arr in (modes, lam_desc):
         arr.setflags(write=False)
-    return SqrtFactor(grid=cov.grid, modes=modes, eigenvalues=lam_desc,
-                      clip_tol=DEFAULT_CLIP_TOL, n_clipped=n_clipped)
+    return SqrtFactor(grid=cov.grid, modes=modes, eigenvalues=lam_desc)
 
 
 def kernel_from_spec(text: str):
     """Parse CLI kernel strings: sqexp:<var>:<ell>, exp:<var>:<ell>,
     rankk:<lam0@k0,lam1@k1,...>."""
-    from .errors import ConfigError
-
     parts = text.split(":")
     try:
         if parts[0] == "sqexp" and len(parts) == 3:

@@ -46,7 +46,7 @@ class GridMismatch(CondfieldError):
 
 
 class DegenerateFunctional(CondfieldError):
-    """Functional has (numerically) zero variance under the covariance."""
+    """Functional has (numerically) zero or non-finite variance under the covariance."""
 
 
 class NegativeU(CondfieldError):

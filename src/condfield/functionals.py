@@ -16,6 +16,7 @@ from .errors import (
     ConfigError,
     DegenerateFunctional,
     GridMismatch,
+    InvalidKernelParams,
     OutOfDomain,
     StencilOutOfRange,
     UnsupportedOrder,
@@ -134,26 +135,6 @@ def profile(t: LinearFunctional, cov: cv.CovOperator) -> np.ndarray:
     return cov.apply(t.coeff)
 
 
-def _gated_tct(t: LinearFunctional, p: np.ndarray, a2: float) -> float:
-    """<T|C|T> = <T|p> with p = C T and a2 = A^2.
-
-    Since |C(x, y)| <= A^2, its roundoff is at most eps A^2 (w sum_i |T_i|)^2;
-    a value not above 100 times that bound (1% roundoff) is rejected."""
-    val = float(inner(t.coeff, p, t.grid).real)
-    w_t1 = t.grid.w * float(np.abs(t.coeff).sum())
-    bound = np.finfo(float).eps * a2 * w_t1 ** 2
-    if val <= 100.0 * bound:
-        raise DegenerateFunctional(f"<T|C|T> = {val:.6g} is numerically zero: not above "
-                                   f"100x its roundoff bound {bound:.3g}")
-    return val
-
-
-def tct(t: LinearFunctional, cov: cv.CovOperator) -> float:
-    """<T|C|T>, the variance of <T|phi> over unconditional samples, under the
-    roundoff gate of `constants`."""
-    return _gated_tct(t, profile(t, cov), cv.point_variance_max(cov))
-
-
 @dataclass(frozen=True)
 class TheoryConstants:
     """The limit profile p = C T and the scalars of the bound chain derived
@@ -168,18 +149,32 @@ class TheoryConstants:
 
 
 def constants(t: LinearFunctional, cov: cv.CovOperator) -> TheoryConstants:
-    """Form p = C T (the one application of C) and A^2 once, and derive the
-    gated <T|C|T>, ||p||_2 and A, B, D from them."""
+    """Form p = C T (the one application of C) and A^2 once, and derive
+    <T|C|T> = <T|p>, ||p||_2 and A, B, D from them.
+
+    Since |C(x, y)| <= A^2, the roundoff in <T|C|T> is at most
+    eps A^2 (w sum_i |T_i|)^2; a value not above 100 times that bound (1%
+    roundoff) is rejected, and so is a non-finite <T|C|T>, ||p||_2, A, B or D."""
     p = profile(t, cov)
     p.setflags(write=False)
     a2 = cv.point_variance_max(cov)
-    tct_val = _gated_tct(t, p, a2)
+    tct_val = float(inner(t.coeff, p, t.grid).real)
+    w_t1 = t.grid.w * float(np.abs(t.coeff).sum())
+    bound = np.finfo(float).eps * a2 * (w_t1 * w_t1)  # float ** would raise on overflow
+    if tct_val <= 100.0 * bound:
+        raise DegenerateFunctional(f"<T|C|T> = {tct_val:.6g} is numerically zero: not above "
+                                   f"100x its roundoff bound {bound:.3g}")
     p_norm = l2_norm(p, t.grid)
-    if not p_norm > 0.0:
+    if p_norm == 0.0:
         raise DegenerateFunctional("||C T||_2 is zero")
-    a_const = float(np.sqrt(a2))
-    b_const = float(np.sqrt(tct_val) / p_norm)
-    d_const = a_const * b_const * float(np.sqrt(t.grid.length))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite results raise below
+        a_const = float(np.sqrt(a2))
+        b_const = float(np.sqrt(tct_val) / p_norm)
+        d_const = a_const * b_const * float(np.sqrt(t.grid.length))
+    if not np.all(np.isfinite([tct_val, p_norm, a_const, b_const, d_const])):
+        raise DegenerateFunctional(
+            f"non-finite theory constants: <T|C|T> = {tct_val:.6g}, ||C T||_2 = {p_norm:.6g}, "
+            f"A = {a_const:.6g}, B = {b_const:.6g}, D = {d_const:.6g}")
     return TheoryConstants(profile=p, profile_norm=p_norm, tct=tct_val, a_const=a_const,
                            b_const=b_const, d_const=d_const)
 
@@ -193,9 +188,14 @@ def analytic_derivative_curve(kernel, x, x0: float, n: int):
     """
     x = np.asarray(x, dtype=float)
     if isinstance(kernel, cv.SquaredExponential):
+        try:
+            scale = kernel.ell ** (-n)
+        except OverflowError:  # float ** raises where * and / return inf
+            raise InvalidKernelParams(
+                f"ell^-{n} overflows a double at ell = {kernel.ell}") from None
         s = (x - x0) / kernel.ell
         he = np.polynomial.hermite_e.HermiteE.basis(n)(s)
-        return kernel.variance * kernel.ell ** (-n) * he * np.exp(-(s ** 2) / 2.0)
+        return kernel.variance * scale * he * np.exp(-(s ** 2) / 2.0)
     if n == 0 and isinstance(kernel, cv.Exponential):
         return np.asarray(kernel.pair(x, x0))
     return None

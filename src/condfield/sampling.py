@@ -165,8 +165,8 @@ def sqrt_tct(factor: SqrtFactor, t: LinearFunctional):
 def condition_blocks(factor: SqrtFactor, t: LinearFunctional, specs, rngs):
     """Condition one sample per stream in `rngs`, read NOISE_BLOCK streams at a
     time, on every spec in the list `specs`; yields for each block of streams
-    one FieldSample block per spec, in order.  Each stream is read as the P
-    coefficients g (`white_noise`, of the specs' one scalar type), then
+    one tuple holding one FieldSample block per spec.  Each stream is read as
+    the P coefficients g (`white_noise`, of the specs' one scalar type), then
     (t_u, rho, theta) for each spec in order (`sample_t_u`).  Each sample is
     phi_u = L g + (t_u - t_1) L v with r^2 = ||g - t_1 v||^2, which keeps
     <T|phi_u> = sqrt(<T|C|T>) t_u exact to roundoff.  Raises ValueError unless
@@ -192,28 +192,17 @@ def condition_blocks(factor: SqrtFactor, t: LinearFunctional, specs, rngs):
         # row sums, not GEMV: a row's t_1 and r^2 do not depend on the block
         t1 = (g[:n] * v.conj()).sum(axis=1)
         r2 = (np.abs(g[:n] - t1[:, None] * v) ** 2).sum(axis=1)
-        for j, spec in enumerate(specs):
-            yield FieldSample(values=phi + (t_u[:, j] - t1)[:, None] * l_v, scalar=scalar,
-                              t_u=t_u[:, j], r2=r2, u=spec.u, rho=rho[:, j], theta=theta[:, j])
-
-
-def condition_pathwise(factor: SqrtFactor, t: LinearFunctional, specs, rngs):
-    """`condition_blocks` one stream at a time: yields, per stream in `rngs`,
-    one list of read-only FieldSample, one per spec."""
-    blocks = condition_blocks(factor, t, specs, rngs)
-    for first in blocks:  # the first spec's block, then the other specs' on the same streams
-        block = [first, *itertools.islice(blocks, len(specs) - 1)]
-        for s in block:
-            s.values.setflags(write=False)
-        for i in range(len(block[0].r2)):
-            yield [FieldSample(values=s.values[i], scalar=s.scalar, t_u=s.t_u[i].item(),
-                               r2=float(s.r2[i]), u=s.u, rho=float(s.rho[i]),
-                               theta=float(s.theta[i])) for s in block]
+        yield tuple(FieldSample(values=phi + (t_u[:, j] - t1)[:, None] * l_v, scalar=scalar,
+                                t_u=t_u[:, j], r2=r2, u=spec.u, rho=rho[:, j], theta=theta[:, j])
+                    for j, spec in enumerate(specs))
 
 
 def sample_conditional(factor: SqrtFactor, t: LinearFunctional, spec: ConditionSpec,
                        rng: np.random.Generator) -> FieldSample:
     """Draw phi_u = L g + (t_u - t_1) L v, which has the law of the
-    adapted-basis split L(t_u v + g_perp): the one-spec, one-stream call of
-    `condition_pathwise`, so `rng` gives g and then (t_u, rho, theta)."""
-    return next(condition_pathwise(factor, t, [spec], [rng]))[0]
+    adapted-basis split L(t_u v + g_perp): row 0 of the one-spec, one-stream
+    call of `condition_blocks`, so `rng` gives g and then (t_u, rho, theta)."""
+    ((s,),) = condition_blocks(factor, t, [spec], [rng])
+    s.values.setflags(write=False)
+    return FieldSample(values=s.values[0], scalar=s.scalar, t_u=s.t_u[0].item(),
+                       r2=float(s.r2[0]), u=s.u, rho=float(s.rho[0]), theta=float(s.theta[0]))

@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import condfield as cf
 from condfield import cli, concentration, covariance
@@ -12,6 +17,15 @@ from condfield.cli import main
 
 def run(args):
     return main(args)
+
+
+def run_recording_warnings(args):
+    """`main` with RuntimeWarnings recorded, not raised: runs at extreme scales
+    may pass through an overflow (exp:1:1e-320 overflows in `decay`) to a
+    correct result, or stop with exit 2."""
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        return main(args)
 
 
 def read_csv(path):
@@ -412,3 +426,62 @@ def test_sweep_csv_keeps_its_header_and_float_format(tmp_path, scalar, mode):
           int(r.applicable), int(r.est0_ok), int(r.est12_ok)] for r in records))
     assert len(records) == 140
     assert out.read_bytes() == want
+
+
+@pytest.mark.parametrize("argv", [
+    # <T|C|T> and ||C T||_2 overflow, so B and D are NaN
+    ["sweep", "--grid", "32", "--kernel", "exp:1e300:0.2", "--functional", "dpoint:0.5:4",
+     "--u-list", "10,100", "--mc", "3"],
+    # symmetrizing K overflows
+    ["profile", "--grid", "32", "--kernel", "exp:1.7e308:0.2"],
+    # ell^2 underflows to 0, or overflows
+    ["profile", "--kernel", "sqexp:1:1e-200"],
+    ["profile", "--kernel", "sqexp:1:1e160"],
+    ["condition", "--u", "10", "--kernel", "sqexp:1:1e160"],
+    # the analytic curve is inf * 0, or ell^-n overflows
+    ["profile", "--grid", "32", "--kernel", "sqexp:1e300:1e-5", "--functional", "dpoint:0.5:1"],
+    ["profile", "--kernel", "sqexp:1:1e-60", "--functional", "dpoint:0.5:4"],
+    ["profile", "--functional", "dpoint:0.5:4", "--kernel", "sqexp:1:1e-80"],
+    ["verify", "prop3", "--functional", "dpoint:0.5:4", "--kernel", "sqexp:1:1e-80"],
+    # so does (w sum_i |T_i|)^2 in the roundoff bound on <T|C|T>
+    ["condition", "--domain", "0,1e-40", "--functional", "dpoint:5e-41:4", "--u", "10",
+     "--kernel", "sqexp:1:1e-41"],
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_result_exits_2(tmp_path, capsys, argv):
+    assert run_recording_warnings(argv + ["--out", str(tmp_path / "o.csv")]) == 2
+    assert not any(tmp_path.iterdir())
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "usage: condfield" in err
+
+
+@pytest.mark.parametrize("ell", ["1e150", "1e-150"])
+def test_extreme_but_representable_length_scale_exits_0(tmp_path, ell):
+    out = tmp_path / "p.csv"
+    assert run_recording_warnings(["profile", "--kernel", f"sqexp:1:{ell}",
+                                   "--out", str(out)]) == 0
+    assert np.all(np.isfinite(np.array(read_csv(out)[1:], dtype=float)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kernel=st.sampled_from(["sqexp", "exp"]),
+       log_variance=st.floats(-300.0, 308.2),
+       log_ell=st.floats(-300.0, 300.0),
+       functional=st.sampled_from(["point:0.5", *(f"dpoint:0.5:{n}" for n in range(5)),
+                                   "integral:cosine"]),
+       command=st.sampled_from([["profile"], ["condition", "--u", "10"]]))
+def test_outside_inputs_exit_cleanly(tmp_path, deadline, kernel, log_variance, log_ell,
+                                     functional, command):
+    # any kernel scale in doubles: a result (every CSV value finite), a config
+    # error that writes nothing, or a failed verification; never a traceback
+    out = tempfile.mkdtemp(dir=tmp_path)
+    code = run_recording_warnings(command + [
+        "--grid", "32", "--kernel", f"{kernel}:{10.0 ** log_variance!r}:{10.0 ** log_ell!r}",
+        "--functional", functional, "--out", f"{out}/o.csv"])
+    assert code in (0, 2, 3)
+    written = sorted(Path(out).iterdir())
+    if code == 2:
+        assert not written
+    for path in written:
+        if path.suffix == ".csv":
+            assert np.all(np.isfinite(np.array(read_csv(path)[1:], dtype=float)))

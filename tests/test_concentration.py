@@ -34,7 +34,6 @@ from condfield.sampling import (
     REAL,
     ConditionSpec,
     FieldSample,
-    condition_pathwise,
     sample_conditional,
     sample_t_u,
     sqrt_tct,
@@ -68,7 +67,7 @@ def test_sup_distance_sign_flip(setup128):
 def test_sup_distance_zero_noise_sample(setup128, zero_stream):
     g, cov, fac, t, prof, k = setup128
     spec = ConditionSpec(u=3.0, mode=FIXED_RHO, rho=0.0)
-    (s,), = condition_pathwise(fac, t, [spec], [zero_stream])
+    s = sample_conditional(fac, t, spec, zero_stream)
     assert normalized_sup_distance(s, prof, g) < 1e-12
     with pytest.raises(errors.ZeroVector):
         normalized_sup_distance(FieldSample(values=np.zeros(g.m), scalar=REAL, t_u=1.0,
@@ -78,7 +77,7 @@ def test_sup_distance_zero_noise_sample(setup128, zero_stream):
 def test_estimate0_zero_noise_vanishes(setup128, zero_stream):
     g, cov, fac, t, prof, k = setup128
     spec = ConditionSpec(u=3.0, mode=FIXED_RHO, rho=0.0)
-    (s,), = condition_pathwise(fac, t, [spec], [zero_stream])
+    s = sample_conditional(fac, t, spec, zero_stream)
     rec = distance_record(s, k, g)
     assert rec.bound_rhs == pytest.approx(0.0, abs=1e-10)
     assert abs(rec.ratio) == pytest.approx(k.b_const, rel=1e-10)

@@ -15,7 +15,6 @@ from condfield.functionals import (
     make_point_functional,
     profile,
     stencil_coefficients,
-    tct,
 )
 from condfield.grid import inner, l2_norm, make_grid, sup_norm
 
@@ -98,7 +97,7 @@ def test_integral_and_custom_functionals(grid64):
 def test_tct_point_eval_is_kernel_diagonal(grid64):
     cov = assemble(SquaredExponential(1, 0.2), grid64)
     t = make_point_functional(grid64, 0.5)
-    assert tct(t, cov) == pytest.approx(1.0, rel=1e-12)
+    assert constants(t, cov).tct == pytest.approx(1.0, rel=1e-12)
 
 
 def test_tct_derivative_matches_symbolic_oracle():
@@ -108,13 +107,13 @@ def test_tct_derivative_matches_symbolic_oracle():
     t = make_derivative_functional(g, 0.5, 1, 4)
     expected = sqexp_cross_derivative(ell, 1)  # = 1/ell^2
     assert expected == pytest.approx(1.0 / ell ** 2)
-    assert tct(t, cov) == pytest.approx(expected, rel=1e-5)
+    assert constants(t, cov).tct == pytest.approx(expected, rel=1e-5)
 
 
 def test_tct_scales_with_kernel(grid64):
     t = make_point_functional(grid64, 0.5)
-    base = tct(t, assemble(SquaredExponential(1, 0.2), grid64))
-    scaled = tct(t, assemble(SquaredExponential(3, 0.2), grid64))
+    base = constants(t, assemble(SquaredExponential(1, 0.2), grid64)).tct
+    scaled = constants(t, assemble(SquaredExponential(3, 0.2), grid64)).tct
     assert scaled == pytest.approx(3 * base, rel=1e-12)
 
 
@@ -176,7 +175,7 @@ def test_tc2t_identity(grid64):
 def test_tct_equals_inner_with_profile(grid64):
     cov = assemble(SquaredExponential(1, 0.2), grid64)
     t = make_point_functional(grid64, 0.5)
-    assert tct(t, cov) == pytest.approx(
+    assert constants(t, cov).tct == pytest.approx(
         float(inner(t.coeff, profile(t, cov), grid64).real), rel=1e-12
     )
 
@@ -226,8 +225,8 @@ def test_functional_from_spec(grid64, tmp_path):
 ])
 def test_tct_gate_accepts_values_above_roundoff(spec, m, exact):
     g = make_grid(0, 1, m)
-    assert tct(functional_from_spec(spec, g), assemble(SquaredExponential(1, 0.2), g)) == \
-        pytest.approx(exact, rel=1e-4)
+    k = constants(functional_from_spec(spec, g), assemble(SquaredExponential(1, 0.2), g))
+    assert k.tct == pytest.approx(exact, rel=1e-4)
 
 
 @pytest.mark.parametrize("spec, m", [("dpoint:0.5:3:6", 2048), ("dpoint:0.5:4:6", 1024)])
@@ -235,13 +234,20 @@ def test_tct_gate_rejects_values_lost_in_roundoff(spec, m):
     # at M = 2048 the 3rd-derivative value is off by a third from cancellation
     g = make_grid(0, 1, m)
     with pytest.raises(errors.DegenerateFunctional, match="roundoff bound"):
-        tct(functional_from_spec(spec, g), assemble(SquaredExponential(1, 0.2), g))
+        constants(functional_from_spec(spec, g), assemble(SquaredExponential(1, 0.2), g)).tct
 
 
 def test_tct_gate_rejects_zero_functional(grid64):
     zero = LinearFunctional(grid=grid64, coeff=np.zeros(64))
     with pytest.raises(errors.DegenerateFunctional, match="numerically zero"):
-        tct(zero, assemble(SquaredExponential(1, 0.2), grid64))
+        constants(zero, assemble(SquaredExponential(1, 0.2), grid64)).tct
+
+
+def test_constants_reject_non_finite_variance():
+    # <T|C|T> and ||C T||_2 overflow to inf, which is above any roundoff bound
+    g = make_grid(0, 1, 32)
+    with pytest.raises(errors.DegenerateFunctional, match="non-finite"):
+        constants(make_derivative_functional(g, 0.5, 4), assemble(Exponential(1e300, 0.2), g))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -271,7 +277,7 @@ def test_analytic_curve_at_n0_by_kernel(grid64):
 
 
 @pytest.mark.parametrize("other", [(0, 1, 65), (0, 2, 64)])
-@pytest.mark.parametrize("fn", [tct, profile, constants])
+@pytest.mark.parametrize("fn", [profile, constants])
 def test_mismatched_operator_grid_raises(grid64, other, fn):
     cov = assemble(SquaredExponential(1, 0.2), make_grid(*other))
     with pytest.raises(errors.GridMismatch):

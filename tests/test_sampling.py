@@ -12,7 +12,7 @@ from condfield.sampling import (
     REAL,
     ConditionSpec,
     FieldSample,
-    condition_pathwise,
+    condition_blocks,
     sample_conditional,
     sample_t_u,
     sqrt_tct,
@@ -44,7 +44,7 @@ def test_field_sample_needs_its_conditioning_record():
 
 def test_forced_zero_noise_gives_zero_field(setup64, zero_stream):
     g, cov, fac, t = setup64
-    (s,), = condition_pathwise(fac, t, [ConditionSpec(u=0.0, rho=0.0)], [zero_stream])
+    s = sample_conditional(fac, t, ConditionSpec(u=0.0, rho=0.0), zero_stream)
     assert s.t_u == 0.0
     assert np.all(s.values == 0)
 
@@ -174,7 +174,7 @@ def test_conditional_event_complex_field(setup64):
 def test_zero_noise_hook_gives_collinear_profile(setup64, zero_stream):
     g, cov, fac, t = setup64
     spec = ConditionSpec(u=3.0, mode=FIXED_RHO, rho=0.0)
-    (s,), = condition_pathwise(fac, t, [spec], [zero_stream])
+    s = sample_conditional(fac, t, spec, zero_stream)
     assert s.t_u == pytest.approx(3.0, rel=1e-12)  # u / sqrt(tct), tct = 1
     expected = (3.0 / 1.0) * cov.apply(t.coeff)  # tct = 1 here
     assert np.allclose(s.values, expected, atol=1e-10)
@@ -260,7 +260,7 @@ def test_pathwise_matches_adapted_basis_split(kernel, n_clipped, scalar, adapted
     for i in range(20):
         for u in (0.0, 10.0, 1e4, 1e8):
             spec = ConditionSpec(u=u, scalar=scalar, mode=RANDOM)
-            (s,), = condition_pathwise(fac, t, [spec], [substream(30, 0, i)])
+            s = sample_conditional(fac, t, spec, substream(30, 0, i))
             # the reference reads xi and then the draw from a fresh stream, same key
             rng = substream(30, 0, i)
             xi = white_noise(fac.rank, scalar, rng)
@@ -272,11 +272,11 @@ def test_pathwise_matches_adapted_basis_split(kernel, n_clipped, scalar, adapted
             assert (s.t_u, s.rho, s.theta, s.u) == (*draw, u)
 
 
-def _assert_same_sample(a, b):
-    assert a.values.dtype == b.values.dtype
-    assert a.values.tobytes() == b.values.tobytes()
-    assert (a.scalar, a.t_u, a.r2, a.u, a.rho, a.theta) == \
-        (b.scalar, b.t_u, b.r2, b.u, b.rho, b.theta)
+def _row(block, i):
+    """Row i of a FieldSample block: the bytes of its values, and its record
+    with the scalar types `sample_conditional` gives."""
+    return (block.values.dtype, block.values[i].tobytes(), block.scalar, block.t_u[i].item(),
+            float(block.r2[i]), block.u, float(block.rho[i]), float(block.theta[i]))
 
 
 @pytest.mark.parametrize("scalar, mode, theta", [
@@ -285,27 +285,31 @@ def _assert_same_sample(a, b):
     (COMPLEX, RANDOM, 0.0),
 ])
 def test_condition_pathwise_stream_matches_single_calls(setup64, scalar, mode, theta):
-    # one call over three streams, fed by a generator, gives bitwise the
-    # samples of three one-stream calls; each stream is read as xi and then
-    # (t_u, rho, theta) for each spec in order; sample_conditional is the
-    # one-spec, one-stream call
+    # one condition_blocks call over three streams, fed by a generator, gives in
+    # row i of each spec's block bitwise the sample of a one-stream call; each
+    # stream is read as xi and then (t_u, rho, theta) for each spec in order;
+    # sample_conditional is row 0 of the one-spec, one-stream call
     g, cov, fac, t = setup64
     _, tct = sqrt_tct(fac, t)
     specs = [ConditionSpec(u=u, scalar=scalar, mode=mode, rho=2.0, theta=theta)
              for u in (0.0, 10.0, 1e6)]
-    streamed = list(condition_pathwise(fac, t, specs, (substream(3, 0, i) for i in range(3))))
-    assert [len(samples) for samples in streamed] == [3, 3, 3]
-    for i, samples in enumerate(streamed):
-        (single,) = condition_pathwise(fac, t, specs, [substream(3, 0, i)])
-        for got, want in zip(samples, single, strict=True):
-            _assert_same_sample(got, want)
+    (blocks,) = condition_blocks(fac, t, specs, (substream(3, 0, i) for i in range(3)))
+    assert [len(block.r2) for block in blocks] == [3, 3, 3]
+    for i in range(3):
+        (single,) = condition_blocks(fac, t, specs, [substream(3, 0, i)])
+        for got, want in zip(blocks, single, strict=True):
+            assert _row(got, i) == _row(want, 0)
         rng = substream(3, 0, i)
         white_noise(fac.rank, scalar, rng)
-        assert [(s.t_u, s.rho, s.theta) for s in samples] == \
+        assert [(block.t_u[i], block.rho[i], block.theta[i]) for block in blocks] == \
             [sample_t_u(spec, tct, rng) for spec in specs]
     for spec in specs:
-        (want,), = condition_pathwise(fac, t, [spec], [substream(3, 2)])
-        _assert_same_sample(sample_conditional(fac, t, spec, substream(3, 2)), want)
+        ((want,),) = condition_blocks(fac, t, [spec], [substream(3, 2)])
+        s = sample_conditional(fac, t, spec, substream(3, 2))
+        assert not s.values.flags.writeable
+        got = (s.values.dtype, s.values.tobytes(), s.scalar, s.t_u, s.r2, s.u, s.rho, s.theta)
+        assert got == _row(want, 0)
+        assert [type(v) for v in got] == [type(v) for v in _row(want, 0)]
 
 
 def test_condition_pathwise_needs_specs_of_one_scalar_type(setup64):
@@ -313,7 +317,7 @@ def test_condition_pathwise_needs_specs_of_one_scalar_type(setup64):
     g, cov, fac, t = setup64
     for specs in ([], [ConditionSpec(u=1.0, scalar=REAL), ConditionSpec(u=2.0, scalar=COMPLEX)]):
         with pytest.raises(ValueError, match="one scalar type"):
-            next(condition_pathwise(fac, t, specs, [substream(0, 0)]))
+            next(condition_blocks(fac, t, specs, [substream(0, 0)]))
 
 
 @pytest.mark.parametrize("alpha", [1e155, 1e300])
