@@ -177,8 +177,9 @@ def verify_prop1(t: fn.LinearFunctional, cov: cv.CovOperator, n_mc: int, seed: i
     """Finite-sample surrogate of the a.s. finiteness of <T|phi>: every sampled
     value finite, and the empirical variance close to <T|C|T>.
 
-    The n_mc coefficient vectors (P each, the factor's rank) are successive
-    draws from the one stream substream(seed, 0), read NOISE_BLOCK rows at a time."""
+    The n_mc coefficient vectors (P each, the factor's numerical rank: the
+    modes above eps * lam_max) are successive draws from the one stream
+    substream(seed, 0), read NOISE_BLOCK rows at a time."""
     if n_mc < 1000:
         raise ValueError(f"need n_mc >= 1000, got {n_mc}")
     tct_val = fn.constants(t, cov).tct

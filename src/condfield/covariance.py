@@ -8,7 +8,8 @@ variance of generated samples equals the kernel diagonal C(x, x), while
 orthonormality of eigenmodes is with respect to the weighted inner product:
 a plain-orthonormal eigenvector v corresponds to the weighted-orthonormal
 mode v / sqrt(w).  A field is the factor applied to i.i.d. standard
-coefficients, one per mode of nonzero eigenvalue.
+coefficients, one per mode whose eigenvalue is above eps * lam_max (eps the
+double machine epsilon): the operator's numerical rank.
 """
 
 import functools
@@ -57,7 +58,8 @@ class SquaredExponential(_Stationary):
                                       f"double, got ell = {self.ell}")
 
     def decay(self, d):
-        return np.exp(-(d ** 2) / (2.0 * self.ell ** 2))
+        with np.errstate(over="ignore"):  # an overflow to -inf decays to exp(-inf) = 0
+            return np.exp(-(d ** 2) / (2.0 * self.ell ** 2))
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,8 @@ class Exponential(_Stationary):
     smooth = False
 
     def decay(self, d):
-        return np.exp(-np.abs(d) / self.ell)
+        with np.errstate(over="ignore"):  # an overflow to -inf decays to exp(-inf) = 0
+            return np.exp(-np.abs(d) / self.ell)
 
 
 @dataclass(frozen=True)
@@ -136,19 +139,19 @@ def point_variance_max(cov: CovOperator) -> float:
 @dataclass(frozen=True)
 class SqrtFactor:
     """Factor L = V_P sqrt(Lambda_P / w) of K = op / w = L L^T, from eigh: the
-    P = M - n_clipped eigenpairs of op that the clip leaves nonzero.  Column n
-    is the Karhunen-Loeve term sqrt(lam_n) e_n; the adjoint of L is w L^T."""
+    P = M - n_clipped eigenpairs of op above eps * lam_max.  Column n is the
+    Karhunen-Loeve term sqrt(lam_n) e_n; the adjoint of L is w L^T."""
 
     grid: Grid
     modes: np.ndarray = field(repr=False)  # L, M x P, columns by descending eigenvalue
-    eigenvalues: np.ndarray = field(repr=False)  # of op, all M, descending, post-clip
+    eigenvalues: np.ndarray = field(repr=False)  # of op, all M, descending, cut ones 0
 
     @property
     def rank(self) -> int:
         return self.modes.shape[1]
 
     @property
-    def n_clipped(self) -> int:  # eigenvalues the clip set to zero; L drops their modes
+    def n_clipped(self) -> int:  # eigenvalues cut to zero; L drops their modes
         return self.grid.m - self.rank
 
     @functools.cached_property
@@ -173,10 +176,11 @@ class SqrtFactor:
 
 
 def sqrt_factor(cov: CovOperator) -> SqrtFactor:
-    """Spectral factor of op, clipping roundoff-negative eigenvalues.
+    """Spectral factor of op over its numerical rank.
 
-    Eigenvalues in the fixed window [-DEFAULT_CLIP_TOL * lam_max, 0] are set to
-    zero, and their modes dropped; anything below it means the kernel was not
+    Eigenvalues at or below eps * lam_max (eps the double machine epsilon) are
+    roundoff: they are set to zero, and their modes dropped.  An eigenvalue
+    below the window -DEFAULT_CLIP_TOL * lam_max means the kernel was not
     positive semidefinite and raises.
     """
     lam, vec = np.linalg.eigh(cov.op)
@@ -186,9 +190,10 @@ def sqrt_factor(cov: CovOperator) -> SqrtFactor:
             f"eigenvalue {lam[0]:.3e} below the clip window {floor:.3e}; "
             "covariance is not positive semidefinite"
         )
-    # eigh returns ascending eigenvalues, so the clipped ones (<= 0) lead
-    n_clipped = int(np.count_nonzero(lam <= 0.0))
-    lam_desc = np.where(lam <= 0.0, 0.0, lam)[::-1]
+    # eigh returns ascending eigenvalues, so the cut ones (<= eps * lam_max) lead
+    cut = lam <= np.finfo(float).eps * max(float(lam[-1]), 0.0)
+    n_clipped = int(np.count_nonzero(cut))
+    lam_desc = np.where(cut, 0.0, lam)[::-1]
     modes = vec[:, n_clipped:][:, ::-1] * np.sqrt(lam_desc[:lam.size - n_clipped] / cov.grid.w)
     for arr in (modes, lam_desc):
         arr.setflags(write=False)

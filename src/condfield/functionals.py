@@ -184,7 +184,8 @@ def analytic_derivative_curve(kernel, x, x0: float, n: int):
 
     For the squared-exponential kernel the n-th derivative is
     variance * ell^(-n) * He_n(s) * exp(-s^2/2) with s = (x - x0)/ell
-    (probabilists' Hermite polynomial).
+    (probabilists' Hermite polynomial).  Raises InvalidKernelParams where an
+    entry of that curve is not a finite double.
     """
     x = np.asarray(x, dtype=float)
     if isinstance(kernel, cv.SquaredExponential):
@@ -194,8 +195,14 @@ def analytic_derivative_curve(kernel, x, x0: float, n: int):
             raise InvalidKernelParams(
                 f"ell^-{n} overflows a double at ell = {kernel.ell}") from None
         s = (x - x0) / kernel.ell
-        he = np.polynomial.hermite_e.HermiteE.basis(n)(s)
-        return kernel.variance * scale * he * np.exp(-(s ** 2) / 2.0)
+        # where s^2 overflows, exp(-inf) = 0 is the right factor; non-finite entries raise below
+        with np.errstate(over="ignore", invalid="ignore"):
+            he = np.polynomial.hermite_e.HermiteE.basis(n)(s)
+            curve = kernel.variance * scale * he * np.exp(-(s ** 2) / 2.0)
+        if not np.all(np.isfinite(curve)):
+            raise InvalidKernelParams(f"analytic curve is not finite for d^{n} C(x, x0)/d x0^{n} "
+                                      f"at variance = {kernel.variance}, ell = {kernel.ell}")
+        return curve
     if n == 0 and isinstance(kernel, cv.Exponential):
         return np.asarray(kernel.pair(x, x0))
     return None

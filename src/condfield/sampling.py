@@ -1,10 +1,11 @@
 """Exact sampling of fields conditioned on <T|phi>.
 
 An unconditional draw is the Karhunen-Loeve series phi = L g over the P modes
-of nonzero eigenvalue (`SqrtFactor`), with g i.i.d. standard.  A conditional
-draw adds a rank-one update (Matheron's rule) in coefficient space: with
-l = w L^T T, so <T|L g> = <l|g> and <T|C|T> = ||l||^2, v = l/||l||,
-t_1 = <v|g> and |t_u|^2 = rho + u^2/<T|C|T>, phi_u = L g + (t_u - t_1) L v.
+with eigenvalue above eps * lam_max (`SqrtFactor`), with g i.i.d. standard.
+A conditional draw adds a rank-one update (Matheron's rule) in coefficient
+space: with l = w L^T T, so <T|L g> = <l|g> and <T|C|T> = ||l||^2,
+v = l/||l||, t_1 = <v|g> and |t_u|^2 = rho + u^2/<T|C|T>,
+phi_u = L g + (t_u - t_1) L v.
 This is the adapted-basis split L(t_u v + g_perp), so it has the same law, and
 |<T|phi_u>| >= u exactly.  `condition_blocks` forms v and L v once per call
 and draws NOISE_BLOCK samples at a time: one GEMM applies the factor to their
@@ -13,11 +14,12 @@ the draw of a sweep; t_1 and r^2 are row sums.
 
 Reproducibility: streams are counter-based (Philox) and splittable.  A
 conditioned sample is one stream read in one order: g, then (t_u, rho,
-theta) for each threshold.  Sweeps and conditional draws give sample i its
-own substream(seed, path..., i), so they are order-independent and safe to
-generate in parallel.  `verify prop1` draws its unconditional noise from one
-stream, substream(seed, 0), read in fixed-size blocks whose size does not
-change the draws.
+theta) for each threshold; complex coefficient n is the normals (2n, 2n+1),
+so a stream's leading coefficients do not depend on P.  Sweeps and
+conditional draws give sample i its own substream(seed, path..., i), so they
+are order-independent and safe to generate in parallel.  `verify prop1` draws
+its unconditional noise from one stream, substream(seed, 0), read in
+fixed-size blocks whose size does not change the draws.
 """
 
 import itertools
@@ -88,7 +90,8 @@ class FieldSample:
 def white_noise(m: int, scalar: str, rng: np.random.Generator,
                 n: int | None = None) -> np.ndarray:
     """m i.i.d. standard coefficients (complex: independent re/im parts of
-    variance 1/2, from one read of 2m normals).
+    variance 1/2, from one read of 2m normals; coefficient j is the pair
+    (2j, 2j+1), so it does not depend on m).
 
     With a count `n`, an (n, m) block whose row k is bitwise the k-th of n
     successive single draws from the same `rng`."""
@@ -98,9 +101,7 @@ def white_noise(m: int, scalar: str, rng: np.random.Generator,
     g = rng.standard_normal(lead + (2 * m,))
     # as complex / real does, times the reciprocal: bitwise (re + 1j im) / sqrt(2)
     g *= 1.0 / np.sqrt(2.0)
-    out = np.empty(lead + (m,), complex)
-    out.real, out.imag = g[..., :m], g[..., m:]
-    return out
+    return g.view(complex)
 
 
 def truncated_normal_lower(alpha: float, rng: np.random.Generator) -> float:

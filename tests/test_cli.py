@@ -20,9 +20,8 @@ def run(args):
 
 
 def run_recording_warnings(args):
-    """`main` with RuntimeWarnings recorded, not raised: runs at extreme scales
-    may pass through an overflow (exp:1:1e-320 overflows in `decay`) to a
-    correct result, or stop with exit 2."""
+    """`main` with RuntimeWarnings recorded, not raised: a run at extreme
+    scales may warn on its way to exit 2."""
     with warnings.catch_warnings(record=True):
         warnings.simplefilter("always")
         return main(args)
@@ -452,6 +451,26 @@ def test_non_finite_result_exits_2(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "usage: condfield" in err
+
+
+@pytest.mark.parametrize("command", [["verify", "prop3"], ["profile"]])
+def test_non_finite_analytic_curve_exits_2(tmp_path, capsys, command):
+    # d^4 C(x, x0)/d x0^4 at ell = 1e-40 is ell^-4 He_4(s) exp(-s^2/2), inf * 0 off x0
+    assert run(command + ["--functional", "dpoint:0.5:4", "--kernel", "sqexp:1:1e-40",
+                          "--out", str(tmp_path / "o.csv")]) == 2
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr().err.startswith("config error: analytic curve is not finite")
+
+
+def test_overflow_to_a_zero_correlation_is_silent(tmp_path, capsys):
+    # -|x - y|/ell overflows to -inf at ell = 1e-320, and exp(-inf) = 0 is the
+    # correlation: exit 0 with nothing on stderr, under the error::RuntimeWarning filter
+    out = tmp_path / "p.csv"
+    assert run(["profile", "--grid", "32", "--kernel", "exp:1:1e-320", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = np.array(read_csv(out)[1:], dtype=float)
+    i0 = int(np.argmin(np.abs(rows[:, 0] - 0.5)))
+    assert np.array_equal(rows[:, 1:], np.eye(32)[i0][:, None] * np.ones(2))
 
 
 @pytest.mark.parametrize("ell", ["1e150", "1e-150"])

@@ -14,6 +14,7 @@ from condfield.covariance import (
     point_variance_max,
     sqrt_factor,
 )
+from condfield.functionals import make_integral_functional, make_point_functional, profile
 from condfield.grid import inner, make_grid
 
 
@@ -174,13 +175,13 @@ def test_point_variance_max_within_one_ulp(kernel, m):
 
 
 @pytest.mark.parametrize("kernel, rank", [
-    (SquaredExponential(1, 0.2), 73),
+    (SquaredExponential(1, 0.2), 22),
     (Exponential(1, 0.1), 128),
     (RankK(((4.0, 1), (1.0, 3), (0.5, 0))), None),
 ], ids=repr)
 def test_factor_keeps_the_modes_the_clip_leaves(kernel, rank):
-    # P = M - n_clipped, and L L^T w is the operator: the same matrix as the
-    # symmetric root squared, within criterion 1's 1e-10
+    # P = M - n_clipped modes above eps * lam_max, and L L^T w is the operator:
+    # the same matrix as the symmetric root squared, within criterion 1's 1e-10
     g = make_grid(0, 1, 128)
     cov = assemble(kernel, g)
     fac = sqrt_factor(cov)
@@ -199,8 +200,41 @@ def test_factor_stores_one_m_by_p_array():
     fac = sqrt_factor(assemble(SquaredExponential(1, 0.2), g))
     shapes = {f.name: np.shape(getattr(fac, f.name)) for f in dataclasses.fields(fac)
               if isinstance(getattr(fac, f.name), np.ndarray)}
-    assert shapes == {"modes": (128, 73), "eigenvalues": (128,)}
+    assert shapes == {"modes": (128, 22), "eigenvalues": (128,)}
     assert "s" not in vars(fac)  # the symmetric root is formed only when read
+
+
+@pytest.mark.parametrize("kernel, m, rank", [
+    (SquaredExponential(1, 0.2), 128, 22),
+    (SquaredExponential(1, 0.05), 512, None),
+    (Exponential(1, 0.1), 128, 128),  # full rank: no eigenvalue is at roundoff level
+    (RankK(((4.0, 1), (1.0, 3), (0.5, 0))), 100, 3),  # exact: the kernel's own rank
+], ids=repr)
+def test_factor_cuts_at_eps_times_the_largest_eigenvalue(kernel, m, rank):
+    # every dropped eigenvalue of op is <= eps * lam_max, every kept one above it
+    g = make_grid(0, 1, m)
+    cov = assemble(kernel, g)
+    fac = sqrt_factor(cov)
+    lam = np.linalg.eigh(cov.op)[0][::-1]
+    cut = np.finfo(float).eps * lam[0]
+    assert fac.rank == (rank or fac.rank)
+    assert np.array_equal(fac.eigenvalues[:fac.rank], lam[:fac.rank])
+    assert np.all(lam[:fac.rank] > cut) and np.all(lam[fac.rank:] <= cut)
+    assert np.all(fac.eigenvalues[fac.rank:] == 0)
+
+
+@pytest.mark.parametrize("m", [128, 512, 2048])
+def test_cut_keeps_the_profile_direction(m):
+    # the unit vectors of L (w L^T T) and of p = C T agree to 16 eps: dropping
+    # the modes at or below eps * lam_max does not move the profile direction
+    g = make_grid(0, 1, m)
+    cov = assemble(SquaredExponential(1, 0.2), g)
+    fac = sqrt_factor(cov)
+    for t in (make_point_functional(g, 0.5), make_integral_functional(g, "cosine")):
+        q = fac.apply(g.w * (fac.modes.T @ t.coeff))
+        p = profile(t, cov)
+        err = np.max(np.abs(q / np.linalg.norm(q) - p / np.linalg.norm(p)))
+        assert err <= 16 * np.finfo(float).eps
 
 
 def test_factor_apply_reads_p_coefficients():

@@ -120,20 +120,31 @@ def test_white_noise_block_rows_are_successive_draws(scalar):
 @pytest.mark.parametrize("n", [None, 7])
 @pytest.mark.parametrize("m, w", [(16, 0.25), (64, 1.0 / 64), (33, 0.3)])
 def test_white_noise_is_bitwise_the_plain_expression(scalar, n, m, w):
-    # complex: (re + 1j im) / sqrt(2) from one read of 2m normals a row. That
-    # in-place scaling rests on complex / real multiplying by the reciprocal,
-    # which is checked here at the scales 1/sqrt(w) as well
+    # complex: (re + 1j im) / sqrt(2) from one read of 2m normals a row, with
+    # coefficient j the normals (2j, 2j+1). That in-place scaling rests on
+    # complex / real multiplying by the reciprocal, which is checked here at the
+    # scales 1/sqrt(w) as well
     lead = () if n is None else (n,)
     for seed in range(4):
         got = white_noise(m, scalar, substream(seed, 5), n=n)
         g = substream(seed, 5).standard_normal(lead + ((2 * m,) if scalar == COMPLEX else (m,)))
         if scalar == COMPLEX:
-            g = (g[..., :m] + 1j * g[..., m:]) / np.sqrt(2.0)
+            g = (g[..., 0::2] + 1j * g[..., 1::2]) / np.sqrt(2.0)
         assert got.shape == g.shape and got.dtype == g.dtype
         assert got.tobytes() == g.tobytes()
         if scalar == COMPLEX:
             got *= 1.0 / np.sqrt(w)
             assert got.tobytes() == (g / np.sqrt(w)).tobytes()
+
+
+@pytest.mark.parametrize("m1, m2", [(1, 2), (21, 22), (22, 257)])
+def test_complex_white_noise_is_a_prefix_of_a_longer_draw(m1, m2):
+    # coefficient j is the normals (2j, 2j+1) of the stream, whatever the count
+    # drawn, so a factor of a different rank reads the same leading coefficients
+    for seed in range(4):
+        short = white_noise(m1, COMPLEX, substream(seed, 5))
+        long = white_noise(m2, COMPLEX, substream(seed, 5))
+        assert short.tobytes() == long[:m1].tobytes()
 
 
 def test_truncated_normal_half_normal_mean():
@@ -246,12 +257,12 @@ def test_determinism(setup64):
     assert a.t_u == b.t_u and a.rho == b.rho and a.theta == b.theta
 
 
-@pytest.mark.parametrize("kernel, n_clipped", [(SquaredExponential(1, 0.2), 55),
+@pytest.mark.parametrize("kernel, n_clipped", [(SquaredExponential(1, 0.2), 106),
                                                (Exponential(1, 0.1), 0)])
 @pytest.mark.parametrize("scalar", [REAL, COMPLEX])
 def test_pathwise_matches_adapted_basis_split(kernel, n_clipped, scalar, adapted_split):
     # the rank-one update and the adapted-basis split are the same draw, to
-    # roundoff, with and without clipped eigenvalues
+    # roundoff, with and without cut eigenvalues
     g = make_grid(0, 1, 128)
     fac = sqrt_factor(assemble(kernel, g))
     assert fac.n_clipped == n_clipped
