@@ -9,7 +9,9 @@ orthonormality of eigenmodes is with respect to the weighted inner product:
 a plain-orthonormal eigenvector v corresponds to the weighted-orthonormal
 mode v / sqrt(w).  A field is the factor applied to i.i.d. standard
 coefficients, one per mode whose eigenvalue is above eps * lam_max (eps the
-double machine epsilon): the operator's numerical rank.
+double machine epsilon): the operator's numerical rank.  A smooth kernel's
+modes are Ritz pairs on the span of a pivoted Cholesky factor, certified
+against op; any other kernel's come from a dense eigh.
 """
 
 import functools
@@ -21,6 +23,7 @@ from .errors import ConfigError, InvalidKernelParams, LengthMismatch, NotPositiv
 from .grid import Grid, _check
 
 DEFAULT_CLIP_TOL = 1e-12
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -122,10 +125,15 @@ class CovOperator:
 
 
 def assemble(kernel, grid: Grid) -> CovOperator:
-    """Evaluate the kernel on the grid and form op = w * K from the symmetrized K."""
+    """Evaluate the kernel on the grid and form op = w * K from the symmetrized K.
+    Raises InvalidKernelParams where op is not finite (finite kernel values
+    whose symmetrized sum overflows)."""
     kmat = np.asarray(kernel.matrix(grid), dtype=float)
-    kmat = 0.5 * (kmat + kmat.T)
-    op = grid.w * kmat
+    with np.errstate(over="ignore"):  # an overflow to inf is rejected below
+        op = grid.w * (0.5 * (kmat + kmat.T))
+    if not np.all(np.isfinite(op)):
+        raise InvalidKernelParams(f"{kernel!r} gives a covariance matrix that is not finite "
+                                  f"in double precision on this grid")
     op.setflags(write=False)
     return CovOperator(grid=grid, kernel=kernel, op=op)
 
@@ -138,13 +146,15 @@ def point_variance_max(cov: CovOperator) -> float:
 
 @dataclass(frozen=True)
 class SqrtFactor:
-    """Factor L = V_P sqrt(Lambda_P / w) of K = op / w = L L^T, from eigh: the
-    P = M - n_clipped eigenpairs of op above eps * lam_max.  Column n is the
-    Karhunen-Loeve term sqrt(lam_n) e_n; the adjoint of L is w L^T."""
+    """Factor L = V_P sqrt(Lambda_P / w) of K = op / w = L L^T over the
+    P = M - n_clipped eigenpairs of op above eps * lam_max: from a dense eigh,
+    or Ritz pairs whose w L L^T is within DEFAULT_CLIP_TOL * lam_max / M of op
+    entrywise (`sqrt_factor`).  Column n is the Karhunen-Loeve term
+    sqrt(lam_n) e_n; the adjoint of L is w L^T."""
 
     grid: Grid
     modes: np.ndarray = field(repr=False)  # L, M x P, columns by descending eigenvalue
-    eigenvalues: np.ndarray = field(repr=False)  # of op, all M, descending, cut ones 0
+    eigenvalues: np.ndarray = field(repr=False)  # of op, M, descending; cut or not computed: 0
 
     @property
     def rank(self) -> int:
@@ -175,15 +185,53 @@ class SqrtFactor:
         return re + 1j * im
 
 
+def _ritz_pairs(op: np.ndarray):
+    """Ascending (lam, V) of op from pivoted Cholesky and Rayleigh-Ritz, or None.
+
+    Pivots on the largest residual diagonal (Harbrecht, Peters & Schneider
+    2012) until, after j pivots, it is at most (j + 1) eps * max diag(op):
+    the roundoff bound of the computed residual diagonal (Higham, Accuracy
+    and Stability of Numerical Algorithms, Thm 10.3), below which it stalls.
+    Q spans the pivoted columns, and lam, V = Q U come from eigh of Q^T op Q.
+    None where more than M/4 pivots are needed, none is taken, or the
+    certificate M max|op - V Lambda V^T| <= DEFAULT_CLIP_TOL * lam_max fails
+    (Lambda with the eigenvalues the factor cuts set to zero): it bounds
+    ||op - V Lambda V^T||_2, so op's spectrum lies in the clip window.
+    """
+    m = op.shape[0]
+    d = np.diag(op).copy()
+    d_max = max(float(d.max()), 0.0)  # so every pivot taken is positive
+    rows = np.empty((m // 4, m))
+    for j in range(m // 4 + 1):
+        i = int(np.argmax(d))
+        if not d[i] > (j + 1) * EPS * d_max:  # also NaN
+            break
+        if j == m // 4:
+            return None
+        rows[j] = (op[i] - rows[:j, i] @ rows[:j]) / np.sqrt(d[i])
+        d -= rows[j] ** 2
+    if j == 0:
+        return None
+    q = np.linalg.qr(rows[:j].T)[0]
+    lam, u = np.linalg.eigh(q.T @ op @ q)
+    vec = q @ u
+    resid = (vec * np.where(lam > EPS * lam[-1], lam, 0.0)) @ vec.T  # the factor's L L^T w
+    np.abs(np.subtract(op, resid, out=resid), out=resid)
+    return (lam, vec) if m * resid.max() <= DEFAULT_CLIP_TOL * lam[-1] else None
+
+
 def sqrt_factor(cov: CovOperator) -> SqrtFactor:
     """Spectral factor of op over its numerical rank.
 
+    A smooth kernel's eigenpairs come from `_ritz_pairs` where it certifies
+    them; any other operator, or one it rejects, goes through a dense eigh.
     Eigenvalues at or below eps * lam_max (eps the double machine epsilon) are
     roundoff: they are set to zero, and their modes dropped.  An eigenvalue
     below the window -DEFAULT_CLIP_TOL * lam_max means the kernel was not
     positive semidefinite and raises.
     """
-    lam, vec = np.linalg.eigh(cov.op)
+    pairs = _ritz_pairs(cov.op) if getattr(cov.kernel, "smooth", False) else None
+    lam, vec = pairs or np.linalg.eigh(cov.op)
     floor = -DEFAULT_CLIP_TOL * max(float(lam[-1]), 0.0)
     if lam[0] < floor:
         raise NotPositive(
@@ -191,10 +239,11 @@ def sqrt_factor(cov: CovOperator) -> SqrtFactor:
             "covariance is not positive semidefinite"
         )
     # eigh returns ascending eigenvalues, so the cut ones (<= eps * lam_max) lead
-    cut = lam <= np.finfo(float).eps * max(float(lam[-1]), 0.0)
-    n_clipped = int(np.count_nonzero(cut))
-    lam_desc = np.where(cut, 0.0, lam)[::-1]
-    modes = vec[:, n_clipped:][:, ::-1] * np.sqrt(lam_desc[:lam.size - n_clipped] / cov.grid.w)
+    n_cut = int(np.count_nonzero(lam <= EPS * max(float(lam[-1]), 0.0)))
+    kept = lam[n_cut:][::-1]
+    lam_desc = np.zeros(cov.grid.m)
+    lam_desc[:kept.size] = kept
+    modes = vec[:, n_cut:][:, ::-1] * np.sqrt(kept / cov.grid.w)
     for arr in (modes, lam_desc):
         arr.setflags(write=False)
     return SqrtFactor(grid=cov.grid, modes=modes, eigenvalues=lam_desc)

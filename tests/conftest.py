@@ -3,6 +3,7 @@ import signal
 import numpy as np
 import pytest
 
+from condfield.covariance import SqrtFactor
 from condfield.grid import inner
 from condfield.sampling import REAL
 
@@ -26,6 +27,22 @@ def _adapted_split(factor, t, g, t_u, scalar):
 @pytest.fixture
 def adapted_split():
     return _adapted_split
+
+
+def _eigh_factor(cov):
+    """Reference dense-route factor: L = V_P sqrt(Lambda_P / w) over the
+    eigenpairs of a dense eigh of op above eps * lam_max."""
+    lam, vec = np.linalg.eigh(cov.op)
+    cut = lam <= np.finfo(float).eps * lam[-1]
+    n_cut = int(np.count_nonzero(cut))
+    lam_desc = np.where(cut, 0.0, lam)[::-1]
+    modes = vec[:, n_cut:][:, ::-1] * np.sqrt(lam_desc[:lam.size - n_cut] / cov.grid.w)
+    return SqrtFactor(grid=cov.grid, modes=modes, eigenvalues=lam_desc)
+
+
+@pytest.fixture
+def eigh_factor():
+    return _eigh_factor
 
 
 class _ZeroStream:

@@ -462,6 +462,16 @@ def test_non_finite_analytic_curve_exits_2(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("config error: analytic curve is not finite")
 
 
+def test_overflowing_covariance_exits_2_with_a_named_error(tmp_path, capsys):
+    # 0.5 (K + K^T) overflows: assemble names it, with no warning on the way
+    assert run(["profile", "--grid", "32", "--kernel", "exp:1.7e308:0.2",
+                "--out", str(tmp_path / "p.csv")]) == 2
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr().err.startswith(
+        "config error: Exponential(variance=1.7e+308, ell=0.2) gives a covariance matrix "
+        "that is not finite")
+
+
 def test_overflow_to_a_zero_correlation_is_silent(tmp_path, capsys):
     # -|x - y|/ell overflows to -inf at ell = 1e-320, and exp(-inf) = 0 is the
     # correlation: exit 0 with nothing on stderr, under the error::RuntimeWarning filter

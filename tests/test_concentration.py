@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from condfield import concentration, errors
+from condfield import concentration, covariance, errors
 from condfield.concentration import (
     distance_record,
     normalized_sup_distance,
@@ -17,10 +17,12 @@ from condfield.covariance import (
     RankK,
     SquaredExponential,
     assemble,
+    kernel_from_spec,
     sqrt_factor,
 )
 from condfield.functionals import (
     constants,
+    functional_from_spec,
     make_integral_functional,
     make_point_functional,
     profile,
@@ -509,3 +511,40 @@ def test_no_command_forms_the_symmetric_root(monkeypatch):
     verify_prop1(t, cov, 1000, seed=1)
     assert len(made) == 1
     assert all("s" not in vars(f) for f in (fac, *made))
+
+
+def test_ritz_and_eigh_factors_give_the_same_prop1_verdict(monkeypatch, eigh_factor):
+    # the routes draw different samples (P = 21 against 22 here), so they are
+    # compared on statistics: verify_prop1 passes on both, seed by seed
+    g = make_grid(0, 1, 512)
+    cov = assemble(SquaredExponential(1, 0.2), g)
+    t = make_point_functional(g, 0.5)
+    ritz, dense = sqrt_factor(cov), eigh_factor(cov)
+    assert ritz.rank < dense.rank
+    for fac in (ritz, dense):
+        monkeypatch.setattr(concentration.cv, "sqrt_factor", lambda c, fac=fac: fac)
+        for scalar, seeds in ((COMPLEX, range(8)), (REAL, range(4))):
+            for seed in seeds:
+                assert verify_prop1(t, cov, 20000, seed=seed, scalar=scalar)["passed"]
+
+
+@pytest.mark.parametrize("kernel, functional, scalar, mode", [
+    ("sqexp:1:0.2", "point:0.5", COMPLEX, FIXED_RHO),
+    ("sqexp:1:0.2", "integral:cosine", REAL, RANDOM),
+    ("rankk:4@1,1@3,0.5@0", "point:0.5", COMPLEX, RANDOM),
+    ("sqexp:2:0.3", "dpoint:0.5:1", REAL, FIXED_RHO),
+])
+def test_ritz_and_eigh_factors_give_the_same_sweep_slope(kernel, functional, scalar, mode,
+                                                         eigh_factor):
+    # u stops at 1e8: past about 1e14 the roundoff floor of the distances, which
+    # differs between any two factors, sets q50 and not the 1/u rate
+    g = make_grid(0, 1, 128)
+    cov = assemble(kernel_from_spec(kernel), g)
+    t = functional_from_spec(functional, g)
+    assert covariance._ritz_pairs(cov.op) is not None
+    ritz, dense = sqrt_factor(cov), eigh_factor(cov)
+    u_list = [10.0 ** k for k in range(2, 9)]
+    reps = [sweep(fac, t, cov, u_list, 200, scalar=scalar, mode=mode, seed=1) for fac in (ritz, dense)]
+    for rep in reps:
+        assert rep.violations_est0 == rep.violations_est12 == 0
+    assert abs(reps[0].slope - reps[1].slope) <= 1e-3

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from condfield import errors
+from condfield import covariance, errors
 from condfield.covariance import (
+    DEFAULT_CLIP_TOL,
     CovOperator,
     Exponential,
     RankK,
@@ -175,7 +176,7 @@ def test_point_variance_max_within_one_ulp(kernel, m):
 
 
 @pytest.mark.parametrize("kernel, rank", [
-    (SquaredExponential(1, 0.2), 22),
+    (SquaredExponential(1, 0.2), 21),
     (Exponential(1, 0.1), 128),
     (RankK(((4.0, 1), (1.0, 3), (0.5, 0))), None),
 ], ids=repr)
@@ -200,27 +201,90 @@ def test_factor_stores_one_m_by_p_array():
     fac = sqrt_factor(assemble(SquaredExponential(1, 0.2), g))
     shapes = {f.name: np.shape(getattr(fac, f.name)) for f in dataclasses.fields(fac)
               if isinstance(getattr(fac, f.name), np.ndarray)}
-    assert shapes == {"modes": (128, 22), "eigenvalues": (128,)}
+    assert shapes == {"modes": (128, 21), "eigenvalues": (128,)}
     assert "s" not in vars(fac)  # the symmetric root is formed only when read
 
 
-@pytest.mark.parametrize("kernel, m, rank", [
-    (SquaredExponential(1, 0.2), 128, 22),
-    (SquaredExponential(1, 0.05), 512, None),
-    (Exponential(1, 0.1), 128, 128),  # full rank: no eigenvalue is at roundoff level
-    (RankK(((4.0, 1), (1.0, 3), (0.5, 0))), 100, 3),  # exact: the kernel's own rank
+@pytest.mark.parametrize("kernel, m, rank, ritz", [
+    (SquaredExponential(1, 0.2), 128, 21, True),
+    (SquaredExponential(1, 0.05), 512, None, True),
+    (Exponential(1, 0.1), 128, 128, False),  # full rank: no eigenvalue is at roundoff level
+    (RankK(((4.0, 1), (1.0, 3), (0.5, 0))), 100, 3, True),  # exact: the kernel's own rank
 ], ids=repr)
-def test_factor_cuts_at_eps_times_the_largest_eigenvalue(kernel, m, rank):
-    # every dropped eigenvalue of op is <= eps * lam_max, every kept one above it
+def test_factor_cuts_at_eps_times_the_largest_eigenvalue(kernel, m, rank, ritz):
+    # every dropped eigenvalue of op is <= eps * lam_max, every kept one above
+    # it; on the Ritz route both hold to within ||E||_2 <= M max|E|, with
+    # E = op - w L L^T, whose own eigenvalues are the kept ones and zeros (Weyl)
     g = make_grid(0, 1, m)
     cov = assemble(kernel, g)
     fac = sqrt_factor(cov)
     lam = np.linalg.eigh(cov.op)[0][::-1]
     cut = np.finfo(float).eps * lam[0]
     assert fac.rank == (rank or fac.rank)
-    assert np.array_equal(fac.eigenvalues[:fac.rank], lam[:fac.rank])
-    assert np.all(lam[:fac.rank] > cut) and np.all(lam[fac.rank:] <= cut)
+    assert (covariance._ritz_pairs(cov.op) is not None) == ritz
+    if ritz:
+        weyl = m * np.max(np.abs(cov.op - g.w * fac.modes @ fac.modes.T))
+        assert np.all(np.abs(fac.eigenvalues[:fac.rank] - lam[:fac.rank]) <= weyl)
+    else:
+        weyl = 0.0
+        assert np.array_equal(fac.eigenvalues[:fac.rank], lam[:fac.rank])
+    assert np.all(fac.eigenvalues[:fac.rank] > np.finfo(float).eps * fac.eigenvalues[0])
+    assert np.all(lam[:fac.rank] > cut - weyl) and np.all(lam[fac.rank:] <= cut + weyl)
     assert np.all(fac.eigenvalues[fac.rank:] == 0)
+
+
+RITZ_SPECS = ("sqexp:1:0.2", "sqexp:3:0.5", "sqexp:1e-300:0.2", "rankk:4@1,1@3,0.5@0", "rankk:1@0")
+
+
+@pytest.mark.parametrize("spec, m", [(spec, m) for spec in RITZ_SPECS for m in (100, 128, 512, 2048)]
+                         + [("sqexp:1:0.05", 512), ("sqexp:1:0.05", 2048)])
+def test_ritz_factor_meets_its_certificate(spec, m):
+    # the Ritz route's factor w L L^T is within DEFAULT_CLIP_TOL * lam_max / M
+    # of op entrywise, so op's spectrum sits in the NotPositive window
+    cov = assemble(kernel_from_spec(spec), make_grid(0, 1, m))
+    assert covariance._ritz_pairs(cov.op) is not None
+    fac = sqrt_factor(cov)
+    resid = cov.op - cov.grid.w * fac.modes @ fac.modes.T
+    assert m * np.max(np.abs(resid)) <= DEFAULT_CLIP_TOL * fac.eigenvalues[0]
+    assert fac.rank <= m // 4
+
+
+@pytest.mark.parametrize("kernel", [Exponential(1, 0.1), SquaredExponential(1, 0.002)], ids=repr)
+def test_dense_route_factor_is_the_eigh_factor(kernel, eigh_factor):
+    # a nonsmooth kernel, and a smooth one that needs more than M/4 pivots,
+    # are factored by a dense eigh: bitwise the reference factor
+    cov = assemble(kernel, make_grid(0, 1, 128))
+    fac, ref = sqrt_factor(cov), eigh_factor(cov)
+    assert fac.rank == 128
+    assert fac.modes.tobytes() == ref.modes.tobytes()
+    assert fac.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+
+
+def test_shifted_smooth_kernel_is_not_positive():
+    # a smooth kernel's op shifted by -1e-9 lam_max fails the Ritz certificate,
+    # and the dense eigh rejects it
+    g = make_grid(0, 1, 128)
+    cov = assemble(SquaredExponential(1, 0.2), g)
+    lam_max = np.linalg.eigvalsh(cov.op)[-1]
+    bad = CovOperator(grid=g, kernel=SquaredExponential(1, 0.2),
+                      op=cov.op - 1e-9 * lam_max * np.eye(g.m))
+    with pytest.raises(errors.NotPositive):
+        sqrt_factor(bad)
+
+
+def test_zero_operator_has_rank_zero():
+    # the largest diagonal is 0: no pivot is taken, and the dense eigh cuts every mode
+    g = make_grid(0, 1, 64)
+    fac = sqrt_factor(CovOperator(grid=g, kernel=SquaredExponential(1, 0.2), op=np.zeros((64, 64))))
+    assert fac.rank == 0 and fac.modes.shape == (64, 0)
+    assert np.all(fac.eigenvalues == 0)
+
+
+def test_assemble_rejects_an_operator_that_is_not_finite():
+    # finite kernel values whose symmetrized sum overflows: a named error, and
+    # no overflow warning (an error under the suite's RuntimeWarning filter)
+    with pytest.raises(errors.InvalidKernelParams, match="not finite"):
+        assemble(Exponential(1.7e308, 0.2), make_grid(0, 1, 32))
 
 
 @pytest.mark.parametrize("m", [128, 512, 2048])

@@ -257,7 +257,7 @@ def test_determinism(setup64):
     assert a.t_u == b.t_u and a.rho == b.rho and a.theta == b.theta
 
 
-@pytest.mark.parametrize("kernel, n_clipped", [(SquaredExponential(1, 0.2), 106),
+@pytest.mark.parametrize("kernel, n_clipped", [(SquaredExponential(1, 0.2), 107),
                                                (Exponential(1, 0.1), 0)])
 @pytest.mark.parametrize("scalar", [REAL, COMPLEX])
 def test_pathwise_matches_adapted_basis_split(kernel, n_clipped, scalar, adapted_split):
