@@ -10,8 +10,8 @@ a plain-orthonormal eigenvector v corresponds to the weighted-orthonormal
 mode v / sqrt(w).  A field is the factor applied to i.i.d. standard
 coefficients, one per mode whose eigenvalue is above eps * lam_max (eps the
 double machine epsilon): the operator's numerical rank.  A smooth kernel's
-modes are Ritz pairs on the span of a pivoted Cholesky factor, certified
-against op; any other kernel's come from a dense eigh.
+modes come from one SVD of its pivoted Cholesky rows, certified against op
+row block by row block; any other kernel's come from a dense eigh.
 """
 
 import functools
@@ -24,6 +24,7 @@ from .grid import Grid, _check
 
 DEFAULT_CLIP_TOL = 1e-12
 EPS = np.finfo(float).eps
+_CERT_ROWS = 64  # height of the row blocks the pivoted route's certificate reads
 
 
 @dataclass(frozen=True)
@@ -146,11 +147,10 @@ def point_variance_max(cov: CovOperator) -> float:
 
 @dataclass(frozen=True)
 class SqrtFactor:
-    """Factor L = V_P sqrt(Lambda_P / w) of K = op / w = L L^T over the
-    P = M - n_clipped eigenpairs of op above eps * lam_max: from a dense eigh,
-    or Ritz pairs whose w L L^T is within DEFAULT_CLIP_TOL * lam_max / M of op
-    entrywise (`sqrt_factor`).  Column n is the Karhunen-Loeve term
-    sqrt(lam_n) e_n; the adjoint of L is w L^T."""
+    """Factor L = V_P sqrt(Lambda_P / w) of K = op / w = L L^T over the P = M - n_clipped
+    eigenpairs of op above eps * lam_max, from a dense eigh or one SVD of pivoted Cholesky
+    rows (w L L^T then within DEFAULT_CLIP_TOL * lam_max / M of op entrywise; `sqrt_factor`).
+    Column n is the Karhunen-Loeve term sqrt(lam_n) e_n; the adjoint of L is w L^T."""
 
     grid: Grid
     modes: np.ndarray = field(repr=False)  # L, M x P, columns by descending eigenvalue
@@ -185,59 +185,59 @@ class SqrtFactor:
         return re + 1j * im
 
 
-def _ritz_pairs(op: np.ndarray):
-    """Ascending (lam, V) of op from pivoted Cholesky and Rayleigh-Ritz, or None.
+def _pivoted_pairs(op: np.ndarray):
+    """Ascending (lam, V) of op from one SVD of its pivoted Cholesky rows, or None.
 
     Pivots on the largest residual diagonal (Harbrecht, Peters & Schneider
-    2012) until, after j pivots, it is at most (j + 1) eps * max diag(op):
-    the roundoff bound of the computed residual diagonal (Higham, Accuracy
-    and Stability of Numerical Algorithms, Thm 10.3), below which it stalls.
-    Q spans the pivoted columns, and lam, V = Q U come from eigh of Q^T op Q.
-    None where more than M/4 pivots are needed, none is taken, or the
-    certificate M max|op - V Lambda V^T| <= DEFAULT_CLIP_TOL * lam_max fails
-    (Lambda with the eigenvalues the factor cuts set to zero): it bounds
+    2012) until, after j pivots, it is at most (j + 1) eps * max diag(op): the
+    roundoff bound of the computed residual diagonal (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.3), below which it stalls.  The
+    j x M pivot rows R have R^T R = V S^2 V^T, so lam = S^2.  None where more
+    than M/4 pivots are needed, none is taken, or the certificate
+    M max|op - V Lambda V^T| <= DEFAULT_CLIP_TOL * lam_max fails (Lambda with
+    the cut eigenvalues zero, op read in blocks of _CERT_ROWS rows): it bounds
     ||op - V Lambda V^T||_2, so op's spectrum lies in the clip window.
     """
     m = op.shape[0]
     d = np.diag(op).copy()
     d_max = max(float(d.max()), 0.0)  # so every pivot taken is positive
-    rows = np.empty((m // 4, m))
+    rows = np.empty((0, m))  # R, grown with the pivot count up to the M/4 cap
     for j in range(m // 4 + 1):
         i = int(np.argmax(d))
         if not d[i] > (j + 1) * EPS * d_max:  # also NaN
             break
         if j == m // 4:
             return None
+        if j == len(rows):
+            rows = np.concatenate((rows, np.empty((min(j + 8, m // 4 - j), m))))
         rows[j] = (op[i] - rows[:j, i] @ rows[:j]) / np.sqrt(d[i])
         d -= rows[j] ** 2
     if j == 0:
         return None
-    q = np.linalg.qr(rows[:j].T)[0]
-    lam, u = np.linalg.eigh(q.T @ op @ q)
-    vec = q @ u
-    resid = (vec * np.where(lam > EPS * lam[-1], lam, 0.0)) @ vec.T  # the factor's L L^T w
-    np.abs(np.subtract(op, resid, out=resid), out=resid)
-    return (lam, vec) if m * resid.max() <= DEFAULT_CLIP_TOL * lam[-1] else None
+    s, vt = np.linalg.svd(rows[:j], full_matrices=False)[1:]
+    lam = s ** 2  # descending
+    lv = vt.T * np.where(lam > EPS * lam[0], lam, 0.0)  # the factor's w L L^T is lv V^T
+    err = max(np.abs(op[k:k + _CERT_ROWS] - lv[k:k + _CERT_ROWS] @ vt).max()
+              for k in range(0, m, _CERT_ROWS))
+    return (lam[::-1], vt[::-1].T) if m * err <= DEFAULT_CLIP_TOL * lam[0] else None
 
 
 def sqrt_factor(cov: CovOperator) -> SqrtFactor:
     """Spectral factor of op over its numerical rank.
 
-    A smooth kernel's eigenpairs come from `_ritz_pairs` where it certifies
+    A smooth kernel's eigenpairs come from `_pivoted_pairs` where it certifies
     them; any other operator, or one it rejects, goes through a dense eigh.
     Eigenvalues at or below eps * lam_max (eps the double machine epsilon) are
     roundoff: they are set to zero, and their modes dropped.  An eigenvalue
     below the window -DEFAULT_CLIP_TOL * lam_max means the kernel was not
     positive semidefinite and raises.
     """
-    pairs = _ritz_pairs(cov.op) if getattr(cov.kernel, "smooth", False) else None
+    pairs = _pivoted_pairs(cov.op) if getattr(cov.kernel, "smooth", False) else None
     lam, vec = pairs or np.linalg.eigh(cov.op)
     floor = -DEFAULT_CLIP_TOL * max(float(lam[-1]), 0.0)
     if lam[0] < floor:
-        raise NotPositive(
-            f"eigenvalue {lam[0]:.3e} below the clip window {floor:.3e}; "
-            "covariance is not positive semidefinite"
-        )
+        raise NotPositive(f"eigenvalue {lam[0]:.3e} below the clip window {floor:.3e}; "
+                          "covariance is not positive semidefinite")
     # eigh returns ascending eigenvalues, so the cut ones (<= eps * lam_max) lead
     n_cut = int(np.count_nonzero(lam <= EPS * max(float(lam[-1]), 0.0)))
     kept = lam[n_cut:][::-1]

@@ -6,7 +6,8 @@ class CondfieldError(Exception):
 
 
 class NonpositiveLength(CondfieldError):
-    """Domain right endpoint is not strictly greater than the left one."""
+    """Domain is not finite a < b whose grid step (b - a)/M is a positive finite
+    double with strictly increasing points."""
 
 
 class TooFewPoints(CondfieldError):

@@ -35,13 +35,18 @@ class Grid:
 
 
 def make_grid(a: float, b: float, m: int) -> Grid:
-    """Build the midpoint grid x_i = a + (i + 1/2) h, h = (b - a) / M."""
+    """Build the midpoint grid x_i = a + (i + 1/2) h, h = (b - a) / M.  Raises
+    NonpositiveLength unless a < b are finite, h is a positive finite double and
+    the points strictly increase."""
     if not -np.inf < a < b < np.inf:
         raise NonpositiveLength(f"need finite a < b, got a={a}, b={b}")
     if not (isinstance(m, numbers.Integral) and m >= 2):
         raise TooFewPoints(f"need an integer number of grid points >= 2, got {m!r}")
     h = (b - a) / m
     points = a + (np.arange(m) + 0.5) * h
+    if not (0 < h < np.inf and np.all(np.diff(points) > 0)):
+        raise NonpositiveLength(f"step h = (b - a)/M = {h} on [{a}, {b}] with M = {m} is not a "
+                                f"positive finite double with strictly increasing points")
     points.setflags(write=False)
     return Grid(a=float(a), b=float(b), m=int(m), points=points, w=h)
 

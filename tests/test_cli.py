@@ -158,6 +158,14 @@ def test_non_finite_input_exits_2(tmp_path, args):
     assert not out.exists()
 
 
+def test_domain_whose_step_overflows_exits_2(tmp_path, capsys):
+    # b - a overflows, so h = inf: the step is named, not a zero functional
+    out = tmp_path / "p.csv"
+    assert run(["profile", "--domain=-1e308,1e308", "--grid", "4", "--out", str(out)]) == 2
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr().err.startswith("config error: step h = (b - a)/M = inf")
+
+
 def test_verify_bounds_zero_mc_exits_2(tmp_path):
     assert run(["verify", "bounds", "--mc", "0", "--grid", "64",
                 "--out", str(tmp_path / "v.json")]) == 2

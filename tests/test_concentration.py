@@ -541,7 +541,7 @@ def test_ritz_and_eigh_factors_give_the_same_sweep_slope(kernel, functional, sca
     g = make_grid(0, 1, 128)
     cov = assemble(kernel_from_spec(kernel), g)
     t = functional_from_spec(functional, g)
-    assert covariance._ritz_pairs(cov.op) is not None
+    assert covariance._pivoted_pairs(cov.op) is not None
     ritz, dense = sqrt_factor(cov), eigh_factor(cov)
     u_list = [10.0 ** k for k in range(2, 9)]
     reps = [sweep(fac, t, cov, u_list, 200, scalar=scalar, mode=mode, seed=1) for fac in (ritz, dense)]

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,7 +214,7 @@ def test_factor_stores_one_m_by_p_array():
 ], ids=repr)
 def test_factor_cuts_at_eps_times_the_largest_eigenvalue(kernel, m, rank, ritz):
     # every dropped eigenvalue of op is <= eps * lam_max, every kept one above
-    # it; on the Ritz route both hold to within ||E||_2 <= M max|E|, with
+    # it; on the pivoted route both hold to within ||E||_2 <= M max|E|, with
     # E = op - w L L^T, whose own eigenvalues are the kept ones and zeros (Weyl)
     g = make_grid(0, 1, m)
     cov = assemble(kernel, g)
@@ -221,7 +222,7 @@ def test_factor_cuts_at_eps_times_the_largest_eigenvalue(kernel, m, rank, ritz):
     lam = np.linalg.eigh(cov.op)[0][::-1]
     cut = np.finfo(float).eps * lam[0]
     assert fac.rank == (rank or fac.rank)
-    assert (covariance._ritz_pairs(cov.op) is not None) == ritz
+    assert (covariance._pivoted_pairs(cov.op) is not None) == ritz
     if ritz:
         weyl = m * np.max(np.abs(cov.op - g.w * fac.modes @ fac.modes.T))
         assert np.all(np.abs(fac.eigenvalues[:fac.rank] - lam[:fac.rank]) <= weyl)
@@ -237,12 +238,13 @@ RITZ_SPECS = ("sqexp:1:0.2", "sqexp:3:0.5", "sqexp:1e-300:0.2", "rankk:4@1,1@3,0
 
 
 @pytest.mark.parametrize("spec, m", [(spec, m) for spec in RITZ_SPECS for m in (100, 128, 512, 2048)]
-                         + [("sqexp:1:0.05", 512), ("sqexp:1:0.05", 2048)])
+                         + [("sqexp:1:0.05", 512), ("sqexp:1:0.05", 2048),
+                            ("sqexp:1:0.01", 2048)])  # P = 267
 def test_ritz_factor_meets_its_certificate(spec, m):
-    # the Ritz route's factor w L L^T is within DEFAULT_CLIP_TOL * lam_max / M
+    # the pivoted route's factor w L L^T is within DEFAULT_CLIP_TOL * lam_max / M
     # of op entrywise, so op's spectrum sits in the NotPositive window
     cov = assemble(kernel_from_spec(spec), make_grid(0, 1, m))
-    assert covariance._ritz_pairs(cov.op) is not None
+    assert covariance._pivoted_pairs(cov.op) is not None
     fac = sqrt_factor(cov)
     resid = cov.op - cov.grid.w * fac.modes @ fac.modes.T
     assert m * np.max(np.abs(resid)) <= DEFAULT_CLIP_TOL * fac.eigenvalues[0]
@@ -261,15 +263,36 @@ def test_dense_route_factor_is_the_eigh_factor(kernel, eigh_factor):
 
 
 def test_shifted_smooth_kernel_is_not_positive():
-    # a smooth kernel's op shifted by -1e-9 lam_max fails the Ritz certificate,
-    # and the dense eigh rejects it
+    # a smooth kernel's op shifted by -1e-9 lam_max, or given +1e-9 lam_max at
+    # (10, 100) and (100, 10) with its diagonal unchanged (smallest eigenvalue
+    # -8.9e-10 lam_max, which a certificate that reads only the residual
+    # diagonal would miss), fails the pivoted certificate, and the dense eigh
+    # rejects it
     g = make_grid(0, 1, 128)
     cov = assemble(SquaredExponential(1, 0.2), g)
     lam_max = np.linalg.eigvalsh(cov.op)[-1]
-    bad = CovOperator(grid=g, kernel=SquaredExponential(1, 0.2),
-                      op=cov.op - 1e-9 * lam_max * np.eye(g.m))
-    with pytest.raises(errors.NotPositive):
-        sqrt_factor(bad)
+    bump = np.zeros((g.m, g.m))
+    bump[10, 100] = bump[100, 10] = 1e-9 * lam_max
+    for op in (cov.op - 1e-9 * lam_max * np.eye(g.m), cov.op + bump):
+        assert np.linalg.eigvalsh(op)[0] < -DEFAULT_CLIP_TOL * lam_max
+        assert covariance._pivoted_pairs(op) is None
+        with pytest.raises(errors.NotPositive):
+            sqrt_factor(CovOperator(grid=g, kernel=SquaredExponential(1, 0.2), op=op))
+
+
+def test_pivoted_factor_peak_memory_is_an_eighth_of_one_operator():
+    # the pivoted route reads op only by its diagonal, single rows and row
+    # blocks, and holds O(M P) beyond it: no M x M or M/4 x M temporary
+    g = make_grid(0, 1, 2048)
+    cov = assemble(SquaredExponential(1, 0.2), g)
+    tracemalloc.start()
+    try:
+        fac = sqrt_factor(cov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fac.rank == 21
+    assert peak <= g.m * g.m * 8 / 8
 
 
 def test_zero_operator_has_rank_zero():

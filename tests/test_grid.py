@@ -21,6 +21,14 @@ def test_make_grid_rejects_bad_inputs():
         make_grid(2, 1, 8)
 
 
+@pytest.mark.parametrize("a, b, m", [(-1e308, 1e308, 4), (0, 5e-324, 2), (1.0, 1.0 + 4.5e-16, 4)])
+def test_make_grid_rejects_a_step_that_leaves_the_doubles(a, b, m):
+    # b - a overflows to h = inf, h underflows to 0, or h is below the spacing
+    # of the doubles near a, so the points do not strictly increase
+    with pytest.raises(errors.NonpositiveLength, match="step h"):
+        make_grid(a, b, m)
+
+
 def test_grid_invariants():
     g = make_grid(-1.5, 2.5, 37)
     assert np.all(np.diff(g.points) > 0)
