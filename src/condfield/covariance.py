@@ -7,11 +7,14 @@ approximation of the integral operator.  With this convention the pointwise
 variance of generated samples equals the kernel diagonal C(x, x), while
 orthonormality of eigenmodes is with respect to the weighted inner product:
 a plain-orthonormal eigenvector v corresponds to the weighted-orthonormal
-mode v / sqrt(w).  A field is the factor applied to i.i.d. standard
-coefficients, one per mode whose eigenvalue is above eps * lam_max (eps the
-double machine epsilon): the operator's numerical rank.  A smooth kernel's
-modes come from one SVD of its pivoted Cholesky rows, certified against op
-row block by row block; any other kernel's come from a dense eigh.
+mode v / sqrt(w).  The operator serves its rows and diagonal from the kernel
+on demand; the M x M op is formed only where something reads it, which a
+smooth kernel's factor and the theory constants never do.  A field is the
+factor applied to i.i.d. standard coefficients, one per mode whose eigenvalue
+is above eps * lam_max (eps the double machine epsilon): the operator's
+numerical rank.  A smooth kernel's modes come from one SVD of its pivoted
+Cholesky rows, certified against op row block by row block; any other
+kernel's come from a dense eigh.
 """
 
 import functools
@@ -24,7 +27,7 @@ from .grid import Grid, _check
 
 DEFAULT_CLIP_TOL = 1e-12
 EPS = np.finfo(float).eps
-_CERT_ROWS = 64  # height of the row blocks the pivoted route's certificate reads
+_BLOCK_ROWS = 64  # height of the row blocks that the certificate and apply read
 
 
 @dataclass(frozen=True)
@@ -41,11 +44,19 @@ class _Stationary:
                 f"got {self.variance}, {self.ell}"
             )
 
-    def pair(self, x, y):
-        return self.variance * self.decay(np.subtract.outer(np.asarray(x), np.asarray(y)))
+    def pair(self, x, y):  # decay writes over its argument
+        d = np.asarray(np.subtract.outer(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+        return np.multiply(self.decay(d), self.variance, out=d)
+
+    def rows(self, grid: Grid, idx) -> np.ndarray:
+        """K[idx] for an index or slice of the grid points."""
+        return self.pair(grid.points[idx], grid.points)
+
+    def diagonal(self, grid: Grid) -> np.ndarray:
+        return self.variance * self.decay(grid.points - grid.points)
 
     def matrix(self, grid: Grid) -> np.ndarray:
-        return self.pair(grid.points, grid.points)
+        return self.rows(grid, slice(None))
 
 
 @dataclass(frozen=True)
@@ -61,9 +72,9 @@ class SquaredExponential(_Stationary):
             raise InvalidKernelParams(f"{self.name} needs 2 ell^2 to be a positive finite "
                                       f"double, got ell = {self.ell}")
 
-    def decay(self, d):
+    def decay(self, d):  # exp(-d^2 / (2 ell^2)), written over d; (-a)/b is a/(-b) bitwise
         with np.errstate(over="ignore"):  # an overflow to -inf decays to exp(-inf) = 0
-            return np.exp(-(d ** 2) / (2.0 * self.ell ** 2))
+            return np.exp(np.divide(np.square(d, out=d), -2.0 * self.ell ** 2, out=d), out=d)
 
 
 @dataclass(frozen=True)
@@ -73,9 +84,9 @@ class Exponential(_Stationary):
     name = "exponential"
     smooth = False
 
-    def decay(self, d):
+    def decay(self, d):  # exp(-|d| / ell), written over d; (-a)/b is a/(-b) bitwise
         with np.errstate(over="ignore"):  # an overflow to -inf decays to exp(-inf) = 0
-            return np.exp(-np.abs(d) / self.ell)
+            return np.exp(np.divide(np.abs(d, out=d), -self.ell, out=d), out=d)
 
 
 @dataclass(frozen=True)
@@ -99,50 +110,84 @@ class RankK:
             if not 0 < lam < np.inf or k < 0 or k != int(k):
                 raise InvalidKernelParams(f"need 0 < lam < inf, integer k >= 0: ({lam}, {k})")
 
-    def matrix(self, grid: Grid) -> np.ndarray:
+    def _terms(self, grid: Grid):
+        """(lam_k, e_k on the grid) for each mode; raises where k >= M."""
         a, b, x = grid.a, grid.b, grid.points
-        out = 0.0
         for lam, k in self.modes:
             if k >= grid.m:
                 raise InvalidKernelParams(f"mode index {k} needs a grid with M > {k}")
-            if k == 0:
-                e = np.full_like(x, 1.0 / np.sqrt(b - a))
-            else:
-                e = np.sqrt(2.0 / (b - a)) * np.cos(k * np.pi * (x - a) / (b - a))
-            out = out + lam * np.multiply.outer(e, e)
-        return out
+            yield lam, (np.full_like(x, 1.0 / np.sqrt(b - a)) if k == 0 else
+                        np.sqrt(2.0 / (b - a)) * np.cos(k * np.pi * (x - a) / (b - a)))
+
+    def rows(self, grid: Grid, idx) -> np.ndarray:
+        """K[idx] for an index or slice of the grid points."""
+        return sum(lam * np.multiply.outer(e[idx], e) for lam, e in self._terms(grid))
+
+    def diagonal(self, grid: Grid) -> np.ndarray:
+        return sum(lam * (e * e) for lam, e in self._terms(grid))
+
+    def matrix(self, grid: Grid) -> np.ndarray:
+        return self.rows(grid, slice(None))
 
 
 @dataclass(frozen=True)
 class CovOperator:
-    """Discretized covariance operator on a grid; K[i, j] = C(x_i, x_j) is op / w."""
+    """Discretized covariance operator op = w * K on a grid, K[i, j] = C(x_i, x_j), read by
+    rows: op[i], op[lo:hi] and diagonal() are w * (0.5 (K + K^T)) from the kernel's rows,
+    bitwise the rows of op since every kernel's K is exactly symmetric, and raise
+    InvalidKernelParams where not finite.  The M x M `op` is formed on first read."""
 
     grid: Grid
     kernel: object
-    op: np.ndarray = field(repr=False)  # w * K, the operator on value vectors
+    shape = property(lambda self: (self.grid.m, self.grid.m))
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return self._scaled(self.kernel.rows(self.grid, idx))
+
+    def diagonal(self) -> np.ndarray:
+        return self._scaled(self.kernel.diagonal(self.grid))
+
+    def _scaled(self, k: np.ndarray) -> np.ndarray:  # w * (0.5 (k + k)), written over k
+        with np.errstate(over="ignore"):  # an overflow to inf is rejected below
+            np.multiply(np.multiply(np.add(k, k, out=k), 0.5, out=k), self.grid.w, out=k)
+        if not np.all(np.isfinite(k)):
+            raise InvalidKernelParams(f"{self.kernel!r} gives a covariance matrix that is not "
+                                      f"finite in double precision on this grid")
+        return k
+
+    @functools.cached_property
+    def op(self) -> np.ndarray:
+        op = self[:]  # w * K, the operator on value vectors
+        op.setflags(write=False)
+        return op
 
     def apply(self, phi) -> np.ndarray:
-        return self.op @ _check(phi, self.grid)
+        """op @ phi from the rows in phi's support (op is symmetric), _BLOCK_ROWS at a
+        time: one row for a point functional, its stencil rows for a derivative."""
+        phi = _check(phi, self.grid)
+        out = np.zeros(self.grid.m, np.result_type(phi, float))
+        support = np.flatnonzero(phi)
+        first, last = (support[0], support[-1]) if support.size else (0, -1)
+        for lo in range(first, last + 1, _BLOCK_ROWS):
+            blk = slice(lo, min(lo + _BLOCK_ROWS, last + 1))
+            out += phi[blk] @ self[blk]
+        return out
 
 
 def assemble(kernel, grid: Grid) -> CovOperator:
-    """Evaluate the kernel on the grid and form op = w * K from the symmetrized K.
-    Raises InvalidKernelParams where op is not finite (finite kernel values
-    whose symmetrized sum overflows)."""
-    kmat = np.asarray(kernel.matrix(grid), dtype=float)
-    with np.errstate(over="ignore"):  # an overflow to inf is rejected below
-        op = grid.w * (0.5 * (kmat + kmat.T))
-    if not np.all(np.isfinite(op)):
-        raise InvalidKernelParams(f"{kernel!r} gives a covariance matrix that is not finite "
-                                  f"in double precision on this grid")
-    op.setflags(write=False)
-    return CovOperator(grid=grid, kernel=kernel, op=op)
+    """The covariance operator of `kernel` on `grid`, read by rows: nothing M x M is
+    formed.  Raises InvalidKernelParams where op is not finite, which its diagonal
+    shows (|K_ij| <= max_i K_ii for a PSD kernel), or where a RankK mode index is not
+    below M."""
+    cov = CovOperator(grid=grid, kernel=kernel)
+    cov.diagonal()
+    return cov
 
 
 def point_variance_max(cov: CovOperator) -> float:
     """Largest pointwise variance max_i C(x_i, x_i); the constant A^2.  Exact
     where w is a power of two, within 1 ulp elsewhere."""
-    return float(np.max(np.diag(cov.op)) / cov.grid.w)
+    return float(np.max(cov.diagonal()) / cov.grid.w)
 
 
 @dataclass(frozen=True)
@@ -185,8 +230,11 @@ class SqrtFactor:
         return re + 1j * im
 
 
-def _pivoted_pairs(op: np.ndarray):
+def _pivoted_pairs(op):
     """Ascending (lam, V) of op from one SVD of its pivoted Cholesky rows, or None.
+
+    op is read only by op[i], op[lo:hi], op.diagonal() and op.shape: a CovOperator
+    evaluates those rows from its kernel, and an ndarray serves as well.
 
     Pivots on the largest residual diagonal (Harbrecht, Peters & Schneider
     2012) until, after j pivots, it is at most (j + 1) eps * max diag(op): the
@@ -195,11 +243,11 @@ def _pivoted_pairs(op: np.ndarray):
     j x M pivot rows R have R^T R = V S^2 V^T, so lam = S^2.  None where more
     than M/4 pivots are needed, none is taken, or the certificate
     M max|op - V Lambda V^T| <= DEFAULT_CLIP_TOL * lam_max fails (Lambda with
-    the cut eigenvalues zero, op read in blocks of _CERT_ROWS rows): it bounds
+    the cut eigenvalues zero, op read in blocks of _BLOCK_ROWS rows): it bounds
     ||op - V Lambda V^T||_2, so op's spectrum lies in the clip window.
     """
     m = op.shape[0]
-    d = np.diag(op).copy()
+    d = op.diagonal().copy()
     d_max = max(float(d.max()), 0.0)  # so every pivot taken is positive
     rows = np.empty((0, m))  # R, grown with the pivot count up to the M/4 cap
     for j in range(m // 4 + 1):
@@ -217,22 +265,26 @@ def _pivoted_pairs(op: np.ndarray):
     s, vt = np.linalg.svd(rows[:j], full_matrices=False)[1:]
     lam = s ** 2  # descending
     lv = vt.T * np.where(lam > EPS * lam[0], lam, 0.0)  # the factor's w L L^T is lv V^T
-    err = max(np.abs(op[k:k + _CERT_ROWS] - lv[k:k + _CERT_ROWS] @ vt).max()
-              for k in range(0, m, _CERT_ROWS))
+    buf, err = np.empty((min(_BLOCK_ROWS, m), m)), 0.0  # one block of lv V^T - op at a time
+    for k in range(0, m, _BLOCK_ROWS):
+        blk = np.matmul(lv[k:k + _BLOCK_ROWS], vt, out=buf[:min(_BLOCK_ROWS, m - k)])
+        blk -= op[k:k + _BLOCK_ROWS]
+        err = np.maximum(err, np.abs(blk, out=blk).max())  # a NaN fails the test below
     return (lam[::-1], vt[::-1].T) if m * err <= DEFAULT_CLIP_TOL * lam[0] else None
 
 
 def sqrt_factor(cov: CovOperator) -> SqrtFactor:
     """Spectral factor of op over its numerical rank.
 
-    A smooth kernel's eigenpairs come from `_pivoted_pairs` where it certifies
-    them; any other operator, or one it rejects, goes through a dense eigh.
+    A smooth kernel's eigenpairs come from `_pivoted_pairs`, which reads the
+    operator's rows from the kernel, where it certifies them; any other operator,
+    or one it rejects, goes through a dense eigh of the formed `cov.op`.
     Eigenvalues at or below eps * lam_max (eps the double machine epsilon) are
     roundoff: they are set to zero, and their modes dropped.  An eigenvalue
     below the window -DEFAULT_CLIP_TOL * lam_max means the kernel was not
     positive semidefinite and raises.
     """
-    pairs = _pivoted_pairs(cov.op) if getattr(cov.kernel, "smooth", False) else None
+    pairs = _pivoted_pairs(cov) if getattr(cov.kernel, "smooth", False) else None
     lam, vec = pairs or np.linalg.eigh(cov.op)
     floor = -DEFAULT_CLIP_TOL * max(float(lam[-1]), 0.0)
     if lam[0] < floor:

@@ -124,14 +124,12 @@ def make_custom_functional(grid: Grid, coeff) -> LinearFunctional:
     return _functional(grid, coeff, "custom")
 
 
-def _check_grids(t: LinearFunctional, cov: cv.CovOperator):
+def profile(t: LinearFunctional, cov: cv.CovOperator) -> np.ndarray:
+    """The limit profile direction C|T> (phase factor applied downstream), from
+    the operator rows in T's support (`CovOperator.apply`): one row for a point
+    functional, the stencil rows for a derivative, blocks of rows otherwise."""
     if t.grid != cov.grid:
         raise GridMismatch("functional and operator built on different grids")
-
-
-def profile(t: LinearFunctional, cov: cv.CovOperator) -> np.ndarray:
-    """The limit profile direction C|T> (phase factor applied downstream)."""
-    _check_grids(t, cov)
     return cov.apply(t.coeff)
 
 
@@ -149,8 +147,9 @@ class TheoryConstants:
 
 
 def constants(t: LinearFunctional, cov: cv.CovOperator) -> TheoryConstants:
-    """Form p = C T (the one application of C) and A^2 once, and derive
-    <T|C|T> = <T|p>, ||p||_2 and A, B, D from them.
+    """Form p = C T (the one application of C, from the rows in T's support) and
+    A^2 (from the operator's diagonal) once, and derive <T|C|T> = <T|p>, ||p||_2
+    and A, B, D from them; neither reads the M x M operator.
 
     Since |C(x, y)| <= A^2, the roundoff in <T|C|T> is at most
     eps A^2 (w sum_i |T_i|)^2; a value not above 100 times that bound (1%

@@ -16,13 +16,33 @@ from condfield.covariance import (
     point_variance_max,
     sqrt_factor,
 )
-from condfield.functionals import make_integral_functional, make_point_functional, profile
+from condfield.concentration import sweep, verify_prop1
+from condfield.functionals import (
+    constants,
+    make_integral_functional,
+    make_point_functional,
+    profile,
+)
 from condfield.grid import inner, make_grid
 
 
 @pytest.fixture
 def grid64():
     return make_grid(0, 1, 64)
+
+
+class MatrixKernel:
+    """K = op / w for a given op, which no kernel of the package gives; exact
+    where w is a power of two."""
+
+    def __init__(self, op, smooth=True):
+        self.op, self.smooth = op, smooth
+
+    def rows(self, grid, idx):
+        return self.op[idx] / grid.w
+
+    def diagonal(self, grid):
+        return np.diag(self.op) / grid.w
 
 
 def test_sqexp_assemble_diagonal(grid64):
@@ -92,7 +112,7 @@ def test_sqrt_factor_residual():
 def test_sqrt_factor_rejects_negative_eigenvalue(grid64):
     cov = assemble(SquaredExponential(1, 0.2), grid64)
     bad = cov.op - 0.1 * np.eye(grid64.m)
-    bad_cov = CovOperator(grid=grid64, kernel=None, op=bad)
+    bad_cov = CovOperator(grid=grid64, kernel=MatrixKernel(bad, smooth=False))
     with pytest.raises(errors.NotPositive):
         sqrt_factor(bad_cov)
 
@@ -156,12 +176,16 @@ def test_kernel_from_spec():
         kernel_from_spec("sqexp:oops:0.2")
 
 
-def test_one_matrix_per_operator(grid64):
-    cov = assemble(SquaredExponential(1, 0.2), grid64)
+def test_no_matrix_is_held_until_op_is_read():
+    # no field of the operator or of its factor is M x M, and the pivoted
+    # factor does not form op; op is formed once, on its first read
+    g = make_grid(0, 1, 128)
+    cov = assemble(SquaredExponential(1, 0.2), g)
     fac = sqrt_factor(cov)
     square = [f.name for obj in (cov, fac) for f in dataclasses.fields(obj)
-              if np.shape(getattr(obj, f.name)) == (64, 64)]
-    assert square == ["op"]
+              if np.shape(getattr(obj, f.name)) == (128, 128)]
+    assert square == [] and "op" not in vars(cov)
+    assert cov.op is cov.op and cov.op.shape == (128, 128)
 
 
 @pytest.mark.parametrize("kernel", [SquaredExponential(3, 0.2), Exponential(2.5, 0.3),
@@ -277,7 +301,7 @@ def test_shifted_smooth_kernel_is_not_positive():
         assert np.linalg.eigvalsh(op)[0] < -DEFAULT_CLIP_TOL * lam_max
         assert covariance._pivoted_pairs(op) is None
         with pytest.raises(errors.NotPositive):
-            sqrt_factor(CovOperator(grid=g, kernel=SquaredExponential(1, 0.2), op=op))
+            sqrt_factor(CovOperator(grid=g, kernel=MatrixKernel(op)))
 
 
 def test_pivoted_factor_peak_memory_is_an_eighth_of_one_operator():
@@ -298,7 +322,7 @@ def test_pivoted_factor_peak_memory_is_an_eighth_of_one_operator():
 def test_zero_operator_has_rank_zero():
     # the largest diagonal is 0: no pivot is taken, and the dense eigh cuts every mode
     g = make_grid(0, 1, 64)
-    fac = sqrt_factor(CovOperator(grid=g, kernel=SquaredExponential(1, 0.2), op=np.zeros((64, 64))))
+    fac = sqrt_factor(CovOperator(grid=g, kernel=MatrixKernel(np.zeros((64, 64)))))
     assert fac.rank == 0 and fac.modes.shape == (64, 0)
     assert np.all(fac.eigenvalues == 0)
 
@@ -342,3 +366,66 @@ def test_factor_apply_reads_p_coefficients():
             # w L^T is the adjoint of L under the weighted inner product
             assert np.vdot(g.w * fac.modes.T @ psi, want) == pytest.approx(inner(psi, row, g),
                                                                           rel=1e-12)
+
+
+ROW_KERNELS = ["sqexp:1:0.2", "sqexp:2.5:0.03", "exp:1:0.1", "rankk:4@1,1@3,0.5@0"]
+
+
+@pytest.mark.parametrize("spec", ROW_KERNELS)
+@pytest.mark.parametrize("a, b, m", [(0, 1, 128), (-0.3, 2.7, 97), (0, 1, 512)])
+def test_served_rows_are_bitwise_the_rows_of_op(spec, a, b, m):
+    # every kernel's K is exactly symmetric, so w (0.5 (K + K^T)) row by row
+    # from the kernel is op row by row, and the pivoted route reads the same
+    # numbers from the operator as from its formed matrix
+    g = make_grid(a, b, m)
+    kernel = kernel_from_spec(spec)
+    kmat = kernel.matrix(g)
+    cov, served = assemble(kernel, g), assemble(kernel, g)
+    assert cov.op.tobytes() == (g.w * (0.5 * (kmat + kmat.T))).tobytes()
+    assert served.shape == cov.op.shape
+    assert served.diagonal().tobytes() == np.diag(cov.op).tobytes()
+    for i in (0, 1, m // 2, m - 1):
+        assert served[i].tobytes() == cov.op[i].tobytes()
+    for lo, hi in ((0, 64), (m - 70, m - 6), (m - 7, m), (10, 11)):
+        assert served[lo:hi].tobytes() == cov.op[lo:hi].tobytes()
+    got, ref = covariance._pivoted_pairs(served), covariance._pivoted_pairs(cov.op)
+    assert (got is None) == (ref is None)
+    for x, y in zip(got or (), ref or ()):
+        assert x.tobytes() == y.tobytes()
+    assert "op" not in vars(served)
+
+
+@pytest.mark.parametrize("spec", ["sqexp:1:0.2", "rankk:4@1,1@3,0.5@0"])
+def test_smooth_paths_never_form_op(monkeypatch, spec):
+    # the factor, the constants, the profile, prop1 and a sweep read a smooth
+    # kernel's operator only by rows and its diagonal (at M = 128: sqexp:1:0.2
+    # needs 21 pivots, over the M/4 cap at M = 64, where it takes the dense eigh)
+    def refuse(cov):
+        raise AssertionError("the M x M operator was formed")
+
+    monkeypatch.setattr(CovOperator, "op", property(refuse))
+    g = make_grid(0, 1, 128)
+    t = make_point_functional(g, 0.5)
+    cov = assemble(kernel_from_spec(spec), g)
+    fac = sqrt_factor(cov)
+    assert constants(t, cov).tct > 0 and profile(t, cov).shape == (128,)
+    assert verify_prop1(t, cov, 1000)["all_finite"]
+    assert len(sweep(fac, t, cov, [10.0, 100.0], 20).records) == 40
+
+
+def test_smooth_model_build_memory_is_linear_in_m():
+    # assemble, the pivoted factor and point constants at M = 4096 hold one
+    # certificate block and one kernel block of _BLOCK_ROWS rows, the pivot
+    # rows, V^T, lv and the modes (each of about P rows): a few times
+    # 8 M (64 + P) bytes, against 8 M^2 = 134 MB for op
+    g = make_grid(0, 1, 4096)
+    tracemalloc.start()
+    try:
+        cov = assemble(SquaredExponential(1, 0.2), g)
+        fac = sqrt_factor(cov)
+        constants(make_point_functional(g, 0.5), cov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fac.rank == 21
+    assert peak <= 4 * 8 * g.m * (covariance._BLOCK_ROWS + fac.rank)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from condfield import errors
 from condfield.covariance import Exponential, RankK, SquaredExponential, assemble
@@ -292,3 +294,59 @@ def test_derivative_at_n0_is_the_point_functional(grid64, order):
     assert (t.n, t.order) == (0, order)
     with pytest.raises(errors.UnsupportedOrder):
         make_derivative_functional(grid64, 0.5, 0, order + 1)
+
+
+_SCALE = st.floats(0.1, 10.0)
+_KERNELS = st.one_of(
+    st.builds(SquaredExponential, _SCALE, st.floats(0.01, 2.0)),
+    st.builds(Exponential, _SCALE, st.floats(0.01, 2.0)),
+    st.builds(RankK, st.lists(st.tuples(_SCALE, st.integers(0, 7)), min_size=1, max_size=4,
+                              unique_by=lambda mode: mode[1]).map(tuple)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kernel=_KERNELS, a=st.floats(-10.0, 10.0), length=st.floats(0.1, 10.0),
+       m=st.integers(8, 300), kind=st.sampled_from(["point", "dpoint", "integral"]),
+       frac=st.floats(0.0, 1.0), n=st.integers(0, 4), order=st.sampled_from([2, 4, 6]))
+def test_support_row_profile_matches_the_dense_product(kernel, a, length, m, kind, frac, n,
+                                                       order):
+    # p = C T from the rows in T's support S against op @ T: bitwise for a
+    # point (one product per entry either way), else within the roundoff of
+    # the two sums, 2 |S| eps sum_j |op_ij T_j|; <T|C|T>, ||p||_2, A, B and D
+    # follow within that bound carried through their formulas
+    g = make_grid(a, a + length, m)
+    x0 = min(g.a + frac * g.length, g.b)
+    if kind == "point":
+        t = make_point_functional(g, x0)
+    elif kind == "dpoint":
+        try:
+            t = make_derivative_functional(g, x0, n, order)
+        except errors.StencilOutOfRange:
+            assume(False)
+    else:
+        t = make_integral_functional(g, "cosine")
+    cov = assemble(kernel, g)
+    ref, got = cov.op @ t.coeff, profile(t, cov)
+    eps, w, abs_t = np.finfo(float).eps, g.w, np.abs(t.coeff)
+    bound = 2 * np.count_nonzero(t.coeff) * eps * (np.abs(cov.op) @ abs_t)
+    if kind == "point":
+        assert got.tobytes() == ref.tobytes()
+    assert np.all(np.abs(got - ref) <= bound)
+
+    tct_ref, norm_ref = float(inner(t.coeff, ref, g).real), l2_norm(ref, g)
+    tct_bound = 2 * w * float(abs_t @ bound)  # the change in p, and the inner's own roundoff
+    a2 = float(np.max(np.diag(cov.op)) / w)
+    try:
+        k = constants(t, cov)
+    except errors.DegenerateFunctional:  # the <T|C|T> roundoff gate
+        assert tct_ref <= 100 * eps * a2 * (w * abs_t.sum()) ** 2 + tct_bound
+        return
+    norm_bound = np.sqrt(w * np.sum(bound ** 2)) + (m + 2) * eps * norm_ref
+    assert abs(k.tct - tct_ref) <= tct_bound
+    assert abs(k.profile_norm - norm_ref) <= norm_bound
+    assert k.a_const == float(np.sqrt(a2))
+    b_ref = np.sqrt(tct_ref) / norm_ref
+    b_rel = tct_bound / (2 * tct_ref) + norm_bound / norm_ref + 4 * eps
+    assert abs(k.b_const - b_ref) <= b_rel * b_ref
+    d_ref = k.a_const * b_ref * np.sqrt(g.length)
+    assert abs(k.d_const - d_ref) <= (b_rel + 4 * eps) * d_ref
