@@ -75,26 +75,16 @@ class _Setup:
     module objects; `config` echoes exactly those options."""
 
     def __init__(self, args):
-        opts = vars(args)
         self.grid = make_grid(*args.domain, args.grid)
         self.kernel = cv.kernel_from_spec(args.kernel)
         self.functional = fn.functional_from_spec(args.functional, self.grid)
-        self.config = {"domain": list(args.domain), "grid": args.grid,
-                       "kernel": args.kernel, "functional": args.functional}
-        if "seed" in opts:
-            seed = args.seed if args.seed is not None else os.environ.get("CONDENSATE_SEED", "0")
-            self.seed = self.config["seed"] = int(seed)
-        if "scalar" in opts:
-            self.scalar = self.config["scalar"] = args.scalar
-        if "mode" in opts:
-            self.mode, self.rho, self.theta = args.mode
-            self.config.update(mode=self.mode, rho=self.rho, theta=self.theta)
-        if "mc" in opts:
-            self.mc = self.config["mc"] = args.mc
-        if "u" in opts:
-            self.u = self.config["u"] = args.u
-        if "u_list" in opts:
-            self.u_list = self.config["u_list"] = args.u_list
+        self.config = c = {name: value for name, value in vars(args).items()
+                           if name not in ("command", "check", "handler", "out")}
+        if "seed" in c and c["seed"] is None:
+            c["seed"] = int(os.environ.get("CONDENSATE_SEED", "0"))
+        if "mode" in c:
+            c["mode"], c["rho"], c["theta"] = c["mode"]
+        vars(self).update((name, value) for name, value in c.items() if name not in MODEL)
 
     # built on first use: verify prop3 assembles on its own grid, and only
     # condition, sweep and verify bounds draw from the factor
@@ -112,9 +102,13 @@ def _sidecar(path: str) -> str:
     return root + ".json"
 
 
-def _write_json(path: str, payload: dict):
-    # serialized before the file opens, so a non-finite value leaves no file
+def _write_json(path: str, payload: dict, csv_columns=None):
+    """Write `payload` as JSON to `path`; given (header, columns), write those as CSV to
+    `path` and the JSON to its sidecar.  Serialized first: a non-finite value leaves no file."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    if csv_columns is not None:
+        _write_csv(path, *csv_columns)
+        path = _sidecar(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -155,13 +149,13 @@ def cmd_condition(setup: _Setup, out) -> int:
     rng = sp.substream(setup.seed, 3, 0)
     sample = sp.sample_conditional(setup.factor, setup.functional, spec, rng)
     rec = cc.distance_record(sample, consts, setup.grid)
-    _write_csv(out, ["x", "re_phi", "im_phi"],
-               [setup.grid.points, np.real(sample.values), np.imag(sample.values)])
-    _write_json(_sidecar(out), {
+    _write_json(out, {
         "config": setup.config, "u": float(setup.u), "rho": float(sample.rho),
         "theta": float(sample.theta), "t_u_re": float(np.real(sample.t_u)),
         "t_u_im": float(np.imag(sample.t_u)), "r2": float(sample.r2),
-        "sup_dist": rec.sup_dist, "l2_dist": rec.l2_dist, "bound_rhs": rec.bound_rhs})
+        "sup_dist": rec.sup_dist, "l2_dist": rec.l2_dist, "bound_rhs": rec.bound_rhs},
+        (["x", "re_phi", "im_phi"],
+         [setup.grid.points, np.real(sample.values), np.imag(sample.values)]))
     return EXIT_OK
 
 
@@ -178,10 +172,10 @@ def cmd_sweep(setup: _Setup, out) -> int:
     c = dict(c, ratio_re=c["ratio"].real, ratio_im=c["ratio"].imag)
     header = ["u", "sample_index", "rho", "theta", "sup_dist", "l2_dist", "bound_rhs",
               "ratio_re", "ratio_im", "r", "applicable", "est0_ok", "est12_ok"]
-    _write_csv(out, header, [c[name] for name in header])
-    _write_json(_sidecar(out), {
+    _write_json(out, {
         "config": setup.config, "per_u": list(report.per_u), "slope": report.slope,
-        "violations_est0": report.violations_est0, "violations_est12": report.violations_est12})
+        "violations_est0": report.violations_est0, "violations_est12": report.violations_est12},
+        (header, [c[name] for name in header]))
     if report.violations_est0 or report.violations_est12:
         print("theorem bound violated; see report", file=sys.stderr)
         return EXIT_VERIFY

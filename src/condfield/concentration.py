@@ -160,14 +160,14 @@ def sweep(factor: cv.SqrtFactor, t: fn.LinearFunctional, cov: cv.CovOperator, u_
     l2_q50 = np.quantile(cols["l2_dist"], 0.5, axis=0)
     per_u = [{"u": u, "q10": float(a), "q50": float(b), "q90": float(c), "l2_q50": float(d)}
              for u, a, b, c, d in zip(u_list, q10, q50, q90, l2_q50)]
-    # the rate fit needs log u, so a leading u = 0 (the only possible one) is left out
+    # the fit reads log u and log q50: a leading u = 0 is left out, and a q50 = 0 leaves no slope
     skip = int(u_list[0] == 0.0)
     slope = (float(np.polyfit(np.log(u_list[skip:]), np.log(q50[skip:]), 1)[0])
-             if len(u_list) - skip >= 2 else None)
+             if len(u_list) - skip >= 2 and np.all(q50[skip:] > 0.0) else None)
     return SweepReport(
         per_u=tuple(per_u), slope=slope,
         violations_est0=int(np.count_nonzero(~cols["est0_ok"])),
-        violations_est12=int(np.count_nonzero(cols["applicable"] & ~cols["est12_ok"])),
+        violations_est12=int(np.count_nonzero(~cols["est12_ok"])),  # True where not applicable
         columns={f.name: cols[f.name].ravel() for f in dataclasses.fields(DistanceRecord)},
     )
 

@@ -1,18 +1,18 @@
 """Covariance kernels, the discretized covariance operator and its factor.
 
-Coordinate convention (the single source of truth for weight bookkeeping):
-field vectors hold point values, the operator matrix is ``op = w * K`` with
-K[i, j] = C(x_i, x_j).  Acting on a value vector, ``op @ phi`` is the midpoint
-approximation of the integral operator.  With this convention the pointwise
-variance of generated samples equals the kernel diagonal C(x, x), while
-orthonormality of eigenmodes is with respect to the weighted inner product:
-a plain-orthonormal eigenvector v corresponds to the weighted-orthonormal
-mode v / sqrt(w).  The operator serves its rows and diagonal from the kernel
-on demand; the M x M op is formed only where something reads it, which a
-smooth kernel's factor and the theory constants never do.  A field is the
-factor applied to i.i.d. standard coefficients, one per mode whose eigenvalue
-is above eps * lam_max (eps the double machine epsilon): the operator's
-numerical rank.  A smooth kernel's modes come from one SVD of its pivoted
+Coordinate convention (`grid` owns inner products and norms, this module the
+weight in op and the factor's scaling): field vectors hold point values, the
+operator matrix is ``op = w * K`` with K[i, j] = C(x_i, x_j).  Acting on a value
+vector, ``op @ phi`` is the midpoint approximation of the integral operator.
+With this convention the pointwise variance of generated samples equals the
+kernel diagonal C(x, x), while orthonormality of eigenmodes is with respect to
+the weighted inner product: a plain-orthonormal eigenvector v corresponds to
+the weighted-orthonormal mode v / sqrt(w).  The operator serves its rows and
+diagonal from the kernel on demand; the M x M op is formed only where something
+reads it, which a smooth kernel's factor and the theory constants never do.  A
+field is the factor applied to i.i.d. standard coefficients, one per mode whose
+eigenvalue is above eps * lam_max (eps the double machine epsilon): the
+operator's numerical rank.  A smooth kernel's modes come from one SVD of its pivoted
 Cholesky rows, certified against op row block by row block; any other
 kernel's come from a dense eigh.
 """
@@ -54,9 +54,6 @@ class _Stationary:
 
     def diagonal(self, grid: Grid) -> np.ndarray:
         return self.variance * self.decay(grid.points - grid.points)
-
-    def matrix(self, grid: Grid) -> np.ndarray:
-        return self.rows(grid, slice(None))
 
 
 @dataclass(frozen=True)
@@ -126,9 +123,6 @@ class RankK:
     def diagonal(self, grid: Grid) -> np.ndarray:
         return sum(lam * (e * e) for lam, e in self._terms(grid))
 
-    def matrix(self, grid: Grid) -> np.ndarray:
-        return self.rows(grid, slice(None))
-
 
 @dataclass(frozen=True)
 class CovOperator:
@@ -195,11 +189,11 @@ class SqrtFactor:
     """Factor L = V_P sqrt(Lambda_P / w) of K = op / w = L L^T over the P = M - n_clipped
     eigenpairs of op above eps * lam_max, from a dense eigh or one SVD of pivoted Cholesky
     rows (w L L^T then within DEFAULT_CLIP_TOL * lam_max / M of op entrywise; `sqrt_factor`).
-    Column n is the Karhunen-Loeve term sqrt(lam_n) e_n; the adjoint of L is w L^T."""
+    Column n is the Karhunen-Loeve term sqrt(lam_n) e_n; read L by `apply`, `adjoint`, `rank`."""
 
     grid: Grid
     modes: np.ndarray = field(repr=False)  # L, M x P, columns by descending eigenvalue
-    eigenvalues: np.ndarray = field(repr=False)  # of op, M, descending; cut or not computed: 0
+    eigenvalues: np.ndarray = field(repr=False)  # of op, the P kept, descending
 
     @property
     def rank(self) -> int:
@@ -212,7 +206,7 @@ class SqrtFactor:
     @functools.cached_property
     def s(self) -> np.ndarray:
         """Symmetric root of op, V_P sqrt(Lambda_P) V_P^T, formed on first read."""
-        b = self.modes * np.sqrt(self.grid.w / np.sqrt(self.eigenvalues[:self.rank]))
+        b = self.modes * np.sqrt(self.grid.w / np.sqrt(self.eigenvalues))
         s = b @ b.T  # b = V_P Lambda_P^{1/4}
         s.setflags(write=False)
         return s
@@ -229,9 +223,14 @@ class SqrtFactor:
         re, im = (parts.reshape(-1, self.rank) @ self.modes.T).reshape(parts.shape[:-1] + (-1,))
         return re + 1j * im
 
+    def adjoint(self, phi) -> np.ndarray:
+        """w L^T phi, the adjoint of L: <phi|L g> = <w L^T phi|g> for real phi."""
+        return self.grid.w * (self.modes.T @ phi)
+
 
 def _pivoted_pairs(op):
-    """Ascending (lam, V) of op from one SVD of its pivoted Cholesky rows, or None.
+    """The kept (lam, V) of op, lam > eps * lam_max in descending order, from one
+    SVD of its pivoted Cholesky rows, or None.
 
     op is read only by op[i], op[lo:hi], op.diagonal() and op.shape: a CovOperator
     evaluates those rows from its kernel, and an ndarray serves as well.
@@ -270,7 +269,8 @@ def _pivoted_pairs(op):
         blk = np.matmul(lv[k:k + _BLOCK_ROWS], vt, out=buf[:min(_BLOCK_ROWS, m - k)])
         blk -= op[k:k + _BLOCK_ROWS]
         err = np.maximum(err, np.abs(blk, out=blk).max())  # a NaN fails the test below
-    return (lam[::-1], vt[::-1].T) if m * err <= DEFAULT_CLIP_TOL * lam[0] else None
+    p = int(np.count_nonzero(lam > EPS * lam[0]))
+    return (lam[:p], vt[:p].T) if m * err <= DEFAULT_CLIP_TOL * lam[0] else None
 
 
 def sqrt_factor(cov: CovOperator) -> SqrtFactor:
@@ -280,25 +280,25 @@ def sqrt_factor(cov: CovOperator) -> SqrtFactor:
     operator's rows from the kernel, where it certifies them; any other operator,
     or one it rejects, goes through a dense eigh of the formed `cov.op`.
     Eigenvalues at or below eps * lam_max (eps the double machine epsilon) are
-    roundoff: they are set to zero, and their modes dropped.  An eigenvalue
-    below the window -DEFAULT_CLIP_TOL * lam_max means the kernel was not
-    positive semidefinite and raises.
+    roundoff: both routes drop them and their modes.  An eigenvalue below the
+    window -DEFAULT_CLIP_TOL * lam_max means the kernel was not positive
+    semidefinite and raises; only the dense eigh can see one.
     """
-    pairs = _pivoted_pairs(cov) if getattr(cov.kernel, "smooth", False) else None
-    lam, vec = pairs or np.linalg.eigh(cov.op)
-    floor = -DEFAULT_CLIP_TOL * max(float(lam[-1]), 0.0)
-    if lam[0] < floor:
-        raise NotPositive(f"eigenvalue {lam[0]:.3e} below the clip window {floor:.3e}; "
-                          "covariance is not positive semidefinite")
-    # eigh returns ascending eigenvalues, so the cut ones (<= eps * lam_max) lead
-    n_cut = int(np.count_nonzero(lam <= EPS * max(float(lam[-1]), 0.0)))
-    kept = lam[n_cut:][::-1]
-    lam_desc = np.zeros(cov.grid.m)
-    lam_desc[:kept.size] = kept
-    modes = vec[:, n_cut:][:, ::-1] * np.sqrt(kept / cov.grid.w)
-    for arr in (modes, lam_desc):
+    pairs = _pivoted_pairs(cov) if cov.kernel.smooth else None
+    if pairs is None:
+        lam, vec = np.linalg.eigh(cov.op)
+        floor = -DEFAULT_CLIP_TOL * max(float(lam[-1]), 0.0)
+        if lam[0] < floor:
+            raise NotPositive(f"eigenvalue {lam[0]:.3e} below the clip window {floor:.3e}; "
+                              "covariance is not positive semidefinite")
+        # eigh returns ascending eigenvalues, so the cut ones (<= eps * lam_max) lead
+        n_cut = int(np.count_nonzero(lam <= EPS * max(float(lam[-1]), 0.0)))
+        pairs = lam[n_cut:][::-1], vec[:, n_cut:][:, ::-1]
+    lam, vec = pairs
+    modes = vec * np.sqrt(lam / cov.grid.w)
+    for arr in (modes, lam):
         arr.setflags(write=False)
-    return SqrtFactor(grid=cov.grid, modes=modes, eigenvalues=lam_desc)
+    return SqrtFactor(grid=cov.grid, modes=modes, eigenvalues=lam)
 
 
 def kernel_from_spec(text: str):

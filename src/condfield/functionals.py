@@ -222,9 +222,7 @@ def functional_from_spec(text: str, grid: Grid) -> LinearFunctional:
         if parts[0] == "custom" and len(parts) == 2 and parts[1].startswith("@"):
             values = np.loadtxt(parts[1][1:], delimiter=",", ndmin=1)
             return make_custom_functional(grid, values)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"bad functional spec {text!r}: {exc}") from exc
-    except (OutOfDomain, StencilOutOfRange, UnsupportedOrder, GridMismatch,
-            DegenerateFunctional) as exc:
+    except (ValueError, OSError, OutOfDomain, StencilOutOfRange, UnsupportedOrder,
+            GridMismatch, DegenerateFunctional) as exc:
         raise ConfigError(f"bad functional spec {text!r}: {exc}") from exc
     raise ConfigError(f"unknown functional spec {text!r}")

@@ -5,9 +5,9 @@ All field vectors in the package are plain numpy arrays of point values on a
 
     <psi|phi> = w * sum_i conj(psi_i) * phi_i,   w = (b - a) / M,
 
-conjugate-linear in the first argument.  Every other module goes through
-``inner`` / ``l2_norm`` / ``sup_norm``, or their row forms on (n, M) blocks, so
-the weight bookkeeping lives here and nowhere else.
+conjugate-linear in the first argument.  Every other module takes its inner
+products and norms from ``inner`` / ``l2_norm`` / ``sup_norm``, or their row forms
+on (n, M) blocks; `covariance` owns the weight in op = w * K and the factor's scaling.
 """
 
 import numbers

@@ -156,7 +156,7 @@ def sqrt_tct(factor: SqrtFactor, t: LinearFunctional):
     """l = w L^T T, so that <T|L g> = <l|g>, and <T|C|T> = ||l||^2."""
     if t.grid != factor.grid:
         raise GridMismatch("functional and factor built on different grids")
-    l_t = t.grid.w * (factor.modes.T @ t.coeff)
+    l_t = factor.adjoint(t.coeff)
     tct = float(np.vdot(l_t, l_t).real)
     if not tct > 0.0:  # guards the division by sqrt(tct); `constants` gates roundoff
         raise DegenerateFunctional("L^T T is zero")

@@ -16,7 +16,7 @@ def _adapted_split(factor, t, g, t_u, scalar):
     with r2 = ||xi_perp||^2."""
     grid = factor.grid
     # factor.modes = V_P sqrt(Lambda_P / w)
-    xi = (factor.modes / np.sqrt(factor.eigenvalues[:factor.rank])) @ g
+    xi = (factor.modes / np.sqrt(factor.eigenvalues)) @ g
     s_t = factor.s @ t.coeff
     v = s_t / np.sqrt(inner(s_t, s_t, grid).real)
     xi_perp = xi - inner(v, xi, grid) * v
@@ -33,11 +33,10 @@ def _eigh_factor(cov):
     """Reference dense-route factor: L = V_P sqrt(Lambda_P / w) over the
     eigenpairs of a dense eigh of op above eps * lam_max."""
     lam, vec = np.linalg.eigh(cov.op)
-    cut = lam <= np.finfo(float).eps * lam[-1]
-    n_cut = int(np.count_nonzero(cut))
-    lam_desc = np.where(cut, 0.0, lam)[::-1]
-    modes = vec[:, n_cut:][:, ::-1] * np.sqrt(lam_desc[:lam.size - n_cut] / cov.grid.w)
-    return SqrtFactor(grid=cov.grid, modes=modes, eigenvalues=lam_desc)
+    n_cut = int(np.count_nonzero(lam <= np.finfo(float).eps * lam[-1]))
+    kept = lam[n_cut:][::-1]
+    modes = vec[:, n_cut:][:, ::-1] * np.sqrt(kept / cov.grid.w)
+    return SqrtFactor(grid=cov.grid, modes=modes, eigenvalues=kept)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import tempfile
@@ -213,6 +214,47 @@ def test_write_json_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError):
         cli._write_json(str(path), {"value": float("nan")})
     assert not path.exists()
+
+
+_SCALAR_MODES = [("complex", "fixed-rho:1"), ("complex", "random"),
+                 ("real", "fixed-rho:1"), ("real", "random")]
+# rank-one kernels on M <= 4 points whose samples all lie on the profile, so q50 is 0
+ON_PROFILE_SWEEPS = (
+    [("rankk:1@0", f, m, s, mode) for f in ("point:0.5", "point:0.3", "integral:uniform")
+     for m in (2, 4) for s, mode in _SCALAR_MODES]
+    + [("rankk:1@1", f, m, "real", mode) for f, m in (("point:0.5", 2), ("point:0.5", 4),
+       ("point:0.3", 2), ("point:0.3", 4), ("integral:cosine", 2))
+       for mode in ("fixed-rho:1", "random")]
+    + [("rankk:1@1", f, 2, "complex", "fixed-rho:1") for f in ("point:0.5", "point:0.3")])
+
+
+@pytest.mark.parametrize("kernel, functional, m, scalar, mode", ON_PROFILE_SWEEPS)
+def test_sweep_on_the_profile_has_no_slope(tmp_path, kernel, functional, m, scalar, mode):
+    # log q50 is -inf where q50 = 0: no fit, no warning, and a JSON report
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--kernel", kernel, "--functional", functional, "--grid", str(m),
+                     "--scalar", scalar, "--mode", mode, "--u-list", "10,100", "--mc", "3",
+                     "--out", str(out)]) == 0
+    assert caught == []
+    report = json.loads(out.with_suffix(".json").read_text())
+    assert report["slope"] is None
+    assert min(row["q50"] for row in report["per_u"]) == 0.0
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["sweep", "--u-list", "10,100", "--mc", "5"], "sweep"),
+    (["condition", "--u", "100"], "distance_record"),
+], ids=["sweep", "condition"])
+def test_report_that_cannot_be_serialized_leaves_no_file(tmp_path, monkeypatch, argv, target):
+    # a NaN in the JSON report exits 2 before the CSV opens
+    real = getattr(concentration, target)
+    field = {"sweep": "slope", "distance_record": "sup_dist"}[target]
+    monkeypatch.setattr(concentration, target, lambda *a, **k: dataclasses.replace(
+        real(*a, **k), **{field: float("nan")}))
+    assert run(argv + ["--grid", "64", "--out", str(tmp_path / "o.csv")]) == 2
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv, factorizations, cov_applies, factor_applies", [

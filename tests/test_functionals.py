@@ -123,7 +123,7 @@ def test_profile_point_eval_is_kernel_column(grid64):
     cov = assemble(SquaredExponential(1, 0.2), grid64)
     t = make_point_functional(grid64, 0.5)
     i0 = int(np.argmin(np.abs(grid64.points - 0.5)))
-    assert np.allclose(profile(t, cov), cov.kernel.matrix(grid64)[:, i0], rtol=1e-12)
+    assert np.allclose(profile(t, cov), cov.kernel.rows(grid64, slice(None))[:, i0], rtol=1e-12)
 
 
 def test_profile_derivative_matches_symbolic_curve():

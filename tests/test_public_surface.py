@@ -1,5 +1,6 @@
 """Every name the package exports has a caller outside the tests: another
-module of the package, a demo, the benchmark harness or the README."""
+module of the package, a demo, the benchmark harness or the README.  Only
+`covariance` reads the factor's matrix."""
 
 import re
 import types
@@ -32,3 +33,15 @@ def _references(name: str) -> list:
 @pytest.mark.parametrize("name", EXPORTED)
 def test_exported_name_has_a_caller_outside_tests(name):
     assert _references(name), f"condfield.{name} is used only by tests"
+
+
+def test_only_covariance_reads_the_factor_matrix():
+    # the rest of the package and the demos read the factor through `apply`,
+    # `adjoint` and `rank`, so a factor with no M x P matrix can stand in for it
+    readers = [f"{path.name}:{i}"
+               for path in (*(ROOT / "src" / "condfield").glob("*.py"),
+                            *(ROOT / "demos").glob("*.py"))
+               if path.name != "covariance.py"
+               for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+               if re.search(r"\.modes\b", line)]
+    assert readers == []
