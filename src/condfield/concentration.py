@@ -19,7 +19,7 @@ import numpy as np
 from . import covariance as cv
 from . import functionals as fn
 from . import sampling as sp
-from .errors import ConfigError, EmptyUList, ThresholdOverflow, ZeroVector
+from .errors import ConfigError, EmptyUList, GridMismatch, ThresholdOverflow, ZeroVector
 from .grid import Grid, l2_norm, l2_norms, make_grid, sup_norm
 from .sampling import NOISE_BLOCK
 
@@ -133,7 +133,7 @@ class SweepReport:
 def sweep(factor: cv.SqrtFactor, t: fn.LinearFunctional, cov: cv.CovOperator, u_list,
           n_mc: int, scalar: str = sp.COMPLEX, mode: str = sp.FIXED_RHO, rho: float = 1.0,
           theta: float = 0.0, seed: int = 0) -> SweepReport:
-    """Paired-seed sweep over thresholds; see module docstring."""
+    """Paired-seed sweep over thresholds (module docstring); `factor` must factor `cov`."""
     u_list = [float(u) for u in u_list]
     if not u_list:
         raise EmptyUList("u_list must contain at least one threshold")
@@ -144,6 +144,8 @@ def sweep(factor: cv.SqrtFactor, t: fn.LinearFunctional, cov: cv.CovOperator, u_
     if n_mc < 1:
         raise ValueError(f"n_mc must be >= 1, got {n_mc}")
 
+    if cov != factor.cov:
+        raise GridMismatch("factor and operator built from different kernels or grids")
     consts = fn.constants(t, cov)
     rngs = (sp.substream(seed, 0, i) for i in range(n_mc))
     # per block of samples, one dict per u, and u_list[j] goes to column j of each
@@ -152,7 +154,7 @@ def sweep(factor: cv.SqrtFactor, t: fn.LinearFunctional, cov: cv.CovOperator, u_
     def score(block):
         return [record_columns(s, consts, cov.grid) for s in block]
 
-    blocks = list(map(score, sp.condition_blocks(factor, t, specs, rngs)))
+    blocks = list(map(score, sp.condition_blocks(factor, t, consts, specs, rngs)))
     cols = {name: np.concatenate([np.stack([c[name] for c in block], axis=1) for block in blocks])
             for name in blocks[0][0]}
     cols["sample_index"] = np.repeat(np.arange(n_mc)[:, None], len(specs), axis=1)
@@ -185,7 +187,7 @@ def verify_prop1(t: fn.LinearFunctional, cov: cv.CovOperator, n_mc: int, seed: i
     tct_val = fn.constants(t, cov).tct
     factor = cv.sqrt_factor(cov)
     # <T|L g> = <w L^T T|g>: one matvec per block of draws, none per draw
-    l_t, _ = sp.sqrt_tct(factor, t)
+    l_t = factor.adjoint(t.coeff)
     rng = sp.substream(seed, 0)
     vals = np.concatenate([
         sp.white_noise(factor.rank, scalar, rng, n=min(NOISE_BLOCK, n_mc - k)) @ l_t.conj()

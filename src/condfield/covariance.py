@@ -189,19 +189,15 @@ class SqrtFactor:
     """Factor L = V_P sqrt(Lambda_P / w) of K = op / w = L L^T over the P = M - n_clipped
     eigenpairs of op above eps * lam_max, from a dense eigh or one SVD of pivoted Cholesky
     rows (w L L^T then within DEFAULT_CLIP_TOL * lam_max / M of op entrywise; `sqrt_factor`).
-    Column n is the Karhunen-Loeve term sqrt(lam_n) e_n; read L by `apply`, `adjoint`, `rank`."""
+    Column n is the Karhunen-Loeve term sqrt(lam_n) e_n; read L by `apply`, `adjoint`, `rank`.
+    `cov` is the operator it factors, which owns the grid and the profile C T."""
 
-    grid: Grid
+    cov: CovOperator
     modes: np.ndarray = field(repr=False)  # L, M x P, columns by descending eigenvalue
     eigenvalues: np.ndarray = field(repr=False)  # of op, the P kept, descending
-
-    @property
-    def rank(self) -> int:
-        return self.modes.shape[1]
-
-    @property
-    def n_clipped(self) -> int:  # eigenvalues cut to zero; L drops their modes
-        return self.grid.m - self.rank
+    grid = property(lambda self: self.cov.grid)
+    rank = property(lambda self: self.modes.shape[1])
+    n_clipped = property(lambda self: self.grid.m - self.rank)  # eigenvalues cut, modes dropped
 
     @functools.cached_property
     def s(self) -> np.ndarray:
@@ -298,7 +294,7 @@ def sqrt_factor(cov: CovOperator) -> SqrtFactor:
     modes = vec * np.sqrt(lam / cov.grid.w)
     for arr in (modes, lam):
         arr.setflags(write=False)
-    return SqrtFactor(grid=cov.grid, modes=modes, eigenvalues=lam)
+    return SqrtFactor(cov=cov, modes=modes, eigenvalues=lam)
 
 
 def kernel_from_spec(text: str):

@@ -43,7 +43,7 @@ class UnsupportedOrder(CondfieldError):
 
 
 class GridMismatch(CondfieldError):
-    """Objects were built on different grids."""
+    """Objects built on different grids, or a factor and an operator of different kernels."""
 
 
 class DegenerateFunctional(CondfieldError):

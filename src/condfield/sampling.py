@@ -2,15 +2,15 @@
 
 An unconditional draw is the Karhunen-Loeve series phi = L g over the P modes
 with eigenvalue above eps * lam_max (`SqrtFactor`), with g i.i.d. standard.
-A conditional draw adds a rank-one update (Matheron's rule) in coefficient
-space: with l = w L^T T, so <T|L g> = <l|g> and <T|C|T> = ||l||^2,
-v = l/||l||, t_1 = <v|g> and |t_u|^2 = rho + u^2/<T|C|T>,
-phi_u = L g + (t_u - t_1) L v.
-This is the adapted-basis split L(t_u v + g_perp), so it has the same law, and
-|<T|phi_u>| >= u exactly.  `condition_blocks` forms v and L v once per call
-and draws NOISE_BLOCK samples at a time: one GEMM applies the factor to their
-g rows, zero-padded to NOISE_BLOCK rows, so a one-sample call gives bitwise
-the draw of a sweep; t_1 and r^2 are row sums.
+A conditional draw adds a rank-one update along the profile (Matheron's rule):
+with p = C T, q = p/||p||_2, B and <T|C|T> from `functionals.constants`,
+l = w L^T T (so <T|L g> = <l|g>), v = l/||l||, t_1 = <v|g> and
+|t_u|^2 = rho + u^2/<T|C|T>, phi_u = L g + ((t_u - t_1)/B) q.  As L v = q/B,
+this is the adapted-basis split L(t_u v + g_perp), with the same law, and
+|<T|phi_u>| >= u to roundoff; the factor supplies only L g and v.
+`condition_blocks` draws NOISE_BLOCK samples at a time: one GEMM applies the
+factor to their g rows, zero-padded to NOISE_BLOCK rows, so a one-sample call
+gives bitwise the draw of a sweep; t_1 and r^2 are row sums.
 
 Reproducibility: streams are counter-based (Philox) and splittable.  A
 conditioned sample is one stream read in one order: g, then (t_u, rho,
@@ -30,7 +30,7 @@ import numpy as np
 
 from .covariance import SqrtFactor
 from .errors import DegenerateFunctional, GridMismatch, NegativeU, ThresholdOverflow
-from .functionals import LinearFunctional
+from .functionals import LinearFunctional, TheoryConstants, constants
 
 REAL = "real"
 COMPLEX = "complex"
@@ -152,33 +152,27 @@ def sample_t_u(spec: ConditionSpec, tct: float, rng: np.random.Generator):
     return t_u, rho, theta
 
 
-def sqrt_tct(factor: SqrtFactor, t: LinearFunctional):
-    """l = w L^T T, so that <T|L g> = <l|g>, and <T|C|T> = ||l||^2."""
-    if t.grid != factor.grid:
-        raise GridMismatch("functional and factor built on different grids")
-    l_t = factor.adjoint(t.coeff)
-    tct = float(np.vdot(l_t, l_t).real)
-    if not tct > 0.0:  # guards the division by sqrt(tct); `constants` gates roundoff
-        raise DegenerateFunctional("L^T T is zero")
-    return l_t, tct
-
-
-def condition_blocks(factor: SqrtFactor, t: LinearFunctional, specs, rngs):
+def condition_blocks(factor: SqrtFactor, t: LinearFunctional, k: TheoryConstants, specs, rngs):
     """Condition one sample per stream in `rngs`, read NOISE_BLOCK streams at a
-    time, on every spec in the list `specs`; yields for each block of streams
-    one tuple holding one FieldSample block per spec.  Each stream is read as
-    the P coefficients g (`white_noise`, of the specs' one scalar type), then
-    (t_u, rho, theta) for each spec in order (`sample_t_u`).  Each sample is
-    phi_u = L g + (t_u - t_1) L v with r^2 = ||g - t_1 v||^2, which keeps
-    <T|phi_u> = sqrt(<T|C|T>) t_u exact to roundoff.  Raises ValueError unless
-    the specs share one scalar type."""
+    time, on every spec in the list `specs`, with k = constants(t, factor.cov);
+    yields per block of streams a tuple of one FieldSample block per spec.  A
+    stream is read as g (`white_noise`, of the specs' one scalar type), then
+    (t_u, rho, theta) per spec in order (`sample_t_u` with k.tct).  A sample is
+    phi_u = L g + ((t_u - t_1)/B) q (module docstring), r^2 = ||g - t_1 v||^2.
+    Raises ValueError unless the specs share one scalar type, GridMismatch
+    where t and the factor are on different grids."""
     scalars = {spec.scalar for spec in specs}
     if len(scalars) != 1:
         raise ValueError(f"need specs of exactly one scalar type, got {sorted(scalars)}")
     (scalar,) = scalars
-    l_t, tct = sqrt_tct(factor, t)
-    v = l_t / math.sqrt(tct)
-    l_v = factor.apply(v)
+    if t.grid != factor.grid:
+        raise GridMismatch("functional and factor built on different grids")
+    l_t = factor.adjoint(t.coeff)
+    l2 = float(np.vdot(l_t, l_t).real)
+    if not l2 > 0.0:  # guards the division by ||l||; `constants` gates roundoff
+        raise DegenerateFunctional("L^T T is zero")
+    v = l_t / math.sqrt(l2)
+    q = k.profile / k.profile_norm
     rngs = iter(rngs)
     while chunk := list(itertools.islice(rngs, NOISE_BLOCK)):
         n = len(chunk)
@@ -188,22 +182,23 @@ def condition_blocks(factor: SqrtFactor, t: LinearFunctional, specs, rngs):
         for i, rng in enumerate(chunk):
             g[i] = white_noise(factor.rank, scalar, rng)
             for j, spec in enumerate(specs):
-                t_u[i, j], rho[i, j], theta[i, j] = sample_t_u(spec, tct, rng)
+                t_u[i, j], rho[i, j], theta[i, j] = sample_t_u(spec, k.tct, rng)
         phi = factor.apply(g)[:n]
         # row sums, not GEMV: a row's t_1 and r^2 do not depend on the block
         t1 = (g[:n] * v.conj()).sum(axis=1)
         r2 = (np.abs(g[:n] - t1[:, None] * v) ** 2).sum(axis=1)
-        yield tuple(FieldSample(values=phi + (t_u[:, j] - t1)[:, None] * l_v, scalar=scalar,
-                                t_u=t_u[:, j], r2=r2, u=spec.u, rho=rho[:, j], theta=theta[:, j])
+        yield tuple(FieldSample(values=phi + ((t_u[:, j] - t1) / k.b_const)[:, None] * q,
+                                scalar=scalar, t_u=t_u[:, j], r2=r2, u=spec.u,
+                                rho=rho[:, j], theta=theta[:, j])
                     for j, spec in enumerate(specs))
 
 
 def sample_conditional(factor: SqrtFactor, t: LinearFunctional, spec: ConditionSpec,
                        rng: np.random.Generator) -> FieldSample:
-    """Draw phi_u = L g + (t_u - t_1) L v, which has the law of the
-    adapted-basis split L(t_u v + g_perp): row 0 of the one-spec, one-stream
-    call of `condition_blocks`, so `rng` gives g and then (t_u, rho, theta)."""
-    ((s,),) = condition_blocks(factor, t, [spec], [rng])
+    """Draw phi_u = L g + ((t_u - t_1)/B) q with constants(t, factor.cov): row 0 of
+    the one-spec, one-stream call of `condition_blocks`, so `rng` gives g and
+    then (t_u, rho, theta)."""
+    ((s,),) = condition_blocks(factor, t, constants(t, factor.cov), [spec], [rng])
     s.values.setflags(write=False)
     return FieldSample(values=s.values[0], scalar=s.scalar, t_u=s.t_u[0].item(),
                        r2=float(s.r2[0]), u=s.u, rho=float(s.rho[0]), theta=float(s.theta[0]))

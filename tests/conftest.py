@@ -36,7 +36,7 @@ def _eigh_factor(cov):
     n_cut = int(np.count_nonzero(lam <= np.finfo(float).eps * lam[-1]))
     kept = lam[n_cut:][::-1]
     modes = vec[:, n_cut:][:, ::-1] * np.sqrt(kept / cov.grid.w)
-    return SqrtFactor(grid=cov.grid, modes=modes, eigenvalues=kept)
+    return SqrtFactor(cov=cov, modes=modes, eigenvalues=kept)
 
 
 @pytest.fixture

@@ -38,7 +38,6 @@ from condfield.sampling import (
     FieldSample,
     sample_conditional,
     sample_t_u,
-    sqrt_tct,
     substream,
     white_noise,
 )
@@ -245,7 +244,7 @@ def test_sweep_matches_adapted_basis_records(kernel, weight, scalar, mode, rho, 
     fac = sqrt_factor(cov)
     t = make_point_functional(g, 0.5) if weight is None else make_integral_functional(g, weight)
     prof, k = profile(t, cov), constants(t, cov)
-    _, tct = sqrt_tct(fac, t)
+    tct = k.tct
     n_mc, seed = 30, 12
     rep = sweep(fac, t, cov, u_list, n_mc, scalar=scalar, mode=mode, rho=rho,
                 theta=theta, seed=seed)
@@ -444,6 +443,36 @@ def test_mismatched_factor_grid_raises(other):
         sample_conditional(fac, t, ConditionSpec(u=10.0), substream(0, 0))
     with pytest.raises(errors.GridMismatch):
         sweep(fac, t, cov, [10.0], 5)
+
+
+def test_sweep_rejects_a_factor_of_another_kernel():
+    # the noise and the profile it is scored against come from one operator
+    g = make_grid(0, 1, 64)
+    t = make_point_functional(g, 0.5)
+    fac = sqrt_factor(assemble(SquaredExponential(1, 0.2), g))
+    for other in (Exponential(1, 0.1), SquaredExponential(1, 0.3)):
+        with pytest.raises(errors.GridMismatch, match="different kernels"):
+            sweep(fac, t, assemble(other, g), [10.0], 5)
+    assert sweep(fac, t, assemble(SquaredExponential(1, 0.2), g), [10.0], 5).per_u
+
+
+@pytest.mark.parametrize("kernel, functional, m", [
+    ("sqexp:1:0.2", "point:0.5", 128),
+    ("exp:1:0.1", "point:0.5", 128),
+    ("sqexp:2.5:0.25", "dpoint:0.37:1:4", 200),
+    ("sqexp:1:0.2", "integral:cosine", 512),
+    ("rankk:4@1,1@3,0.5@0", "point:0.3", 100),
+])
+def test_large_u_floor_does_not_depend_on_the_factor(kernel, functional, m):
+    # samples are conditioned along the profile they are scored against, so at
+    # large u the sup distance is the roundoff of subtracting two unit vectors,
+    # not the factor's error in the profile direction (up to 235 eps)
+    g = make_grid(0, 1, m)
+    cov = assemble(kernel_from_spec(kernel), g)
+    t = functional_from_spec(functional, g)
+    rep = sweep(sqrt_factor(cov), t, cov, [1e6, 1e50, 1e100], 200, seed=1)
+    assert rep.per_u[0]["q50"] > 4 * EPS
+    assert all(row["q50"] <= 4 * EPS for row in rep.per_u[1:])
 
 
 @pytest.mark.parametrize("kernel, m, scalar, mode", [

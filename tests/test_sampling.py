@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from condfield import errors
-from condfield.covariance import Exponential, SquaredExponential, assemble, sqrt_factor
-from condfield.functionals import make_point_functional
+from condfield.covariance import (
+    Exponential,
+    SquaredExponential,
+    assemble,
+    kernel_from_spec,
+    sqrt_factor,
+)
+from condfield.functionals import constants, functional_from_spec, make_point_functional
 from condfield.grid import inner, make_grid
 from condfield.sampling import (
     COMPLEX,
@@ -15,7 +21,6 @@ from condfield.sampling import (
     condition_blocks,
     sample_conditional,
     sample_t_u,
-    sqrt_tct,
     substream,
     truncated_normal_lower,
     white_noise,
@@ -205,8 +210,8 @@ def test_t1_roundtrip(setup64):
 def test_adapted_basis_hygiene(setup64):
     # in the factor's P-dimensional coefficient space, with its plain inner product
     g, cov, fac, t = setup64
-    l_t, tct = sqrt_tct(fac, t)
-    v = l_t / np.sqrt(tct)
+    l_t = fac.adjoint(t.coeff)
+    v = l_t / np.sqrt(np.vdot(l_t, l_t).real)
     assert np.vdot(v, v).real == pytest.approx(1.0, abs=1e-12)
     for i in range(20):
         xi = white_noise(fac.rank, COMPLEX, substream(8, i))
@@ -267,7 +272,7 @@ def test_pathwise_matches_adapted_basis_split(kernel, n_clipped, scalar, adapted
     fac = sqrt_factor(assemble(kernel, g))
     assert fac.n_clipped == n_clipped
     t = make_point_functional(g, 0.5)
-    _, tct = sqrt_tct(fac, t)
+    tct = constants(t, fac.cov).tct
     for i in range(20):
         for u in (0.0, 10.0, 1e4, 1e8):
             spec = ConditionSpec(u=u, scalar=scalar, mode=RANDOM)
@@ -301,13 +306,14 @@ def test_condition_pathwise_stream_matches_single_calls(setup64, scalar, mode, t
     # stream is read as xi and then (t_u, rho, theta) for each spec in order;
     # sample_conditional is row 0 of the one-spec, one-stream call
     g, cov, fac, t = setup64
-    _, tct = sqrt_tct(fac, t)
+    k = constants(t, cov)
+    tct = k.tct
     specs = [ConditionSpec(u=u, scalar=scalar, mode=mode, rho=2.0, theta=theta)
              for u in (0.0, 10.0, 1e6)]
-    (blocks,) = condition_blocks(fac, t, specs, (substream(3, 0, i) for i in range(3)))
+    (blocks,) = condition_blocks(fac, t, k, specs, (substream(3, 0, i) for i in range(3)))
     assert [len(block.r2) for block in blocks] == [3, 3, 3]
     for i in range(3):
-        (single,) = condition_blocks(fac, t, specs, [substream(3, 0, i)])
+        (single,) = condition_blocks(fac, t, k, specs, [substream(3, 0, i)])
         for got, want in zip(blocks, single, strict=True):
             assert _row(got, i) == _row(want, 0)
         rng = substream(3, 0, i)
@@ -315,7 +321,7 @@ def test_condition_pathwise_stream_matches_single_calls(setup64, scalar, mode, t
         assert [(block.t_u[i], block.rho[i], block.theta[i]) for block in blocks] == \
             [sample_t_u(spec, tct, rng) for spec in specs]
     for spec in specs:
-        ((want,),) = condition_blocks(fac, t, [spec], [substream(3, 2)])
+        ((want,),) = condition_blocks(fac, t, k, [spec], [substream(3, 2)])
         s = sample_conditional(fac, t, spec, substream(3, 2))
         assert not s.values.flags.writeable
         got = (s.values.dtype, s.values.tobytes(), s.scalar, s.t_u, s.r2, s.u, s.rho, s.theta)
@@ -328,7 +334,23 @@ def test_condition_pathwise_needs_specs_of_one_scalar_type(setup64):
     g, cov, fac, t = setup64
     for specs in ([], [ConditionSpec(u=1.0, scalar=REAL), ConditionSpec(u=2.0, scalar=COMPLEX)]):
         with pytest.raises(ValueError, match="one scalar type"):
-            next(condition_blocks(fac, t, specs, [substream(0, 0)]))
+            next(condition_blocks(fac, t, constants(t, cov), specs, [substream(0, 0)]))
+
+
+@pytest.mark.parametrize("kernel", ["exp:1:0.1", "sqexp:2.5:0.25", "rankk:4@1,1@3,0.5@0"])
+@pytest.mark.parametrize("functional", ["point:0.5", "dpoint:0.37:1:4", "integral:cosine"])
+@pytest.mark.parametrize("scalar", [REAL, COMPLEX])
+def test_conditioning_event_holds_on_every_route(kernel, functional, scalar):
+    # t_u is drawn with the constants' <T|C|T>, while <T|L g> = <l|g> reads the
+    # factor's l: on the dense, pivoted and rank-k routes the two agree to roundoff
+    g = make_grid(0, 1, 128)
+    cov = assemble(kernel_from_spec(kernel), g)
+    fac, t = sqrt_factor(cov), functional_from_spec(functional, g)
+    specs = [ConditionSpec(u=u, scalar=scalar, mode=RANDOM) for u in (5.0, 1e6)]
+    rngs = (substream(5, 0, i) for i in range(200))
+    for blocks in condition_blocks(fac, t, constants(t, cov), specs, rngs):
+        for s in blocks:
+            assert np.all(np.abs(g.w * (s.values @ t.coeff)) >= s.u * (1.0 - 1e-12))
 
 
 @pytest.mark.parametrize("alpha", [1e155, 1e300])
