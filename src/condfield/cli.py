@@ -11,7 +11,6 @@ error, 2 usage or config error, 3 verification failure.
 """
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -114,18 +113,19 @@ def _write_json(path: str, payload: dict, csv_columns=None):
 
 
 def _write_csv(path: str, header, columns):
-    """Write equal-length arrays as CSV columns, NOISE_BLOCK rows at a time;
-    booleans as 0/1, and floats as repr(float), which csv writes for a float.
-    A non-finite float or complex value raises ValueError and leaves no file."""
+    """Write equal-length arrays as CSV columns, NOISE_BLOCK rows at a time: each
+    field the repr of its int or float (booleans as 0/1), unquoted, as every field
+    is a number, and rows ended by \\r\\n.  A non-finite float or complex value
+    raises ValueError and leaves no file."""
     for name, c in zip(header, columns):
         if c.dtype.kind in "fc" and not np.all(np.isfinite(c)):
             raise ValueError(f"column {name} holds a non-finite value")
     columns = [c.astype(int) if c.dtype == bool else c for c in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for k in range(0, len(columns[0]), sp.NOISE_BLOCK):
-            writer.writerows(zip(*(c[k:k + sp.NOISE_BLOCK].tolist() for c in columns)))
+            fields = (map(repr, c[k:k + sp.NOISE_BLOCK].tolist()) for c in columns)
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*fields)))
 
 
 def cmd_profile(setup: _Setup, out) -> int:
@@ -147,7 +147,7 @@ def cmd_condition(setup: _Setup, out) -> int:
     # the constants carry the roundoff gate on <T|C|T>, so they come before the draw
     consts = fn.constants(setup.functional, setup.cov)
     rng = sp.substream(setup.seed, 3, 0)
-    sample = sp.sample_conditional(setup.factor, setup.functional, spec, rng)
+    sample = sp.condition_one(setup.factor, setup.functional, consts, spec, rng)
     rec = cc.distance_record(sample, consts, setup.grid)
     _write_json(out, {
         "config": setup.config, "u": float(setup.u), "rho": float(sample.rho),

@@ -193,12 +193,18 @@ def condition_blocks(factor: SqrtFactor, t: LinearFunctional, k: TheoryConstants
                     for j, spec in enumerate(specs))
 
 
-def sample_conditional(factor: SqrtFactor, t: LinearFunctional, spec: ConditionSpec,
-                       rng: np.random.Generator) -> FieldSample:
-    """Draw phi_u = L g + ((t_u - t_1)/B) q with constants(t, factor.cov): row 0 of
-    the one-spec, one-stream call of `condition_blocks`, so `rng` gives g and
+def condition_one(factor: SqrtFactor, t: LinearFunctional, k: TheoryConstants,
+                  spec: ConditionSpec, rng: np.random.Generator) -> FieldSample:
+    """Draw phi_u = L g + ((t_u - t_1)/B) q with k = constants(t, factor.cov): row 0
+    of the one-spec, one-stream call of `condition_blocks`, so `rng` gives g and
     then (t_u, rho, theta)."""
-    ((s,),) = condition_blocks(factor, t, constants(t, factor.cov), [spec], [rng])
+    ((s,),) = condition_blocks(factor, t, k, [spec], [rng])
     s.values.setflags(write=False)
     return FieldSample(values=s.values[0], scalar=s.scalar, t_u=s.t_u[0].item(),
                        r2=float(s.r2[0]), u=s.u, rho=float(s.rho[0]), theta=float(s.theta[0]))
+
+
+def sample_conditional(factor: SqrtFactor, t: LinearFunctional, spec: ConditionSpec,
+                       rng: np.random.Generator) -> FieldSample:
+    """`condition_one` with the constants formed from t and factor.cov."""
+    return condition_one(factor, t, constants(t, factor.cov), spec, rng)

@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 import condfield as cf
 from condfield import cli, concentration, covariance
 from condfield.cli import main
+from condfield.sampling import NOISE_BLOCK
 
 
 def run(args):
@@ -261,18 +265,18 @@ def test_report_that_cannot_be_serialized_leaves_no_file(tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("argv, factorizations, cov_applies, factor_applies", [
     (["profile"], 0, 1, 0),
-    (["condition", "--u", "100"], 1, 2, 1),
+    (["condition", "--u", "100"], 1, 1, 1),
     (["sweep", "--u-list", "10,100", "--mc", "20"], 1, 1, 1),
     (["verify", "prop1", "--mc", "1000"], 1, 1, 0),
-    (["verify", "prop3"], 1, 2, 1),
+    (["verify", "prop3"], 1, 1, 1),
     (["verify", "bounds", "--mc", "20"], 1, 1, 1),
 ], ids=["profile", "condition", "sweep", "prop1", "prop3", "bounds"])
 def test_one_factorization_per_command(tmp_path, monkeypatch, argv, factorizations,
                                        cov_applies, factor_applies):
     # a conditioned draw applies the factor to each block of NOISE_BLOCK noise
     # rows once, ceil(n_mc / NOISE_BLOCK), and never to v; L^T T is not an
-    # apply, and prop1 needs nothing else; sample_conditional forms its own
-    # constants, so condition and prop3 apply the operator twice
+    # apply, and prop1 needs nothing else; condition and prop3 draw with the
+    # constants they score against, so every command applies the operator once
     calls, applies, factor_calls = [], [], []
     sqrt_factor = covariance.sqrt_factor
     apply = covariance.CovOperator.apply
@@ -478,6 +482,64 @@ def test_sweep_csv_keeps_its_header_and_float_format(tmp_path, scalar, mode):
           int(r.applicable), int(r.est0_ok), int(r.est12_ok)] for r in records))
     assert len(records) == 140
     assert out.read_bytes() == want
+
+
+@pytest.mark.parametrize("scalar", ["real", "complex"])
+def test_condition_csv_is_the_row_by_row_csv(tmp_path, scalar):
+    # a real field's im_phi column is all zeros, each written as 0.0 or -0.0
+    out = tmp_path / "c.csv"
+    assert run(["condition", "--grid", "64", "--u", "100", "--scalar", scalar,
+                "--mode", "fixed-rho:2", "--seed", "4", "--out", str(out)]) == 0
+    g = cf.make_grid(0, 1, 64)
+    t = cf.functional_from_spec("point:0.5", g)
+    factor = cf.sqrt_factor(cf.assemble(cf.SquaredExponential(1, 0.2), g))
+    spec = cf.ConditionSpec(u=100.0, scalar=scalar, mode="fixed-rho", rho=2.0)
+    values = cf.sample_conditional(factor, t, spec, cf.substream(4, 3, 0)).values
+    columns = [g.points, np.real(values), np.imag(values)]
+    want = _row_by_row_csv(["x", "re_phi", "im_phi"],
+                           ([float(v) for v in row] for row in zip(*columns)))
+    assert out.read_bytes() == want
+    if scalar == "real":
+        assert {row[2] for row in read_csv(out)[1:]} <= {"0.0", "-0.0"}
+
+
+def test_write_csv_is_the_row_by_row_csv_across_blocks(tmp_path):
+    n = NOISE_BLOCK + 3
+    floats = np.resize([-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, -2.5, 0.1], n)
+    header = ["f", "g", "i", "b"]
+    columns = [floats, -floats[::-1], np.arange(n) - 5, np.arange(n) % 3 == 0]
+    cli._write_csv(str(tmp_path / "w.csv"), header, columns)
+    rows = ([float(f), float(v), int(i), int(b)] for f, v, i, b in zip(*columns))
+    assert (tmp_path / "w.csv").read_bytes() == _row_by_row_csv(header, rows)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_write_csv_rejects_a_non_finite_column(tmp_path, bad):
+    x = np.zeros(NOISE_BLOCK + 1, type(bad))
+    x[-1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        cli._write_csv(str(tmp_path / "w.csv"), ["i", "x"], [np.arange(len(x)), x])
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--u-list", "10,100", "--mc", "20", "--out", "s.csv"],
+    ["verify", "bounds", "--mc", "20", "--out", "b.json"],
+], ids=["sweep", "bounds"])
+def test_run_leaves_numpy_ma_unimported(tmp_path, argv):
+    # np.quantile loads numpy.ma through np.unique: 15 ms of a fresh process
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+    def loads_numpy_ma(code, *args):
+        done = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, check=True)
+        return done.stdout.split()[-1] == "True"
+
+    if loads_numpy_ma("import sys, condfield.cli; print('numpy.ma' in sys.modules)"):
+        pytest.skip("importing condfield.cli loads numpy.ma with this numpy")
+    assert not loads_numpy_ma(
+        "import sys\nfrom condfield.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\nprint('numpy.ma' in sys.modules)", *argv, "--grid", "32")
 
 
 @pytest.mark.parametrize("argv", [

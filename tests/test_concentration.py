@@ -8,6 +8,7 @@ from condfield import concentration, covariance, errors
 from condfield.concentration import (
     distance_record,
     normalized_sup_distance,
+    quantiles,
     sweep,
     verify_prop1,
     verify_prop3,
@@ -338,6 +339,42 @@ def test_sweep_record_in_the_second_block_is_the_conditional_draw(setup128, scal
     want = distance_record(sample_conditional(fac, t, spec, substream(seed, 0, i)), k, g, i)
     for f in dataclasses.fields(want):
         assert getattr(rep.records[i], f.name) == getattr(want, f.name), f.name
+
+
+def _bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_quantiles_are_bitwise_np_quantile():
+    # numpy's rule at every sample count up to 600, on 1-D and 2-D columns, with
+    # ties of -0.0 and 0.0 (whose order np.quantile's partition sets), mixed
+    # magnitudes, and a NaN, which makes its whole column NaN
+    qs = [0.0, 0.1, 0.5, 0.9, 1.0]
+    rng = np.random.default_rng(0)
+    for n in range(1, 601):
+        mixed = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+        ties = rng.choice([-0.0, 0.0, 5e-324, -1.0, 1.0, 1e300], (n, 2))
+        with_nan = rng.standard_normal((n, 2))
+        with_nan[rng.integers(n), 1] = np.nan
+        for x in (rng.standard_normal(n), mixed, ties, ties[:, 0], with_nan):
+            for q in qs:
+                assert _bitwise(quantiles(x, (q,))[0], np.quantile(x, q, axis=0)), (n, q)
+            for some in (qs, [0.1, 0.5, 0.9]):
+                assert _bitwise(quantiles(x, some), np.quantile(x, some, axis=0)), n
+
+
+@pytest.mark.parametrize("scalar, mode", [(REAL, RANDOM), (COMPLEX, FIXED_RHO)])
+def test_sweep_quantiles_are_np_quantile_of_its_records(setup128, scalar, mode):
+    g, cov, fac, t, prof, k = setup128
+    u_list = [10.0, 100.0, 1000.0]
+    rep = sweep(fac, t, cov, u_list, NOISE_BLOCK + 5, scalar=scalar, mode=mode, seed=12)
+    sup_d, l2_d = (rep.columns[name].reshape(-1, len(u_list)) for name in ("sup_dist", "l2_dist"))
+    q10, q50, q90 = np.quantile(sup_d, [0.1, 0.5, 0.9], axis=0)
+    l2_q50 = np.quantile(l2_d, 0.5, axis=0)
+    want = tuple({"u": u, "q10": float(a), "q50": float(b), "q90": float(c), "l2_q50": float(d)}
+                 for u, a, b, c, d in zip(u_list, q10, q50, q90, l2_q50))
+    assert repr(rep.per_u) == repr(want)
 
 
 def test_sweep_memory_holds_no_field_per_record():
