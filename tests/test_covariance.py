@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condfield import covariance, errors
 from condfield.covariance import (
@@ -266,19 +268,20 @@ RITZ_SPECS = ("sqexp:1:0.2", "sqexp:3:0.5", "sqexp:1e-300:0.2", "rankk:4@1,1@3,0
                          + [("sqexp:1:0.05", 512), ("sqexp:1:0.05", 2048),
                             ("sqexp:1:0.01", 2048)])  # P = 267
 def test_ritz_factor_meets_its_certificate(spec, m):
-    # the pivoted route's factor w L L^T is within DEFAULT_CLIP_TOL * lam_max / M
-    # of op entrywise, so op's spectrum sits in the NotPositive window
+    # these factors are within DEFAULT_CLIP_TOL * lam_max / M of op entrywise,
+    # so ||op - w L L^T||_2 is in the NotPositive window, as the randomized
+    # certificate claims, and they come from at most M/2 pivots
     cov = assemble(kernel_from_spec(spec), make_grid(0, 1, m))
     assert covariance._pivoted_pairs(cov.op) is not None
     fac = sqrt_factor(cov)
     resid = cov.op - cov.grid.w * fac.modes @ fac.modes.T
     assert m * np.max(np.abs(resid)) <= DEFAULT_CLIP_TOL * fac.eigenvalues[0]
-    assert fac.rank <= m // 4
+    assert fac.rank <= m // 2
 
 
 @pytest.mark.parametrize("kernel", [Exponential(1, 0.1), SquaredExponential(1, 0.002)], ids=repr)
 def test_dense_route_factor_is_the_eigh_factor(kernel, eigh_factor):
-    # a nonsmooth kernel, and a smooth one that needs more than M/4 pivots,
+    # a nonsmooth kernel, and a smooth one that needs more than M/2 pivots,
     # are factored by a dense eigh: bitwise the reference factor
     cov = assemble(kernel, make_grid(0, 1, 128))
     fac, ref = sqrt_factor(cov), eigh_factor(cov)
@@ -292,7 +295,7 @@ def test_shifted_smooth_kernel_is_not_positive():
     # (10, 100) and (100, 10) with its diagonal unchanged (smallest eigenvalue
     # -8.9e-10 lam_max, which a certificate that reads only the residual
     # diagonal would miss), fails the pivoted certificate, and the dense eigh
-    # rejects it
+    # rejects it; MatrixKernel's products come from apply's row blocks
     g = make_grid(0, 1, 128)
     cov = assemble(SquaredExponential(1, 0.2), g)
     lam_max = np.linalg.eigvalsh(cov.op)[-1]
@@ -306,8 +309,8 @@ def test_shifted_smooth_kernel_is_not_positive():
 
 
 def test_pivoted_factor_peak_memory_is_an_eighth_of_one_operator():
-    # the pivoted route reads op only by its diagonal, single rows and row
-    # blocks, and holds O(M P) beyond it: no M x M or M/4 x M temporary
+    # the pivoted route reads op only by its diagonal and single rows, and holds
+    # O(M (P + r)) beyond it: no M x M or M/2 x M temporary
     g = make_grid(0, 1, 2048)
     cov = assemble(SquaredExponential(1, 0.2), g)
     tracemalloc.start()
@@ -412,27 +415,55 @@ def test_served_rows_are_bitwise_the_rows_of_op(spec, a, b, m):
 @pytest.mark.parametrize("spec", ["sqexp:1:0.2", "rankk:4@1,1@3,0.5@0"])
 def test_smooth_paths_never_form_op(monkeypatch, spec):
     # the factor, the constants, the profile, prop1 and a sweep read a smooth
-    # kernel's operator only by rows and its diagonal (at M = 128: sqexp:1:0.2
-    # needs 21 pivots, over the M/4 cap at M = 64, where it takes the dense eigh)
+    # kernel's operator only by rows and its diagonal, at M = 64 too, where
+    # sqexp:1:0.2 needs 21 of the at most 32 pivots
     def refuse(cov):
         raise AssertionError("the M x M operator was formed")
 
     monkeypatch.setattr(CovOperator, "op", property(refuse))
-    g = make_grid(0, 1, 128)
-    t = make_point_functional(g, 0.5)
-    cov = assemble(kernel_from_spec(spec), g)
-    fac = sqrt_factor(cov)
-    assert constants(t, cov).tct > 0 and profile(t, cov).shape == (128,)
-    assert verify_prop1(t, cov, 1000)["all_finite"]
-    assert len(sweep(fac, t, cov, [10.0, 100.0], 20).records) == 40
+    for m in (64, 128):
+        g = make_grid(0, 1, m)
+        t = make_point_functional(g, 0.5)
+        cov = assemble(kernel_from_spec(spec), g)
+        fac = sqrt_factor(cov)
+        assert constants(t, cov).tct > 0 and profile(t, cov).shape == (m,)
+        assert verify_prop1(t, cov, 1000)["all_finite"]
+        assert len(sweep(fac, t, cov, [10.0, 100.0], 20).records) == 40
 
 
-def test_smooth_model_build_memory_is_linear_in_m():
-    # assemble, the pivoted factor and point constants at M = 4096 hold one
-    # certificate block and one kernel block of _BLOCK_ROWS rows, the pivot
-    # rows, V^T, lv and the modes (each of about P rows): a few times
-    # 8 M (64 + P) bytes, against 8 M^2 = 134 MB for op
-    g = make_grid(0, 1, 4096)
+@pytest.mark.parametrize("domain", [(0.0, 1.0), (-0.3, 2.7), (1e3, 1e3 + 1), (1e6, 1e6 + 1)])
+@pytest.mark.parametrize("kind", ["sqexp", "rankk"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(scale=st.floats(1e-3, 1e3), ell=st.floats(0.03, 1.0),
+       modes=st.lists(st.tuples(st.floats(1e-3, 1e3), st.integers(0, 40)), min_size=1,
+                      max_size=5, unique_by=lambda md: md[1]),  # k < M
+       m=st.sampled_from([64, 100, 128, 250, 256, 512, 777, 1024]))
+def test_pivoted_certificate_is_sound_and_deterministic(kind, domain, scale, ell, modes, m):
+    # wherever the randomized certificate accepts, served by the kernel (FFT or
+    # mode sums) or by the formed matrix, ||op - w L L^T||_2 is inside the
+    # window; the probes are fixed, so a second call gives the same bits.  The
+    # 2-norm is bounded by that of E's symmetric part plus the Frobenius norm
+    # of its skew part (roundoff of the product)
+    g = make_grid(*domain, m)
+    kernel = SquaredExponential(scale, ell * g.length) if kind == "sqexp" else RankK(tuple(modes))
+    cov = assemble(kernel, g)
+    lam_max = np.linalg.eigvalsh(cov.op)[-1]
+    for op in (cov, cov.op):
+        got, again = covariance._pivoted_pairs(op), covariance._pivoted_pairs(op)
+        assert (got is None) == (again is None)
+        for x, y in zip(got or (), again or ()):
+            assert x.tobytes() == y.tobytes()
+        if got is not None:
+            lam, vec = got
+            e = cov.op - (vec * lam) @ vec.T
+            norm = np.abs(np.linalg.eigvalsh(e + e.T)).max() / 2 + np.linalg.norm(e - e.T) / 2
+            assert norm <= DEFAULT_CLIP_TOL * lam_max
+
+
+def _smooth_build_peak(m):
+    """tracemalloc peak of assemble, the factor and point constants of sqexp:1:0.2 on
+    M points of (0, 1), and the factor's rank."""
+    g = make_grid(0, 1, m)
     tracemalloc.start()
     try:
         cov = assemble(SquaredExponential(1, 0.2), g)
@@ -441,5 +472,23 @@ def test_smooth_model_build_memory_is_linear_in_m():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fac.rank == 21
-    assert peak <= 4 * 8 * g.m * (covariance._BLOCK_ROWS + fac.rank)
+    return peak, fac.rank
+
+
+def test_smooth_model_build_memory_is_linear_in_m():
+    # the build's peak is at the certificate's FFT.  It holds V^T (P rows of M
+    # doubles), the r probes, two of the FFT's 2M x r buffers (4r rows), and
+    # kernel row 0, its spectrum and the residual diagonal (5 rows): P + 5r + 5
+    # rows of 8 M bytes, at most 3 (P + r) rows where P >= r + 3 (P = 21 and
+    # r = 10 here), against 8 M^2 = 134 MB for op at M = 4096
+    peak, rank = _smooth_build_peak(4096)
+    assert rank == 21
+    assert peak <= 3 * 8 * 4096 * (rank + covariance._PROBES)
+
+
+def test_smooth_model_build_at_m_65536_is_linear_in_m():
+    # the same bound at M = 65,536, where op would be 34 GB: the certificate
+    # reads no kernel row beyond row 0 and the pivot rows
+    peak, rank = _smooth_build_peak(65536)
+    assert rank == 21
+    assert peak <= 3 * 8 * 65536 * (rank + covariance._PROBES)
