@@ -14,7 +14,7 @@ field is the factor applied to i.i.d. standard coefficients, one per mode whose
 eigenvalue is above eps * lam_max (eps the double machine epsilon): the
 operator's numerical rank.  A smooth kernel's modes come from one SVD of its pivoted
 Cholesky rows, certified by a randomized bound on ||op - w L L^T||_2 (10 fixed probes,
-one FFT each for a stationary kernel); any other kernel's come from a dense eigh.
+one FFT each for a squared exponential); any other kernel's come from a dense eigh.
 """
 
 import functools
@@ -63,7 +63,6 @@ class SquaredExponential(_Stationary):
 
     name = "squared-exponential"
     smooth = True
-    slope = property(lambda self: self.variance / (self.ell * np.sqrt(np.e)))  # max |C'|
 
     def __post_init__(self):
         super().__post_init__()
@@ -82,7 +81,6 @@ class Exponential(_Stationary):
 
     name = "exponential"
     smooth = False
-    slope = property(lambda self: self.variance / self.ell)  # sup |C'|
 
     def decay(self, d):  # exp(-|d| / ell), written over d; (-a)/b is a/(-b) bitwise
         with np.errstate(over="ignore"):  # an overflow to -inf decays to exp(-inf) = 0
@@ -172,10 +170,9 @@ class CovOperator:
 
 
 def assemble(kernel, grid: Grid) -> CovOperator:
-    """The covariance operator of `kernel` on `grid`, read by rows: nothing M x M is
-    formed.  Raises InvalidKernelParams where op is not finite, which its diagonal
-    shows (|K_ij| <= max_i K_ii for a PSD kernel), or where a RankK mode index is not
-    below M."""
+    """The covariance operator of `kernel` on `grid`, read by rows: nothing M x M is formed.
+    Raises InvalidKernelParams where op is not finite, which its diagonal shows (|K_ij| <=
+    max_i K_ii for a PSD kernel), or where a RankK mode index is not below M."""
     cov = CovOperator(grid=grid, kernel=kernel)
     cov.diagonal()
     return cov
@@ -230,59 +227,66 @@ class SqrtFactor:
 def _matvec(op, x):
     """(Y, tau) for an (M, r) block x: Y = A x with ||op - A||_2 <= tau.
 
-    An ndarray gives op @ x, RankK w sum_k lam_k e_k (e_k^T x), any other non-stationary
-    kernel `apply` by columns: A = op, tau = 0.  A stationary kernel's A is the Toeplitz
-    matrix of row op[0], applied by one rfft/irfft pair of its circulant embedding of
-    size 2M.  op_ij and A_ij are f(s) = w C(s) as computed (even in s) at fl(x_i - x_j)
-    and fl(x_0 - x_|i-j|); the points fl(a + fl((i + 1/2) h)) and their differences are
-    rounded, so both arguments lie within Delta = 2 eps (2 M h + max|x|) of (i - j) h.
-    Computed f is within 8 eps w variance of exact f (the argument's roundings move exp
-    by < eps, exp errs by 4 ulp, the scalings by eps), so |op_ij - A_ij| <= w Delta
-    sup|C'| + 16 eps w variance, the sup within Delta of (i - j) h.  C falls in |s|:
-    over a row, w sup|C'| sums to at most int |C'| = 2 variance plus (h + Delta) max|C'|
-    for each of |C'|'s (at most 4) monotone pieces.  That row sum, tau, bounds the
-    2-norm of the symmetric op - A.
-    """
+    An ndarray gives op @ x, RankK w sum_k lam_k e_k (e_k^T x), any kernel but the squared
+    exponential `apply` by columns: A = op, tau = 0.  A squared exponential's A is the
+    Toeplitz matrix of c = op[0], by one rfft/irfft pair of its 2M circulant.  op_ij =
+    f(fl(x_i - x_j)), A_ij = f(fl(x_0 - x_k)), k = |i - j|, f = w C as computed (even):
+    equal where the points are an exact progression (all fl(x_{i+1} - x_i) equal and exact
+    by TwoSum; h dyadic on (0, 1), say), so tau = 0.  Else, to first order in eps, points
+    err by eps/2 (M h + max|x|) and differences by eps/2 of theirs: the arguments' sizes
+    differ by Delta + eps k h, Delta = 2 eps (M h + max|x|).  f errs by eps (6 + 2 t) f,
+    t = s^2 / (2 ell^2) (3 roundings in t, 4 ulp in exp, 2 in scaling), and by 2^-1074 a
+    rounding below the normal range.  Over a row, w sup|C'| near the lattice sums to 2
+    variance + (h + Delta) max|C'| per monotone piece (4, max|C'| = variance / (sqrt(e)
+    ell)), |s C'| = 2 t C, and k occurs twice: so ||op - A||_2, a row sum of the symmetric
+    |op - A|, is at most tau = Delta variance (2 + 4 (h + Delta) / (sqrt(e) ell)) + eps
+    sum_k (24 + 12 t_k) c_k + 16 M (w variance + w + 1) 2^-1074."""
     if isinstance(op, np.ndarray):
         return op @ x, 0.0
     g, kernel = op.grid, op.kernel
     if isinstance(kernel, RankK):
         return g.w * sum(lam * np.multiply.outer(e, e @ x) for lam, e in kernel._terms(g)), 0.0
-    if not isinstance(kernel, _Stationary):
+    if not isinstance(kernel, SquaredExponential):
         return np.column_stack([op.apply(col) for col in x.T]), 0.0
-    c, n = op[0], 2 * g.m
+    c, n, pts = op[0], 2 * g.m, g.points
     spectrum = np.fft.rfft(np.concatenate((c, [0.0], c[:0:-1])))[:, None]
     y = np.fft.irfft(np.fft.rfft(x, n, axis=0) * spectrum, n, axis=0)[:g.m]
-    h, var, delta = g.w, kernel.variance, 2 * EPS * (2 * g.m * g.w + np.max(np.abs(g.points)))
-    return y, delta * (2 * var + 4 * (h + delta) * kernel.slope) + 16 * EPS * g.m * h * var
+    step = pts[1:] - pts[:-1]
+    back = step - pts[1:]  # TwoSum's error is (x1 - (step - back)) - (x0 + back)
+    if (step == step[0]).all() and ((pts[1:] - (step - back)) == (pts[:-1] + back)).all():
+        return y, 0.0
+    with np.errstate(over="ignore"):  # only where c underflows to 0, which t skips
+        t = np.divide(np.square(pts - pts[0]), 2 * kernel.ell ** 2, np.zeros(g.m), where=c > 0)
+    h, var, delta = g.w, kernel.variance, 2 * EPS * (g.m * g.w + np.max(np.abs(pts)))
+    tau = delta * var * (2 + 4 * (h + delta) / (np.sqrt(np.e) * kernel.ell))
+    return y, tau + EPS * c @ (24 + 12 * t) + 16 * g.m * (h * var + h + 1) * 2.0 ** -1074
 
 
 def _pivoted_pairs(op):
-    """The kept (lam, V) of op, lam > eps * lam_max in descending order, from one
-    SVD of its pivoted Cholesky rows, or None.
+    """The kept (lam, V) of op, lam > eps * lam_max in descending order, from one SVD of
+    its pivoted Cholesky rows, or None.  op is read only by op[i], op.diagonal(), op.shape
+    and `_matvec`; an ndarray serves.
 
-    op is read only by op[i], op.diagonal(), op.shape and `_matvec`; an ndarray serves.
+    Pivots on the largest residual diagonal (Harbrecht, Peters & Schneider 2012) until,
+    after j pivots, it is at most (j + 1) eps * max diag(op): the roundoff bound of the
+    computed residual diagonal (Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 10.3), below which it stalls.  The j x M pivot rows R have R^T R = V S^2 V^T, so
+    lam = S^2.  None where more than M/2 pivots are needed, none is taken, or the
+    certificate fails.  By flops (j pivots take M j^2 of row updates and about 6 M j^2 of
+    thin SVD, eigh with vectors 14/3 M^3) the crossover is j ~ 0.8 M, measured 0.59 M to
+    0.78 M for 128 <= M <= 2048 with one BLAS thread.  For M <= 64 the cap is above it
+    (j ~ 26 at M = 64, as a row costs ~26 us besides its flops), kept so that sqexp:1:0.2
+    at M = 64 (21 pivots) never forms op.
 
-    Pivots on the largest residual diagonal (Harbrecht, Peters & Schneider
-    2012) until, after j pivots, it is at most (j + 1) eps * max diag(op): the
-    roundoff bound of the computed residual diagonal (Higham, Accuracy and
-    Stability of Numerical Algorithms, Thm 10.3), below which it stalls.  The
-    j x M pivot rows R have R^T R = V S^2 V^T, so lam = S^2.  None where more
-    than M/2 pivots are needed, none is taken, or the certificate fails.  The cap
-    is below the cost crossover: j pivots take M j^2 flops of row updates and about
-    6 M j^2 of thin SVD, eigh with vectors about 14/3 M^3, equal at j ~ 0.8 M
-    (measured with one BLAS thread: 0.59 M to 0.78 M for 128 <= M <= 2048).
-
-    Certificate: for r = _PROBES Gaussian w_i from a fixed Philox key (so the verdict
-    is a function of op), ||E||_2 <= 10 sqrt(2/pi) max_i ||E w_i||_2 fails with
-    probability at most 10^-r for any E (Halko, Martinsson & Tropp 2011, SIAM Rev.
-    53:217, Lemma 4.1), here E = A - V Lambda V^T with `_matvec`'s A, ||op - A||_2 <=
-    tau, and Lambda the kept eigenvalues.  Accepted where that bound plus tau is at
-    most DEFAULT_CLIP_TOL * lam_max, so op's spectrum lies in the clip window; tau
-    fills the window only on a domain far from 0, where the dense eigh takes over.
+    Certificate: ||E||_2 <= 10 sqrt(2/pi) max_i ||E w_i||_2 for any E but with probability
+    10^-r over r = _PROBES Gaussian w_i (Halko, Martinsson & Tropp 2011, SIAM Rev. 53:217,
+    Lemma 4.1), drawn from a fixed Philox key so the verdict is deterministic.  Accepted
+    where it plus tau, for E = A - V Lambda V^T with A and tau from `_matvec`, is at most
+    DEFAULT_CLIP_TOL * lam_max: op's spectrum is then in the clip window.  tau = 0 on an
+    exact progression of points, else ~5e-16 (b - a + max|x|) / ell of lam_max; where that
+    fills the window (ell = 0.2 on (1e3, 1e3 + 1), say) the dense eigh takes over.
     """
-    m = op.shape[0]
-    cap = m // 2
+    m, cap = op.shape[0], op.shape[0] // 2
     d = op.diagonal().copy()
     d_max = max(float(d.max()), 0.0)  # so every pivot taken is positive
     rows = np.empty((0, m))  # R, grown with the pivot count up to the cap
@@ -312,13 +316,12 @@ def _pivoted_pairs(op):
 def sqrt_factor(cov: CovOperator) -> SqrtFactor:
     """Spectral factor of op over its numerical rank.
 
-    A smooth kernel's eigenpairs come from `_pivoted_pairs`, which reads the
-    operator's rows from the kernel, where it certifies them; any other operator,
-    or one it rejects, goes through a dense eigh of the formed `cov.op`.
-    Eigenvalues at or below eps * lam_max (eps the double machine epsilon) are
-    roundoff: both routes drop them and their modes.  An eigenvalue below the
-    window -DEFAULT_CLIP_TOL * lam_max means the kernel was not positive
-    semidefinite and raises; only the dense eigh can see one.
+    A smooth kernel's eigenpairs come from `_pivoted_pairs`, which reads the operator's
+    rows from the kernel, where it certifies them; any other operator, or one it rejects,
+    goes through a dense eigh of the formed `cov.op`.  Eigenvalues at or below eps *
+    lam_max (eps the double machine epsilon) are roundoff: both routes drop them and their
+    modes.  An eigenvalue below the window -DEFAULT_CLIP_TOL * lam_max means the kernel
+    was not positive semidefinite and raises; only the dense eigh can see one.
     """
     pairs = _pivoted_pairs(cov) if cov.kernel.smooth else None
     if pairs is None:
@@ -347,11 +350,8 @@ def kernel_from_spec(text: str):
         if parts[0] == "exp" and len(parts) == 3:
             return Exponential(float(parts[1]), float(parts[2]))
         if parts[0] == "rankk" and len(parts) == 2:
-            modes = []
-            for item in parts[1].split(","):
-                lam, k = item.split("@")
-                modes.append((float(lam), int(k)))
-            return RankK(tuple(modes))
+            pairs = (item.split("@") for item in parts[1].split(","))
+            return RankK(tuple((float(lam), int(k)) for lam, k in pairs))
     except (ValueError, InvalidKernelParams) as exc:
         raise ConfigError(f"bad kernel spec {text!r}: {exc}") from exc
     raise ConfigError(f"unknown kernel spec {text!r}")

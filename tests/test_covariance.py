@@ -460,6 +460,53 @@ def test_pivoted_certificate_is_sound_and_deterministic(kind, domain, scale, ell
             assert norm <= DEFAULT_CLIP_TOL * lam_max
 
 
+@pytest.mark.parametrize("spec, a, b, m", [
+    ("sqexp:1:0.2", 0, 1, 512), ("sqexp:1:0.2", 0, 1, 500), ("sqexp:1:0.2", -0.3, 2.7, 97),
+    ("sqexp:1:0.2", 10, 11, 500), ("sqexp:1:0.2", 1e3, 1e3 + 1, 500),
+    ("sqexp:2.5:0.03", 1e6, 1e6 + 1, 500), ("sqexp:1:0.002", 0, 1, 1000),
+    ("sqexp:1:0.002", -0.3, 2.7, 700), ("sqexp:1e-300:0.2", 0, 1, 100),
+])
+def test_tau_bounds_the_distance_to_the_toeplitz_matrix(spec, a, b, m):
+    # the FFT applies the Toeplitz matrix of row 0; tau bounds its 2-norm distance
+    # from op, and is 0 only where the two are bitwise equal
+    cov = assemble(kernel_from_spec(spec), make_grid(a, b, m))
+    tau = covariance._matvec(cov, np.zeros((m, 1)))[1]
+    idx = np.arange(m)
+    gap = cov.op - cov.op[0][np.abs(idx[:, None] - idx)]
+    assert np.abs(np.linalg.eigvalsh(gap)).max() <= tau
+    exact = (a, b, m) == (0, 1, 512)  # h dyadic, the points an exact progression
+    assert (tau == 0) == exact and gap.any() != exact
+
+
+def test_tau_is_zero_on_an_exact_progression():
+    # sqexp:1:0.002 at M = 8192 on (0, 1), lam_max = 5.0e-3: a tau that grew as eps
+    # variance (b - a), 28 eps here, would alone be 1.2e-12 lam_max, past the window.
+    # The rows of op are those of the Toeplitz matrix of row 0, bitwise
+    m = 8192
+    cov = assemble(kernel_from_spec("sqexp:1:0.002"), make_grid(0, 1, m))
+    assert covariance._matvec(cov, np.zeros((m, 1)))[1] == 0.0
+    c = cov[0]
+    for i in (1, 777, m // 2, m - 1):
+        assert cov[i].tobytes() == c[np.abs(i - np.arange(m))].tobytes()
+
+
+@pytest.mark.parametrize("spec, m", [("sqexp:1:0.004", 2048), ("sqexp:1:0.004", 1700),
+                                     ("sqexp:1:0.005", 1200)])
+def test_short_correlation_kernel_takes_the_pivoted_route(spec, m):
+    # ell of a few h on (0, 1), hundreds of pivots: lam_max ~ variance ell sqrt(2 pi), so
+    # a tau that grew as eps variance (b - a) alone would fill the window.  On the dyadic
+    # grids tau is 0, on the others it is below a quarter of the window, and the factor
+    # the certificate accepts is inside it
+    cov = assemble(kernel_from_spec(spec), make_grid(0, 1, m))
+    pairs = covariance._pivoted_pairs(cov)
+    assert pairs is not None
+    lam, vec = pairs
+    assert covariance._matvec(cov, np.zeros((m, 1)))[1] <= DEFAULT_CLIP_TOL * lam[0] / 4
+    e = cov.op - (vec * lam) @ vec.T
+    norm = np.abs(np.linalg.eigvalsh(e + e.T)).max() / 2 + np.linalg.norm(e - e.T) / 2
+    assert norm <= DEFAULT_CLIP_TOL * lam[0]
+
+
 def _smooth_build_peak(m):
     """tracemalloc peak of assemble, the factor and point constants of sqexp:1:0.2 on
     M points of (0, 1), and the factor's rank."""
