@@ -2,6 +2,21 @@
 verification of the bound chain, threshold sweeps, and the two proposition
 checks.
 
+Records are scored from columns (`record_columns`), not from the field
+phi_u = phi + ((t_u - t_1)/B) q.  With q = p/||p||_2 and e^{i theta} the phase
+(1 for a real field): per sample, c = <q|phi>, psi = phi - c q and ||psi|| by
+rows, so a row does not depend on its block; per sample and u, forms that
+neither cancel nor overflow:
+- z = e^{-i theta}<q|phi_u> = |t_u|/B + e^{-i theta}(c - t_1/B), where |t_u|
+  for e^{-i theta} t_u keeps roundoff of size eps u out of Im z;
+- N = ||phi_u||_2 = hypot(|z|, ||psi||), which squares nothing u-sized;
+- z - |z| = -(Im z)^2/(Re z + |z|) + i Im z where Re z > 0 (else directly),
+  which subtracts no two u-sized numbers;
+- gamma = e^{i theta}[(z - |z|) - ||psi||^2/(N + |z|)], as
+  phi_u/N - e^{i theta} q = (psi + gamma q)/N: sup_dist = max_x |psi + gamma q|/N
+  (the one M-sized pass) and l2_dist = hypot(||psi||, |gamma|)/N subtract no
+  two unit vectors, whose roundoff (about eps) tops the distance past u = 1e15.
+
 Sweeps use a paired design (common random numbers): sample i reads its noise
 xi and then each threshold's draw, in ascending u, from substream(seed, 0, i),
 so the u -> infinity limit is observed along fixed noise realizations.  The
@@ -20,31 +35,22 @@ from . import covariance as cv
 from . import functionals as fn
 from . import sampling as sp
 from .errors import ConfigError, EmptyUList, GridMismatch, ThresholdOverflow, ZeroVector
-from .grid import Grid, l2_norm, l2_norms, make_grid, sup_norm
+from .grid import Grid, inners, l2_norm, l2_norms, make_grid, sup_norm
 from .sampling import NOISE_BLOCK
 
 BOUND_SLACK = 1e-9
 
 
-def _distances(sample: sp.FieldSample, profile: np.ndarray, nrm_p: float, grid: Grid):
-    """For a FieldSample or a block of them: per sample the phase e^{i theta},
-    N = ||phi_u||_2, and the sup and L2 norms of phi_u/N - e^{i theta} p/nrm_p."""
-    theta = np.atleast_1d(sample.theta)
-    phase = (np.cos(theta) + 1j * np.sin(theta) if sample.scalar == sp.COMPLEX
-             else np.ones(len(theta)))
-    values = np.atleast_2d(sample.values)
-    nrm = l2_norms(values, grid)
-    if nrm_p == 0.0 or not np.all(nrm):
-        raise ZeroVector("cannot normalize a zero vector")
-    if not np.all(nrm < math.inf):  # also NaN
-        raise ThresholdOverflow(f"||phi_u||^2 is not representable at u = {sample.u}")
-    diff = values / nrm[:, None] - phase[:, None] * np.asarray(profile) / nrm_p
-    return phase, nrm, np.abs(diff).max(axis=1), l2_norms(diff, grid)
-
-
 def normalized_sup_distance(sample: sp.FieldSample, profile: np.ndarray, grid: Grid) -> float:
-    """|| phi_u/||phi_u||_2 - e^{i theta} p/||p||_2 ||_inf."""
-    return float(_distances(sample, profile, l2_norm(profile, grid), grid)[2][0])
+    """|| phi_u/||phi_u||_2 - e^{i theta} p/||p||_2 ||_inf from the sample's values, for
+    p other than the profile it was conditioned along (prop3's analytic curve)."""
+    phase = np.exp(1j * sample.theta) if sample.scalar == sp.COMPLEX else 1.0
+    nrm, nrm_p = l2_norm(sample.values, grid), l2_norm(profile, grid)
+    if not (nrm and nrm_p):
+        raise ZeroVector("cannot normalize a zero vector")
+    if not nrm < math.inf:  # also NaN
+        raise ThresholdOverflow(f"||phi_u|| is not representable at u = {sample.u}")
+    return sup_norm(sample.values / nrm - phase * np.asarray(profile) / nrm_p)
 
 
 @dataclass(frozen=True)
@@ -65,8 +71,9 @@ class DistanceRecord:
 
 def record_columns(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid) -> dict:
     """Distances to the profile, and the check of the bound chain, of a
-    FieldSample or of a block of them (`sp.condition_blocks`): every
-    DistanceRecord field but sample_index, as an array with one entry per sample.
+    FieldSample or of a block of them (`sp.condition_blocks`), scored from its
+    columns (module docstring): every DistanceRecord field but sample_index, as
+    an (n, |U|) array.
 
     With N = ||phi_u||_2, p = k.profile with ||p||_2 = k.profile_norm, A, B, D
     the other theory constants and r^2 the residual noise energy:
@@ -80,15 +87,37 @@ def record_columns(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid) ->
     Each comparison allows BOUND_SLACK; est12_ok is True where the chain does
     not apply.
     """
-    phase, nrm, sup_d, l2_d = _distances(sample, k.profile, k.profile_norm, grid)
-    t_u, r2, rho, theta = map(np.atleast_1d, (sample.t_u, sample.r2, sample.rho, sample.theta))
+    phi = np.atleast_2d(sample.phi)
+    n = len(phi)
+    t_u, rho, theta = (np.reshape(x, (n, -1)) for x in (sample.t_u, sample.rho, sample.theta))
+    t1 = t_u if sample.t1 is None else np.reshape(sample.t1, (n, 1))
+    r = np.sqrt(np.reshape(sample.r2, (n, 1)))
     b = k.b_const
+    q = k.profile / k.profile_norm
+    c = inners(q, phi, grid)[:, None]
+    psi = phi - c * q
+    psi_n = l2_norms(psi, grid)[:, None]
+    tu_abs = np.abs(t_u)
+    phase = np.cos(theta) + 1j * np.sin(theta) if sample.scalar == sp.COMPLEX else 1.0
+    z = tu_abs / b + np.conj(phase) * (c - t1 / b)
+    z_abs = np.abs(z)
+    nrm = np.hypot(z_abs, psi_n)
+    if not np.all(nrm):
+        raise ZeroVector("cannot normalize a zero vector")
+    if not np.all(nrm < math.inf):  # also NaN
+        raise ThresholdOverflow(f"||phi_u|| is not representable at u = {sample.u}")
+    z_less = z - z_abs  # exact for a real z
+    if np.iscomplexobj(z):
+        with np.errstate(divide="ignore", invalid="ignore"):  # in the branch np.where drops
+            z_less = np.where(z.real > 0.0, -z.imag * (z.imag / (z.real + z_abs)) + 1j * z.imag,
+                              z_less)
+    gamma = phase * (z_less - psi_n * (psi_n / (nrm + z_abs)))
+    # the one M-sized pass, a threshold at a time: n x M temporaries
+    sup_d = np.stack([np.abs(psi + col[:, None] * q).max(axis=1) for col in gamma.T], 1) / nrm
     ratio = t_u / nrm
     a1 = np.abs(ratio - phase * b)
-    resid = r2 / nrm ** 2
-    rhs = k.a_const * np.sqrt(a1 ** 2 + resid)
-    tu_abs = np.abs(t_u)
-    r = np.sqrt(r2)
+    r_n = r / nrm
+    rhs = k.a_const * np.sqrt(a1 ** 2 + r_n ** 2)
     dr = k.d_const * r
     applicable = tu_abs > dr
     tol = BOUND_SLACK * (1.0 + b)
@@ -96,13 +125,13 @@ def record_columns(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid) ->
         resid_env = b * r / (tu_abs - dr)
         held = ((b / (1.0 + dr / tu_abs) - tol <= tu_abs / nrm)
                 & (tu_abs / nrm <= b / (1.0 - dr / tu_abs) + tol)
-                & (resid <= resid_env ** 2 + tol)
+                & (r_n ** 2 <= resid_env ** 2 + tol)
                 & (a1 <= b * dr / (tu_abs - dr) + tol)
-                & (np.sqrt(resid) <= resid_env + tol))
-    return {"u": np.full(len(r), float(sample.u)), "rho": rho, "theta": theta,
-            "sup_dist": sup_d, "l2_dist": l2_d, "bound_rhs": rhs,
-            "ratio": ratio.astype(complex), "r": r, "applicable": applicable,
-            "est0_ok": sup_d <= rhs + BOUND_SLACK * (1.0 + rhs),
+                & (r_n <= resid_env + tol))
+    return {"u": np.broadcast_to(np.asarray(sample.u, float), t_u.shape), "rho": rho,
+            "theta": theta, "sup_dist": sup_d, "l2_dist": np.hypot(psi_n, np.abs(gamma)) / nrm,
+            "bound_rhs": rhs, "ratio": ratio.astype(complex), "r": np.broadcast_to(r, t_u.shape),
+            "applicable": applicable, "est0_ok": sup_d <= rhs + BOUND_SLACK * (1.0 + rhs),
             "est12_ok": ~applicable | held}
 
 
@@ -111,7 +140,7 @@ def distance_record(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid,
     """Distances of one sample to the profile, and its check of the bound
     chain: the one-row call of `record_columns`."""
     return DistanceRecord(sample_index=int(sample_index), **{
-        name: col[0].item() for name, col in record_columns(sample, k, grid).items()})
+        name: col.item() for name, col in record_columns(sample, k, grid).items()})
 
 
 def quantiles(x: np.ndarray, qs) -> np.ndarray:
@@ -166,15 +195,11 @@ def sweep(factor: cv.SqrtFactor, t: fn.LinearFunctional, cov: cv.CovOperator, u_
         raise GridMismatch("factor and operator built from different kernels or grids")
     consts = fn.constants(t, cov)
     rngs = (sp.substream(seed, 0, i) for i in range(n_mc))
-    # per block of samples, one dict per u, and u_list[j] goes to column j of each
-    # (n_mc, len(u_list)) array; scored through map, so that no name holds a
-    # scored block while the next one is drawn
-    def score(block):
-        return [record_columns(s, consts, cov.grid) for s in block]
-
+    # u_list[j] is column j of each (n_mc, len(u_list)) array; scored through map,
+    # so that no name holds a drawn block while the next one is drawn
+    score = functools.partial(record_columns, k=consts, grid=cov.grid)
     blocks = list(map(score, sp.condition_blocks(factor, t, consts, specs, rngs)))
-    cols = {name: np.concatenate([np.stack([c[name] for c in block], axis=1) for block in blocks])
-            for name in blocks[0][0]}
+    cols = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
     cols["sample_index"] = np.repeat(np.arange(n_mc)[:, None], len(specs), axis=1)
     q10, q50, q90 = quantiles(cols["sup_dist"], (0.1, 0.5, 0.9))
     (l2_q50,) = quantiles(cols["l2_dist"], (0.5,))

@@ -55,7 +55,7 @@ class NegativeU(CondfieldError):
 
 
 class ThresholdOverflow(CondfieldError):
-    """Threshold so large that |t_u|^2 or ||phi_u||^2 overflows a double."""
+    """Threshold so large that |t_u|^2 or ||phi_u|| overflows a double."""
 
 
 class ZeroVector(CondfieldError):

@@ -65,6 +65,13 @@ def inner(psi, phi, grid: Grid):
     return grid.w * np.vdot(psi, phi)
 
 
+def inners(psi, block, grid: Grid) -> np.ndarray:
+    """`inner(psi, row)` for each row of an (n, M) block, summed row by row, so
+    that a row's value does not depend on the block."""
+    psi = _check(psi, grid)
+    return grid.w * (psi.conj() * _check(block, grid, rows=True)).sum(axis=-1)
+
+
 # Below this a weighted sum of squares has lost relative accuracy to underflow.
 _UNDERFLOW = np.finfo(float).tiny / np.finfo(float).eps
 

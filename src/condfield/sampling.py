@@ -10,7 +10,9 @@ this is the adapted-basis split L(t_u v + g_perp), with the same law, and
 |<T|phi_u>| >= u to roundoff; the factor supplies only L g and v.
 `condition_blocks` draws NOISE_BLOCK samples at a time: one GEMM applies the
 factor to their g rows, zero-padded to NOISE_BLOCK rows, so a one-sample call
-gives bitwise the draw of a sweep; t_1 and r^2 are row sums.
+gives bitwise the draw of a sweep.  It yields per block the columns phi = L g,
+t_1 and r^2 (row sums) and the (n, |U|) arrays t_u, rho and theta, which a
+record is scored from; `FieldSample.values` (phi_u) is formed only where read.
 
 Reproducibility: streams are counter-based (Philox) and splittable.  A
 conditioned sample is one stream read in one order: g, then (t_u, rho,
@@ -22,6 +24,7 @@ its unconditional noise from one stream, substream(seed, 0), read in
 fixed-size blocks whose size does not change the draws.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -75,16 +78,32 @@ class ConditionSpec:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """One realization plus its conditioning record; in a block of them
-    (`condition_blocks`), values, t_u, r2, rho and theta have a sample axis."""
+    """A realization phi_u = phi + ((t_u - t_1)/B) q and its conditioning record;
+    in a block (`condition_blocks`), phi, t1 and r2 have a sample axis and t_u,
+    rho and theta are (n, |U|), with u per column.  A sample built from its
+    values alone (t1 and k None) has phi = values and is scored with t_1 = t_u."""
 
-    values: np.ndarray = field(repr=False)
+    phi: np.ndarray = field(repr=False)  # the unconditional draw L g
     scalar: str
     t_u: complex | float
     r2: float  # residual noise energy sum_{n>=2} |t_n|^2
     u: float
     rho: float
     theta: float
+    t1: complex | float | None = None  # <v|g>
+    k: TheoryConstants | None = field(default=None, repr=False)  # q and B
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """phi_u, formed on first read, read-only; of a block, (n, |U|, M)."""
+        if self.k is None:
+            return self.phi
+        q = self.k.profile / self.k.profile_norm
+        shift = (self.t_u - np.asarray(self.t1)[..., None]) / self.k.b_const
+        values = np.expand_dims(self.phi, -2) + shift[..., None] * q
+        values = values.reshape(np.shape(self.t_u) + (-1,))
+        values.setflags(write=False)
+        return values
 
 
 def white_noise(m: int, scalar: str, rng: np.random.Generator,
@@ -104,6 +123,29 @@ def white_noise(m: int, scalar: str, rng: np.random.Generator,
     return g.view(complex)
 
 
+def _lower_tail(alpha: float):
+    """`truncated_normal_lower` at alpha as rng -> z, with its rate formed once."""
+    if alpha <= 0.0:
+        def draw(rng):
+            while True:
+                z = rng.standard_normal()
+                if z >= alpha:
+                    return float(z)
+        return draw
+    a2 = alpha * alpha
+    if not a2 < math.inf:
+        return lambda rng: float(alpha)
+    lam = (alpha + math.sqrt(a2 + 4.0)) / 2.0
+    scale = 1.0 / lam
+
+    def draw(rng):
+        while True:
+            z = alpha + scale * rng.standard_exponential()  # rng.exponential(scale), bitwise
+            if rng.random() <= math.exp(-((z - lam) ** 2) / 2.0):
+                return z
+    return draw
+
+
 def truncated_normal_lower(alpha: float, rng: np.random.Generator) -> float:
     """Standard normal conditioned on z >= alpha.
 
@@ -112,55 +154,56 @@ def truncated_normal_lower(alpha: float, rng: np.random.Generator) -> float:
     lam = (alpha + sqrt(alpha^2 + 4)) / 2, stable for thresholds >> 1.  Where
     alpha^2 overflows, lam is alpha and every proposal rounds to alpha.
     """
-    if alpha <= 0.0:
-        while True:
-            z = rng.standard_normal()
-            if z >= alpha:
-                return float(z)
-    a2 = alpha * alpha
-    if not a2 < math.inf:
-        return float(alpha)
-    lam = (alpha + math.sqrt(a2 + 4.0)) / 2.0
-    while True:
-        z = alpha + rng.exponential(1.0 / lam)
-        if rng.random() <= math.exp(-((z - lam) ** 2) / 2.0):
-            return float(z)
+    return _lower_tail(alpha)(rng)
 
 
-def sample_t_u(spec: ConditionSpec, tct: float, rng: np.random.Generator):
-    """Draw (t_u, rho, theta) for the conditional first coefficient, with
-    |t_u|^2 = rho + u^2/<T|C|T>; raises ThresholdOverflow where that overflows."""
+def _t_u_drawer(spec: ConditionSpec, tct: float):
+    """`sample_t_u` for one spec as rng -> (t_u, rho, theta), with u^2/<T|C|T> and
+    the lower tail's alpha = u/sqrt(<T|C|T>) and proposal rate formed once."""
     if tct <= 0.0:
         raise DegenerateFunctional(f"<T|C|T> = {tct} must be positive")
     try:
         base = spec.u ** 2 / tct
     except OverflowError:  # float ** raises where * and / return inf
         base = spec.u * (spec.u / tct)
-    if spec.mode == RANDOM and spec.scalar == REAL:
-        t_u = truncated_normal_lower(spec.u / math.sqrt(tct), rng)
-        rho, theta = float(t_u * t_u - base), 0.0
-    else:
-        if spec.mode == FIXED_RHO:
-            rho, theta = spec.rho, spec.theta
+    tail = (_lower_tail(spec.u / math.sqrt(tct))
+            if spec.mode == RANDOM and spec.scalar == REAL else None)
+
+    def draw(rng):
+        if tail is not None:
+            t_u = tail(rng)
+            rho, theta = float(t_u * t_u - base), 0.0
         else:
-            rho = float(rng.exponential(1.0))
-            theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        mag = math.sqrt(rho + base)
-        t_u = mag * complex(math.cos(theta), math.sin(theta)) if spec.scalar == COMPLEX else mag
-    if not rho + base < math.inf:  # NaN too, from inf - inf
-        raise ThresholdOverflow(f"|t_u|^2 is not representable in doubles at u = {spec.u}")
-    return t_u, rho, theta
+            if spec.mode == FIXED_RHO:
+                rho, theta = spec.rho, spec.theta
+            else:
+                # rng.exponential(1.0) and rng.uniform(0.0, 2 pi), bitwise, without their checks
+                rho = float(rng.standard_exponential())
+                theta = float(2.0 * math.pi * rng.random())
+            t_u = math.sqrt(rho + base)
+            if spec.scalar == COMPLEX:
+                t_u *= complex(math.cos(theta), math.sin(theta))
+        if not rho + base < math.inf:  # NaN too, from inf - inf
+            raise ThresholdOverflow(f"|t_u|^2 is not representable in doubles at u = {spec.u}")
+        return t_u, rho, theta
+    return draw
+
+
+def sample_t_u(spec: ConditionSpec, tct: float, rng: np.random.Generator):
+    """Draw (t_u, rho, theta) for the conditional first coefficient, with
+    |t_u|^2 = rho + u^2/<T|C|T>; raises ThresholdOverflow where that overflows."""
+    return _t_u_drawer(spec, tct)(rng)
 
 
 def condition_blocks(factor: SqrtFactor, t: LinearFunctional, k: TheoryConstants, specs, rngs):
     """Condition one sample per stream in `rngs`, read NOISE_BLOCK streams at a
     time, on every spec in the list `specs`, with k = constants(t, factor.cov);
-    yields per block of streams a tuple of one FieldSample block per spec.  A
-    stream is read as g (`white_noise`, of the specs' one scalar type), then
-    (t_u, rho, theta) per spec in order (`sample_t_u` with k.tct).  A sample is
-    phi_u = L g + ((t_u - t_1)/B) q (module docstring), r^2 = ||g - t_1 v||^2.
-    Raises ValueError unless the specs share one scalar type, GridMismatch
-    where t and the factor are on different grids."""
+    yields per block of streams one FieldSample block (module docstring) whose
+    column j is specs[j].  A stream is read as g (`white_noise`, of the specs'
+    one scalar type), then (t_u, rho, theta) per spec in order (`sample_t_u`
+    with k.tct); r^2 = ||g - t_1 v||^2.  Raises ValueError unless the specs
+    share one scalar type, GridMismatch where t and the factor are on different
+    grids."""
     scalars = {spec.scalar for spec in specs}
     if len(scalars) != 1:
         raise ValueError(f"need specs of exactly one scalar type, got {sorted(scalars)}")
@@ -172,25 +215,23 @@ def condition_blocks(factor: SqrtFactor, t: LinearFunctional, k: TheoryConstants
     if not l2 > 0.0:  # guards the division by ||l||; `constants` gates roundoff
         raise DegenerateFunctional("L^T T is zero")
     v = l_t / math.sqrt(l2)
-    q = k.profile / k.profile_norm
+    draws = [_t_u_drawer(spec, k.tct) for spec in specs]
+    u = np.array([spec.u for spec in specs])
     rngs = iter(rngs)
     while chunk := list(itertools.islice(rngs, NOISE_BLOCK)):
         n = len(chunk)
         g = np.zeros((NOISE_BLOCK, factor.rank), complex if scalar == COMPLEX else float)
-        t_u = np.empty((n, len(specs)), g.dtype)
-        rho, theta = np.empty((2, n, len(specs)))
+        drawn = []  # flat: (t_u, rho, theta) per stream and spec
         for i, rng in enumerate(chunk):
             g[i] = white_noise(factor.rank, scalar, rng)
-            for j, spec in enumerate(specs):
-                t_u[i, j], rho[i, j], theta[i, j] = sample_t_u(spec, k.tct, rng)
-        phi = factor.apply(g)[:n]
+            for draw in draws:
+                drawn += draw(rng)
+        t_u, rho, theta = np.array(drawn, g.dtype).reshape(n, len(specs), 3).transpose(2, 0, 1)
         # row sums, not GEMV: a row's t_1 and r^2 do not depend on the block
         t1 = (g[:n] * v.conj()).sum(axis=1)
         r2 = (np.abs(g[:n] - t1[:, None] * v) ** 2).sum(axis=1)
-        yield tuple(FieldSample(values=phi + ((t_u[:, j] - t1) / k.b_const)[:, None] * q,
-                                scalar=scalar, t_u=t_u[:, j], r2=r2, u=spec.u,
-                                rho=rho[:, j], theta=theta[:, j])
-                    for j, spec in enumerate(specs))
+        yield FieldSample(phi=factor.apply(g)[:n], scalar=scalar, t_u=t_u, r2=r2, u=u,
+                          rho=rho.real, theta=theta.real, t1=t1, k=k)
 
 
 def condition_one(factor: SqrtFactor, t: LinearFunctional, k: TheoryConstants,
@@ -198,10 +239,10 @@ def condition_one(factor: SqrtFactor, t: LinearFunctional, k: TheoryConstants,
     """Draw phi_u = L g + ((t_u - t_1)/B) q with k = constants(t, factor.cov): row 0
     of the one-spec, one-stream call of `condition_blocks`, so `rng` gives g and
     then (t_u, rho, theta)."""
-    ((s,),) = condition_blocks(factor, t, k, [spec], [rng])
-    s.values.setflags(write=False)
-    return FieldSample(values=s.values[0], scalar=s.scalar, t_u=s.t_u[0].item(),
-                       r2=float(s.r2[0]), u=s.u, rho=float(s.rho[0]), theta=float(s.theta[0]))
+    (s,) = condition_blocks(factor, t, k, [spec], [rng])
+    return FieldSample(phi=s.phi[0], scalar=s.scalar, t_u=s.t_u[0, 0].item(), r2=float(s.r2[0]),
+                       u=s.u[0].item(), rho=float(s.rho[0, 0]), theta=float(s.theta[0, 0]),
+                       t1=s.t1[0].item(), k=k)
 
 
 def sample_conditional(factor: SqrtFactor, t: LinearFunctional, spec: ConditionSpec,

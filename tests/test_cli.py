@@ -362,22 +362,44 @@ def test_env_seed_read_only_by_commands_with_seed(tmp_path, monkeypatch):
     ["condition", "--kernel", "sqexp:1e-4:0.2", "--scalar", "real", "--mode", "random",
      "--u", "1e153"],
     ["condition", "--u", "1e155"],
-    ["condition", "--u", "1e154"],
     ["sweep", "--u-list", "10,1e155", "--mc", "5"],
     ["verify", "bounds", "--u", "1e155", "--mc", "5"],
 ], ids=lambda argv: " ".join(argv))
 def test_overflowing_threshold_exits_2(tmp_path, deadline, argv):
-    # |t_u|^2 overflows in every case but u = 1e154, where ||phi_u||^2 alone does
+    # |t_u|^2 overflows in every case
     assert run(argv + ["--grid", "64", "--out", str(tmp_path / "o.json")]) == 2
     assert not any(tmp_path.iterdir())
 
 
-def test_largest_thresholds_stay_finite(tmp_path, deadline):
+def _assert_condition_stays_finite(tmp_path, u):
     out = tmp_path / "c.csv"
-    assert run(["condition", "--u", "1e150", "--grid", "64", "--out", str(out)]) == 0
+    assert run(["condition", "--u", u, "--grid", "64", "--out", str(out)]) == 0
     assert np.all(np.isfinite(np.array(read_csv(out)[1:], dtype=float)))
     sidecar = json.loads((tmp_path / "c.json").read_text())
     assert all(np.isfinite(v) for k, v in sidecar.items() if k != "config")
+
+
+def test_largest_thresholds_stay_finite(tmp_path, deadline):
+    _assert_condition_stays_finite(tmp_path, "1e150")
+
+
+def test_condition_stays_finite_where_only_the_squared_norm_overflows(tmp_path, deadline):
+    # at u = 1e154, ||phi_u||^2 overflows a double but ||phi_u|| does not
+    _assert_condition_stays_finite(tmp_path, "1e154")
+
+
+def test_condition_distance_keeps_its_rate_at_the_largest_thresholds(tmp_path):
+    # the same noise at u = 1e6 and 1e150: sup_dist u is the same to 1e-4, and
+    # the envelope holds with no slack, where a difference of two unit vectors
+    # would leave a distance of about eps
+    dist = {}
+    for u in ("1e6", "1e150"):
+        out = tmp_path / f"c{u}.csv"
+        assert run(["condition", "--u", u, "--grid", "64", "--out", str(out)]) == 0
+        dist[u] = json.loads(out.with_suffix(".json").read_text())
+        assert dist[u]["sup_dist"] <= dist[u]["bound_rhs"]
+    assert dist["1e150"]["sup_dist"] * 1e150 == pytest.approx(dist["1e6"]["sup_dist"] * 1e6,
+                                                               rel=1e-4)
 
 
 @pytest.mark.parametrize("variance", ["1e-158", "1e-200"])

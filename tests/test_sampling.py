@@ -44,7 +44,7 @@ def test_condition_spec_validation():
 
 def test_field_sample_needs_its_conditioning_record():
     with pytest.raises(TypeError):
-        FieldSample(values=np.ones(4), scalar=REAL, theta=0.0)
+        FieldSample(phi=np.ones(4), scalar=REAL, theta=0.0)
 
 
 def test_forced_zero_noise_gives_zero_field(setup64, zero_stream):
@@ -109,6 +109,87 @@ def test_sample_t_u_random_complex_event():
         assert abs(t_u) ** 2 == pytest.approx(rho + 25.0 / 2.0, rel=1e-12)
         assert abs(t_u) >= 5.0 / np.sqrt(2.0)
         assert 0 <= theta < 2 * np.pi
+
+
+# (t_u, rho, theta) of two successive `sample_t_u` draws from substream(4, 1)
+# with <T|C|T> = 0.37, as float.hex (a complex t_u as its real and imaginary
+# parts), for the spec (scalar, mode, u) with rho = 2, and theta = 0.7 where
+# complex and fixed-rho
+GOLDEN_DRAWS = {
+    (REAL, FIXED_RHO, 0.0): (
+        "0x1.6a09e667f3bcdp+0 0x1.0000000000000p+1 0x0.0p+0",
+        "0x1.6a09e667f3bcdp+0 0x1.0000000000000p+1 0x0.0p+0"),
+    (REAL, FIXED_RHO, 1.0): (
+        "0x1.1593c0ea1a25bp+1 0x1.0000000000000p+1 0x0.0p+0",
+        "0x1.1593c0ea1a25bp+1 0x1.0000000000000p+1 0x0.0p+0"),
+    (REAL, FIXED_RHO, 10.0): (
+        "0x1.08028413931ffp+4 0x1.0000000000000p+1 0x0.0p+0",
+        "0x1.08028413931ffp+4 0x1.0000000000000p+1 0x0.0p+0"),
+    (REAL, FIXED_RHO, 1000000.0): (
+        "0x1.915d5df807a94p+20 0x1.0000000000000p+1 0x0.0p+0",
+        "0x1.915d5df807a94p+20 0x1.0000000000000p+1 0x0.0p+0"),
+    (REAL, FIXED_RHO, 1e+153): (
+        "0x1.f63a7b55bdd27p+508 0x1.0000000000000p+1 0x0.0p+0",
+        "0x1.f63a7b55bdd27p+508 0x1.0000000000000p+1 0x0.0p+0"),
+    (REAL, RANDOM, 0.0): (
+        "0x1.489c61d0261d5p+1 0x1.a5d11a2cbcb8fp+2 0x0.0p+0",
+        "0x1.a363b2af3b292p-1 0x1.5787c0dea5f44p-1 0x0.0p+0"),
+    (REAL, RANDOM, 1.0): (
+        "0x1.0b3ab344c62fep+1 0x1.a7e9aa95cd2d8p+0 0x0.0p+0",
+        "0x1.c6634c369e318p+0 0x1.ca80173b5b208p-2 0x0.0p+0"),
+    (REAL, RANDOM, 10.0): (
+        "0x1.0a01b38483cd7p+4 0x1.889628e4bb900p+2 0x0.0p+0",
+        "0x1.07f2f53c65806p+4 0x1.dfea07f5c6000p+0 0x0.0p+0"),
+    (REAL, RANDOM, 1000000.0): (
+        "0x1.915d5df808f9dp+20 0x1.87d8000000000p+2 0x0.0p+0",
+        "0x1.915d5df8079f6p+20 0x1.e120000000000p+0 0x0.0p+0"),
+    (REAL, RANDOM, 1e+153): (
+        "0x1.f63a7b55bdd28p+508 0x1.0000000000000p+966 0x0.0p+0",
+        "0x1.f63a7b55bdd28p+508 0x1.0000000000000p+966 0x0.0p+0"),
+    (COMPLEX, FIXED_RHO, 0.0): (
+        "0x1.14e706f25f1cep+0 0x1.d276a378efe7bp-1 0x1.0000000000000p+1 0x1.6666666666666p-1",
+        "0x1.14e706f25f1cep+0 0x1.d276a378efe7bp-1 0x1.0000000000000p+1 0x1.6666666666666p-1"),
+    (COMPLEX, FIXED_RHO, 1.0): (
+        "0x1.a89afea4a887ap+0 0x1.65a3e673c1dfcp+0 0x1.0000000000000p+1 0x1.6666666666666p-1",
+        "0x1.a89afea4a887ap+0 0x1.65a3e673c1dfcp+0 0x1.0000000000000p+1 0x1.6666666666666p-1"),
+    (COMPLEX, FIXED_RHO, 10.0): (
+        "0x1.93da098f1d960p+3 0x1.5428dba2d9385p+3 0x1.0000000000000p+1 0x1.6666666666666p-1",
+        "0x1.93da098f1d960p+3 0x1.5428dba2d9385p+3 0x1.0000000000000p+1 0x1.6666666666666p-1"),
+    (COMPLEX, FIXED_RHO, 1000000.0): (
+        "0x1.32fb0cf75157bp+20 0x1.0290f5a96a4f2p+20 0x1.0000000000000p+1 0x1.6666666666666p-1",
+        "0x1.32fb0cf75157bp+20 0x1.0290f5a96a4f2p+20 0x1.0000000000000p+1 0x1.6666666666666p-1"),
+    (COMPLEX, FIXED_RHO, 1e+153): (
+        "0x1.802020e58bad3p+508 0x1.438b60dff75ddp+508 0x1.0000000000000p+1 0x1.6666666666666p-1",
+        "0x1.802020e58bad3p+508 0x1.438b60dff75ddp+508 0x1.0000000000000p+1 0x1.6666666666666p-1"),
+    (COMPLEX, RANDOM, 0.0): (
+        "-0x1.0af8c9e27f017p+0 -0x1.67a34e83ef7edp+0 0x1.87d2b1dac9e3ep+1 0x1.04b953ef796f2p+2",
+        "0x1.d2a5743cf0fb9p-1 0x1.5143d5d912141p-2 0x1.e0d9d86e58d03p-1 0x1.63175f6221cf9p-2"),
+    (COMPLEX, RANDOM, 1.0): (
+        "-0x1.6e563e7ae048dp+0 -0x1.ed7e1e59a1832p+0 0x1.87d2b1dac9e3ep+1 0x1.04b953ef796f2p+2",
+        "0x1.cb763d4a67e9ep+0 0x1.4c128eaa9a089p-1 0x1.e0d9d86e58d03p-1 0x1.63175f6221cf9p-2"),
+    (COMPLEX, RANDOM, 10.0): (
+        "-0x1.3b5740f1a3373p+3 -0x1.a8cbbba63bde7p+3 0x1.87d2b1dac9e3ep+1 0x1.04b953ef796f2p+2",
+        "0x1.ef9f0ee1ef05bp+3 0x1.6634d9d54f3a8p+2 0x1.e0d9d86e58d03p-1 0x1.63175f6221cf9p-2"),
+    (COMPLEX, RANDOM, 1000000.0): (
+        "-0x1.de784e9fb3b94p+19 -0x1.4246096ffe603p+20 0x1.87d2b1dac9e3ep+1 0x1.04b953ef796f2p+2",
+        "0x1.79794a1271854p+20 0x1.10d0f50619100p+19 0x1.e0d9d86e58d03p-1 0x1.63175f6221cf9p-2"),
+    (COMPLEX, RANDOM, 1e+153): (
+        "-0x1.2b5aed862ad43p+508 -0x1.9342f555060a5p+508 0x1.87d2b1dac9e3ep+1 0x1.04b953ef796f2p+2",
+        "0x1.d8556c011f0c5p+508 0x1.55601ff005e65p+507 0x1.e0d9d86e58d03p-1 0x1.63175f6221cf9p-2"),
+}
+
+
+@pytest.mark.parametrize("scalar, mode, u", sorted(GOLDEN_DRAWS))
+def test_sample_t_u_draws_are_pinned(scalar, mode, u):
+    # the per-spec constants (alpha, the proposal rate, u^2/<T|C|T>) are formed
+    # once per spec, and the draws stay bitwise these
+    theta = 0.7 if (scalar, mode) == (COMPLEX, FIXED_RHO) else 0.0
+    spec = ConditionSpec(u=u, scalar=scalar, mode=mode, rho=2.0, theta=theta)
+    rng = substream(4, 1)
+    for want in GOLDEN_DRAWS[scalar, mode, u]:
+        t_u, rho, theta = sample_t_u(spec, 0.37, rng)
+        parts = [t_u.real, t_u.imag] if scalar == COMPLEX else [t_u]
+        assert " ".join(float(v).hex() for v in [*parts, rho, theta]) == want
 
 
 @pytest.mark.parametrize("scalar", [REAL, COMPLEX])
@@ -288,11 +369,13 @@ def test_pathwise_matches_adapted_basis_split(kernel, n_clipped, scalar, adapted
             assert (s.t_u, s.rho, s.theta, s.u) == (*draw, u)
 
 
-def _row(block, i):
-    """Row i of a FieldSample block: the bytes of its values, and its record
-    with the scalar types `sample_conditional` gives."""
-    return (block.values.dtype, block.values[i].tobytes(), block.scalar, block.t_u[i].item(),
-            float(block.r2[i]), block.u, float(block.rho[i]), float(block.theta[i]))
+def _row(block, i, j):
+    """Sample i at threshold j of a FieldSample block: the bytes of its field and
+    of its unconditional draw, and its record with the scalar types
+    `sample_conditional` gives."""
+    return (block.values.dtype, block.values[i, j].tobytes(), block.phi[i].tobytes(),
+            block.t1[i].item(), block.scalar, block.t_u[i, j].item(), float(block.r2[i]),
+            block.u[j].item(), float(block.rho[i, j]), float(block.theta[i, j]))
 
 
 @pytest.mark.parametrize("scalar, mode, theta", [
@@ -302,31 +385,34 @@ def _row(block, i):
 ])
 def test_condition_pathwise_stream_matches_single_calls(setup64, scalar, mode, theta):
     # one condition_blocks call over three streams, fed by a generator, gives in
-    # row i of each spec's block bitwise the sample of a one-stream call; each
-    # stream is read as xi and then (t_u, rho, theta) for each spec in order;
-    # sample_conditional is row 0 of the one-spec, one-stream call
+    # row i of its block bitwise the sample of a one-stream call; each stream is
+    # read as xi and then (t_u, rho, theta) for each spec in order, which is
+    # column j of the block; sample_conditional is row 0 of the one-spec,
+    # one-stream call
     g, cov, fac, t = setup64
     k = constants(t, cov)
     tct = k.tct
     specs = [ConditionSpec(u=u, scalar=scalar, mode=mode, rho=2.0, theta=theta)
              for u in (0.0, 10.0, 1e6)]
-    (blocks,) = condition_blocks(fac, t, k, specs, (substream(3, 0, i) for i in range(3)))
-    assert [len(block.r2) for block in blocks] == [3, 3, 3]
+    (block,) = condition_blocks(fac, t, k, specs, (substream(3, 0, i) for i in range(3)))
+    assert block.phi.shape == (3, g.m) and block.t_u.shape == (3, 3)
+    assert block.values.shape == (3, 3, g.m)
     for i in range(3):
         (single,) = condition_blocks(fac, t, k, specs, [substream(3, 0, i)])
-        for got, want in zip(blocks, single, strict=True):
-            assert _row(got, i) == _row(want, 0)
+        for j in range(len(specs)):
+            assert _row(block, i, j) == _row(single, 0, j)
         rng = substream(3, 0, i)
         white_noise(fac.rank, scalar, rng)
-        assert [(block.t_u[i], block.rho[i], block.theta[i]) for block in blocks] == \
-            [sample_t_u(spec, tct, rng) for spec in specs]
+        assert [(block.t_u[i, j], block.rho[i, j], block.theta[i, j])
+                for j in range(len(specs))] == [sample_t_u(spec, tct, rng) for spec in specs]
     for spec in specs:
-        ((want,),) = condition_blocks(fac, t, k, [spec], [substream(3, 2)])
+        (want,) = condition_blocks(fac, t, k, [spec], [substream(3, 2)])
         s = sample_conditional(fac, t, spec, substream(3, 2))
         assert not s.values.flags.writeable
-        got = (s.values.dtype, s.values.tobytes(), s.scalar, s.t_u, s.r2, s.u, s.rho, s.theta)
-        assert got == _row(want, 0)
-        assert [type(v) for v in got] == [type(v) for v in _row(want, 0)]
+        got = (s.values.dtype, s.values.tobytes(), s.phi.tobytes(), s.t1, s.scalar, s.t_u,
+               s.r2, s.u, s.rho, s.theta)
+        assert got == _row(want, 0, 0)
+        assert [type(v) for v in got] == [type(v) for v in _row(want, 0, 0)]
 
 
 def test_condition_pathwise_needs_specs_of_one_scalar_type(setup64):
@@ -348,9 +434,8 @@ def test_conditioning_event_holds_on_every_route(kernel, functional, scalar):
     fac, t = sqrt_factor(cov), functional_from_spec(functional, g)
     specs = [ConditionSpec(u=u, scalar=scalar, mode=RANDOM) for u in (5.0, 1e6)]
     rngs = (substream(5, 0, i) for i in range(200))
-    for blocks in condition_blocks(fac, t, constants(t, cov), specs, rngs):
-        for s in blocks:
-            assert np.all(np.abs(g.w * (s.values @ t.coeff)) >= s.u * (1.0 - 1e-12))
+    for s in condition_blocks(fac, t, constants(t, cov), specs, rngs):
+        assert np.all(np.abs(g.w * (s.values @ t.coeff)) >= s.u * (1.0 - 1e-12))
 
 
 @pytest.mark.parametrize("alpha", [1e155, 1e300])
