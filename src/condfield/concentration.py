@@ -18,8 +18,9 @@ neither cancel nor overflow:
   two unit vectors, whose roundoff (about eps) tops the distance past u = 1e15.
 
 Sweeps use a paired design (common random numbers): sample i reads its noise
-xi and then each threshold's draw, in ascending u, from substream(seed, 0, i),
-so the u -> infinity limit is observed along fixed noise realizations.  The
+xi and then each threshold's draw, in ascending u, from substream(seed, 0, i)
+(keyed all at once and read through one re-keyed generator), so the
+u -> infinity limit is observed along fixed noise realizations.  The
 samples are drawn and scored NOISE_BLOCK at a time (`sp.condition_blocks`,
 `record_columns`), and the records are kept as columns.
 """
@@ -194,7 +195,7 @@ def sweep(factor: cv.SqrtFactor, t: fn.LinearFunctional, cov: cv.CovOperator, u_
     if cov != factor.cov:
         raise GridMismatch("factor and operator built from different kernels or grids")
     consts = fn.constants(t, cov)
-    rngs = (sp.substream(seed, 0, i) for i in range(n_mc))
+    rngs = sp.keyed_streams(sp.stream_keys(seed, 0, n=n_mc))  # substream(seed, 0, i), i < n_mc
     # u_list[j] is column j of each (n_mc, len(u_list)) array; scored through map,
     # so that no name holds a drawn block while the next one is drawn
     score = functools.partial(record_columns, k=consts, grid=cov.grid)

@@ -85,12 +85,12 @@ def _sum_squares(x: np.ndarray) -> np.ndarray:
 
 def l2_norms(block, grid: Grid) -> np.ndarray:
     """Weighted L2 norm of each row of an (n, M) block, summed row by row.  A
-    nonzero row whose weighted sum of squares underflows is scaled by its
-    max_i |phi_i| first."""
+    nonzero row whose weighted sum of squares underflows or overflows is scaled
+    by its max_i |phi_i| first."""
     block = _check(block, grid, rows=True)
     sq = grid.w * _sum_squares(block)
     nrm = np.sqrt(sq)
-    for i in np.flatnonzero(sq < _UNDERFLOW):
+    for i in np.flatnonzero((sq < _UNDERFLOW) | (sq == np.inf)):
         scale = sup_norm(block[i])
         if scale > 0.0:
             nrm[i] = scale * np.sqrt(grid.w * _sum_squares(block[i] / scale))

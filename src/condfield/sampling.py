@@ -14,14 +14,16 @@ gives bitwise the draw of a sweep.  It yields per block the columns phi = L g,
 t_1 and r^2 (row sums) and the (n, |U|) arrays t_u, rho and theta, which a
 record is scored from; `FieldSample.values` (phi_u) is formed only where read.
 
-Reproducibility: streams are counter-based (Philox) and splittable.  A
-conditioned sample is one stream read in one order: g, then (t_u, rho,
-theta) for each threshold; complex coefficient n is the normals (2n, 2n+1),
-so a stream's leading coefficients do not depend on P.  Sweeps and
+Reproducibility: streams are counter-based (Philox) and splittable, keyed by
+numpy's SeedSequence(seed, spawn_key=path) keys (`stream_keys`: all of a sweep's
+in one array pass).  A conditioned sample is one stream read in one order: g,
+then (t_u, rho, theta) for each threshold; complex coefficient n is the normals
+(2n, 2n+1), so a stream's leading coefficients do not depend on P.  Sweeps and
 conditional draws give sample i its own substream(seed, path..., i), so they
-are order-independent and safe to generate in parallel.  `verify prop1` draws
-its unconditional noise from one stream, substream(seed, 0), read in
-fixed-size blocks whose size does not change the draws.
+are order-independent; a sweep reads them through one re-keyed Philox
+(`keyed_streams`), each fully before the next.  `verify prop1` draws its
+unconditional noise from one stream, substream(seed, 0), read in fixed-size
+blocks whose size does not change the draws.
 """
 
 import functools
@@ -47,10 +49,64 @@ RANDOM = "random"
 NOISE_BLOCK = 128
 
 
+# numpy's SeedSequence constants (bit_generator.pyx); none depends on the entropy
+_HASH_A = (0x43B0D7E5, 0x931E8875)  # (init, mult) of the entropy hash,
+_HASH_B = (0x8B51F9DD, 0x58F38DED)  # of generate_state's hash
+_MIX = (0xCA01F9DD, 0x4973F715)  # and the pool mixer's pair
+
+
+def stream_keys(seed: int, *path: int, n: int | None = None) -> np.ndarray:
+    """numpy's SeedSequence(seed, spawn_key=(*path, i)).generate_state(2, np.uint64)
+    for i < n as an (n, 2) array; without n, the key of spawn_key=path.  Words
+    common to all i are hashed as ints, the word i as one uint32 array.  Raises
+    ValueError on a negative seed or path entry, and unless n < 2**32 (so that
+    i is one word)."""
+    if n is not None and not 0 <= n < 2 ** 32:
+        raise ValueError(f"need 0 <= n < 2**32 streams, got {n}")
+    ints = [int(x) for x in (seed, *path)]
+    if min(ints) < 0:
+        raise ValueError(f"expected non-negative integers, got {ints}")
+    mask = 0xFFFFFFFF
+    words = [[(x >> s) & mask for s in range(0, max(x.bit_length(), 1), 32)] for x in ints]
+    if path or n is not None:  # as numpy >= 1.19, spawned entropy is padded to the pool
+        words[0] += [0] * (4 - len(words[0]))
+    entropy = [w for x in words for w in x] + ([] if n is None else [np.arange(n, dtype=np.uint32)])
+    h, mult = _HASH_A
+
+    def hashmix(value):  # value ^ h, then h *= mult, then value * h: mod 2**32
+        nonlocal h
+        value = (value ^ h) * (h := h * mult & mask) & mask
+        return value ^ value >> 16
+
+    def mix_in(dst, value):  # pool[dst] = mix(pool[dst], hashmix(value))
+        x = ((_MIX[0] * pool[dst] & mask) - (_MIX[1] * hashmix(value) & mask)) & mask
+        pool[dst] = x ^ x >> 16
+
+    pool = [hashmix(w) for w in (entropy + [0] * 4)[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        mix_in(dst, pool[src])
+    for word, dst in itertools.product(entropy[4:], range(4)):
+        mix_in(dst, word)
+    h, mult = _HASH_B
+    lo0, hi0, lo1, hi1 = [np.asarray(hashmix(word), np.uint64) for word in pool]
+    return np.stack([lo0 | hi0 << 32, lo1 | hi1 << 32], axis=-1)
+
+
+def keyed_streams(keys):
+    """One Generator over one Philox, re-keyed (counter 0, empty buffer) to each row
+    of `keys` in turn: the streams of Philox(key=row), each read before the next."""
+    bitgen = np.random.Philox(key=0)
+    state, rng = bitgen.state, np.random.Generator(bitgen)  # a fresh generator's
+    for key in keys:
+        state["state"]["key"] = key
+        bitgen.state = state
+        yield rng
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Independent, order-free stream for a (seed, path) pair."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    """Independent, order-free stream for a (seed, path) pair: numpy's
+    Generator(Philox(SeedSequence(seed, spawn_key=path))), keyed by `stream_keys`."""
+    return np.random.Generator(np.random.Philox(key=stream_keys(seed, *path)))
 
 
 @dataclass(frozen=True)
@@ -196,8 +252,9 @@ def sample_t_u(spec: ConditionSpec, tct: float, rng: np.random.Generator):
 
 
 def condition_blocks(factor: SqrtFactor, t: LinearFunctional, k: TheoryConstants, specs, rngs):
-    """Condition one sample per stream in `rngs`, read NOISE_BLOCK streams at a
-    time, on every spec in the list `specs`, with k = constants(t, factor.cov);
+    """Condition one sample per stream in `rngs`, NOISE_BLOCK streams at a time,
+    each read fully before the next is requested (so `keyed_streams` can serve
+    them), on every spec in the list `specs`, with k = constants(t, factor.cov);
     yields per block of streams one FieldSample block (module docstring) whose
     column j is specs[j].  A stream is read as g (`white_noise`, of the specs'
     one scalar type), then (t_u, rho, theta) per spec in order (`sample_t_u`
@@ -218,12 +275,12 @@ def condition_blocks(factor: SqrtFactor, t: LinearFunctional, k: TheoryConstants
     draws = [_t_u_drawer(spec, k.tct) for spec in specs]
     u = np.array([spec.u for spec in specs])
     rngs = iter(rngs)
-    while chunk := list(itertools.islice(rngs, NOISE_BLOCK)):
-        n = len(chunk)
+    for first in rngs:  # the block's next streams are taken one at a time, as read
+        block = itertools.chain([first], itertools.islice(rngs, NOISE_BLOCK - 1))
         g = np.zeros((NOISE_BLOCK, factor.rank), complex if scalar == COMPLEX else float)
         drawn = []  # flat: (t_u, rho, theta) per stream and spec
-        for i, rng in enumerate(chunk):
-            g[i] = white_noise(factor.rank, scalar, rng)
+        for n, rng in enumerate(block, 1):
+            g[n - 1] = white_noise(factor.rank, scalar, rng)
             for draw in draws:
                 drawn += draw(rng)
         t_u, rho, theta = np.array(drawn, g.dtype).reshape(n, len(specs), 3).transpose(2, 0, 1)

@@ -388,6 +388,25 @@ def test_condition_stays_finite_where_only_the_squared_norm_overflows(tmp_path, 
     _assert_condition_stays_finite(tmp_path, "1e154")
 
 
+def test_prop3_stays_finite_where_only_the_squared_norm_overflows(tmp_path, deadline):
+    # ||phi_u|| of the analytic comparison is rescaled as the records' norms are
+    out = tmp_path / "p.json"
+    assert run(["verify", "prop3", "--u", "1e154", "--grid", "64", "--out", str(out)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    result = json.loads(out.read_text(), parse_constant=refuse)["result"]
+    assert result["passed"]
+    assert all(np.isfinite(v) for v in result.values() if isinstance(v, float))
+
+
+def test_negative_seed_exits_2(tmp_path):
+    assert run(["sweep", "--u-list", "10", "--mc", "5", "--grid", "32", "--seed", "-1",
+                "--out", str(tmp_path / "s.csv")]) == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_condition_distance_keeps_its_rate_at_the_largest_thresholds(tmp_path):
     # the same noise at u = 1e6 and 1e150: sup_dist u is the same to 1e-4, and
     # the envelope holds with no slack, where a difference of two unit vectors

@@ -39,6 +39,7 @@ from condfield.sampling import (
     FieldSample,
     sample_conditional,
     sample_t_u,
+    stream_keys,
     substream,
     white_noise,
 )
@@ -288,17 +289,26 @@ def test_sweep_record_is_the_conditional_draw_on_its_stream(setup128, scalar):
             assert getattr(rec, f.name) == getattr(want, f.name), f.name
 
 
-def test_sweep_builds_one_stream_per_sample(setup128, monkeypatch):
+def test_sweep_keys_one_stream_per_sample_in_one_call(setup128, monkeypatch):
+    # the keys of substream(seed, 0, i), i < n_mc, asked for at once, and read
+    # through one Philox
     g, cov, fac, t, prof, k = setup128
-    builds = []
+    requests, builds = [], []
+    philox = np.random.Philox
 
-    def counting_substream(*key):
-        builds.append(key)
-        return substream(*key)
+    def recording_keys(*path, n):
+        requests.append((path, n))
+        return stream_keys(*path, n=n)
 
-    monkeypatch.setattr(concentration.sp, "substream", counting_substream)
+    def counting_philox(*args, **kwargs):
+        builds.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(concentration.sp, "stream_keys", recording_keys)
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
     sweep(fac, t, cov, [10.0, 100.0, 1000.0], 4, scalar=REAL, mode=RANDOM, seed=8)
-    assert builds == [(8, 0, i) for i in range(4)]
+    assert requests == [((8, 0), 4)]
+    assert len(builds) <= 1
 
 
 def test_sweep_records_do_not_depend_on_the_sample_count(setup128):

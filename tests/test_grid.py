@@ -158,6 +158,23 @@ def test_l2_norms_rescale_an_underflowing_row_in_a_block(dtype):
     assert norms[-1] == 0.0
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_l2_norms_rescale_an_overflowing_row_in_a_block(dtype):
+    # a row of about 1e200 has a sum of squares of inf but a finite norm,
+    # found as for an underflowing row; the ordinary row is left as it was
+    g = make_grid(-2, 3, 24)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.5, 2.0, 24).astype(dtype)
+    if dtype is complex:
+        x = x + 1j * rng.uniform(0.5, 2.0, 24)
+    block = np.array([x, 1e200 * x])
+    norms = l2_norms(block, g)
+    ref = np.sqrt(g.w * np.sum(np.abs(x) ** 2))
+    assert norms[0] == l2_norm(x, g)
+    assert np.isfinite(norms[1]) and norms[1] == l2_norm(block[1], g)
+    assert abs(norms[1] - 1e200 * ref) <= 8 * np.finfo(float).eps * 1e200 * ref
+
+
 def test_l2_norms_rejects_a_vector():
     with pytest.raises(errors.LengthMismatch):
         l2_norms(np.ones(9), make_grid(0, 2, 9))

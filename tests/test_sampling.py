@@ -14,13 +14,16 @@ from condfield.grid import inner, make_grid
 from condfield.sampling import (
     COMPLEX,
     FIXED_RHO,
+    NOISE_BLOCK,
     RANDOM,
     REAL,
     ConditionSpec,
     FieldSample,
     condition_blocks,
+    keyed_streams,
     sample_conditional,
     sample_t_u,
+    stream_keys,
     substream,
     truncated_normal_lower,
     white_noise,
@@ -413,6 +416,63 @@ def test_condition_pathwise_stream_matches_single_calls(setup64, scalar, mode, t
                s.r2, s.u, s.rho, s.theta)
         assert got == _row(want, 0, 0)
         assert [type(v) for v in got] == [type(v) for v in _row(want, 0, 0)]
+
+
+@pytest.mark.parametrize("seed", [0, 31, 2**32 - 1, 2**32, 2**64 + 5, 2**200])
+@pytest.mark.parametrize("path", [(), (0,), (3, 7), (2**40,)])
+def test_stream_keys_are_numpys_seed_sequence_keys(seed, path):
+    # bitwise numpy's keys; a bare seed (substream(seed)) gets no zero-padding
+    # of its entropy, unlike a seed with a spawn key
+    for n in (1, 128, 1000):
+        want = [np.random.SeedSequence(seed, spawn_key=(*path, i)).generate_state(2, np.uint64)
+                for i in range(n)]
+        got = stream_keys(seed, *path, n=n)
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+    want = np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
+    assert np.array_equal(substream(seed, *path).bit_generator.state["state"]["key"], want)
+    rekeyed = keyed_streams(stream_keys(seed, *path, n=3))
+    for i, rng in enumerate(rekeyed):
+        fresh = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=(*path, i))))
+        for draw in ("standard_normal", "standard_exponential", "random"):
+            assert np.array_equal(getattr(rng, draw)(1000), getattr(fresh, draw)(1000))
+
+
+def test_stream_keys_refuse_what_numpy_refuses_or_would_wrap():
+    for seed, path in ((-1, ()), (3, (-2,)), (3, (0, -1))):
+        with pytest.raises(ValueError):
+            stream_keys(seed, *path, n=4)
+        with pytest.raises(ValueError):
+            substream(seed, *path)
+    # a sample index of 2**32 or more would take two words: refused, not wrapped
+    for n in (2**32, 2**40, -1):
+        with pytest.raises(ValueError):
+            stream_keys(0, 0, n=n)
+
+
+@pytest.mark.parametrize("scalar", [REAL, COMPLEX])
+def test_condition_blocks_read_each_stream_before_the_next(setup64, scalar):
+    # one re-keyed generator, yielded again and again, gives the blocks of a
+    # list of fresh streams: each stream is read fully before the next is asked for
+    g, cov, fac, t = setup64
+    k = constants(t, cov)
+    specs = [ConditionSpec(u=u, scalar=scalar, mode=RANDOM) for u in (1.0, 1e3)]
+    for n in (1, 127, 128, 129, 300):
+        seen = []
+
+        def served():
+            for rng in keyed_streams(stream_keys(13, 0, n=n)):
+                seen.append(rng)
+                yield rng
+
+        got = list(condition_blocks(fac, t, k, specs, served()))
+        want = list(condition_blocks(fac, t, k, specs, [substream(13, 0, i) for i in range(n)]))
+        assert len(seen) == n and all(rng is seen[0] for rng in seen)
+        assert len(got) == len(want) == -(-n // NOISE_BLOCK)
+        for a, b in zip(got, want):
+            for name in ("phi", "t_u", "rho", "theta", "t1", "r2"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 def test_condition_pathwise_needs_specs_of_one_scalar_type(setup64):
