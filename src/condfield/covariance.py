@@ -2,10 +2,11 @@
 
 Coordinate convention (`grid` owns inner products and norms, this module the
 weight in op and the factor's scaling): field vectors hold point values, the
-operator matrix is ``op = w * K`` with K[i, j] = C(x_i, x_j).  Acting on a value
-vector, ``op @ phi`` is the midpoint approximation of the integral operator.
-With this convention the pointwise variance of generated samples equals the
-kernel diagonal C(x, x), while orthonormality of eigenmodes is with respect to
+operator matrix is ``op = w * K`` with K[i, j] = C(x_i, x_j), for a stationary C
+formed as C((i - j) h) from the index lag, so that op is exactly Toeplitz on every
+grid.  Acting on a value vector, ``op @ phi`` is the midpoint approximation of the
+integral operator.  With this convention the pointwise variance of generated samples
+equals the kernel diagonal C(x, x), while orthonormality of eigenmodes is with respect to
 the weighted inner product: a plain-orthonormal eigenvector v corresponds to
 the weighted-orthonormal mode v / sqrt(w).  The operator serves its rows and
 diagonal from the kernel on demand; the M x M op is formed only where something
@@ -14,7 +15,7 @@ field is the factor applied to i.i.d. standard coefficients, one per mode whose
 eigenvalue is above eps * lam_max (eps the double machine epsilon): the
 operator's numerical rank.  A smooth kernel's modes come from one SVD of its pivoted
 Cholesky rows, certified by a randomized bound on ||op - w L L^T||_2 (10 fixed probes,
-one FFT each for a squared exponential); any other kernel's come from a dense eigh.
+applied by FFT where op is Toeplitz); any other kernel's come from a dense eigh.
 """
 
 import functools
@@ -50,11 +51,15 @@ class _Stationary:
         return np.multiply(self.decay(d), self.variance, out=d)
 
     def rows(self, grid: Grid, idx) -> np.ndarray:
-        """K[idx] for an index or slice of the grid points."""
-        return self.pair(grid.points[idx], grid.points)
+        """K[idx] for an index or slice of the grid points: C at the lag (i - j) h, an exact
+        float integer times h, so K is exactly symmetric and Toeplitz ((-k) h is -(k h))."""
+        lag = np.arange(grid.m, dtype=float)
+        d = np.subtract.outer(lag[idx], lag)
+        d *= grid.w  # in place: forming op holds one M x M array
+        return np.multiply(self.decay(d), self.variance, out=d)
 
     def diagonal(self, grid: Grid) -> np.ndarray:
-        return self.variance * self.decay(grid.points - grid.points)
+        return self.variance * self.decay(np.zeros(grid.m))
 
 
 @dataclass(frozen=True)
@@ -127,10 +132,11 @@ class RankK:
 
 @dataclass(frozen=True)
 class CovOperator:
-    """Discretized covariance operator op = w * K on a grid, K[i, j] = C(x_i, x_j), read by
-    rows: op[i], op[lo:hi] and diagonal() are w * (0.5 (K + K^T)) from the kernel's rows,
-    bitwise the rows of op since every kernel's K is exactly symmetric, and raise
-    InvalidKernelParams where not finite.  The M x M `op` is formed on first read."""
+    """Discretized covariance operator op = w * K on a grid, K[i, j] = C(x_i, x_j) (a
+    stationary kernel's C((i - j) h), exactly Toeplitz), read by rows: op[i], op[lo:hi]
+    and diagonal() are w * (0.5 (K + K^T)) from the kernel's rows, bitwise the rows of op
+    since every kernel's K is exactly symmetric, and raise InvalidKernelParams where not
+    finite.  The M x M `op` is formed on first read."""
 
     grid: Grid
     kernel: object
@@ -225,41 +231,19 @@ class SqrtFactor:
 
 
 def _matvec(op, x):
-    """(Y, tau) for an (M, r) block x: Y = A x with ||op - A||_2 <= tau.
-
-    An ndarray gives op @ x, RankK w sum_k lam_k e_k (e_k^T x), any kernel but the squared
-    exponential `apply` by columns: A = op, tau = 0.  A squared exponential's A is the
-    Toeplitz matrix of c = op[0], by one rfft/irfft pair of its 2M circulant.  op_ij =
-    f(fl(x_i - x_j)), A_ij = f(fl(x_0 - x_k)), k = |i - j|, f = w C as computed (even):
-    equal where the points are an exact progression (all fl(x_{i+1} - x_i) equal and exact
-    by TwoSum; h dyadic on (0, 1), say), so tau = 0.  Else, to first order in eps, points
-    err by eps/2 (M h + max|x|) and differences by eps/2 of theirs: the arguments' sizes
-    differ by Delta + eps k h, Delta = 2 eps (M h + max|x|).  f errs by eps (6 + 2 t) f,
-    t = s^2 / (2 ell^2) (3 roundings in t, 4 ulp in exp, 2 in scaling), and by 2^-1074 a
-    rounding below the normal range.  Over a row, w sup|C'| near the lattice sums to 2
-    variance + (h + Delta) max|C'| per monotone piece (4, max|C'| = variance / (sqrt(e)
-    ell)), |s C'| = 2 t C, and k occurs twice: so ||op - A||_2, a row sum of the symmetric
-    |op - A|, is at most tau = Delta variance (2 + 4 (h + Delta) / (sqrt(e) ell)) + eps
-    sum_k (24 + 12 t_k) c_k + 16 M (w variance + w + 1) 2^-1074."""
+    """op @ x for an (M, r) block x: an ndarray's product, RankK's w sum_k lam_k e_k (e_k^T x),
+    a stationary kernel's by one rfft/irfft pair of the 2M circulant that embeds its
+    Toeplitz op (row 0 gives all), any other kernel's by `apply` on each column."""
     if isinstance(op, np.ndarray):
-        return op @ x, 0.0
+        return op @ x
     g, kernel = op.grid, op.kernel
     if isinstance(kernel, RankK):
-        return g.w * sum(lam * np.multiply.outer(e, e @ x) for lam, e in kernel._terms(g)), 0.0
-    if not isinstance(kernel, SquaredExponential):
-        return np.column_stack([op.apply(col) for col in x.T]), 0.0
-    c, n, pts = op[0], 2 * g.m, g.points
+        return g.w * sum(lam * np.multiply.outer(e, e @ x) for lam, e in kernel._terms(g))
+    if not isinstance(kernel, _Stationary):
+        return np.column_stack([op.apply(col) for col in x.T])
+    c, n = op[0], 2 * g.m
     spectrum = np.fft.rfft(np.concatenate((c, [0.0], c[:0:-1])))[:, None]
-    y = np.fft.irfft(np.fft.rfft(x, n, axis=0) * spectrum, n, axis=0)[:g.m]
-    step = pts[1:] - pts[:-1]
-    back = step - pts[1:]  # TwoSum's error is (x1 - (step - back)) - (x0 + back)
-    if (step == step[0]).all() and ((pts[1:] - (step - back)) == (pts[:-1] + back)).all():
-        return y, 0.0
-    with np.errstate(over="ignore"):  # only where c underflows to 0, which t skips
-        t = np.divide(np.square(pts - pts[0]), 2 * kernel.ell ** 2, np.zeros(g.m), where=c > 0)
-    h, var, delta = g.w, kernel.variance, 2 * EPS * (g.m * g.w + np.max(np.abs(pts)))
-    tau = delta * var * (2 + 4 * (h + delta) / (np.sqrt(np.e) * kernel.ell))
-    return y, tau + EPS * c @ (24 + 12 * t) + 16 * g.m * (h * var + h + 1) * 2.0 ** -1074
+    return np.fft.irfft(np.fft.rfft(x, n, axis=0) * spectrum, n, axis=0)[:g.m]
 
 
 def _pivoted_pairs(op):
@@ -281,10 +265,8 @@ def _pivoted_pairs(op):
     Certificate: ||E||_2 <= 10 sqrt(2/pi) max_i ||E w_i||_2 for any E but with probability
     10^-r over r = _PROBES Gaussian w_i (Halko, Martinsson & Tropp 2011, SIAM Rev. 53:217,
     Lemma 4.1), drawn from a fixed Philox key so the verdict is deterministic.  Accepted
-    where it plus tau, for E = A - V Lambda V^T with A and tau from `_matvec`, is at most
-    DEFAULT_CLIP_TOL * lam_max: op's spectrum is then in the clip window.  tau = 0 on an
-    exact progression of points, else ~5e-16 (b - a + max|x|) / ell of lam_max; where that
-    fills the window (ell = 0.2 on (1e3, 1e3 + 1), say) the dense eigh takes over.
+    where it is at most DEFAULT_CLIP_TOL * lam_max for E = op - V Lambda V^T, with op's
+    products from `_matvec`: op's spectrum is then in the clip window.
     """
     m, cap = op.shape[0], op.shape[0] // 2
     d = op.diagonal().copy()
@@ -307,9 +289,9 @@ def _pivoted_pairs(op):
     lam = s ** 2  # descending
     p = int(np.count_nonzero(lam > EPS * lam[0]))
     omega = np.random.Generator(np.random.Philox(key=0)).standard_normal((m, _PROBES))
-    y, tau = _matvec(op, omega)
+    y = _matvec(op, omega)
     y -= vt[:p].T @ (lam[:p, None] * (vt[:p] @ omega))
-    bound = 10 * np.sqrt(2 / np.pi) * np.linalg.norm(y, axis=0).max() + tau
+    bound = 10 * np.sqrt(2 / np.pi) * np.linalg.norm(y, axis=0).max()
     return (lam[:p], vt[:p].T) if bound <= DEFAULT_CLIP_TOL * lam[0] else None  # NaN fails
 
 

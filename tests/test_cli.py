@@ -102,6 +102,18 @@ def test_sweep_outputs_and_determinism(tmp_path):
         assert float(r[5]) <= float(r[4]) + 1e-12  # l2_dist <= sup_dist on [0,1]
 
 
+def test_sweep_is_invariant_under_translation_of_the_domain(tmp_path):
+    # a stationary kernel's operator depends on the index lag alone, so the same
+    # sweep on (1000, 1001) writes the bytes it writes on (0, 1)
+    outs = []
+    for a in (0, 1000):
+        outs.append(tmp_path / f"s{a}.csv")
+        assert run(["sweep", "--domain", f"{a},{a + 1}", "--functional", f"point:{a + 0.5}",
+                    "--grid", "500", "--u-list", "10,100,1000", "--mc", "50",
+                    "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_sweep_single_u_slope_null(tmp_path):
     out = tmp_path / "s.csv"
     assert run(["sweep", "--u-list", "100", "--mc", "5", "--grid", "64",

@@ -416,14 +416,14 @@ def test_served_rows_are_bitwise_the_rows_of_op(spec, a, b, m):
 def test_smooth_paths_never_form_op(monkeypatch, spec):
     # the factor, the constants, the profile, prop1 and a sweep read a smooth
     # kernel's operator only by rows and its diagonal, at M = 64 too, where
-    # sqexp:1:0.2 needs 21 of the at most 32 pivots
+    # sqexp:1:0.2 needs 21 of the at most 32 pivots, and on (a, a + 1) far from 0
     def refuse(cov):
         raise AssertionError("the M x M operator was formed")
 
     monkeypatch.setattr(CovOperator, "op", property(refuse))
-    for m in (64, 128):
-        g = make_grid(0, 1, m)
-        t = make_point_functional(g, 0.5)
+    for a, m in ((0, 64), (0, 128), (1e3, 500), (1e4, 2000)):
+        g = make_grid(a, a + 1, m)
+        t = make_point_functional(g, a + 0.5)
         cov = assemble(kernel_from_spec(spec), g)
         fac = sqrt_factor(cov)
         assert constants(t, cov).tct > 0 and profile(t, cov).shape == (m,)
@@ -465,43 +465,40 @@ def test_pivoted_certificate_is_sound_and_deterministic(kind, domain, scale, ell
     ("sqexp:1:0.2", 10, 11, 500), ("sqexp:1:0.2", 1e3, 1e3 + 1, 500),
     ("sqexp:2.5:0.03", 1e6, 1e6 + 1, 500), ("sqexp:1:0.002", 0, 1, 1000),
     ("sqexp:1:0.002", -0.3, 2.7, 700), ("sqexp:1e-300:0.2", 0, 1, 100),
+    ("exp:1:0.1", -0.3, 2.7, 97), ("exp:1:0.1", 1e6, 1e6 + 1, 500),
 ])
-def test_tau_bounds_the_distance_to_the_toeplitz_matrix(spec, a, b, m):
-    # the FFT applies the Toeplitz matrix of row 0; tau bounds its 2-norm distance
-    # from op, and is 0 only where the two are bitwise equal
+def test_stationary_op_is_toeplitz(spec, a, b, m):
+    # K_ij = C((i - j) h) from the index lag, so on every grid, near 0 or not, each
+    # row is row 0 read at |i - j| bitwise, and the certificate's FFT applies op itself
     cov = assemble(kernel_from_spec(spec), make_grid(a, b, m))
-    tau = covariance._matvec(cov, np.zeros((m, 1)))[1]
-    idx = np.arange(m)
-    gap = cov.op - cov.op[0][np.abs(idx[:, None] - idx)]
-    assert np.abs(np.linalg.eigvalsh(gap)).max() <= tau
-    exact = (a, b, m) == (0, 1, 512)  # h dyadic, the points an exact progression
-    assert (tau == 0) == exact and gap.any() != exact
+    for i in (1, m // 3, m // 2, m - 1):
+        assert cov[i].tobytes() == cov[0][np.abs(i - np.arange(m))].tobytes()
+    assert cov.op.tobytes() == cov.op.T.tobytes()
+    x = np.random.default_rng(24).standard_normal((m, 3))
+    err = np.abs(covariance._matvec(cov, x) - cov.op @ x).max()
+    assert err <= m * np.finfo(float).eps * (np.abs(cov.op) @ np.abs(x)).max()
 
 
-def test_tau_is_zero_on_an_exact_progression():
-    # sqexp:1:0.002 at M = 8192 on (0, 1), lam_max = 5.0e-3: a tau that grew as eps
-    # variance (b - a), 28 eps here, would alone be 1.2e-12 lam_max, past the window.
-    # The rows of op are those of the Toeplitz matrix of row 0, bitwise
-    m = 8192
-    cov = assemble(kernel_from_spec("sqexp:1:0.002"), make_grid(0, 1, m))
-    assert covariance._matvec(cov, np.zeros((m, 1)))[1] == 0.0
-    c = cov[0]
-    for i in (1, 777, m // 2, m - 1):
-        assert cov[i].tobytes() == c[np.abs(i - np.arange(m))].tobytes()
+@pytest.mark.parametrize("spec", ["sqexp:1:0.2", "exp:1:0.1"])
+@pytest.mark.parametrize("m", [64, 128, 512, 2048])
+def test_lag_rows_are_unchanged_on_dyadic_grids(spec, m):
+    # on (0, 1) with M a power of two the points and their differences are exact, so
+    # C((i - j) h) is C(x_i - x_j) bitwise: the operator of every such grid is unchanged
+    g = make_grid(0, 1, m)
+    kernel = kernel_from_spec(spec)
+    for idx in (0, m // 2, m - 1, slice(None)):
+        assert kernel.rows(g, idx).tobytes() == kernel.pair(g.points[idx], g.points).tobytes()
 
 
 @pytest.mark.parametrize("spec, m", [("sqexp:1:0.004", 2048), ("sqexp:1:0.004", 1700),
                                      ("sqexp:1:0.005", 1200)])
 def test_short_correlation_kernel_takes_the_pivoted_route(spec, m):
-    # ell of a few h on (0, 1), hundreds of pivots: lam_max ~ variance ell sqrt(2 pi), so
-    # a tau that grew as eps variance (b - a) alone would fill the window.  On the dyadic
-    # grids tau is 0, on the others it is below a quarter of the window, and the factor
-    # the certificate accepts is inside it
+    # ell of a few h on (0, 1), hundreds of pivots, lam_max ~ variance ell sqrt(2 pi): the
+    # certificate accepts, and the factor it accepts is inside the window
     cov = assemble(kernel_from_spec(spec), make_grid(0, 1, m))
     pairs = covariance._pivoted_pairs(cov)
     assert pairs is not None
     lam, vec = pairs
-    assert covariance._matvec(cov, np.zeros((m, 1)))[1] <= DEFAULT_CLIP_TOL * lam[0] / 4
     e = cov.op - (vec * lam) @ vec.T
     norm = np.abs(np.linalg.eigvalsh(e + e.T)).max() / 2 + np.linalg.norm(e - e.T) / 2
     assert norm <= DEFAULT_CLIP_TOL * lam[0]
