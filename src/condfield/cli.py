@@ -12,6 +12,7 @@ error, 2 usage or config error, 3 verification failure.
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -92,7 +93,7 @@ class _Setup:
         return cv.assemble(self.kernel, self.grid)
 
     @functools.cached_property
-    def factor(self) -> cv.SqrtFactor:
+    def factor(self) -> cv.Factor:
         return cv.sqrt_factor(self.cov)
 
 
@@ -112,6 +113,24 @@ def _write_json(path: str, payload: dict, csv_columns=None):
         fh.write(text + "\n")
 
 
+def _reprs(c: np.ndarray, block: int):
+    """The repr of each entry of an int or float column, made lazily `block` runs at a
+    time and once per run of equal entries: of equal bits for a float, so that -0.0
+    and 0.0 stay apart."""
+    key = c.view(f"i{c.itemsize}") if c.dtype.kind == "f" else c
+    first = np.ones(c.size, bool)  # of its run
+    first[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    if starts.size == c.size:
+        chunks = (map(repr, c[k:k + block].tolist()) for k in range(0, c.size, block))
+    else:
+        counts = np.diff(starts, append=c.size)
+        chunks = (map(itertools.repeat, map(repr, c[starts[k:k + block]].tolist()),
+                      counts[k:k + block].tolist()) for k in range(0, starts.size, block))
+        chunks = map(itertools.chain.from_iterable, chunks)
+    return itertools.chain.from_iterable(chunks)
+
+
 def _write_csv(path: str, header, columns):
     """Write equal-length arrays as CSV columns, NOISE_BLOCK rows at a time: each
     field the repr of its int or float (booleans as 0/1), unquoted, as every field
@@ -120,12 +139,13 @@ def _write_csv(path: str, header, columns):
     for name, c in zip(header, columns):
         if c.dtype.kind in "fc" and not np.all(np.isfinite(c)):
             raise ValueError(f"column {name} holds a non-finite value")
-    columns = [c.astype(int) if c.dtype == bool else c for c in columns]
+    rows = zip(*(_reprs(c.astype(int) if c.dtype == bool else c, sp.NOISE_BLOCK)
+                 for c in columns))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        for k in range(0, len(columns[0]), sp.NOISE_BLOCK):
-            fields = (map(repr, c[k:k + sp.NOISE_BLOCK].tolist()) for c in columns)
-            fh.write("".join(",".join(row) + "\r\n" for row in zip(*fields)))
+        for _ in range(0, len(columns[0]), sp.NOISE_BLOCK):
+            rows_k = itertools.islice(rows, sp.NOISE_BLOCK)
+            fh.write("".join(",".join(row) + "\r\n" for row in rows_k))
 
 
 def cmd_profile(setup: _Setup, out) -> int:

@@ -178,7 +178,7 @@ class SweepReport:
         return tuple(DistanceRecord(*row) for row in rows)
 
 
-def sweep(factor: cv.SqrtFactor, t: fn.LinearFunctional, cov: cv.CovOperator, u_list,
+def sweep(factor: cv.Factor, t: fn.LinearFunctional, cov: cv.CovOperator, u_list,
           n_mc: int, scalar: str = sp.COMPLEX, mode: str = sp.FIXED_RHO, rho: float = 1.0,
           theta: float = 0.0, seed: int = 0) -> SweepReport:
     """Paired-seed sweep over thresholds (module docstring); `factor` must factor `cov`."""
@@ -223,9 +223,9 @@ def verify_prop1(t: fn.LinearFunctional, cov: cv.CovOperator, n_mc: int, seed: i
     """Finite-sample surrogate of the a.s. finiteness of <T|phi>: every sampled
     value finite, and the empirical variance close to <T|C|T>.
 
-    The n_mc coefficient vectors (P each, the factor's numerical rank: the
-    modes above eps * lam_max) are successive draws from the one stream
-    substream(seed, 0), read NOISE_BLOCK rows at a time."""
+    The n_mc coefficient vectors (one coefficient per column of the factor:
+    its `rank`) are successive draws from the one stream substream(seed, 0),
+    read NOISE_BLOCK rows at a time."""
     if n_mc < 1000:
         raise ValueError(f"need n_mc >= 1000, got {n_mc}")
     tct_val = fn.constants(t, cov).tct

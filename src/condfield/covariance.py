@@ -10,12 +10,15 @@ equals the kernel diagonal C(x, x), while orthonormality of eigenmodes is with r
 the weighted inner product: a plain-orthonormal eigenvector v corresponds to
 the weighted-orthonormal mode v / sqrt(w).  The operator serves its rows and
 diagonal from the kernel on demand; the M x M op is formed only where something
-reads it, which a smooth kernel's factor and the theory constants never do.  A
-field is the factor applied to i.i.d. standard coefficients, one per mode whose
-eigenvalue is above eps * lam_max (eps the double machine epsilon): the
-operator's numerical rank.  A smooth kernel's modes come from one SVD of its pivoted
-Cholesky rows, certified by a randomized bound on ||op - w L L^T||_2 (10 fixed probes,
-applied by FFT where op is Toeplitz); any other kernel's come from a dense eigh.
+reads it, which a smooth or stationary kernel's factor and the theory constants never
+do.  A field is a factor L of K = L L^T applied to i.i.d. standard coefficients, one per
+column of L, from one of three routes (`sqrt_factor`).  A smooth kernel's columns are
+its modes whose eigenvalue is above eps * lam_max (eps the double machine epsilon), the
+operator's numerical rank, from one SVD of its pivoted Cholesky rows, certified by a
+randomized bound on ||op - w L L^T||_2 (10 fixed probes, applied by FFT where op is
+Toeplitz).  Any other stationary kernel's L is exact with N ~ 2M columns, from the
+circulant that embeds its Toeplitz op, and is applied by one FFT.  Every other kernel,
+and a stationary one whose embedding is not positive, takes its modes from a dense eigh.
 """
 
 import functools
@@ -54,8 +57,11 @@ class _Stationary:
         """K[idx] for an index or slice of the grid points: C at the lag (i - j) h, an exact
         float integer times h, so K is exactly symmetric and Toeplitz ((-k) h is -(k h))."""
         lag = np.arange(grid.m, dtype=float)
-        d = np.subtract.outer(lag[idx], lag)
-        d *= grid.w  # in place: forming op holds one M x M array
+        return self.at_lags(np.subtract.outer(lag[idx], lag), grid)
+
+    def at_lags(self, d: np.ndarray, grid: Grid) -> np.ndarray:
+        """C(d h) for float-integer lags d, written over d: forming op holds one M x M array."""
+        d *= grid.w
         return np.multiply(self.decay(d), self.variance, out=d)
 
     def diagonal(self, grid: Grid) -> np.ndarray:
@@ -192,9 +198,10 @@ def point_variance_max(cov: CovOperator) -> float:
 
 @dataclass(frozen=True)
 class SqrtFactor:
-    """Factor L = V_P sqrt(Lambda_P / w) of K = op / w = L L^T over the P = M - n_clipped
-    eigenpairs of op above eps * lam_max, from a dense eigh or one SVD of pivoted Cholesky
-    rows (||op - w L L^T||_2 <= DEFAULT_CLIP_TOL * lam_max then, bar a 1e-10 chance).
+    """Spectral factor L = V_P sqrt(Lambda_P / w) of K = op / w = L L^T over the
+    P = M - n_clipped eigenpairs of op above eps * lam_max, from a dense eigh or one SVD of
+    pivoted Cholesky rows (||op - w L L^T||_2 <= DEFAULT_CLIP_TOL * lam_max then, bar a
+    1e-10 chance).
     Column n is the Karhunen-Loeve term sqrt(lam_n) e_n; read L by `apply`, `adjoint`, `rank`.
     `cov` is the operator it factors, which owns the grid and the profile C T."""
 
@@ -230,10 +237,98 @@ class SqrtFactor:
         return self.grid.w * (self.modes.T @ phi)
 
 
+@dataclass(frozen=True)
+class CirculantFactor:
+    """Factor L = H[:M] diag(s) of K = op / w = L L^T for a stationary kernel, from the
+    circulant of size N that embeds its Toeplitz op (Wood & Chan 1994, J. Comput. Graph.
+    Stat. 3:409; Dietrich & Newsam 1997, SIAM J. Sci. Comput. 18:1088).  With the
+    embedding's eigenvalues lam (`_embedding`, lam_j = lam_{N-j} bitwise), H = Re F - Im F
+    the Hartley matrix of the size-N DFT F (H = H^T, H^2 = N I) and s = sqrt(lam / (N w)),
+    H diag(s^2) H is the embedding over w and its leading M x M block is K.  So L has
+    `rank` N columns and is applied by one rfft, with no M x M or M x N array; eigenvalues
+    in [-DEFAULT_CLIP_TOL * lam_max, 0) are clipped to 0 and counted in `n_clipped`.  Read
+    L by `apply`, `adjoint`, `rank`; `cov` is the operator it factors."""
+
+    cov: CovOperator
+    scale: np.ndarray = field(repr=False)  # s, N entries
+    n_clipped: int
+    grid = property(lambda self: self.cov.grid)
+    rank = property(lambda self: self.scale.size)
+
+    def apply(self, g) -> np.ndarray:
+        """L g for N coefficients g, or for each row of an (n, N) block in one rfft, with
+        a complex block's real rows on its imaginary rows; a row does not depend on the
+        block."""
+        g = np.asarray(g)
+        if g.ndim not in (1, 2) or g.shape[-1] != self.rank:
+            raise LengthMismatch(f"noise of shape {g.shape} for a factor of rank {self.rank}")
+        if not np.iscomplexobj(g):
+            return _hartley(g * self.scale, self.grid.m)
+        parts = np.stack((g.real, g.imag))
+        parts *= self.scale
+        re, im = _hartley(parts, self.grid.m)
+        return re + 1j * im
+
+    def adjoint(self, phi) -> np.ndarray:
+        """w L^T phi = w s * H (phi zero-padded to N), the adjoint of L: <phi|L g> =
+        <w L^T phi|g> for real phi."""
+        n = self.rank
+        r = np.fft.rfft(phi, n)
+        h = np.concatenate((r.real - r.imag, (r.real + r.imag)[(n - 1) // 2:0:-1]))
+        return self.grid.w * self.scale * h
+
+
+Factor = SqrtFactor | CirculantFactor  # what `sqrt_factor` returns; both read alike
+
+
+def _hartley(x, m: int) -> np.ndarray:
+    """The first m entries of H x over the last axis of a real x, H = Re F - Im F
+    (m <= N/2 + 1, so one rfft gives them)."""
+    r = np.fft.rfft(x)[..., :m]
+    return r.real - r.imag
+
+
+def _fast_size(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n >= 1: a size at which an FFT is fast."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _embedding(cov: CovOperator) -> np.ndarray:
+    """Eigenvalues lam of the size-N circulant that embeds a stationary kernel's op, N the
+    smallest 2^a 3^b 5^c >= max(2 (M - 1), 1): rfft(c).real, mirrored so that lam_j =
+    lam_{N-j} bitwise, of the row c = op at the wrapped lag min(j, N - j).  N >= 2 (M - 1)
+    keeps those lags j for j < M, so c[:M] is bitwise op[0] and the circulant's leading
+    M x M block is op."""
+    n = _fast_size(max(2 * (cov.grid.m - 1), 1))
+    lag = np.arange(n, dtype=float)
+    d = np.subtract(0.0, np.minimum(lag, n - lag))  # 0 - j, as op[0] forms it
+    lam = np.fft.rfft(cov._scaled(cov.kernel.at_lags(d, cov.grid))).real
+    return np.concatenate((lam, lam[(n - 1) // 2:0:-1]))
+
+
+def _circulant_factor(cov: CovOperator) -> CirculantFactor | None:
+    """The embedding's factor of a stationary kernel's op, or None where an eigenvalue of
+    the embedding is below -DEFAULT_CLIP_TOL * lam_max or not finite."""
+    lam = _embedding(cov)
+    lam_max = float(lam.max())
+    if not (lam.min() >= -DEFAULT_CLIP_TOL * lam_max and lam_max < np.inf):  # NaN fails
+        return None
+    scale = np.sqrt(np.maximum(lam, 0.0) / (lam.size * cov.grid.w))
+    scale.setflags(write=False)
+    return CirculantFactor(cov=cov, scale=scale, n_clipped=int(np.count_nonzero(lam < 0.0)))
+
+
 def _matvec(op, x):
     """op @ x for an (M, r) block x: an ndarray's product, RankK's w sum_k lam_k e_k (e_k^T x),
-    a stationary kernel's by one rfft/irfft pair of the 2M circulant that embeds its
-    Toeplitz op (row 0 gives all), any other kernel's by `apply` on each column."""
+    a stationary kernel's by one rfft/irfft pair of the circulant that embeds its
+    Toeplitz op (`_embedding`), any other kernel's by `apply` on each column."""
     if isinstance(op, np.ndarray):
         return op @ x
     g, kernel = op.grid, op.kernel
@@ -241,9 +336,9 @@ def _matvec(op, x):
         return g.w * sum(lam * np.multiply.outer(e, e @ x) for lam, e in kernel._terms(g))
     if not isinstance(kernel, _Stationary):
         return np.column_stack([op.apply(col) for col in x.T])
-    c, n = op[0], 2 * g.m
-    spectrum = np.fft.rfft(np.concatenate((c, [0.0], c[:0:-1])))[:, None]
-    return np.fft.irfft(np.fft.rfft(x, n, axis=0) * spectrum, n, axis=0)[:g.m]
+    lam = _embedding(op)
+    n = lam.size
+    return np.fft.irfft(np.fft.rfft(x, n, axis=0) * lam[:n // 2 + 1, None], n, axis=0)[:g.m]
 
 
 def _pivoted_pairs(op):
@@ -295,17 +390,27 @@ def _pivoted_pairs(op):
     return (lam[:p], vt[:p].T) if bound <= DEFAULT_CLIP_TOL * lam[0] else None  # NaN fails
 
 
-def sqrt_factor(cov: CovOperator) -> SqrtFactor:
-    """Spectral factor of op over its numerical rank.
+def sqrt_factor(cov: CovOperator) -> Factor:
+    """Factor L of K = op / w = L L^T, by the first of three routes that takes op.
 
-    A smooth kernel's eigenpairs come from `_pivoted_pairs`, which reads the operator's
-    rows from the kernel, where it certifies them; any other operator, or one it rejects,
-    goes through a dense eigh of the formed `cov.op`.  Eigenvalues at or below eps *
-    lam_max (eps the double machine epsilon) are roundoff: both routes drop them and their
-    modes.  An eigenvalue below the window -DEFAULT_CLIP_TOL * lam_max means the kernel
-    was not positive semidefinite and raises; only the dense eigh can see one.
+    1. A smooth kernel's eigenpairs come from `_pivoted_pairs`, which reads the
+       operator's rows from the kernel, where it certifies them.
+    2. A stationary kernel takes the circulant embedding (`CirculantFactor`, rank N)
+       unless an eigenvalue of the embedding is below -DEFAULT_CLIP_TOL * lam_max: so
+       every `exp`, and a `sqexp` that needs more than M/2 pivots.
+    3. Any other operator goes through a dense eigh of the formed `cov.op`.
+
+    Routes 1 and 3 give the `SqrtFactor` over op's numerical rank: eigenvalues at or
+    below eps * lam_max (eps the double machine epsilon) are roundoff, and both drop them
+    and their modes.  An eigenvalue of op below the window -DEFAULT_CLIP_TOL * lam_max
+    means the kernel was not positive semidefinite and raises; only the dense eigh can
+    see one.
     """
     pairs = _pivoted_pairs(cov) if cov.kernel.smooth else None
+    if pairs is None and isinstance(cov.kernel, _Stationary):
+        factor = _circulant_factor(cov)
+        if factor is not None:
+            return factor
     if pairs is None:
         lam, vec = np.linalg.eigh(cov.op)
         floor = -DEFAULT_CLIP_TOL * max(float(lam[-1]), 0.0)

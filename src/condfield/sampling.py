@@ -1,26 +1,29 @@
 """Exact sampling of fields conditioned on <T|phi>.
 
-An unconditional draw is the Karhunen-Loeve series phi = L g over the P modes
-with eigenvalue above eps * lam_max (`SqrtFactor`), with g i.i.d. standard.
+An unconditional draw is phi = L g with g i.i.d. standard, one coefficient per
+column of the factor L (`covariance.sqrt_factor`): the Karhunen-Loeve series over
+the P modes with eigenvalue above eps * lam_max, or the N columns of a circulant
+embedding.
 A conditional draw adds a rank-one update along the profile (Matheron's rule):
 with p = C T, q = p/||p||_2, B and <T|C|T> from `functionals.constants`,
 l = w L^T T (so <T|L g> = <l|g>), v = l/||l||, t_1 = <v|g> and
 |t_u|^2 = rho + u^2/<T|C|T>, phi_u = L g + ((t_u - t_1)/B) q.  As L v = q/B,
 this is the adapted-basis split L(t_u v + g_perp), with the same law, and
 |<T|phi_u>| >= u to roundoff; the factor supplies only L g and v.
-`condition_blocks` draws NOISE_BLOCK samples at a time: one GEMM applies the
-factor to their g rows, zero-padded to NOISE_BLOCK rows, so a one-sample call
-gives bitwise the draw of a sweep.  It yields per block the columns phi = L g,
-t_1 and r^2 (row sums) and the (n, |U|) arrays t_u, rho and theta, which a
-record is scored from; `FieldSample.values` (phi_u) is formed only where read.
+`condition_blocks` draws NOISE_BLOCK samples at a time: one product (a GEMM, or
+an rfft) applies the factor to their g rows, zero-padded to NOISE_BLOCK rows, so
+a one-sample call gives bitwise the draw of a sweep.  It yields per block the
+columns phi = L g, t_1 and r^2 (row sums) and the (n, |U|) arrays t_u, rho and
+theta, which a record is scored from; `FieldSample.values` (phi_u) is formed
+only where read.
 
 Reproducibility: streams are counter-based (Philox) and splittable, keyed by
 numpy's SeedSequence(seed, spawn_key=path) keys (`stream_keys`: all of a sweep's
 in one array pass).  A conditioned sample is one stream read in one order: g,
 then (t_u, rho, theta) for each threshold; complex coefficient n is the normals
-(2n, 2n+1), so a stream's leading coefficients do not depend on P.  Sweeps and
-conditional draws give sample i its own substream(seed, path..., i), so they
-are order-independent; a sweep reads them through one re-keyed Philox
+(2n, 2n+1), so a stream's leading coefficients do not depend on the rank.
+Sweeps and conditional draws give sample i its own substream(seed, path..., i),
+so they are order-independent; a sweep reads them through one re-keyed Philox
 (`keyed_streams`), each fully before the next.  `verify prop1` draws its
 unconditional noise from one stream, substream(seed, 0), read in fixed-size
 blocks whose size does not change the draws.
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import SqrtFactor
+from .covariance import Factor
 from .errors import DegenerateFunctional, GridMismatch, NegativeU, ThresholdOverflow
 from .functionals import LinearFunctional, TheoryConstants, constants
 
@@ -43,9 +46,11 @@ COMPLEX = "complex"
 FIXED_RHO = "fixed-rho"
 RANDOM = "random"
 
-# Rows of noise drawn and multiplied at once (at most 1 MB of complex noise at M = 512).
+# Rows of noise drawn and multiplied at once: a block is NOISE_BLOCK x rank, and the
+# rank is N ~ 2M on the embedding route (134 MB of real noise at M = 65,536).
 # Conditioned blocks are zero-padded to this many rows: a GEMM row is bitwise
-# the same at every position of a block of fixed width, not across widths.
+# the same at every position of a block of fixed width, not across widths (an
+# rfft row is the same at any width).
 NOISE_BLOCK = 128
 
 
@@ -251,7 +256,7 @@ def sample_t_u(spec: ConditionSpec, tct: float, rng: np.random.Generator):
     return _t_u_drawer(spec, tct)(rng)
 
 
-def condition_blocks(factor: SqrtFactor, t: LinearFunctional, k: TheoryConstants, specs, rngs):
+def condition_blocks(factor: Factor, t: LinearFunctional, k: TheoryConstants, specs, rngs):
     """Condition one sample per stream in `rngs`, NOISE_BLOCK streams at a time,
     each read fully before the next is requested (so `keyed_streams` can serve
     them), on every spec in the list `specs`, with k = constants(t, factor.cov);
@@ -291,7 +296,7 @@ def condition_blocks(factor: SqrtFactor, t: LinearFunctional, k: TheoryConstants
                           rho=rho.real, theta=theta.real, t1=t1, k=k)
 
 
-def condition_one(factor: SqrtFactor, t: LinearFunctional, k: TheoryConstants,
+def condition_one(factor: Factor, t: LinearFunctional, k: TheoryConstants,
                   spec: ConditionSpec, rng: np.random.Generator) -> FieldSample:
     """Draw phi_u = L g + ((t_u - t_1)/B) q with k = constants(t, factor.cov): row 0
     of the one-spec, one-stream call of `condition_blocks`, so `rng` gives g and
@@ -302,7 +307,7 @@ def condition_one(factor: SqrtFactor, t: LinearFunctional, k: TheoryConstants,
                        t1=s.t1[0].item(), k=k)
 
 
-def sample_conditional(factor: SqrtFactor, t: LinearFunctional, spec: ConditionSpec,
+def sample_conditional(factor: Factor, t: LinearFunctional, spec: ConditionSpec,
                        rng: np.random.Generator) -> FieldSample:
     """`condition_one` with the constants formed from t and factor.cov."""
     return condition_one(factor, t, constants(t, factor.cov), spec, rng)

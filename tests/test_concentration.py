@@ -236,14 +236,15 @@ EPS = np.finfo(float).eps
     (Exponential(1, 0.1), "cosine", COMPLEX, RANDOM, 1.0, 0.0, [1, 1e2, 1e5]),
 ])
 def test_sweep_matches_adapted_basis_records(kernel, weight, scalar, mode, rho, theta,
-                                             u_list, adapted_split):
+                                             u_list, adapted_split, eigh_factor):
     # every sweep record against one built from the adapted-basis split with
     # xi and then each threshold's draw, in u order, read from substream(seed, 0, i);
     # distances (and at large u the bound) are differences of unit-scale
-    # vectors, so they get an absolute floor
+    # vectors, so they get an absolute floor.  The split reads the modes of a
+    # spectral factor, so exp's comes from the dense route
     g = make_grid(0, 1, 128)
     cov = assemble(kernel, g)
-    fac = sqrt_factor(cov)
+    fac = sqrt_factor(cov) if kernel.smooth else eigh_factor(cov)
     t = make_point_functional(g, 0.5) if weight is None else make_integral_functional(g, weight)
     prof, k = profile(t, cov), constants(t, cov)
     tct = k.tct
@@ -640,6 +641,44 @@ def test_ritz_and_eigh_factors_give_the_same_sweep_slope(kernel, functional, sca
     ritz, dense = sqrt_factor(cov), eigh_factor(cov)
     u_list = [10.0 ** k for k in range(2, 9)]
     reps = [sweep(fac, t, cov, u_list, 200, scalar=scalar, mode=mode, seed=1) for fac in (ritz, dense)]
+    for rep in reps:
+        assert rep.violations_est0 == rep.violations_est12 == 0
+    assert abs(reps[0].slope - reps[1].slope) <= 1e-3
+
+
+def test_circulant_and_eigh_factors_give_the_same_prop1_verdict(monkeypatch, eigh_factor):
+    # exp's embedding draws N = 1024 coefficients, the dense route M = 512, so the
+    # routes are compared on statistics: verify_prop1 passes on both, seed by seed
+    g = make_grid(0, 1, 512)
+    cov = assemble(Exponential(1, 0.1), g)
+    t = make_point_functional(g, 0.5)
+    circulant, dense = sqrt_factor(cov), eigh_factor(cov)
+    assert isinstance(circulant, covariance.CirculantFactor)
+    assert (circulant.rank, dense.rank) == (1024, 512)
+    for fac in (circulant, dense):
+        monkeypatch.setattr(concentration.cv, "sqrt_factor", lambda c, fac=fac: fac)
+        for scalar, seeds in ((COMPLEX, range(8)), (REAL, range(4))):
+            for seed in seeds:
+                assert verify_prop1(t, cov, 20000, seed=seed, scalar=scalar)["passed"]
+
+
+@pytest.mark.parametrize("functional, scalar, mode", [
+    ("point:0.5", COMPLEX, FIXED_RHO),
+    ("integral:cosine", REAL, RANDOM),
+    ("point:0.3", COMPLEX, RANDOM),
+    ("point:0.5", REAL, RANDOM),
+])
+def test_circulant_and_eigh_factors_give_the_same_sweep_slope(functional, scalar, mode,
+                                                              eigh_factor):
+    # over u in [1e2, 1e8] both routes' q50 follow the 1/u rate on exp
+    g = make_grid(0, 1, 128)
+    cov = assemble(Exponential(1, 0.1), g)
+    t = functional_from_spec(functional, g)
+    circulant, dense = sqrt_factor(cov), eigh_factor(cov)
+    assert isinstance(circulant, covariance.CirculantFactor)
+    u_list = [10.0 ** k for k in range(2, 9)]
+    reps = [sweep(fac, t, cov, u_list, 200, scalar=scalar, mode=mode, seed=1)
+            for fac in (circulant, dense)]
     for rep in reps:
         assert rep.violations_est0 == rep.violations_est12 == 0
     assert abs(reps[0].slope - reps[1].slope) <= 1e-3

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from condfield import covariance, errors
 from condfield.covariance import (
     DEFAULT_CLIP_TOL,
+    CirculantFactor,
     CovOperator,
     Exponential,
     RankK,
@@ -18,14 +19,15 @@ from condfield.covariance import (
     point_variance_max,
     sqrt_factor,
 )
-from condfield.concentration import sweep, verify_prop1
+from condfield.concentration import distance_record, sweep, verify_prop1
 from condfield.functionals import (
     constants,
     make_integral_functional,
     make_point_functional,
     profile,
 )
-from condfield.grid import inner, make_grid
+from condfield.grid import Grid, inner, make_grid
+from condfield.sampling import NOISE_BLOCK, REAL, ConditionSpec, condition_one, substream
 
 
 @pytest.fixture
@@ -45,6 +47,12 @@ class MatrixKernel:
 
     def diagonal(self, grid):
         return np.diag(self.op) / grid.w
+
+
+def _dense(cov, smooth=False):
+    """cov's operator served as a formed matrix, which only the dense eigh factors
+    where it is not smooth."""
+    return CovOperator(grid=cov.grid, kernel=MatrixKernel(cov.op, smooth=smooth))
 
 
 def test_sqexp_assemble_diagonal(grid64):
@@ -210,9 +218,10 @@ def test_point_variance_max_within_one_ulp(kernel, m):
 ], ids=repr)
 def test_factor_keeps_the_modes_the_clip_leaves(kernel, rank):
     # P = M - n_clipped modes above eps * lam_max, and L L^T w is the operator:
-    # the same matrix as the symmetric root squared, within criterion 1's 1e-10
+    # the same matrix as the symmetric root squared, within criterion 1's 1e-10;
+    # exp's op, served as a matrix, takes the dense route
     g = make_grid(0, 1, 128)
-    cov = assemble(kernel, g)
+    cov = assemble(kernel, g) if kernel.smooth else _dense(assemble(kernel, g))
     fac = sqrt_factor(cov)
     assert fac.rank == g.m - fac.n_clipped == (rank or fac.rank)
     assert fac.rank >= len(getattr(kernel, "modes", ()))
@@ -242,9 +251,10 @@ def test_factor_stores_one_m_by_p_array():
 def test_factor_cuts_at_eps_times_the_largest_eigenvalue(kernel, m, rank, ritz):
     # every dropped eigenvalue of op is <= eps * lam_max, every kept one above
     # it; on the pivoted route both hold to within ||E||_2 <= M max|E|, with
-    # E = op - w L L^T, whose own eigenvalues are the kept ones and zeros (Weyl)
+    # E = op - w L L^T, whose own eigenvalues are the kept ones and zeros (Weyl);
+    # exp's op, served as a matrix, takes the dense route
     g = make_grid(0, 1, m)
-    cov = assemble(kernel, g)
+    cov = assemble(kernel, g) if ritz else _dense(assemble(kernel, g))
     fac = sqrt_factor(cov)
     lam = np.linalg.eigh(cov.op)[0][::-1]
     cut = np.finfo(float).eps * lam[0]
@@ -281,9 +291,10 @@ def test_ritz_factor_meets_its_certificate(spec, m):
 
 @pytest.mark.parametrize("kernel", [Exponential(1, 0.1), SquaredExponential(1, 0.002)], ids=repr)
 def test_dense_route_factor_is_the_eigh_factor(kernel, eigh_factor):
-    # a nonsmooth kernel, and a smooth one that needs more than M/2 pivots,
-    # are factored by a dense eigh: bitwise the reference factor
-    cov = assemble(kernel, make_grid(0, 1, 128))
+    # an operator served as a matrix that is not smooth, and a smooth one that
+    # needs more than M/2 pivots, are factored by a dense eigh: bitwise the
+    # reference factor
+    cov = _dense(assemble(kernel, make_grid(0, 1, 128)), smooth=kernel.smooth)
     fac, ref = sqrt_factor(cov), eigh_factor(cov)
     assert fac.rank == 128
     assert fac.modes.tobytes() == ref.modes.tobytes()
@@ -374,9 +385,11 @@ def test_factor_apply_reads_p_coefficients():
 @pytest.mark.parametrize("spec", ["sqexp:1:0.2", "exp:1:0.1", "rankk:4@1,1@3,0.5@0"])
 def test_adjoint_is_the_transpose_of_apply(spec):
     # <phi|L g> = <w L^T phi|g> for real phi, within the roundoff of two sums
-    # of M P products, each at most w |phi|^T |L| |g|
+    # of M P products, each at most w |phi|^T |L| |g|; exp's op, served as a
+    # matrix, takes the dense route
     g = make_grid(0, 1, 128)
-    fac = sqrt_factor(assemble(kernel_from_spec(spec), g))
+    cov = assemble(kernel_from_spec(spec), g)
+    fac = sqrt_factor(cov if cov.kernel.smooth else _dense(cov))
     rng = np.random.default_rng(18)
     phi = rng.normal(size=g.m)
     for coeff in (rng.normal(size=fac.rank), [1, 1j] @ rng.normal(size=(2, fac.rank))):
@@ -536,3 +549,139 @@ def test_smooth_model_build_at_m_65536_is_linear_in_m():
     peak, rank = _smooth_build_peak(65536)
     assert rank == 21
     assert peak <= 3 * 8 * 65536 * (rank + covariance._PROBES)
+
+
+def _is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+@pytest.mark.parametrize("a, b", [(0, 1), (-0.3, 2.7)])
+@pytest.mark.parametrize("m", [1, 2, 3, 97, 128, 500])
+def test_circulant_factor_reproduces_the_operator(a, b, m):
+    # exp takes the embedding of size N, the smallest 2^a 3^b 5^c >= 2 (M - 1), and L,
+    # formed by applying the factor to the identity, has L L^T = K.  Each entry of
+    # L L^T sums N products with sum_k |L_ik L_jk| <= 2 sum_k s_k^2 = 2 K_00 (|cas| <=
+    # sqrt 2, sum_k s_k^2 = c_0 / w), so the sum's roundoff is at most 2 N eps max K,
+    # and L's own, from the FFTs and the square root (O(eps log N) relative), less
+    # make_grid refuses M = 1, the embedding's N = 1 corner: the one-point midpoint grid
+    g = make_grid(a, b, m) if m > 1 else Grid(a, b, 1, np.array([(a + b) / 2]), b - a)
+    cov = assemble(Exponential(1, 0.1), g)
+    fac = sqrt_factor(cov)
+    n = fac.rank
+    assert isinstance(fac, CirculantFactor) and fac.n_clipped == 0
+    assert n == min(k for k in range(max(2 * (m - 1), 1), 4 * m) if _is_5_smooth(k))
+    lmat = fac.apply(np.eye(n)).T
+    assert lmat.shape == (m, n)
+    k = cov[:] / g.w
+    assert np.abs(lmat @ lmat.T - k).max() <= 4 * n * np.finfo(float).eps * k.max()
+
+
+@pytest.mark.parametrize("spec", ["exp:1:0.1", "exp:3:2", "sqexp:1:0.002"])
+@pytest.mark.parametrize("a, b, m", [(0, 1, 128), (-0.3, 2.7, 97), (0, 1, 500)])
+def test_circulant_adjoint_is_the_transpose_of_apply(spec, a, b, m):
+    # <phi|L g> = <w L^T phi|g> for real phi.  Both sides are at most
+    # w ||phi|| ||L||_F ||g||, where ||L||_F^2 = trace K as L L^T = K, and each
+    # carries the roundoff of an FFT and of a sum of M or N products
+    g = make_grid(a, b, m)
+    cov = assemble(kernel_from_spec(spec), g)
+    fac = sqrt_factor(cov)
+    assert isinstance(fac, CirculantFactor)
+    rng = np.random.default_rng(18)
+    phi = rng.normal(size=g.m)
+    norm_l = np.sqrt(cov.diagonal().sum() / g.w)
+    for coeff in (rng.normal(size=fac.rank), [1, 1j] @ rng.normal(size=(2, fac.rank))):
+        scale = g.w * np.linalg.norm(phi) * norm_l * np.linalg.norm(coeff)
+        err = abs(inner(phi, fac.apply(coeff), g) - np.vdot(fac.adjoint(phi), coeff))
+        assert err <= 4 * (g.m + fac.rank) * np.finfo(float).eps * scale
+
+
+def test_circulant_rows_do_not_depend_on_the_block():
+    # apply's rows are one rfft each: bitwise the same at every position and width of
+    # a block, real or complex, so a conditioned draw is the sweep's row
+    g = make_grid(0, 1, 128)
+    cov = assemble(Exponential(1, 0.1), g)
+    fac = sqrt_factor(cov)
+    rng = np.random.default_rng(20)
+    block = rng.normal(size=(NOISE_BLOCK, fac.rank))
+    for rows in (block, block + 1j * rng.normal(size=block.shape)):
+        full = fac.apply(rows)
+        assert fac.apply(rows[7]).tobytes() == full[7].tobytes()
+        for width in (1, 3, 64):
+            for lo in (0, 5, NOISE_BLOCK - width):
+                assert fac.apply(rows[lo:lo + width]).tobytes() == full[lo:lo + width].tobytes()
+    t = make_point_functional(g, 0.5)
+    k = constants(t, cov)
+    spec = ConditionSpec(u=100.0, scalar=REAL, mode="random")
+    seed = 23
+    rep = sweep(fac, t, cov, [spec.u], NOISE_BLOCK + 2, scalar=REAL, mode="random", seed=seed)
+    for i in (0, 5, NOISE_BLOCK + 1):
+        want = distance_record(condition_one(fac, t, k, spec, substream(seed, 0, i)), k, g, i)
+        for f in dataclasses.fields(want):
+            assert getattr(rep.records[i], f.name) == getattr(want, f.name), f.name
+
+
+@dataclasses.dataclass(frozen=True)
+class _WideGaussian(covariance._Stationary):
+    """A squared exponential that does not claim to be smooth, so that it skips the
+    pivoted route; with ell = 0.5 on (0, 1) its embedding is far from positive."""
+
+    name = "wide-gaussian"
+    smooth = False
+    decay = SquaredExponential.decay
+
+
+@dataclasses.dataclass(frozen=True)
+class _Box(covariance._Stationary):
+    """variance * [|x - y| < ell]: stationary, and not positive semidefinite."""
+
+    name = "box"
+    smooth = False
+
+    def decay(self, d):
+        return np.less(np.abs(d, out=d), self.ell, out=d, casting="unsafe")
+
+
+def test_stationary_kernel_whose_embedding_is_not_positive_takes_the_dense_route(eigh_factor):
+    # an embedding eigenvalue below -DEFAULT_CLIP_TOL * lam_max sends the kernel to the
+    # dense eigh: bitwise its factor where op is positive, NotPositive where it is not
+    g = make_grid(0, 1, 128)
+    cov = assemble(_WideGaussian(1, 0.5), g)
+    lam = covariance._embedding(cov)
+    assert lam.min() < -DEFAULT_CLIP_TOL * lam.max()
+    fac, ref = sqrt_factor(cov), eigh_factor(cov)
+    assert fac.modes.tobytes() == ref.modes.tobytes()
+    assert fac.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+    box = assemble(_Box(1, 0.3), g)
+    lam = covariance._embedding(box)
+    assert lam.min() < -DEFAULT_CLIP_TOL * lam.max()
+    with pytest.raises(errors.NotPositive):
+        sqrt_factor(box)
+
+
+def test_exp_factor_at_m_65536_never_forms_op(monkeypatch):
+    # the embedding reads the kernel at N = 131,072 lags; op would be 34 GB.  The
+    # build, one block of draws and the constants hold a few N-sized arrays
+    def refuse(cov):
+        raise AssertionError("the M x M operator was formed")
+
+    monkeypatch.setattr(CovOperator, "op", property(refuse))
+    g = make_grid(0, 1, 65536)
+    t = make_point_functional(g, 0.5)
+    tracemalloc.start()
+    try:
+        cov = assemble(Exponential(1, 0.1), g)
+        fac = sqrt_factor(cov)
+        fields = fac.apply(np.random.default_rng(21).standard_normal((4, fac.rank)))
+        k = constants(t, cov)
+        l_t = fac.adjoint(t.coeff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(fac, CirculantFactor) and fac.rank == 131072 and fac.n_clipped == 0
+    assert np.all(np.isfinite(fields)) and fields.shape == (4, g.m)
+    # ||w L^T T||^2 = <T|C|T>, the variance of <T|phi>, within the FFT's roundoff
+    assert np.vdot(l_t, l_t) == pytest.approx(k.tct, rel=1e-10)
+    assert peak <= 16 * 8 * fac.rank
