@@ -1,9 +1,9 @@
 """Gaussian fields conditioned on a large linear functional.
 
-Sample fields exactly conditioned on the event |<T|phi>| >= u by a rank-one
-update of an unconditional draw, compute the non-random limit profile C|T>
-the conditioned field concentrates onto, and verify the uniform
-concentration (and its per-sample bound chain) empirically.
+Sample fields exactly conditioned on the event |<T|phi>| >= u (<T|phi> >= u on a
+real field) by a rank-one update of an unconditional draw, compute the
+non-random limit profile C|T> the conditioned field concentrates onto, and
+verify the uniform concentration (and its per-sample bound chain) empirically.
 """
 
 from .covariance import (

@@ -164,11 +164,9 @@ def cmd_condition(setup: _Setup, out) -> int:
     out = out or "condition.csv"
     spec = sp.ConditionSpec(u=setup.u, scalar=setup.scalar, mode=setup.mode,
                             rho=setup.rho, theta=setup.theta)
-    # the constants carry the roundoff gate on <T|C|T>, so they come before the draw
-    consts = fn.constants(setup.functional, setup.cov)
-    rng = sp.substream(setup.seed, 3, 0)
-    sample = sp.condition_one(setup.factor, setup.functional, consts, spec, rng)
-    rec = cc.distance_record(sample, consts, setup.grid)
+    sample = sp.sample_conditional(setup.factor, setup.functional, spec,
+                                   sp.substream(setup.seed, 3, 0))
+    rec = cc.distance_record(sample, sample.k, setup.grid)
     _write_json(out, {
         "config": setup.config, "u": float(setup.u), "rho": float(sample.rho),
         "theta": float(sample.theta), "t_u_re": float(np.real(sample.t_u)),

@@ -91,7 +91,7 @@ def record_columns(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid) ->
     phi = np.atleast_2d(sample.phi)
     n = len(phi)
     t_u, rho, theta = (np.reshape(x, (n, -1)) for x in (sample.t_u, sample.rho, sample.theta))
-    t1 = t_u if sample.t1 is None else np.reshape(sample.t1, (n, 1))
+    t1 = np.reshape(sample.t1, (n, 1))
     r = np.sqrt(np.reshape(sample.r2, (n, 1)))
     b = k.b_const
     q = k.profile / k.profile_norm
@@ -261,11 +261,9 @@ def verify_prop3(kernel, x0: float, n: int, order: int, u_big: float, a: float =
         raise ConfigError(f"no closed-form d^{n} C(x, x0)/d x0^{n} for "
                           f"{type(kernel).__name__}: nothing to compare against")
     cov = cv.assemble(kernel, grid)
-    factor = cv.sqrt_factor(cov)
-    consts = fn.constants(t, cov)
-
     spec = sp.ConditionSpec(u=u_big, scalar=scalar, mode=mode, rho=rho, theta=theta)
-    sample = sp.condition_one(factor, t, consts, spec, sp.substream(seed, 2, 0))
+    sample = sp.sample_conditional(cv.sqrt_factor(cov), t, spec, sp.substream(seed, 2, 0))
+    consts = sample.k
     rec = distance_record(sample, consts, grid)
     profile_sup_dist = sample_sup_dist = None
     if curve is not None:

@@ -19,6 +19,7 @@ randomized bound on ||op - w L L^T||_2 (10 fixed probes, applied by FFT where op
 Toeplitz).  Any other stationary kernel's L is exact with N ~ 2M columns, from the
 circulant that embeds its Toeplitz op, and is applied by one FFT.  Every other kernel,
 and a stationary one whose embedding is not positive, takes its modes from a dense eigh.
+Every route's factor is a `Factor`, whose `apply` gives a row of a block bitwise as alone.
 """
 
 import functools
@@ -32,6 +33,7 @@ from .grid import Grid, _check
 DEFAULT_CLIP_TOL = 1e-12
 EPS = np.finfo(float).eps
 _BLOCK_ROWS = 64  # height of the row blocks that apply reads
+_GEMM_ROWS = 128  # height of every GEMM that applies a SqrtFactor
 _PROBES = 10  # Gaussian probes of the certificate, which then fails with probability 10^-10
 
 
@@ -197,18 +199,37 @@ def point_variance_max(cov: CovOperator) -> float:
 
 
 @dataclass(frozen=True)
-class SqrtFactor:
+class Factor:
+    """A factor L of K = op / w = L L^T with `rank` columns; `cov` is the operator it
+    factors, which owns the grid and the profile C T.  Outside this module L is read
+    only by `apply`, `adjoint` and `rank`.  A subclass supplies `_real`, x @ L^T for a
+    real (n, rank) block x that it may write over, whose row must not depend on the block."""
+
+    cov: CovOperator
+    grid = property(lambda self: self.cov.grid)
+
+    def apply(self, g) -> np.ndarray:
+        """L g for `rank` coefficients g, or for each row of an (n, rank) block, with a
+        complex block's real rows on its imaginary rows in one real product; a row is
+        bitwise the same at every position and height of a block."""
+        g = np.asarray(g)
+        if g.ndim not in (1, 2) or g.shape[-1] != self.rank:
+            raise LengthMismatch(f"noise of shape {g.shape} for a factor of rank {self.rank}")
+        split = np.iscomplexobj(g)
+        parts = np.stack((g.real, g.imag)) if split else np.array(g[None], float)
+        out = self._real(parts.reshape(-1, self.rank)).reshape(parts.shape[:-1] + (-1,))
+        return out[0] + 1j * out[1] if split else out[0]
+
+
+@dataclass(frozen=True)
+class SqrtFactor(Factor):
     """Spectral factor L = V_P sqrt(Lambda_P / w) of K = op / w = L L^T over the
     P = M - n_clipped eigenpairs of op above eps * lam_max, from a dense eigh or one SVD of
     pivoted Cholesky rows (||op - w L L^T||_2 <= DEFAULT_CLIP_TOL * lam_max then, bar a
-    1e-10 chance).
-    Column n is the Karhunen-Loeve term sqrt(lam_n) e_n; read L by `apply`, `adjoint`, `rank`.
-    `cov` is the operator it factors, which owns the grid and the profile C T."""
+    1e-10 chance).  Column n is the Karhunen-Loeve term sqrt(lam_n) e_n."""
 
-    cov: CovOperator
     modes: np.ndarray = field(repr=False)  # L, M x P, columns by descending eigenvalue
     eigenvalues: np.ndarray = field(repr=False)  # of op, the P kept, descending
-    grid = property(lambda self: self.cov.grid)
     rank = property(lambda self: self.modes.shape[1])
     n_clipped = property(lambda self: self.grid.m - self.rank)  # eigenvalues cut, modes dropped
 
@@ -220,17 +241,16 @@ class SqrtFactor:
         s.setflags(write=False)
         return s
 
-    def apply(self, g) -> np.ndarray:
-        """L g for P coefficients g, or for each row of an (n, P) block in one
-        real GEMM, with a complex block's real rows on its imaginary rows."""
-        g = np.asarray(g)
-        if g.ndim not in (1, 2) or g.shape[-1] != self.rank:
-            raise LengthMismatch(f"noise of shape {g.shape} for a factor of rank {self.rank}")
-        if not np.iscomplexobj(g):
-            return g @ self.modes.T
-        parts = np.stack((g.real, g.imag))
-        re, im = (parts.reshape(-1, self.rank) @ self.modes.T).reshape(parts.shape[:-1] + (-1,))
-        return re + 1j * im
+    def _real(self, x) -> np.ndarray:
+        """x @ L^T by GEMMs of _GEMM_ROWS rows of x zero-padded to a multiple of them: a
+        GEMM row is bitwise the same at every position of a block of fixed height, not
+        across heights.  The rows past x's are computed and dropped."""
+        n = len(x)
+        x = np.concatenate((x, np.zeros((-n % _GEMM_ROWS, self.rank))))
+        out = np.empty((len(x), self.grid.m))
+        for lo in range(0, len(x), _GEMM_ROWS):
+            np.matmul(x[lo:lo + _GEMM_ROWS], self.modes.T, out=out[lo:lo + _GEMM_ROWS])
+        return out if n == len(out) else out[:n].copy()  # holds no padding row
 
     def adjoint(self, phi) -> np.ndarray:
         """w L^T phi, the adjoint of L: <phi|L g> = <w L^T phi|g> for real phi."""
@@ -238,36 +258,24 @@ class SqrtFactor:
 
 
 @dataclass(frozen=True)
-class CirculantFactor:
+class CirculantFactor(Factor):
     """Factor L = H[:M] diag(s) of K = op / w = L L^T for a stationary kernel, from the
     circulant of size N that embeds its Toeplitz op (Wood & Chan 1994, J. Comput. Graph.
     Stat. 3:409; Dietrich & Newsam 1997, SIAM J. Sci. Comput. 18:1088).  With the
     embedding's eigenvalues lam (`_embedding`, lam_j = lam_{N-j} bitwise), H = Re F - Im F
     the Hartley matrix of the size-N DFT F (H = H^T, H^2 = N I) and s = sqrt(lam / (N w)),
     H diag(s^2) H is the embedding over w and its leading M x M block is K.  So L has
-    `rank` N columns and is applied by one rfft, with no M x M or M x N array; eigenvalues
-    in [-DEFAULT_CLIP_TOL * lam_max, 0) are clipped to 0 and counted in `n_clipped`.  Read
-    L by `apply`, `adjoint`, `rank`; `cov` is the operator it factors."""
+    `rank` N columns and is applied by one rfft per row, with no M x M or M x N array;
+    eigenvalues in [-DEFAULT_CLIP_TOL * lam_max, 0) are clipped to 0 and counted in
+    `n_clipped`."""
 
-    cov: CovOperator
     scale: np.ndarray = field(repr=False)  # s, N entries
     n_clipped: int
-    grid = property(lambda self: self.cov.grid)
     rank = property(lambda self: self.scale.size)
 
-    def apply(self, g) -> np.ndarray:
-        """L g for N coefficients g, or for each row of an (n, N) block in one rfft, with
-        a complex block's real rows on its imaginary rows; a row does not depend on the
-        block."""
-        g = np.asarray(g)
-        if g.ndim not in (1, 2) or g.shape[-1] != self.rank:
-            raise LengthMismatch(f"noise of shape {g.shape} for a factor of rank {self.rank}")
-        if not np.iscomplexobj(g):
-            return _hartley(g * self.scale, self.grid.m)
-        parts = np.stack((g.real, g.imag))
-        parts *= self.scale
-        re, im = _hartley(parts, self.grid.m)
-        return re + 1j * im
+    def _real(self, x) -> np.ndarray:
+        x *= self.scale
+        return _hartley(x, self.grid.m)
 
     def adjoint(self, phi) -> np.ndarray:
         """w L^T phi = w s * H (phi zero-padded to N), the adjoint of L: <phi|L g> =
@@ -276,9 +284,6 @@ class CirculantFactor:
         r = np.fft.rfft(phi, n)
         h = np.concatenate((r.real - r.imag, (r.real + r.imag)[(n - 1) // 2:0:-1]))
         return self.grid.w * self.scale * h
-
-
-Factor = SqrtFactor | CirculantFactor  # what `sqrt_factor` returns; both read alike
 
 
 def _hartley(x, m: int) -> np.ndarray:

@@ -9,10 +9,12 @@ with p = C T, q = p/||p||_2, B and <T|C|T> from `functionals.constants`,
 l = w L^T T (so <T|L g> = <l|g>), v = l/||l||, t_1 = <v|g> and
 |t_u|^2 = rho + u^2/<T|C|T>, phi_u = L g + ((t_u - t_1)/B) q.  As L v = q/B,
 this is the adapted-basis split L(t_u v + g_perp), with the same law, and
-|<T|phi_u>| >= u to roundoff; the factor supplies only L g and v.
-`condition_blocks` draws NOISE_BLOCK samples at a time: one product (a GEMM, or
-an rfft) applies the factor to their g rows, zero-padded to NOISE_BLOCK rows, so
-a one-sample call gives bitwise the draw of a sweep.  It yields per block the
+<T|phi_u> = t_u sqrt(<T|C|T>) to roundoff: the event is |<T|phi>| >= u on a complex
+field and <T|phi> >= u on a real one (t_u >= 0; the symmetric event's law is this
+one times a fair random sign).  The factor supplies only L g and v.
+`condition_blocks` draws NOISE_BLOCK samples at a time and applies the factor once
+to the rows it drew; a row of `Factor.apply` does not depend on its block, so a
+one-sample call gives bitwise the draw of a sweep.  It yields per block the
 columns phi = L g, t_1 and r^2 (row sums) and the (n, |U|) arrays t_u, rho and
 theta, which a record is scored from; `FieldSample.values` (phi_u) is formed
 only where read.
@@ -46,11 +48,8 @@ COMPLEX = "complex"
 FIXED_RHO = "fixed-rho"
 RANDOM = "random"
 
-# Rows of noise drawn and multiplied at once: a block is NOISE_BLOCK x rank, and the
-# rank is N ~ 2M on the embedding route (134 MB of real noise at M = 65,536).
-# Conditioned blocks are zero-padded to this many rows: a GEMM row is bitwise
-# the same at every position of a block of fixed width, not across widths (an
-# rfft row is the same at any width).
+# Rows of noise drawn and multiplied at once: a block is at most NOISE_BLOCK x rank,
+# and the rank is N ~ 2M on the embedding route (134 MB of real noise at M = 65,536).
 NOISE_BLOCK = 128
 
 
@@ -116,7 +115,8 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ConditionSpec:
-    """Threshold, scalar field, and how the conditional coefficient is drawn."""
+    """Threshold, scalar field, and how the conditional coefficient is drawn: a
+    complex field is conditioned on |<T|phi>| >= u, a real one on <T|phi> >= u."""
 
     u: float
     scalar: str = COMPLEX
@@ -141,8 +141,7 @@ class ConditionSpec:
 class FieldSample:
     """A realization phi_u = phi + ((t_u - t_1)/B) q and its conditioning record;
     in a block (`condition_blocks`), phi, t1 and r2 have a sample axis and t_u,
-    rho and theta are (n, |U|), with u per column.  A sample built from its
-    values alone (t1 and k None) has phi = values and is scored with t_1 = t_u."""
+    rho and theta are (n, |U|), with u per column."""
 
     phi: np.ndarray = field(repr=False)  # the unconditional draw L g
     scalar: str
@@ -151,14 +150,12 @@ class FieldSample:
     u: float
     rho: float
     theta: float
-    t1: complex | float | None = None  # <v|g>
-    k: TheoryConstants | None = field(default=None, repr=False)  # q and B
+    t1: complex | float  # <v|g>
+    k: TheoryConstants = field(repr=False)  # q and B
 
     @functools.cached_property
     def values(self) -> np.ndarray:
         """phi_u, formed on first read, read-only; of a block, (n, |U|, M)."""
-        if self.k is None:
-            return self.phi
         q = self.k.profile / self.k.profile_norm
         shift = (self.t_u - np.asarray(self.t1)[..., None]) / self.k.b_const
         values = np.expand_dims(self.phi, -2) + shift[..., None] * q
@@ -280,11 +277,13 @@ def condition_blocks(factor: Factor, t: LinearFunctional, k: TheoryConstants, sp
     draws = [_t_u_drawer(spec, k.tct) for spec in specs]
     u = np.array([spec.u for spec in specs])
     rngs = iter(rngs)
+    g = np.empty((1, factor.rank), complex if scalar == COMPLEX else float)
     for first in rngs:  # the block's next streams are taken one at a time, as read
         block = itertools.chain([first], itertools.islice(rngs, NOISE_BLOCK - 1))
-        g = np.zeros((NOISE_BLOCK, factor.rank), complex if scalar == COMPLEX else float)
         drawn = []  # flat: (t_u, rho, theta) per stream and spec
         for n, rng in enumerate(block, 1):
+            if n > len(g):  # a second stream: room for a full block
+                g = np.concatenate((g, np.empty((NOISE_BLOCK - 1, factor.rank), g.dtype)))
             g[n - 1] = white_noise(factor.rank, scalar, rng)
             for draw in draws:
                 drawn += draw(rng)
@@ -292,22 +291,18 @@ def condition_blocks(factor: Factor, t: LinearFunctional, k: TheoryConstants, sp
         # row sums, not GEMV: a row's t_1 and r^2 do not depend on the block
         t1 = (g[:n] * v.conj()).sum(axis=1)
         r2 = (np.abs(g[:n] - t1[:, None] * v) ** 2).sum(axis=1)
-        yield FieldSample(phi=factor.apply(g)[:n], scalar=scalar, t_u=t_u, r2=r2, u=u,
+        yield FieldSample(phi=factor.apply(g[:n]), scalar=scalar, t_u=t_u, r2=r2, u=u,
                           rho=rho.real, theta=theta.real, t1=t1, k=k)
-
-
-def condition_one(factor: Factor, t: LinearFunctional, k: TheoryConstants,
-                  spec: ConditionSpec, rng: np.random.Generator) -> FieldSample:
-    """Draw phi_u = L g + ((t_u - t_1)/B) q with k = constants(t, factor.cov): row 0
-    of the one-spec, one-stream call of `condition_blocks`, so `rng` gives g and
-    then (t_u, rho, theta)."""
-    (s,) = condition_blocks(factor, t, k, [spec], [rng])
-    return FieldSample(phi=s.phi[0], scalar=s.scalar, t_u=s.t_u[0, 0].item(), r2=float(s.r2[0]),
-                       u=s.u[0].item(), rho=float(s.rho[0, 0]), theta=float(s.theta[0, 0]),
-                       t1=s.t1[0].item(), k=k)
 
 
 def sample_conditional(factor: Factor, t: LinearFunctional, spec: ConditionSpec,
                        rng: np.random.Generator) -> FieldSample:
-    """`condition_one` with the constants formed from t and factor.cov."""
-    return condition_one(factor, t, constants(t, factor.cov), spec, rng)
+    """Draw phi_u = L g + ((t_u - t_1)/B) q, with k = constants(t, factor.cov) formed
+    before the draw (they gate <T|C|T> against roundoff) and kept as the sample's `k`:
+    row 0 of the one-spec, one-stream call of `condition_blocks`, so `rng` gives g and
+    then (t_u, rho, theta)."""
+    k = constants(t, factor.cov)
+    (s,) = condition_blocks(factor, t, k, [spec], [rng])
+    return FieldSample(phi=s.phi[0], scalar=s.scalar, t_u=s.t_u[0, 0].item(), r2=float(s.r2[0]),
+                       u=s.u[0].item(), rho=float(s.rho[0, 0]), theta=float(s.theta[0, 0]),
+                       t1=s.t1[0].item(), k=k)

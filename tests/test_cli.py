@@ -282,7 +282,10 @@ def test_report_that_cannot_be_serialized_leaves_no_file(tmp_path, monkeypatch, 
     (["verify", "prop1", "--mc", "1000"], 1, 1, 0),
     (["verify", "prop3"], 1, 1, 1),
     (["verify", "bounds", "--mc", "20"], 1, 1, 1),
-], ids=["profile", "condition", "sweep", "prop1", "prop3", "bounds"])
+    (["condition", "--u", "100", "--kernel", "exp:1:0.1"], 1, 1, 1),
+    (["sweep", "--u-list", "10,100", "--mc", "20", "--kernel", "exp:1:0.1"], 1, 1, 1),
+], ids=["profile", "condition", "sweep", "prop1", "prop3", "bounds", "condition-exp",
+        "sweep-exp"])
 def test_one_factorization_per_command(tmp_path, monkeypatch, argv, factorizations,
                                        cov_applies, factor_applies):
     # a conditioned draw applies the factor to each block of NOISE_BLOCK noise
@@ -292,7 +295,7 @@ def test_one_factorization_per_command(tmp_path, monkeypatch, argv, factorizatio
     calls, applies, factor_calls = [], [], []
     sqrt_factor = covariance.sqrt_factor
     apply = covariance.CovOperator.apply
-    factor_apply = covariance.SqrtFactor.apply
+    factor_apply = covariance.Factor.apply
 
     def counting(cov):
         calls.append(cov.grid.m)
@@ -308,7 +311,7 @@ def test_one_factorization_per_command(tmp_path, monkeypatch, argv, factorizatio
 
     monkeypatch.setattr(covariance, "sqrt_factor", counting)
     monkeypatch.setattr(covariance.CovOperator, "apply", counting_apply)
-    monkeypatch.setattr(covariance.SqrtFactor, "apply", counting_factor_apply)
+    monkeypatch.setattr(covariance.Factor, "apply", counting_factor_apply)
     out = tmp_path / ("o.json" if argv[0] == "verify" else "o.csv")
     assert run(argv + ["--grid", "64", "--out", str(out)]) == 0
     assert calls == [64] * factorizations

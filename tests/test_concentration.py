@@ -56,13 +56,15 @@ def setup128():
 
 def test_sup_distance_collinear_is_zero(setup128):
     g, cov, fac, t, prof, k = setup128
-    s = FieldSample(phi=2.5 * prof, scalar=REAL, t_u=1.0, r2=0.0, u=0.0, rho=0.0, theta=0.0)
+    s = FieldSample(phi=2.5 * prof, scalar=REAL, t_u=1.0, r2=0.0, u=0.0, rho=0.0, theta=0.0,
+                    t1=1.0, k=k)
     assert normalized_sup_distance(s, prof, g) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_sup_distance_sign_flip(setup128):
     g, cov, fac, t, prof, k = setup128
-    s = FieldSample(phi=-prof, scalar=REAL, t_u=1.0, r2=0.0, u=0.0, rho=0.0, theta=0.0)
+    s = FieldSample(phi=-prof, scalar=REAL, t_u=1.0, r2=0.0, u=0.0, rho=0.0, theta=0.0,
+                    t1=1.0, k=k)
     expected = 2 * sup_norm(prof) / l2_norm(prof, g)
     assert normalized_sup_distance(s, prof, g) == pytest.approx(expected, rel=1e-12)
 
@@ -74,7 +76,8 @@ def test_sup_distance_zero_noise_sample(setup128, zero_stream):
     assert normalized_sup_distance(s, prof, g) < 1e-12
     with pytest.raises(errors.ZeroVector):
         normalized_sup_distance(FieldSample(phi=np.zeros(g.m), scalar=REAL, t_u=1.0,
-                                            r2=0.0, u=0.0, rho=0.0, theta=0.0), prof, g)
+                                            r2=0.0, u=0.0, rho=0.0, theta=0.0, t1=1.0, k=k),
+                                prof, g)
 
 
 def test_estimate0_zero_noise_vanishes(setup128, zero_stream):
@@ -260,7 +263,7 @@ def test_sweep_matches_adapted_basis_records(kernel, weight, scalar, mode, rho, 
             t_u, rho_j, theta_j = sample_t_u(spec, tct, rng)
             values, r2 = adapted_split(fac, t, xi, t_u, scalar)
             s = FieldSample(phi=values, scalar=scalar, t_u=t_u, r2=r2, u=float(u),
-                            rho=rho_j, theta=theta_j)
+                            rho=rho_j, theta=theta_j, t1=t_u, k=k)
             ref.append(distance_record(s, k, g, sample_index=i))
     assert len(rep.records) == len(ref)
     for a, b in zip(rep.records, ref):
@@ -330,8 +333,8 @@ def _same_columns(a, b):
 
 @pytest.mark.parametrize("scalar", [REAL, COMPLEX])
 def test_sweep_records_past_one_block_are_a_prefix(setup128, scalar):
-    # every block is zero-padded to NOISE_BLOCK rows, so a record depends neither
-    # on n_mc nor on its position in its block
+    # a row of the factor's product does not depend on its block, so a record
+    # depends neither on n_mc nor on its position in its block
     g, cov, fac, t, prof, k = setup128
     u_list = [10.0, 1000.0]
     short, long = (sweep(fac, t, cov, u_list, n_mc, scalar=scalar, mode=RANDOM, seed=6)

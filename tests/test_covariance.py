@@ -13,6 +13,7 @@ from condfield.covariance import (
     CovOperator,
     Exponential,
     RankK,
+    SqrtFactor,
     SquaredExponential,
     assemble,
     kernel_from_spec,
@@ -27,7 +28,7 @@ from condfield.functionals import (
     profile,
 )
 from condfield.grid import Grid, inner, make_grid
-from condfield.sampling import NOISE_BLOCK, REAL, ConditionSpec, condition_one, substream
+from condfield.sampling import NOISE_BLOCK, REAL, ConditionSpec, sample_conditional, substream
 
 
 @pytest.fixture
@@ -599,28 +600,35 @@ def test_circulant_adjoint_is_the_transpose_of_apply(spec, a, b, m):
 
 
 def test_circulant_rows_do_not_depend_on_the_block():
-    # apply's rows are one rfft each: bitwise the same at every position and width of
-    # a block, real or complex, so a conditioned draw is the sweep's row
+    # on every route (pivoted, rank-k, embedding, dense) apply's rows are bitwise the
+    # same at every position and height of a block, real or complex, and as a 1-D row:
+    # GEMMs of one fixed height for a SqrtFactor (a one-row product would be a GEMV),
+    # one rfft per row for the embedding.  So a conditioned draw is the sweep's row
     g = make_grid(0, 1, 128)
-    cov = assemble(Exponential(1, 0.1), g)
-    fac = sqrt_factor(cov)
-    rng = np.random.default_rng(20)
-    block = rng.normal(size=(NOISE_BLOCK, fac.rank))
-    for rows in (block, block + 1j * rng.normal(size=block.shape)):
-        full = fac.apply(rows)
-        assert fac.apply(rows[7]).tobytes() == full[7].tobytes()
-        for width in (1, 3, 64):
-            for lo in (0, 5, NOISE_BLOCK - width):
-                assert fac.apply(rows[lo:lo + width]).tobytes() == full[lo:lo + width].tobytes()
     t = make_point_functional(g, 0.5)
-    k = constants(t, cov)
     spec = ConditionSpec(u=100.0, scalar=REAL, mode="random")
     seed = 23
-    rep = sweep(fac, t, cov, [spec.u], NOISE_BLOCK + 2, scalar=REAL, mode="random", seed=seed)
-    for i in (0, 5, NOISE_BLOCK + 1):
-        want = distance_record(condition_one(fac, t, k, spec, substream(seed, 0, i)), k, g, i)
-        for f in dataclasses.fields(want):
-            assert getattr(rep.records[i], f.name) == getattr(want, f.name), f.name
+    for route in ("sqexp:1:0.2", "rankk:4@1,1@3,0.5@0", "exp:1:0.1", "dense"):
+        cov = assemble(kernel_from_spec("exp:1:0.1" if route == "dense" else route), g)
+        fac = sqrt_factor(_dense(cov) if route == "dense" else cov)
+        assert isinstance(fac, CirculantFactor if route == "exp:1:0.1" else SqrtFactor), route
+        rng = np.random.default_rng(20)
+        block = rng.normal(size=(NOISE_BLOCK, fac.rank))
+        for rows in (block, block + 1j * rng.normal(size=block.shape)):
+            full = fac.apply(rows)
+            assert fac.apply(rows[7]).tobytes() == full[7].tobytes(), route
+            for width in (1, 3, 64):
+                for lo in (0, 5, NOISE_BLOCK - width):
+                    got = fac.apply(rows[lo:lo + width])
+                    assert got.tobytes() == full[lo:lo + width].tobytes(), (route, width, lo)
+        k = constants(t, fac.cov)
+        rep = sweep(fac, t, fac.cov, [spec.u], NOISE_BLOCK + 2, scalar=REAL, mode="random",
+                    seed=seed)
+        for i in (0, 5, NOISE_BLOCK + 1):
+            s = sample_conditional(fac, t, spec, substream(seed, 0, i))
+            want = distance_record(s, k, g, i)
+            for f in dataclasses.fields(want):
+                assert getattr(rep.records[i], f.name) == getattr(want, f.name), (route, f.name)
 
 
 @dataclasses.dataclass(frozen=True)

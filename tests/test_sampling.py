@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -525,3 +527,22 @@ def test_tiny_variance_draw_is_not_rejected_by_a_fixed_floor():
     s = sample_conditional(fac, t, spec, substream(0, 0))
     assert np.all(np.isfinite(s.values))
     assert abs(t(s.values)) / spec.u == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("scalar", [REAL, COMPLEX])
+def test_one_sample_draw_holds_no_block_of_noise(scalar):
+    # the factor is applied to the rows drawn, and only a second stream makes room for
+    # a full block: one draw on the embedding route (rank N = 8192) holds a few
+    # N-sized vectors, not a NOISE_BLOCK x N block
+    g = make_grid(0, 1, 4096)
+    fac = sqrt_factor(assemble(Exponential(1, 0.1), g))
+    t = make_point_functional(g, 0.5)
+    spec = ConditionSpec(u=10.0, scalar=scalar, mode=RANDOM)
+    tracemalloc.start()
+    try:
+        sample_conditional(fac, t, spec, substream(0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fac.rank == 8192
+    assert peak <= 16 * 16 * fac.rank
