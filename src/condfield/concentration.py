@@ -22,7 +22,8 @@ xi and then each threshold's draw, in ascending u, from substream(seed, 0, i)
 (keyed all at once and read through one re-keyed generator), so the
 u -> infinity limit is observed along fixed noise realizations.  The
 samples are drawn and scored NOISE_BLOCK at a time (`sp.condition_blocks`,
-`record_columns`), and the records are kept as columns.
+`record_columns`), and the records are kept as columns.  The `slope` is the
+least-squares slope of log q50 on log u, in closed form from centred sums.
 """
 
 import dataclasses
@@ -113,8 +114,11 @@ def record_columns(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid) ->
             z_less = np.where(z.real > 0.0, -z.imag * (z.imag / (z.real + z_abs)) + 1j * z.imag,
                               z_less)
     gamma = phase * (z_less - psi_n * (psi_n / (nrm + z_abs)))
-    # the one M-sized pass, a threshold at a time: n x M temporaries
-    sup_d = np.stack([np.abs(psi + col[:, None] * q).max(axis=1) for col in gamma.T], 1) / nrm
+    # the one M-sized pass, a threshold at a time, in one n x M scratch s (|s| in mag)
+    s = np.empty_like(psi)
+    mag = s if s.dtype == float else np.empty(s.shape)
+    sup_d = np.stack([np.abs(np.add(psi, np.multiply(col[:, None], q, out=s), out=s), out=mag)
+                      .max(axis=1) for col in gamma.T], 1) / nrm
     ratio = t_u / nrm
     a1 = np.abs(ratio - phase * b)
     r_n = r / nrm
@@ -206,16 +210,23 @@ def sweep(factor: cv.Factor, t: fn.LinearFunctional, cov: cv.CovOperator, u_list
     (l2_q50,) = quantiles(cols["l2_dist"], (0.5,))
     per_u = [{"u": u, "q10": float(a), "q50": float(b), "q90": float(c), "l2_q50": float(d)}
              for u, a, b, c, d in zip(u_list, q10, q50, q90, l2_q50)]
-    # the fit reads log u and log q50: a leading u = 0 is left out, and a q50 = 0 leaves no slope
-    skip = int(u_list[0] == 0.0)
-    slope = (float(np.polyfit(np.log(u_list[skip:]), np.log(q50[skip:]), 1)[0])
-             if len(u_list) - skip >= 2 and np.all(q50[skip:] > 0.0) else None)
+    skip = int(u_list[0] == 0.0)  # log 0 is left out of the fit
     return SweepReport(
-        per_u=tuple(per_u), slope=slope,
+        per_u=tuple(per_u), slope=_slope(np.array(u_list[skip:]), q50[skip:]),
         violations_est0=int(np.count_nonzero(~cols["est0_ok"])),
         violations_est12=int(np.count_nonzero(~cols["est12_ok"])),  # True where not applicable
         columns={f.name: cols[f.name].ravel() for f in dataclasses.fields(DistanceRecord)},
     )
+
+
+def _slope(u: np.ndarray, q50: np.ndarray) -> float | None:
+    """The least-squares slope of log q50 on log u, sum(dx dy) / sum(dx^2) over the
+    centred logs dx and dy; None unless every q50 > 0 and two log u differ."""
+    x = np.log(u)
+    if not (np.all(q50 > 0.0) and len(x) >= 2 and x[-1] > x[0]):
+        return None
+    dx, dy = (v - v.mean() for v in (x, np.log(q50)))
+    return float((dx * dy).sum() / (dx * dx).sum())
 
 
 def verify_prop1(t: fn.LinearFunctional, cov: cv.CovOperator, n_mc: int, seed: int = 0,

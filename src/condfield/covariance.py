@@ -34,6 +34,7 @@ DEFAULT_CLIP_TOL = 1e-12
 EPS = np.finfo(float).eps
 _BLOCK_ROWS = 64  # height of the row blocks that apply reads
 _GEMM_ROWS = 128  # height of every GEMM that applies a SqrtFactor
+_CHUNK_ROWS = 16  # rows of a noise block transformed or summed at once (sampling reads it)
 _PROBES = 10  # Gaussian probes of the certificate, which then fails with probability 10^-10
 
 
@@ -202,23 +203,25 @@ def point_variance_max(cov: CovOperator) -> float:
 class Factor:
     """A factor L of K = op / w = L L^T with `rank` columns; `cov` is the operator it
     factors, which owns the grid and the profile C T.  Outside this module L is read
-    only by `apply`, `adjoint` and `rank`.  A subclass supplies `_real`, x @ L^T for a
-    real (n, rank) block x that it may write over, whose row must not depend on the block."""
+    only by `apply`, `adjoint` and `rank`.  A subclass supplies `_real(x, out)`: out = x @ L^T
+    for a real (n, rank) block x it must not write over, whose row must not depend on the block."""
 
     cov: CovOperator
     grid = property(lambda self: self.cov.grid)
 
     def apply(self, g) -> np.ndarray:
-        """L g for `rank` coefficients g, or for each row of an (n, rank) block, with a
-        complex block's real rows on its imaginary rows in one real product; a row is
-        bitwise the same at every position and height of a block."""
+        """L g for `rank` coefficients g, or for each row of an (n, rank) block, formed in
+        one output array (a complex block's real and imaginary parts by one real product
+        each); a row is bitwise the same at every position and height of a block."""
         g = np.asarray(g)
         if g.ndim not in (1, 2) or g.shape[-1] != self.rank:
             raise LengthMismatch(f"noise of shape {g.shape} for a factor of rank {self.rank}")
         split = np.iscomplexobj(g)
-        parts = np.stack((g.real, g.imag)) if split else np.array(g[None], float)
-        out = self._real(parts.reshape(-1, self.rank)).reshape(parts.shape[:-1] + (-1,))
-        return out[0] + 1j * out[1] if split else out[0]
+        out = np.empty(g.shape[:-1] + (self.grid.m,), complex if split else float)
+        x, y = np.atleast_2d(g), np.atleast_2d(out)
+        for part, dst in ((x.real, y.real), (x.imag, y.imag)) if split else ((x, y),):
+            self._real(part, dst)
+        return out
 
 
 @dataclass(frozen=True)
@@ -241,16 +244,14 @@ class SqrtFactor(Factor):
         s.setflags(write=False)
         return s
 
-    def _real(self, x) -> np.ndarray:
-        """x @ L^T by GEMMs of _GEMM_ROWS rows of x zero-padded to a multiple of them: a
-        GEMM row is bitwise the same at every position of a block of fixed height, not
-        across heights.  The rows past x's are computed and dropped."""
-        n = len(x)
-        x = np.concatenate((x, np.zeros((-n % _GEMM_ROWS, self.rank))))
-        out = np.empty((len(x), self.grid.m))
+    def _real(self, x, out):
+        """out = x @ L^T by GEMMs of _GEMM_ROWS rows of x, the last zero-padded: a GEMM
+        row is bitwise the same at every position of a block of fixed height, not across
+        heights.  The padding rows are computed and dropped."""
         for lo in range(0, len(x), _GEMM_ROWS):
-            np.matmul(x[lo:lo + _GEMM_ROWS], self.modes.T, out=out[lo:lo + _GEMM_ROWS])
-        return out if n == len(out) else out[:n].copy()  # holds no padding row
+            rows = x[lo:lo + _GEMM_ROWS]
+            pad = np.concatenate((rows, np.zeros((_GEMM_ROWS - len(rows), self.rank))))
+            out[lo:lo + _GEMM_ROWS] = (pad @ self.modes.T)[:len(rows)]
 
     def adjoint(self, phi) -> np.ndarray:
         """w L^T phi, the adjoint of L: <phi|L g> = <w L^T phi|g> for real phi."""
@@ -273,9 +274,11 @@ class CirculantFactor(Factor):
     n_clipped: int
     rank = property(lambda self: self.scale.size)
 
-    def _real(self, x) -> np.ndarray:
-        x *= self.scale
-        return _hartley(x, self.grid.m)
+    def _real(self, x, out):
+        """out = x @ L^T: Re - Im of rfft(s * row)[:M], _CHUNK_ROWS rows at a time."""
+        for lo in range(0, len(x), _CHUNK_ROWS):
+            r = np.fft.rfft(x[lo:lo + _CHUNK_ROWS] * self.scale)[:, :self.grid.m]
+            np.subtract(r.real, r.imag, out=out[lo:lo + _CHUNK_ROWS])
 
     def adjoint(self, phi) -> np.ndarray:
         """w L^T phi = w s * H (phi zero-padded to N), the adjoint of L: <phi|L g> =
@@ -284,13 +287,6 @@ class CirculantFactor(Factor):
         r = np.fft.rfft(phi, n)
         h = np.concatenate((r.real - r.imag, (r.real + r.imag)[(n - 1) // 2:0:-1]))
         return self.grid.w * self.scale * h
-
-
-def _hartley(x, m: int) -> np.ndarray:
-    """The first m entries of H x over the last axis of a real x, H = Re F - Im F
-    (m <= N/2 + 1, so one rfft gives them)."""
-    r = np.fft.rfft(x)[..., :m]
-    return r.real - r.imag
 
 
 def _fast_size(n: int) -> int:

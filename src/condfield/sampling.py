@@ -17,7 +17,9 @@ to the rows it drew; a row of `Factor.apply` does not depend on its block, so a
 one-sample call gives bitwise the draw of a sweep.  It yields per block the
 columns phi = L g, t_1 and r^2 (row sums) and the (n, |U|) arrays t_u, rho and
 theta, which a record is scored from; `FieldSample.values` (phi_u) is formed
-only where read.
+only where read.  A block's noise is dropped before the block is scored, and t_1,
+r^2 and the embedding's transform take a few rows at a time: a sweep's peak is one noise
+block and under two n x M arrays (M = 65,536, 100 samples: 246 MB real, 400 MB complex).
 
 Reproducibility: streams are counter-based (Philox) and splittable, keyed by
 numpy's SeedSequence(seed, spawn_key=path) keys (`stream_keys`: all of a sweep's
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import Factor
+from .covariance import _CHUNK_ROWS, Factor
 from .errors import DegenerateFunctional, GridMismatch, NegativeU, ThresholdOverflow
 from .functionals import LinearFunctional, TheoryConstants, constants
 
@@ -48,8 +50,8 @@ COMPLEX = "complex"
 FIXED_RHO = "fixed-rho"
 RANDOM = "random"
 
-# Rows of noise drawn and multiplied at once: a block is at most NOISE_BLOCK x rank,
-# and the rank is N ~ 2M on the embedding route (134 MB of real noise at M = 65,536).
+# Rows of noise drawn and multiplied at once: a block, the one a sweep holds at its peak, is
+# at most NOISE_BLOCK x rank, with rank N ~ 2M by embedding (134 MB real at M = 65,536).
 NOISE_BLOCK = 128
 
 
@@ -276,23 +278,28 @@ def condition_blocks(factor: Factor, t: LinearFunctional, k: TheoryConstants, sp
     v = l_t / math.sqrt(l2)
     draws = [_t_u_drawer(spec, k.tct) for spec in specs]
     u = np.array([spec.u for spec in specs])
+    dtype = complex if scalar == COMPLEX else float
     rngs = iter(rngs)
-    g = np.empty((1, factor.rank), complex if scalar == COMPLEX else float)
     for first in rngs:  # the block's next streams are taken one at a time, as read
         block = itertools.chain([first], itertools.islice(rngs, NOISE_BLOCK - 1))
+        g = np.empty((1, factor.rank), dtype)  # a buffer per block; drops the last phi
         drawn = []  # flat: (t_u, rho, theta) per stream and spec
         for n, rng in enumerate(block, 1):
-            if n > len(g):  # a second stream: room for a full block
-                g = np.concatenate((g, np.empty((NOISE_BLOCK - 1, factor.rank), g.dtype)))
+            if n > len(g):  # a second stream: room for a full block, row 0 kept
+                g, g[0] = np.empty((NOISE_BLOCK, factor.rank), dtype), g[0]
             g[n - 1] = white_noise(factor.rank, scalar, rng)
             for draw in draws:
                 drawn += draw(rng)
-        t_u, rho, theta = np.array(drawn, g.dtype).reshape(n, len(specs), 3).transpose(2, 0, 1)
-        # row sums, not GEMV: a row's t_1 and r^2 do not depend on the block
-        t1 = (g[:n] * v.conj()).sum(axis=1)
-        r2 = (np.abs(g[:n] - t1[:, None] * v) ** 2).sum(axis=1)
-        yield FieldSample(phi=factor.apply(g[:n]), scalar=scalar, t_u=t_u, r2=r2, u=u,
-                          rho=rho.real, theta=theta.real, t1=t1, k=k)
+        t_u, rho, theta = np.array(drawn, dtype).reshape(n, len(specs), 3).transpose(2, 0, 1)
+        # row sums, not GEMV, in chunks: a row's t_1 and r^2 do not depend on the block
+        t1, r2 = np.empty(n, dtype), np.empty(n)
+        for lo in range(0, n, _CHUNK_ROWS):
+            c = slice(lo, min(lo + _CHUNK_ROWS, n))
+            t1[c] = (g[c] * v.conj()).sum(axis=1)
+            r2[c] = (np.abs(g[c] - t1[c, None] * v) ** 2).sum(axis=1)
+        g = factor.apply(g[:n])  # phi: the block is scored without its noise
+        yield FieldSample(phi=g, scalar=scalar, t_u=t_u, r2=r2, u=u, rho=rho.real,
+                          theta=theta.real, t1=t1, k=k)
 
 
 def sample_conditional(factor: Factor, t: LinearFunctional, spec: ConditionSpec,

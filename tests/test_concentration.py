@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -410,6 +411,83 @@ def test_sweep_memory_holds_no_field_per_record():
 
     small, large = peak(NOISE_BLOCK), peak(8 * NOISE_BLOCK)
     assert (large - small) / (2 * 7 * NOISE_BLOCK) <= 256
+
+
+@pytest.mark.parametrize("scalar, item", [(REAL, 8), (COMPLEX, 16)])
+def test_sweep_peak_holds_one_noise_block(scalar, item):
+    # a block's noise is dropped before the block is scored, and neither the draw nor
+    # the score forms more than a few n x M arrays: the peak is one NOISE_BLOCK x rank
+    # noise block and at most 3 NOISE_BLOCK x M field blocks (rank 8192 at M = 4096)
+    g = make_grid(0, 1, 4096)
+    cov = assemble(Exponential(1, 0.1), g)
+    fac = sqrt_factor(cov)
+    t = make_point_functional(g, 0.5)
+    assert fac.rank == 8192
+    tracemalloc.start()
+    try:
+        sweep(fac, t, cov, [10.0, 100.0, 1000.0, 10000.0], NOISE_BLOCK, scalar=scalar,
+              mode=RANDOM, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    noise, field = NOISE_BLOCK * fac.rank * item, NOISE_BLOCK * g.m * item
+    assert peak <= noise + 3 * field, (peak - noise) / field
+
+
+def _exact_slope_and_bound(x, y):
+    """The least-squares slope b of y on x for doubles x and y, in exact arithmetic, and
+    a bound on the roundoff of its closed form from centred sums in doubles: with u =
+    eps/2 and g(k) = k u / (1 - k u), each computed mean is within E = g(n) sum |x_i| / n
+    of the exact one, dx_i = x_i - mean(x) to within a relative u, and the sums of
+    products to within g(n + 2) of the sum of their absolute values (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, sec. 3.1 and 4.2).  As sum dx_i = 0
+    exactly, an error e in a mean moves the products' sum only by n e_x e_y."""
+    u = Fraction(np.finfo(float).eps) / 2
+    n = len(x)
+    gamma = lambda k: k * u / (1 - k * u)
+    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    ex, ey = (gamma(n) * sum(abs(v) for v in vs) / n for vs in (xs, ys))
+    mx, my = sum(xs) / n, sum(ys) / n
+    ax, ay = [v - mx for v in xs], [v - my for v in ys]
+    sxx, sxy = sum(a * a for a in ax), sum(a * b for a, b in zip(ax, ay))
+    b = sxy / sxx
+    d_num = n * ex * ey + gamma(n + 2) * sum((abs(a) + ex) * (abs(c) + ey) for a, c in zip(ax, ay))
+    d_den = n * ex * ex + gamma(n + 2) * sum((abs(a) + ex) ** 2 for a in ax)
+    assert d_den < sxx
+    err = (d_num + abs(b) * d_den) / (sxx - d_den)
+    return b, err + u * (abs(b) + err)
+
+
+def test_sweep_slope_is_the_least_squares_slope_to_roundoff(setup128):
+    # the slope is the least-squares fit of log q50 on log u, from centred sums: within
+    # the roundoff bound of _exact_slope_and_bound of the exact slope of the rounded logs,
+    # over u lists that reach 1e300 (np.polyfit, which does not centre log u, is outside
+    # that bound on most of these fits)
+    g, cov, fac, t, prof, k = setup128
+    rep = sweep(fac, t, cov, [10, 100, 1000, 10000], 50, seed=4)
+    q50 = np.array([row["q50"] for row in rep.per_u])
+    assert rep.slope == concentration._slope(np.array([10.0, 100, 1000, 10000]), q50)
+    rng = np.random.default_rng(27)
+    for _ in range(3000):
+        # log10 u spans 1e-6 to all of (0, top], top up to 300; log10 q50 centred on 0
+        top = rng.uniform(1.0, 300.0)
+        span = 10.0 ** rng.uniform(-6.0, np.log10(top))
+        u = np.unique(10.0 ** (top - rng.uniform(0.0, span, int(rng.integers(2, 12)))))
+        lg = np.log10(u)
+        q50 = 10.0 ** (-rng.uniform(0.9, 1.1) * (lg - lg.mean()) + rng.normal(0.0, 0.05, u.size))
+        x, y = np.log(u), np.log(q50)
+        if x[-1] == x[0]:
+            continue
+        want, bound = _exact_slope_and_bound(x, y)
+        assert abs(Fraction(concentration._slope(u, q50)) - want) <= bound, (u, q50)
+
+
+def test_sweep_has_no_slope_where_log_u_coincide(setup128):
+    # adjacent doubles near 1e10 have one double log: two thresholds but one log u to fit
+    g, cov, fac, t, prof, k = setup128
+    u_list = [1e10, np.nextafter(1e10, np.inf)]
+    assert np.log(u_list[0]) == np.log(u_list[1])
+    assert sweep(fac, t, cov, u_list, 5, seed=2).slope is None
 
 
 @pytest.mark.parametrize("scalar", [REAL, COMPLEX])

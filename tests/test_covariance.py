@@ -603,11 +603,15 @@ def test_circulant_rows_do_not_depend_on_the_block():
     # on every route (pivoted, rank-k, embedding, dense) apply's rows are bitwise the
     # same at every position and height of a block, real or complex, and as a 1-D row:
     # GEMMs of one fixed height for a SqrtFactor (a one-row product would be a GEMV),
-    # one rfft per row for the embedding.  So a conditioned draw is the sweep's row
+    # one rfft per row, _CHUNK_ROWS rows at a time, for the embedding; widths straddle
+    # that chunk height.  apply leaves its input as it was.  So a conditioned draw is
+    # the sweep's row
     g = make_grid(0, 1, 128)
     t = make_point_functional(g, 0.5)
     spec = ConditionSpec(u=100.0, scalar=REAL, mode="random")
     seed = 23
+    chunk = covariance._CHUNK_ROWS
+    assert 2 * chunk + 1 <= NOISE_BLOCK
     for route in ("sqexp:1:0.2", "rankk:4@1,1@3,0.5@0", "exp:1:0.1", "dense"):
         cov = assemble(kernel_from_spec("exp:1:0.1" if route == "dense" else route), g)
         fac = sqrt_factor(_dense(cov) if route == "dense" else cov)
@@ -615,12 +619,14 @@ def test_circulant_rows_do_not_depend_on_the_block():
         rng = np.random.default_rng(20)
         block = rng.normal(size=(NOISE_BLOCK, fac.rank))
         for rows in (block, block + 1j * rng.normal(size=block.shape)):
+            before = rows.tobytes()
             full = fac.apply(rows)
             assert fac.apply(rows[7]).tobytes() == full[7].tobytes(), route
-            for width in (1, 3, 64):
+            for width in (1, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 64):
                 for lo in (0, 5, NOISE_BLOCK - width):
                     got = fac.apply(rows[lo:lo + width])
                     assert got.tobytes() == full[lo:lo + width].tobytes(), (route, width, lo)
+            assert rows.tobytes() == before, route
         k = constants(t, fac.cov)
         rep = sweep(fac, t, fac.cov, [spec.u], NOISE_BLOCK + 2, scalar=REAL, mode="random",
                     seed=seed)
