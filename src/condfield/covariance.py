@@ -33,8 +33,7 @@ from .grid import Grid, _check
 DEFAULT_CLIP_TOL = 1e-12
 EPS = np.finfo(float).eps
 _BLOCK_ROWS = 64  # height of the row blocks that apply reads
-_GEMM_ROWS = 128  # height of every GEMM that applies a SqrtFactor
-_CHUNK_ROWS = 16  # rows of a noise block transformed or summed at once (sampling reads it)
+_CHUNK_ROWS = 16  # Factor.apply's chunk height, which a SqrtFactor pads to (sampling sums by it)
 _PROBES = 10  # Gaussian probes of the certificate, which then fails with probability 10^-10
 
 
@@ -133,10 +132,12 @@ class RankK:
 
     def rows(self, grid: Grid, idx) -> np.ndarray:
         """K[idx] for an index or slice of the grid points."""
-        return sum(lam * np.multiply.outer(e[idx], e) for lam, e in self._terms(grid))
+        with np.errstate(over="ignore"):  # an overflow to inf is rejected by CovOperator
+            return sum(lam * np.multiply.outer(e[idx], e) for lam, e in self._terms(grid))
 
     def diagonal(self, grid: Grid) -> np.ndarray:
-        return sum(lam * (e * e) for lam, e in self._terms(grid))
+        with np.errstate(over="ignore"):  # as in rows
+            return sum(lam * (e * e) for lam, e in self._terms(grid))
 
 
 @dataclass(frozen=True)
@@ -204,15 +205,15 @@ class Factor:
     """A factor L of K = op / w = L L^T with `rank` columns; `cov` is the operator it
     factors, which owns the grid and the profile C T.  Outside this module L is read
     only by `apply`, `adjoint` and `rank`.  A subclass supplies `_real(x, out)`: out = x @ L^T
-    for a real (n, rank) block x it must not write over, whose row must not depend on the block."""
+    for a real chunk x of at most _CHUNK_ROWS rows, unwritten, whose row must not depend on it."""
 
     cov: CovOperator
     grid = property(lambda self: self.cov.grid)
 
     def apply(self, g) -> np.ndarray:
-        """L g for `rank` coefficients g, or for each row of an (n, rank) block, formed in
-        one output array (a complex block's real and imaginary parts by one real product
-        each); a row is bitwise the same at every position and height of a block."""
+        """L g for `rank` coefficients g, or for each row of an (n, rank) block, into one output
+        array: `_real` gets a real block, or a complex one's real and imaginary parts, in chunks
+        of _CHUNK_ROWS rows, so a row is bitwise the same at any position and height of a block."""
         g = np.asarray(g)
         if g.ndim not in (1, 2) or g.shape[-1] != self.rank:
             raise LengthMismatch(f"noise of shape {g.shape} for a factor of rank {self.rank}")
@@ -220,7 +221,8 @@ class Factor:
         out = np.empty(g.shape[:-1] + (self.grid.m,), complex if split else float)
         x, y = np.atleast_2d(g), np.atleast_2d(out)
         for part, dst in ((x.real, y.real), (x.imag, y.imag)) if split else ((x, y),):
-            self._real(part, dst)
+            for lo in range(0, len(part), _CHUNK_ROWS):
+                self._real(part[lo:lo + _CHUNK_ROWS], dst[lo:lo + _CHUNK_ROWS])
         return out
 
 
@@ -245,13 +247,11 @@ class SqrtFactor(Factor):
         return s
 
     def _real(self, x, out):
-        """out = x @ L^T by GEMMs of _GEMM_ROWS rows of x, the last zero-padded: a GEMM
-        row is bitwise the same at every position of a block of fixed height, not across
-        heights.  The padding rows are computed and dropped."""
-        for lo in range(0, len(x), _GEMM_ROWS):
-            rows = x[lo:lo + _GEMM_ROWS]
-            pad = np.concatenate((rows, np.zeros((_GEMM_ROWS - len(rows), self.rank))))
-            out[lo:lo + _GEMM_ROWS] = (pad @ self.modes.T)[:len(rows)]
+        """out = x @ L^T by one GEMM of the chunk x zero-padded to _CHUNK_ROWS rows: a GEMM
+        row is bitwise the same at every position of a product of one height, not across
+        heights (one row would be a GEMV).  The padding rows are computed and dropped."""
+        pad = np.concatenate((x, np.zeros((_CHUNK_ROWS - len(x), self.rank))))
+        out[:] = (pad @ self.modes.T)[:len(x)]
 
     def adjoint(self, phi) -> np.ndarray:
         """w L^T phi, the adjoint of L: <phi|L g> = <w L^T phi|g> for real phi."""
@@ -275,10 +275,9 @@ class CirculantFactor(Factor):
     rank = property(lambda self: self.scale.size)
 
     def _real(self, x, out):
-        """out = x @ L^T: Re - Im of rfft(s * row)[:M], _CHUNK_ROWS rows at a time."""
-        for lo in range(0, len(x), _CHUNK_ROWS):
-            r = np.fft.rfft(x[lo:lo + _CHUNK_ROWS] * self.scale)[:, :self.grid.m]
-            np.subtract(r.real, r.imag, out=out[lo:lo + _CHUNK_ROWS])
+        """out = x @ L^T: Re - Im of rfft(s * row)[:M], one rfft per row of the chunk x."""
+        r = np.fft.rfft(x * self.scale)[:, :self.grid.m]
+        np.subtract(r.real, r.imag, out=out)
 
     def adjoint(self, phi) -> np.ndarray:
         """w L^T phi = w s * H (phi zero-padded to N), the adjoint of L: <phi|L g> =

@@ -18,7 +18,7 @@ one-sample call gives bitwise the draw of a sweep.  It yields per block the
 columns phi = L g, t_1 and r^2 (row sums) and the (n, |U|) arrays t_u, rho and
 theta, which a record is scored from; `FieldSample.values` (phi_u) is formed
 only where read.  A block's noise is dropped before the block is scored, and t_1,
-r^2 and the embedding's transform take a few rows at a time: a sweep's peak is one noise
+r^2 and `Factor.apply` take a few rows at a time: a sweep's peak is one noise
 block and under two n x M arrays (M = 65,536, 100 samples: 246 MB real, 400 MB complex).
 
 Reproducibility: streams are counter-based (Philox) and splittable, keyed by

@@ -633,14 +633,17 @@ def test_non_finite_analytic_curve_exits_2(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("config error: analytic curve is not finite")
 
 
-def test_overflowing_covariance_exits_2_with_a_named_error(tmp_path, capsys):
+@pytest.mark.parametrize("spec, name", [
+    ("exp:1.7e308:0.2", "Exponential(variance=1.7e+308, ell=0.2)"),
+    ("rankk:1.7e308@1", "RankK(modes=((1.7e+308, 1),))"),  # lam e_1(x)^2 overflows
+], ids=["exp", "rankk"])
+def test_overflowing_covariance_exits_2_with_a_named_error(tmp_path, capsys, spec, name):
     # 0.5 (K + K^T) overflows: assemble names it, with no warning on the way
-    assert run(["profile", "--grid", "32", "--kernel", "exp:1.7e308:0.2",
+    assert run(["profile", "--grid", "32", "--kernel", spec,
                 "--out", str(tmp_path / "p.csv")]) == 2
     assert not any(tmp_path.iterdir())
     assert capsys.readouterr().err.startswith(
-        "config error: Exponential(variance=1.7e+308, ell=0.2) gives a covariance matrix "
-        "that is not finite")
+        f"config error: {name} gives a covariance matrix that is not finite")
 
 
 def test_overflow_to_a_zero_correlation_is_silent(tmp_path, capsys):

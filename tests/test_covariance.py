@@ -602,10 +602,10 @@ def test_circulant_adjoint_is_the_transpose_of_apply(spec, a, b, m):
 def test_circulant_rows_do_not_depend_on_the_block():
     # on every route (pivoted, rank-k, embedding, dense) apply's rows are bitwise the
     # same at every position and height of a block, real or complex, and as a 1-D row:
-    # GEMMs of one fixed height for a SqrtFactor (a one-row product would be a GEMV),
-    # one rfft per row, _CHUNK_ROWS rows at a time, for the embedding; widths straddle
-    # that chunk height.  apply leaves its input as it was.  So a conditioned draw is
-    # the sweep's row
+    # apply hands _real chunks of _CHUNK_ROWS rows, a SqrtFactor takes GEMMs of one
+    # _CHUNK_ROWS height (a one-row product would be a GEMV), the embedding one rfft per
+    # row; widths straddle that chunk height and NOISE_BLOCK.  apply leaves its input as
+    # it was.  So a conditioned draw is the sweep's row
     g = make_grid(0, 1, 128)
     t = make_point_functional(g, 0.5)
     spec = ConditionSpec(u=100.0, scalar=REAL, mode="random")
@@ -617,13 +617,13 @@ def test_circulant_rows_do_not_depend_on_the_block():
         fac = sqrt_factor(_dense(cov) if route == "dense" else cov)
         assert isinstance(fac, CirculantFactor if route == "exp:1:0.1" else SqrtFactor), route
         rng = np.random.default_rng(20)
-        block = rng.normal(size=(NOISE_BLOCK, fac.rank))
+        block = rng.normal(size=(NOISE_BLOCK + 6, fac.rank))
         for rows in (block, block + 1j * rng.normal(size=block.shape)):
             before = rows.tobytes()
             full = fac.apply(rows)
             assert fac.apply(rows[7]).tobytes() == full[7].tobytes(), route
-            for width in (1, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 64):
-                for lo in (0, 5, NOISE_BLOCK - width):
+            for width in (1, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 64, NOISE_BLOCK + 1):
+                for lo in (0, 5, len(rows) - width):
                     got = fac.apply(rows[lo:lo + width])
                     assert got.tobytes() == full[lo:lo + width].tobytes(), (route, width, lo)
             assert rows.tobytes() == before, route

@@ -529,13 +529,16 @@ def test_tiny_variance_draw_is_not_rejected_by_a_fixed_floor():
     assert abs(t(s.values)) / spec.u == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("kernel", [Exponential(1, 0.1), SquaredExponential(1, 0.2)],
+                         ids=["exp", "sqexp"])
 @pytest.mark.parametrize("scalar", [REAL, COMPLEX])
-def test_one_sample_draw_holds_no_block_of_noise(scalar):
+def test_one_sample_draw_holds_no_block_of_noise(scalar, kernel):
     # the factor is applied to the rows drawn, and only a second stream makes room for
-    # a full block: one draw on the embedding route (rank N = 8192) holds a few
-    # N-sized vectors, not a NOISE_BLOCK x N block
+    # a full block: one draw holds a few rank- or M-sized vectors, not a NOISE_BLOCK x N
+    # block of noise on the embedding route (rank N = 8192) nor a NOISE_BLOCK x M
+    # product on the pivoted route (rank 21), whose GEMM is one padded chunk high
     g = make_grid(0, 1, 4096)
-    fac = sqrt_factor(assemble(Exponential(1, 0.1), g))
+    fac = sqrt_factor(assemble(kernel, g))
     t = make_point_functional(g, 0.5)
     spec = ConditionSpec(u=10.0, scalar=scalar, mode=RANDOM)
     tracemalloc.start()
@@ -544,5 +547,5 @@ def test_one_sample_draw_holds_no_block_of_noise(scalar):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fac.rank == 8192
-    assert peak <= 16 * 16 * fac.rank
+    assert fac.rank == (8192 if isinstance(kernel, Exponential) else 21)
+    assert peak <= 16 * 16 * max(fac.rank, g.m)
