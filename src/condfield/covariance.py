@@ -9,10 +9,11 @@ integral operator.  With this convention the pointwise variance of generated sam
 equals the kernel diagonal C(x, x), while orthonormality of eigenmodes is with respect to
 the weighted inner product: a plain-orthonormal eigenvector v corresponds to
 the weighted-orthonormal mode v / sqrt(w).  The operator serves its rows and
-diagonal from the kernel on demand; the M x M op is formed only where something
-reads it, which a smooth or stationary kernel's factor and the theory constants never
-do.  A field is a factor L of K = L L^T applied to i.i.d. standard coefficients, one per
-column of L, from one of three routes (`sqrt_factor`).  A smooth kernel's columns are
+diagonal on demand: a stationary kernel's from one cached lag row, evaluated once, any
+other kernel's from the kernel; the M x M op is formed only where something reads it,
+which a smooth or stationary kernel's factor and the theory constants never do.  A field
+is a factor L of K = L L^T applied to i.i.d. standard coefficients, one per column of L,
+from one of three routes (`sqrt_factor`).  A smooth kernel's columns are
 its modes whose eigenvalue is above eps * lam_max (eps the double machine epsilon), the
 operator's numerical rank, from one SVD of its pivoted Cholesky rows, certified by a
 randomized bound on ||op - w L L^T||_2 (10 fixed probes, applied by FFT where op is
@@ -57,7 +58,8 @@ class _Stationary:
 
     def rows(self, grid: Grid, idx) -> np.ndarray:
         """K[idx] for an index or slice of the grid points: C at the lag (i - j) h, an exact
-        float integer times h, so K is exactly symmetric and Toeplitz ((-k) h is -(k h))."""
+        float integer times h, so K is exactly symmetric and Toeplitz ((-k) h is -(k h)).
+        `CovOperator` reads op from its lag row instead; this is the reference it matches."""
         lag = np.arange(grid.m, dtype=float)
         return self.at_lags(np.subtract.outer(lag[idx], lag), grid)
 
@@ -65,9 +67,6 @@ class _Stationary:
         """C(d h) for float-integer lags d, written over d: forming op holds one M x M array."""
         d *= grid.w
         return np.multiply(self.decay(d), self.variance, out=d)
-
-    def diagonal(self, grid: Grid) -> np.ndarray:
-        return self.variance * self.decay(np.zeros(grid.m))
 
 
 @dataclass(frozen=True)
@@ -142,21 +141,37 @@ class RankK:
 
 @dataclass(frozen=True)
 class CovOperator:
-    """Discretized covariance operator op = w * K on a grid, K[i, j] = C(x_i, x_j) (a
-    stationary kernel's C((i - j) h), exactly Toeplitz), read by rows: op[i], op[lo:hi]
-    and diagonal() are w * (0.5 (K + K^T)) from the kernel's rows, bitwise the rows of op
-    since every kernel's K is exactly symmetric, and raise InvalidKernelParams where not
-    finite.  The M x M `op` is formed on first read."""
+    """Discretized covariance operator op = w * K on a grid, K[i, j] = C(x_i, x_j), read by
+    rows: op[i], op[lo:hi] and diagonal(), which raise InvalidKernelParams where op is not
+    finite.  A stationary kernel's op is exactly Toeplitz, op[i, j] its lag row (`_lags`)
+    at the lag |i - j|: evaluated once, and served as copies of its windows.  Any other
+    kernel's rows are w * (0.5 (K + K^T)) from the kernel's rows, bitwise the rows of op
+    since its K is exactly symmetric.  The M x M `op` is formed on first read."""
 
     grid: Grid
     kernel: object
     shape = property(lambda self: (self.grid.m, self.grid.m))
 
     def __getitem__(self, idx) -> np.ndarray:
-        return self._scaled(self.kernel.rows(self.grid, idx))
+        lags, m = self._lags, self.grid.m
+        if lags is None:
+            return self._scaled(self.kernel.rows(self.grid, idx))
+        i = range(m)[idx]  # an index, or a range for a slice
+        lo, hi = (i, i + 1) if isinstance(i, int) else (i.start, i.stop)
+        if isinstance(i, range) and (i.step != 1 or not i):
+            raise IndexError("a stationary op serves rows by index or nonempty unit-step slice")
+        # row r is the lag row at the lags |j - r|, so rows lo .. hi - 1 are windows one entry
+        # apart, backwards, of the lags hi - 1 .. 1 then 0 .. M - 1 - lo: a view with a negative
+        # row stride, copied, as a product with the view is not bitwise one with op's rows
+        ext = np.concatenate((lags[hi - 1:0:-1], lags[:m - lo]))
+        s = ext.itemsize
+        rows = np.ndarray((hi - lo, m), float, ext, (hi - 1 - lo) * s, (-s, s)).copy()
+        return rows[0] if isinstance(i, int) else rows
 
     def diagonal(self) -> np.ndarray:
-        return self._scaled(self.kernel.diagonal(self.grid))
+        if self._lags is None:
+            return self._scaled(self.kernel.diagonal(self.grid))
+        return np.full(self.grid.m, self._lags[0])
 
     def _scaled(self, k: np.ndarray) -> np.ndarray:  # w * (0.5 (k + k)), written over k
         with np.errstate(over="ignore"):  # an overflow to inf is rejected below
@@ -165,6 +180,22 @@ class CovOperator:
             raise InvalidKernelParams(f"{self.kernel!r} gives a covariance matrix that is not "
                                       f"finite in double precision on this grid")
         return k
+
+    @functools.cached_property
+    def _size(self) -> int:  # N, the size of the circulant that embeds a stationary op
+        return _fast_size(max(2 * (self.grid.m - 1), 1))
+
+    @functools.cached_property
+    def _lags(self) -> np.ndarray | None:
+        """A stationary kernel's lag row: op at the lags 0 .. N // 2, N the smallest
+        2^a 3^b 5^c >= max(2 (M - 1), 1).  They hold op[0] (M - 1 <= N // 2) and the first
+        row c of the circulant that embeds op, c[j] at the lag min(j, N - j) (`_embedding`),
+        in half its size.  None for any other kernel."""
+        if not isinstance(self.kernel, _Stationary):
+            return None
+        lags = self._scaled(self.kernel.at_lags(np.arange(self._size // 2 + 1.0), self.grid))
+        lags.setflags(write=False)
+        return lags
 
     @functools.cached_property
     def op(self) -> np.ndarray:
@@ -188,7 +219,8 @@ class CovOperator:
 def assemble(kernel, grid: Grid) -> CovOperator:
     """The covariance operator of `kernel` on `grid`, read by rows: nothing M x M is formed.
     Raises InvalidKernelParams where op is not finite, which its diagonal shows (|K_ij| <=
-    max_i K_ii for a PSD kernel), or where a RankK mode index is not below M."""
+    max_i K_ii for a PSD kernel; a stationary kernel's whole lag row is checked), or where
+    a RankK mode index is not below M."""
     cov = CovOperator(grid=grid, kernel=kernel)
     cov.diagonal()
     return cov
@@ -301,15 +333,12 @@ def _fast_size(n: int) -> int:
 
 
 def _embedding(cov: CovOperator) -> np.ndarray:
-    """Eigenvalues lam of the size-N circulant that embeds a stationary kernel's op, N the
-    smallest 2^a 3^b 5^c >= max(2 (M - 1), 1): rfft(c).real, mirrored so that lam_j =
-    lam_{N-j} bitwise, of the row c = op at the wrapped lag min(j, N - j).  N >= 2 (M - 1)
-    keeps those lags j for j < M, so c[:M] is bitwise op[0] and the circulant's leading
-    M x M block is op."""
-    n = _fast_size(max(2 * (cov.grid.m - 1), 1))
-    lag = np.arange(n, dtype=float)
-    d = np.subtract(0.0, np.minimum(lag, n - lag))  # 0 - j, as op[0] forms it
-    lam = np.fft.rfft(cov._scaled(cov.kernel.at_lags(d, cov.grid))).real
+    """Eigenvalues lam of the size-N circulant that embeds a stationary kernel's op:
+    rfft(c).real of its first row c, the operator's lag row (`CovOperator._lags`) mirrored
+    to N entries, itself mirrored so that lam_j = lam_{N-j} bitwise.  c[:M] is op[0], so
+    the circulant's leading M x M block is op."""
+    n, lags = cov._size, cov._lags
+    lam = np.fft.rfft(np.concatenate((lags, lags[(n - 1) // 2:0:-1]))).real
     return np.concatenate((lam, lam[(n - 1) // 2:0:-1]))
 
 
@@ -353,9 +382,11 @@ def _pivoted_pairs(op):
     lam = S^2.  None where more than M/2 pivots are needed, none is taken, or the
     certificate fails.  By flops (j pivots take M j^2 of row updates and about 6 M j^2 of
     thin SVD, eigh with vectors 14/3 M^3) the crossover is j ~ 0.8 M, measured 0.59 M to
-    0.78 M for 128 <= M <= 2048 with one BLAS thread.  For M <= 64 the cap is above it
-    (j ~ 26 at M = 64, as a row costs ~26 us besides its flops), kept so that sqexp:1:0.2
-    at M = 64 (21 pivots) never forms op.
+    0.78 M for 128 <= M <= 2048 with one BLAS thread.  For M <= 64 the cap is above it:
+    there a pivot costs ~10 us besides its flops (its row, copied from the lag row, ~5 us)
+    and the SVD and certificate ~0.2 ms, so sqexp:1:0.2 at M = 64 (21 pivots) takes about
+    twice as long as forming op and running eigh (0.42-0.9 ms against 0.22-0.47 ms); the
+    cap is kept so that it never forms op.
 
     Certificate: ||E||_2 <= 10 sqrt(2/pi) max_i ||E w_i||_2 for any E but with probability
     10^-r over r = _PROBES Gaussian w_i (Halko, Martinsson & Tropp 2011, SIAM Rev. 53:217,
@@ -394,7 +425,7 @@ def sqrt_factor(cov: CovOperator) -> Factor:
     """Factor L of K = op / w = L L^T, by the first of three routes that takes op.
 
     1. A smooth kernel's eigenpairs come from `_pivoted_pairs`, which reads the
-       operator's rows from the kernel, where it certifies them.
+       operator's rows (a stationary kernel's from its lag row), where it certifies them.
     2. A stationary kernel takes the circulant embedding (`CirculantFactor`, rank N)
        unless an eigenvalue of the embedding is below -DEFAULT_CLIP_TOL * lam_max: so
        every `exp`, and a `sqexp` that needs more than M/2 pivots.

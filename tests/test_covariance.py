@@ -23,6 +23,7 @@ from condfield.covariance import (
 from condfield.concentration import distance_record, sweep, verify_prop1
 from condfield.functionals import (
     constants,
+    functional_from_spec,
     make_integral_functional,
     make_point_functional,
     profile,
@@ -403,11 +404,13 @@ ROW_KERNELS = ["sqexp:1:0.2", "sqexp:2.5:0.03", "exp:1:0.1", "rankk:4@1,1@3,0.5@
 
 
 @pytest.mark.parametrize("spec", ROW_KERNELS)
-@pytest.mark.parametrize("a, b, m", [(0, 1, 128), (-0.3, 2.7, 97), (0, 1, 512)])
+@pytest.mark.parametrize("a, b, m", [(0, 1, 128), (-0.3, 2.7, 97), (0, 1, 512), (-0.3, 2.7, 68)])
 def test_served_rows_are_bitwise_the_rows_of_op(spec, a, b, m):
     # every kernel's K is exactly symmetric, so w (0.5 (K + K^T)) row by row
     # from the kernel is op row by row, and the pivoted route reads the same
-    # numbers from the operator as from its formed matrix
+    # numbers from the operator as from its formed matrix.  A stationary operator
+    # serves them from its lag row (N = 135 at M = 68, odd), so a wide and a stencil
+    # functional's products match the kernel's rows in apply's row blocks bitwise
     g = make_grid(a, b, m)
     kernel = kernel_from_spec(spec)
     kmat = kernel.rows(g, slice(None))
@@ -417,13 +420,40 @@ def test_served_rows_are_bitwise_the_rows_of_op(spec, a, b, m):
     assert served.diagonal().tobytes() == np.diag(cov.op).tobytes()
     for i in (0, 1, m // 2, m - 1):
         assert served[i].tobytes() == cov.op[i].tobytes()
-    for lo, hi in ((0, 64), (m - 70, m - 6), (m - 7, m), (10, 11)):
+    for lo, hi in ((0, 64), (max(m - 70, 0), m - 6), (m - 7, m), (10, 11)):
         assert served[lo:hi].tobytes() == cov.op[lo:hi].tobytes()
     got, ref = covariance._pivoted_pairs(served), covariance._pivoted_pairs(cov.op)
     assert (got is None) == (ref is None)
     for x, y in zip(got or (), ref or ()):
         assert x.tobytes() == y.tobytes()
+    for text in ("integral:cosine", "dpoint:0.5:2:4"):
+        t = functional_from_spec(text, g)
+        support = np.flatnonzero(t.coeff)
+        want = np.zeros(m)
+        for lo in range(support[0], support[-1] + 1, covariance._BLOCK_ROWS):
+            blk = slice(lo, min(lo + covariance._BLOCK_ROWS, support[-1] + 1))
+            k = kernel.rows(g, blk)
+            want += t.coeff[blk] @ (g.w * (0.5 * (k + k)))
+        assert served.apply(t.coeff).tobytes() == want.tobytes(), text
     assert "op" not in vars(served)
+
+
+@pytest.mark.parametrize("spec, a, m, route", [("sqexp:1:0.2", 0.0, 512, SqrtFactor),
+                                               ("exp:1:0.1", 0.0, 128, CirculantFactor),
+                                               ("sqexp:1:0.2", 1e6, 500, SqrtFactor)])
+def test_one_operator_evaluates_its_kernel_once(monkeypatch, spec, a, m, route):
+    # a stationary operator's rows, diagonal and embedding all read one lag row, so
+    # assembling, factoring (pivot rows, certificate or embedding) and the constants of
+    # a point and a wide functional call decay once
+    kernel = kernel_from_spec(spec)
+    decay, calls = type(kernel).decay, []
+    monkeypatch.setattr(type(kernel), "decay", lambda self, d: calls.append(1) or decay(self, d))
+    g = make_grid(a, a + 1, m)
+    cov = assemble(kernel, g)
+    assert isinstance(sqrt_factor(cov), route)
+    for t in (make_point_functional(g, a + 0.5), make_integral_functional(g, "cosine")):
+        constants(t, cov)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("spec", ["sqexp:1:0.2", "rankk:4@1,1@3,0.5@0"])
