@@ -24,7 +24,7 @@ print(f"discrete vs analytic profile, sup distance: {cf.sup_norm(norm_p - norm_c
 
 spec = cf.ConditionSpec(u=1e6, scalar=cf.COMPLEX, mode=cf.FIXED_RHO, rho=1.0)
 sample = cf.sample_conditional(factor, functional, spec, cf.substream(0, 0))
-dist = cf.normalized_sup_distance(sample, curve, grid)
+dist = cf.normalized_sup_distance(sample, curve)
 print(f"conditioned sample (u = 1e6) vs analytic curve: {dist:.2e}")
 
 print()

@@ -166,7 +166,7 @@ def cmd_condition(setup: _Setup, out) -> int:
                             rho=setup.rho, theta=setup.theta)
     sample = sp.sample_conditional(setup.factor, setup.functional, spec,
                                    sp.substream(setup.seed, 3, 0))
-    rec = cc.distance_record(sample, sample.k, setup.grid)
+    rec = cc.distance_record(sample)
     _write_json(out, {
         "config": setup.config, "u": float(setup.u), "rho": float(sample.rho),
         "theta": float(sample.theta), "t_u_re": float(np.real(sample.t_u)),

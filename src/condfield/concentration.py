@@ -2,11 +2,11 @@
 verification of the bound chain, threshold sweeps, and the two proposition
 checks.
 
-Records are scored from columns (`record_columns`), not from the field
-phi_u = phi + ((t_u - t_1)/B) q.  With q = p/||p||_2 and e^{i theta} the phase
-(1 for a real field): per sample, c = <q|phi>, psi = phi - c q and ||psi|| by
-rows, so a row does not depend on its block; per sample and u, forms that
-neither cancel nor overflow:
+Records are scored from a sample alone, its columns and `k` (`record_columns`),
+not from the field phi_u = phi + ((t_u - t_1)/B) q.  With q = p/||p||_2 and
+e^{i theta} the phase (1 for a real field): per sample, c = <q|phi>, psi = phi - c q
+and ||psi|| by rows, so a row does not depend on its block; per sample and u,
+forms that neither cancel nor overflow:
 - z = e^{-i theta}<q|phi_u> = |t_u|/B + e^{-i theta}(c - t_1/B), where |t_u|
   for e^{-i theta} t_u keeps roundoff of size eps u out of Im z;
 - N = ||phi_u||_2 = hypot(|z|, ||psi||), which squares nothing u-sized;
@@ -37,17 +37,17 @@ from . import covariance as cv
 from . import functionals as fn
 from . import sampling as sp
 from .errors import ConfigError, EmptyUList, GridMismatch, ThresholdOverflow, ZeroVector
-from .grid import Grid, inners, l2_norm, l2_norms, make_grid, sup_norm
+from .grid import inners, l2_norm, l2_norms, make_grid, sup_norm
 from .sampling import NOISE_BLOCK
 
 BOUND_SLACK = 1e-9
 
 
-def normalized_sup_distance(sample: sp.FieldSample, profile: np.ndarray, grid: Grid) -> float:
+def normalized_sup_distance(sample: sp.FieldSample, profile: np.ndarray) -> float:
     """|| phi_u/||phi_u||_2 - e^{i theta} p/||p||_2 ||_inf from the sample's values, for
-    p other than the profile it was conditioned along (prop3's analytic curve)."""
+    p on its grid other than the profile it was conditioned along (prop3's analytic curve)."""
     phase = np.exp(1j * sample.theta) if sample.scalar == sp.COMPLEX else 1.0
-    nrm, nrm_p = l2_norm(sample.values, grid), l2_norm(profile, grid)
+    nrm, nrm_p = l2_norm(sample.values, sample.k.grid), l2_norm(profile, sample.k.grid)
     if not (nrm and nrm_p):
         raise ZeroVector("cannot normalize a zero vector")
     if not nrm < math.inf:  # also NaN
@@ -71,11 +71,11 @@ class DistanceRecord:
     est12_ok: bool
 
 
-def record_columns(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid) -> dict:
+def record_columns(sample: sp.FieldSample) -> dict:
     """Distances to the profile, and the check of the bound chain, of a
     FieldSample or of a block of them (`sp.condition_blocks`), scored from its
-    columns (module docstring): every DistanceRecord field but sample_index, as
-    an (n, |U|) array.
+    columns and its constants k = sample.k on their grid k.grid (module
+    docstring): every DistanceRecord field but sample_index, as an (n, |U|) array.
 
     With N = ||phi_u||_2, p = k.profile with ||p||_2 = k.profile_norm, A, B, D
     the other theory constants and r^2 the residual noise energy:
@@ -94,11 +94,12 @@ def record_columns(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid) ->
     t_u, rho, theta = (np.reshape(x, (n, -1)) for x in (sample.t_u, sample.rho, sample.theta))
     t1 = np.reshape(sample.t1, (n, 1))
     r = np.sqrt(np.reshape(sample.r2, (n, 1)))
+    k = sample.k
     b = k.b_const
     q = k.profile / k.profile_norm
-    c = inners(q, phi, grid)[:, None]
+    c = inners(q, phi, k.grid)[:, None]
     psi = phi - c * q
-    psi_n = l2_norms(psi, grid)[:, None]
+    psi_n = l2_norms(psi, k.grid)[:, None]
     tu_abs = np.abs(t_u)
     phase = np.cos(theta) + 1j * np.sin(theta) if sample.scalar == sp.COMPLEX else 1.0
     z = tu_abs / b + np.conj(phase) * (c - t1 / b)
@@ -140,12 +141,11 @@ def record_columns(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid) ->
             "est12_ok": ~applicable | held}
 
 
-def distance_record(sample: sp.FieldSample, k: fn.TheoryConstants, grid: Grid,
-                    sample_index: int = 0) -> DistanceRecord:
-    """Distances of one sample to the profile, and its check of the bound
-    chain: the one-row call of `record_columns`."""
-    return DistanceRecord(sample_index=int(sample_index), **{
-        name: col.item() for name, col in record_columns(sample, k, grid).items()})
+def distance_record(sample: sp.FieldSample) -> DistanceRecord:
+    """Distances of one sample to its profile, and its check of the bound chain:
+    the one-row call of `record_columns`, with sample_index 0."""
+    return DistanceRecord(sample_index=0, **{
+        name: col.item() for name, col in record_columns(sample).items()})
 
 
 def quantiles(x: np.ndarray, qs) -> np.ndarray:
@@ -198,12 +198,10 @@ def sweep(factor: cv.Factor, t: fn.LinearFunctional, cov: cv.CovOperator, u_list
 
     if cov != factor.cov:
         raise GridMismatch("factor and operator built from different kernels or grids")
-    consts = fn.constants(t, cov)
     rngs = sp.keyed_streams(sp.stream_keys(seed, 0, n=n_mc))  # substream(seed, 0, i), i < n_mc
     # u_list[j] is column j of each (n_mc, len(u_list)) array; scored through map,
     # so that no name holds a drawn block while the next one is drawn
-    score = functools.partial(record_columns, k=consts, grid=cov.grid)
-    blocks = list(map(score, sp.condition_blocks(factor, t, consts, specs, rngs)))
+    blocks = list(map(record_columns, sp.condition_blocks(factor, t, specs, rngs)))
     cols = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
     cols["sample_index"] = np.repeat(np.arange(n_mc)[:, None], len(specs), axis=1)
     q10, q50, q90 = quantiles(cols["sup_dist"], (0.1, 0.5, 0.9))
@@ -274,13 +272,12 @@ def verify_prop3(kernel, x0: float, n: int, order: int, u_big: float, a: float =
     cov = cv.assemble(kernel, grid)
     spec = sp.ConditionSpec(u=u_big, scalar=scalar, mode=mode, rho=rho, theta=theta)
     sample = sp.sample_conditional(cv.sqrt_factor(cov), t, spec, sp.substream(seed, 2, 0))
-    consts = sample.k
-    rec = distance_record(sample, consts, grid)
+    rec = distance_record(sample)
     profile_sup_dist = sample_sup_dist = None
     if curve is not None:
-        diff = consts.profile / consts.profile_norm - curve / l2_norm(curve, grid)
+        diff = sample.k.profile / sample.k.profile_norm - curve / l2_norm(curve, grid)
         profile_sup_dist = sup_norm(diff)
-        sample_sup_dist = normalized_sup_distance(sample, curve, grid)
+        sample_sup_dist = normalized_sup_distance(sample, curve)
     profile_tol, sample_tol = 1e-3, 1e-2
     if smoothness_warning:
         passed = rec.est0_ok

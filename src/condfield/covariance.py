@@ -391,8 +391,9 @@ def _pivoted_pairs(op):
     Certificate: ||E||_2 <= 10 sqrt(2/pi) max_i ||E w_i||_2 for any E but with probability
     10^-r over r = _PROBES Gaussian w_i (Halko, Martinsson & Tropp 2011, SIAM Rev. 53:217,
     Lemma 4.1), drawn from a fixed Philox key so the verdict is deterministic.  Accepted
-    where it is at most DEFAULT_CLIP_TOL * lam_max for E = op - V Lambda V^T, with op's
-    products from `_matvec`: op's spectrum is then in the clip window.
+    where it is at most DEFAULT_CLIP_TOL for E / lam_max (scale-free: no square of E w_i
+    over- or underflows), E = op - V Lambda V^T, with op's products from `_matvec`: op's
+    spectrum is then in the clip window.
     """
     m, cap = op.shape[0], op.shape[0] // 2
     d = op.diagonal().copy()
@@ -417,8 +418,8 @@ def _pivoted_pairs(op):
     omega = np.random.Generator(np.random.Philox(key=0)).standard_normal((m, _PROBES))
     y = _matvec(op, omega)
     y -= vt[:p].T @ (lam[:p, None] * (vt[:p] @ omega))
-    bound = 10 * np.sqrt(2 / np.pi) * np.linalg.norm(y, axis=0).max()
-    return (lam[:p], vt[:p].T) if bound <= DEFAULT_CLIP_TOL * lam[0] else None  # NaN fails
+    bound = 10 * np.sqrt(2 / np.pi) * np.linalg.norm(y / lam[0], axis=0).max()
+    return (lam[:p], vt[:p].T) if bound <= DEFAULT_CLIP_TOL else None  # NaN fails
 
 
 def sqrt_factor(cov: CovOperator) -> Factor:

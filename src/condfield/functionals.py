@@ -7,6 +7,7 @@ central finite-difference stencil scaled by 1/(w h^n).
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,9 +136,10 @@ def profile(t: LinearFunctional, cov: cv.CovOperator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TheoryConstants:
-    """The limit profile p = C T and the scalars of the bound chain derived
-    from it; <T|C^2|T> is profile_norm ** 2."""
+    """The limit profile p = C T on its grid and the scalars of the bound chain
+    derived from it, fixed by (T, C); <T|C^2|T> is profile_norm ** 2."""
 
+    grid: Grid  # T's, on which p lives and a sample is scored
     profile: np.ndarray = field(repr=False, compare=False)  # p = C T, read-only
     profile_norm: float  # ||p||_2
     tct: float  # <T|C|T> = <T|p>
@@ -174,8 +176,8 @@ def constants(t: LinearFunctional, cov: cv.CovOperator) -> TheoryConstants:
         raise DegenerateFunctional(
             f"non-finite theory constants: <T|C|T> = {tct_val:.6g}, ||C T||_2 = {p_norm:.6g}, "
             f"A = {a_const:.6g}, B = {b_const:.6g}, D = {d_const:.6g}")
-    return TheoryConstants(profile=p, profile_norm=p_norm, tct=tct_val, a_const=a_const,
-                           b_const=b_const, d_const=d_const)
+    return TheoryConstants(grid=t.grid, profile=p, profile_norm=p_norm, tct=tct_val,
+                           a_const=a_const, b_const=b_const, d_const=d_const)
 
 
 def analytic_derivative_curve(kernel, x, x0: float, n: int):
@@ -220,9 +222,11 @@ def functional_from_spec(text: str, grid: Grid) -> LinearFunctional:
         if parts[0] == "integral" and len(parts) == 2:
             return make_integral_functional(grid, parts[1])
         if parts[0] == "custom" and len(parts) == 2 and parts[1].startswith("@"):
-            values = np.loadtxt(parts[1][1:], delimiter=",", ndmin=1)
+            with warnings.catch_warnings():  # loadtxt warns on a file with no data
+                warnings.simplefilter("error", UserWarning)
+                values = np.loadtxt(parts[1][1:], delimiter=",", ndmin=1)
             return make_custom_functional(grid, values)
-    except (ValueError, OSError, OutOfDomain, StencilOutOfRange, UnsupportedOrder,
+    except (ValueError, OSError, UserWarning, OutOfDomain, StencilOutOfRange, UnsupportedOrder,
             GridMismatch, DegenerateFunctional) as exc:
         raise ConfigError(f"bad functional spec {text!r}: {exc}") from exc
     raise ConfigError(f"unknown functional spec {text!r}")

@@ -5,18 +5,18 @@ column of the factor L (`covariance.sqrt_factor`): the Karhunen-Loeve series ove
 the P modes with eigenvalue above eps * lam_max, or the N columns of a circulant
 embedding.
 A conditional draw adds a rank-one update along the profile (Matheron's rule):
-with p = C T, q = p/||p||_2, B and <T|C|T> from `functionals.constants`,
+with p = C T, q = p/||p||_2, B and <T|C|T> the sample's `k` (`functionals.constants`),
 l = w L^T T (so <T|L g> = <l|g>), v = l/||l||, t_1 = <v|g> and
 |t_u|^2 = rho + u^2/<T|C|T>, phi_u = L g + ((t_u - t_1)/B) q.  As L v = q/B,
 this is the adapted-basis split L(t_u v + g_perp), with the same law, and
 <T|phi_u> = t_u sqrt(<T|C|T>) to roundoff: the event is |<T|phi>| >= u on a complex
 field and <T|phi> >= u on a real one (t_u >= 0; the symmetric event's law is this
 one times a fair random sign).  The factor supplies only L g and v.
-`condition_blocks` draws NOISE_BLOCK samples at a time and applies the factor once
-to the rows it drew; a row of `Factor.apply` does not depend on its block, so a
-one-sample call gives bitwise the draw of a sweep.  It yields per block the
-columns phi = L g, t_1 and r^2 (row sums) and the (n, |U|) arrays t_u, rho and
-theta, which a record is scored from; `FieldSample.values` (phi_u) is formed
+`condition_blocks` forms k once, draws NOISE_BLOCK samples at a time and applies
+the factor once to the rows it drew; a row of `Factor.apply` does not depend on its
+block, so a one-sample call gives bitwise the draw of a sweep.  It yields per block the
+columns phi = L g, t_1 and r^2 (row sums), the (n, |U|) arrays t_u, rho and
+theta, and k: all a record is scored from; `FieldSample.values` (phi_u) is formed
 only where read.  A block's noise is dropped before the block is scored, and t_1,
 r^2 and `Factor.apply` take a few rows at a time: a sweep's peak is one noise
 block and under two n x M arrays (M = 65,536, 100 samples: 246 MB real, 400 MB complex).
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import _CHUNK_ROWS, Factor
-from .errors import DegenerateFunctional, GridMismatch, NegativeU, ThresholdOverflow
+from .errors import DegenerateFunctional, NegativeU, ThresholdOverflow
 from .functionals import LinearFunctional, TheoryConstants, constants
 
 REAL = "real"
@@ -153,7 +153,7 @@ class FieldSample:
     rho: float
     theta: float
     t1: complex | float  # <v|g>
-    k: TheoryConstants = field(repr=False)  # q and B
+    k: TheoryConstants = field(repr=False)  # q, B, <T|C|T> and the grid
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -255,22 +255,21 @@ def sample_t_u(spec: ConditionSpec, tct: float, rng: np.random.Generator):
     return _t_u_drawer(spec, tct)(rng)
 
 
-def condition_blocks(factor: Factor, t: LinearFunctional, k: TheoryConstants, specs, rngs):
+def condition_blocks(factor: Factor, t: LinearFunctional, specs, rngs):
     """Condition one sample per stream in `rngs`, NOISE_BLOCK streams at a time,
     each read fully before the next is requested (so `keyed_streams` can serve
-    them), on every spec in the list `specs`, with k = constants(t, factor.cov);
-    yields per block of streams one FieldSample block (module docstring) whose
-    column j is specs[j].  A stream is read as g (`white_noise`, of the specs'
-    one scalar type), then (t_u, rho, theta) per spec in order (`sample_t_u`
-    with k.tct); r^2 = ||g - t_1 v||^2.  Raises ValueError unless the specs
-    share one scalar type, GridMismatch where t and the factor are on different
-    grids."""
+    them), on every spec in the list `specs`, with k = constants(t, factor.cov)
+    formed once before any stream is read; yields per block of streams one
+    FieldSample block (module docstring) of that k whose column j is specs[j].
+    A stream is read as g (`white_noise`, of the specs' one scalar type), then
+    (t_u, rho, theta) per spec in order (`sample_t_u` with k.tct), and r^2 is
+    ||g - t_1 v||^2.  Raises ValueError unless the specs share one scalar type,
+    then what `constants` raises (GridMismatch for t off the factor's grid)."""
     scalars = {spec.scalar for spec in specs}
     if len(scalars) != 1:
         raise ValueError(f"need specs of exactly one scalar type, got {sorted(scalars)}")
     (scalar,) = scalars
-    if t.grid != factor.grid:
-        raise GridMismatch("functional and factor built on different grids")
+    k = constants(t, factor.cov)
     l_t = factor.adjoint(t.coeff)
     l2 = float(np.vdot(l_t, l_t).real)
     if not l2 > 0.0:  # guards the division by ||l||; `constants` gates roundoff
@@ -304,12 +303,10 @@ def condition_blocks(factor: Factor, t: LinearFunctional, k: TheoryConstants, sp
 
 def sample_conditional(factor: Factor, t: LinearFunctional, spec: ConditionSpec,
                        rng: np.random.Generator) -> FieldSample:
-    """Draw phi_u = L g + ((t_u - t_1)/B) q, with k = constants(t, factor.cov) formed
-    before the draw (they gate <T|C|T> against roundoff) and kept as the sample's `k`:
-    row 0 of the one-spec, one-stream call of `condition_blocks`, so `rng` gives g and
-    then (t_u, rho, theta)."""
-    k = constants(t, factor.cov)
-    (s,) = condition_blocks(factor, t, k, [spec], [rng])
+    """Draw phi_u = L g + ((t_u - t_1)/B) q: row 0 of the one-spec, one-stream call of
+    `condition_blocks`, so `rng` gives g and then (t_u, rho, theta), and the sample's `k`
+    is constants(t, factor.cov)."""
+    (s,) = condition_blocks(factor, t, [spec], [rng])
     return FieldSample(phi=s.phi[0], scalar=s.scalar, t_u=s.t_u[0, 0].item(), r2=float(s.r2[0]),
                        u=s.u[0].item(), rho=float(s.rho[0, 0]), theta=float(s.theta[0, 0]),
-                       t1=s.t1[0].item(), k=k)
+                       t1=s.t1[0].item(), k=s.k)

@@ -460,6 +460,18 @@ def test_non_finite_functional_exits_2(tmp_path, command, spec):
     assert not list(tmp_path.glob("o.*"))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_custom_functional_from_a_file_with_no_data_exits_2(tmp_path, capsys, text):
+    # loadtxt warns on a file with no data: the run reports it as its config error
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    out = tmp_path / "o.csv"
+    assert run(["profile", "--functional", f"custom:@{path}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: bad functional spec")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["profile"], ["verify", "prop3"]])
 def test_dpoint_at_n0_with_unsupported_order_exits_2(tmp_path, command):
     out = tmp_path / "o.json"

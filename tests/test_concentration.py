@@ -59,7 +59,7 @@ def test_sup_distance_collinear_is_zero(setup128):
     g, cov, fac, t, prof, k = setup128
     s = FieldSample(phi=2.5 * prof, scalar=REAL, t_u=1.0, r2=0.0, u=0.0, rho=0.0, theta=0.0,
                     t1=1.0, k=k)
-    assert normalized_sup_distance(s, prof, g) == pytest.approx(0.0, abs=1e-14)
+    assert normalized_sup_distance(s, prof) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_sup_distance_sign_flip(setup128):
@@ -67,25 +67,25 @@ def test_sup_distance_sign_flip(setup128):
     s = FieldSample(phi=-prof, scalar=REAL, t_u=1.0, r2=0.0, u=0.0, rho=0.0, theta=0.0,
                     t1=1.0, k=k)
     expected = 2 * sup_norm(prof) / l2_norm(prof, g)
-    assert normalized_sup_distance(s, prof, g) == pytest.approx(expected, rel=1e-12)
+    assert normalized_sup_distance(s, prof) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sup_distance_zero_noise_sample(setup128, zero_stream):
     g, cov, fac, t, prof, k = setup128
     spec = ConditionSpec(u=3.0, mode=FIXED_RHO, rho=0.0)
     s = sample_conditional(fac, t, spec, zero_stream)
-    assert normalized_sup_distance(s, prof, g) < 1e-12
+    assert normalized_sup_distance(s, prof) < 1e-12
     with pytest.raises(errors.ZeroVector):
         normalized_sup_distance(FieldSample(phi=np.zeros(g.m), scalar=REAL, t_u=1.0,
                                             r2=0.0, u=0.0, rho=0.0, theta=0.0, t1=1.0, k=k),
-                                prof, g)
+                                prof)
 
 
 def test_estimate0_zero_noise_vanishes(setup128, zero_stream):
     g, cov, fac, t, prof, k = setup128
     spec = ConditionSpec(u=3.0, mode=FIXED_RHO, rho=0.0)
     s = sample_conditional(fac, t, spec, zero_stream)
-    rec = distance_record(s, k, g)
+    rec = distance_record(s)
     assert rec.bound_rhs == pytest.approx(0.0, abs=1e-10)
     assert abs(rec.ratio) == pytest.approx(k.b_const, rel=1e-10)
 
@@ -96,8 +96,8 @@ def test_estimate0_dominates_sup_distance(setup128):
     spec = ConditionSpec(u=100.0, scalar=COMPLEX, mode=RANDOM)
     for i in range(100):
         s = sample_conditional(fac, t, spec, substream(14, i))
-        assert normalized_sup_distance(s, prof, g) <= \
-            distance_record(s, k, g).bound_rhs + 1e-9
+        assert normalized_sup_distance(s, prof) <= \
+            distance_record(s).bound_rhs + 1e-9
 
 
 def test_estimate0_homogeneous_in_a(setup128):
@@ -105,8 +105,8 @@ def test_estimate0_homogeneous_in_a(setup128):
     spec = ConditionSpec(u=50.0, scalar=COMPLEX, mode=RANDOM)
     s = sample_conditional(fac, t, spec, substream(15, 0))
     k2 = dataclasses.replace(k, a_const=2 * k.a_const)
-    assert distance_record(s, k2, g).bound_rhs == \
-        pytest.approx(2 * distance_record(s, k, g).bound_rhs, rel=1e-12)
+    assert distance_record(dataclasses.replace(s, k=k2)).bound_rhs == \
+        pytest.approx(2 * distance_record(s).bound_rhs, rel=1e-12)
 
 
 def test_ratio_bounds_gate(setup128):
@@ -114,7 +114,7 @@ def test_ratio_bounds_gate(setup128):
     # tiny t_u relative to noise: not applicable, no assertion made
     spec = ConditionSpec(u=0.0, mode=FIXED_RHO, rho=0.01)
     s = sample_conditional(fac, t, spec, substream(16, 0))
-    assert not distance_record(s, k, g).applicable
+    assert not distance_record(s).applicable
 
 
 def test_ratio_bounds_hold_at_large_u(setup128):
@@ -122,7 +122,7 @@ def test_ratio_bounds_hold_at_large_u(setup128):
     spec = ConditionSpec(u=1000.0, scalar=COMPLEX, mode=RANDOM)
     for i in range(200):
         s = sample_conditional(fac, t, spec, substream(17, i))
-        rec = distance_record(s, k, g)
+        rec = distance_record(s)
         assert rec.applicable
         assert rec.est12_ok  # ratio bound, residual bound and their two consequences
 
@@ -265,7 +265,7 @@ def test_sweep_matches_adapted_basis_records(kernel, weight, scalar, mode, rho, 
             values, r2 = adapted_split(fac, t, xi, t_u, scalar)
             s = FieldSample(phi=values, scalar=scalar, t_u=t_u, r2=r2, u=float(u),
                             rho=rho_j, theta=theta_j, t1=t_u, k=k)
-            ref.append(distance_record(s, k, g, sample_index=i))
+            ref.append(dataclasses.replace(distance_record(s), sample_index=i))
     assert len(rep.records) == len(ref)
     for a, b in zip(rep.records, ref):
         for name in ("u", "sample_index", "applicable", "est0_ok", "est12_ok"):
@@ -289,7 +289,9 @@ def test_sweep_record_is_the_conditional_draw_on_its_stream(setup128, scalar):
     rep = sweep(fac, t, cov, [spec.u], n_mc, scalar=scalar, mode=RANDOM, seed=seed)
     assert len(rep.records) == n_mc
     for i, rec in enumerate(rep.records):
-        want = distance_record(sample_conditional(fac, t, spec, substream(seed, 0, i)), k, g, i)
+        want = dataclasses.replace(
+            distance_record(sample_conditional(fac, t, spec, substream(seed, 0, i))),
+            sample_index=i)
         for f in dataclasses.fields(rec):
             assert getattr(rec, f.name) == getattr(want, f.name), f.name
 
@@ -351,7 +353,9 @@ def test_sweep_record_in_the_second_block_is_the_conditional_draw(setup128, scal
     spec = ConditionSpec(u=100.0, scalar=scalar, mode=RANDOM)
     i, seed = NOISE_BLOCK + 1, 23
     rep = sweep(fac, t, cov, [spec.u], NOISE_BLOCK + 2, scalar=scalar, mode=RANDOM, seed=seed)
-    want = distance_record(sample_conditional(fac, t, spec, substream(seed, 0, i)), k, g, i)
+    want = dataclasses.replace(
+        distance_record(sample_conditional(fac, t, spec, substream(seed, 0, i))),
+        sample_index=i)
     for f in dataclasses.fields(want):
         assert getattr(rep.records[i], f.name) == getattr(want, f.name), f.name
 
@@ -548,14 +552,14 @@ def test_distance_record_flags_follow_the_slack(monkeypatch, slack, scalar, mode
     cov = assemble(Exponential(1, 0.1), g)
     fac = sqrt_factor(cov)
     t = make_integral_functional(g, "cosine")
-    prof, consts = profile(t, cov), constants(t, cov)
+    prof = profile(t, cov)
     flags = set()
     for i in range(10):
         for u in (1.0, 30.0, 1e4):
             spec = ConditionSpec(u=u, scalar=scalar, mode=mode, rho=0.5, theta=theta)
             s = sample_conditional(fac, t, spec, substream(9, i))
-            rec = distance_record(s, consts, g, sample_index=i)
-            assert abs(rec.sup_dist - normalized_sup_distance(s, prof, g)) <= 64 * EPS
+            rec = dataclasses.replace(distance_record(s), sample_index=i)
+            assert abs(rec.sup_dist - normalized_sup_distance(s, prof)) <= 64 * EPS
             assert rec.est0_ok == (rec.sup_dist <= rec.bound_rhs + slack * (1 + rec.bound_rhs))
             flags.add((rec.applicable, rec.est12_ok))
     assert {applicable for applicable, _ in flags} == {True, False}

@@ -321,6 +321,28 @@ def test_shifted_smooth_kernel_is_not_positive():
             sqrt_factor(CovOperator(grid=g, kernel=MatrixKernel(op)))
 
 
+@pytest.mark.filterwarnings("error")
+def test_pivoted_certificate_does_not_depend_on_the_scale():
+    # the verdict on s op is the verdict on op, for the smooth op and the two that are
+    # not positive, at scales where the residual products would square past the double
+    # range; at M = 2048 a kernel scaled to 1e300 takes the pivoted route with the rank
+    # it has at scale 1, warning-free
+    g = make_grid(0, 1, 128)
+    op = assemble(SquaredExponential(1, 0.2), g).op
+    lam_max = np.linalg.eigvalsh(op)[-1]
+    bump = np.zeros((g.m, g.m))
+    bump[10, 100] = bump[100, 10] = 1e-9 * lam_max
+    for op in (op, op - 1e-9 * lam_max * np.eye(g.m), op + bump):
+        verdict = covariance._pivoted_pairs(op) is not None
+        for s in (1e-300, 1e-160, 1e150, 1e300):
+            assert (covariance._pivoted_pairs(s * op) is not None) == verdict, s
+    g = make_grid(0, 1, 2048)
+    for spec, rank in (("sqexp:1e300:0.2", 21), ("rankk:1e300@1", 1)):
+        cov = assemble(kernel_from_spec(spec), g)
+        lam, _ = covariance._pivoted_pairs(cov)
+        assert len(lam) == rank and sqrt_factor(cov).rank == rank, spec
+
+
 def test_pivoted_factor_peak_memory_is_an_eighth_of_one_operator():
     # the pivoted route reads op only by its diagonal and single rows, and holds
     # O(M (P + r)) beyond it: no M x M or M/2 x M temporary
@@ -657,12 +679,11 @@ def test_circulant_rows_do_not_depend_on_the_block():
                     got = fac.apply(rows[lo:lo + width])
                     assert got.tobytes() == full[lo:lo + width].tobytes(), (route, width, lo)
             assert rows.tobytes() == before, route
-        k = constants(t, fac.cov)
         rep = sweep(fac, t, fac.cov, [spec.u], NOISE_BLOCK + 2, scalar=REAL, mode="random",
                     seed=seed)
         for i in (0, 5, NOISE_BLOCK + 1):
             s = sample_conditional(fac, t, spec, substream(seed, 0, i))
-            want = distance_record(s, k, g, i)
+            want = dataclasses.replace(distance_record(s), sample_index=i)
             for f in dataclasses.fields(want):
                 assert getattr(rep.records[i], f.name) == getattr(want, f.name), (route, f.name)
 

@@ -398,15 +398,14 @@ def test_condition_pathwise_stream_matches_single_calls(setup64, scalar, mode, t
     # column j of the block; sample_conditional is row 0 of the one-spec,
     # one-stream call
     g, cov, fac, t = setup64
-    k = constants(t, cov)
-    tct = k.tct
+    tct = constants(t, cov).tct
     specs = [ConditionSpec(u=u, scalar=scalar, mode=mode, rho=2.0, theta=theta)
              for u in (0.0, 10.0, 1e6)]
-    (block,) = condition_blocks(fac, t, k, specs, (substream(3, 0, i) for i in range(3)))
+    (block,) = condition_blocks(fac, t, specs, (substream(3, 0, i) for i in range(3)))
     assert block.phi.shape == (3, g.m) and block.t_u.shape == (3, 3)
     assert block.values.shape == (3, 3, g.m)
     for i in range(3):
-        (single,) = condition_blocks(fac, t, k, specs, [substream(3, 0, i)])
+        (single,) = condition_blocks(fac, t, specs, [substream(3, 0, i)])
         for j in range(len(specs)):
             assert _row(block, i, j) == _row(single, 0, j)
         rng = substream(3, 0, i)
@@ -414,7 +413,7 @@ def test_condition_pathwise_stream_matches_single_calls(setup64, scalar, mode, t
         assert [(block.t_u[i, j], block.rho[i, j], block.theta[i, j])
                 for j in range(len(specs))] == [sample_t_u(spec, tct, rng) for spec in specs]
     for spec in specs:
-        (want,) = condition_blocks(fac, t, k, [spec], [substream(3, 2)])
+        (want,) = condition_blocks(fac, t, [spec], [substream(3, 2)])
         s = sample_conditional(fac, t, spec, substream(3, 2))
         assert not s.values.flags.writeable
         got = (s.values.dtype, s.values.tobytes(), s.phi.tobytes(), s.t1, s.scalar, s.t_u,
@@ -460,7 +459,6 @@ def test_condition_blocks_read_each_stream_before_the_next(setup64, scalar):
     # one re-keyed generator, yielded again and again, gives the blocks of a
     # list of fresh streams: each stream is read fully before the next is asked for
     g, cov, fac, t = setup64
-    k = constants(t, cov)
     specs = [ConditionSpec(u=u, scalar=scalar, mode=RANDOM) for u in (1.0, 1e3)]
     for n in (1, 127, 128, 129, 300):
         seen = []
@@ -470,8 +468,8 @@ def test_condition_blocks_read_each_stream_before_the_next(setup64, scalar):
                 seen.append(rng)
                 yield rng
 
-        got = list(condition_blocks(fac, t, k, specs, served()))
-        want = list(condition_blocks(fac, t, k, specs, [substream(13, 0, i) for i in range(n)]))
+        got = list(condition_blocks(fac, t, specs, served()))
+        want = list(condition_blocks(fac, t, specs, [substream(13, 0, i) for i in range(n)]))
         assert len(seen) == n and all(rng is seen[0] for rng in seen)
         assert len(got) == len(want) == -(-n // NOISE_BLOCK)
         for a, b in zip(got, want):
@@ -485,7 +483,7 @@ def test_condition_pathwise_needs_specs_of_one_scalar_type(setup64):
     g, cov, fac, t = setup64
     for specs in ([], [ConditionSpec(u=1.0, scalar=REAL), ConditionSpec(u=2.0, scalar=COMPLEX)]):
         with pytest.raises(ValueError, match="one scalar type"):
-            next(condition_blocks(fac, t, constants(t, cov), specs, [substream(0, 0)]))
+            next(condition_blocks(fac, t, specs, [substream(0, 0)]))
 
 
 @pytest.mark.parametrize("kernel", ["exp:1:0.1", "sqexp:2.5:0.25", "rankk:4@1,1@3,0.5@0"])
@@ -499,7 +497,7 @@ def test_conditioning_event_holds_on_every_route(kernel, functional, scalar):
     fac, t = sqrt_factor(cov), functional_from_spec(functional, g)
     specs = [ConditionSpec(u=u, scalar=scalar, mode=RANDOM) for u in (5.0, 1e6)]
     rngs = (substream(5, 0, i) for i in range(200))
-    for s in condition_blocks(fac, t, constants(t, cov), specs, rngs):
+    for s in condition_blocks(fac, t, specs, rngs):
         assert np.all(np.abs(g.w * (s.values @ t.coeff)) >= s.u * (1.0 - 1e-12))
 
 
