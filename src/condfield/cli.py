@@ -97,26 +97,23 @@ class _Setup:
         return cv.sqrt_factor(self.cov)
 
 
-def _sidecar(path: str) -> str:
-    root, _ = os.path.splitext(path)
-    return root + ".json"
-
-
-def _write_json(path: str, payload: dict, csv_columns=None):
-    """Write `payload` as JSON to `path`; given (header, columns), write those as CSV to
-    `path` and the JSON to its sidecar.  Serialized first: a non-finite value leaves no file."""
+def _write_json(path: str, payload: dict, table=None):
+    """Write `payload` as JSON to `path`; given a table, write it as CSV to `path`
+    (`_write_csv`) and the JSON beside it, at `path` with its extension made .json.
+    Serialized first: a non-finite value leaves no file."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    if csv_columns is not None:
-        _write_csv(path, *csv_columns)
-        path = _sidecar(path)
+    if table is not None:
+        _write_csv(path, table)
+        path = os.path.splitext(path)[0] + ".json"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
-def _reprs(c: np.ndarray, block: int):
-    """The repr of each entry of an int or float column, made lazily `block` runs at a
-    time and once per run of equal entries: of equal bits for a float, so that -0.0
-    and 0.0 stay apart."""
+def _reprs(c: np.ndarray):
+    """The repr of each entry of an int or float column, made lazily NOISE_BLOCK runs
+    at a time and once per run of equal entries: of equal bits for a float, so that
+    -0.0 and 0.0 stay apart."""
+    block = sp.NOISE_BLOCK
     key = c.view(f"i{c.itemsize}") if c.dtype.kind == "f" else c
     first = np.ones(c.size, bool)  # of its run
     first[1:] = key[1:] != key[:-1]
@@ -131,49 +128,53 @@ def _reprs(c: np.ndarray, block: int):
     return itertools.chain.from_iterable(chunks)
 
 
-def _write_csv(path: str, header, columns):
-    """Write equal-length arrays as CSV columns, NOISE_BLOCK rows at a time: each
-    field the repr of its int or float (booleans as 0/1), unquoted, as every field
-    is a number, and rows ended by \\r\\n.  A non-finite float or complex value
-    raises ValueError and leaves no file."""
-    for name, c in zip(header, columns):
-        if c.dtype.kind in "fc" and not np.all(np.isfinite(c)):
+def _write_csv(path: str, table: dict):
+    """Write a table {name: array} of equal-length columns as CSV, in its order and
+    NOISE_BLOCK rows at a time: a complex column as two, <name>_re and <name>_im;
+    each field the repr of its int or float (booleans as 0/1), unquoted, as every
+    field is a number, and rows ended by \\r\\n.  A non-finite value raises
+    ValueError and leaves no file; columns of unequal length raise it at the end of
+    the shortest."""
+    cols = {}
+    for name, c in table.items():
+        if c.dtype.kind == "c":
+            cols[name + "_re"], cols[name + "_im"] = c.real, c.imag
+        else:
+            cols[name] = c.astype(int) if c.dtype == bool else c
+    for name, c in cols.items():
+        if c.dtype.kind == "f" and not np.all(np.isfinite(c)):
             raise ValueError(f"column {name} holds a non-finite value")
-    rows = zip(*(_reprs(c.astype(int) if c.dtype == bool else c, sp.NOISE_BLOCK)
-                 for c in columns))
+    rows = zip(*map(_reprs, cols.values()), strict=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for _ in range(0, len(columns[0]), sp.NOISE_BLOCK):
-            rows_k = itertools.islice(rows, sp.NOISE_BLOCK)
-            fh.write("".join(",".join(row) + "\r\n" for row in rows_k))
+        fh.write(",".join(cols) + "\r\n")
+        while text := "".join(",".join(row) + "\r\n"
+                              for row in itertools.islice(rows, sp.NOISE_BLOCK)):
+            fh.write(text)
 
 
 def cmd_profile(setup: _Setup, out) -> int:
-    prof = fn.profile(setup.functional, setup.cov)
     t = setup.functional
-    curve = None
-    if t.kind in ("point", "derivative"):
-        curve = fn.analytic_derivative_curve(setup.kernel, setup.grid.points, t.x0, t.n)
-    header = ["x", "profile_value"] + (["analytic_value"] if curve is not None else [])
-    columns = [setup.grid.points, prof] + ([curve] if curve is not None else [])
-    _write_csv(out or "profile.csv", header, columns)
+    table = {"x": setup.grid.points, "profile_value": fn.profile(t, setup.cov)}
+    if t.kind in ("point", "derivative"):  # None where no closed form is known
+        table["analytic_value"] = fn.analytic_derivative_curve(
+            setup.kernel, setup.grid.points, t.x0, t.n)
+    _write_csv(out or "profile.csv", {k: c for k, c in table.items() if c is not None})
     return EXIT_OK
 
 
 def cmd_condition(setup: _Setup, out) -> int:
-    out = out or "condition.csv"
     spec = sp.ConditionSpec(u=setup.u, scalar=setup.scalar, mode=setup.mode,
                             rho=setup.rho, theta=setup.theta)
     sample = sp.sample_conditional(setup.factor, setup.functional, spec,
                                    sp.substream(setup.seed, 3, 0))
     rec = cc.distance_record(sample)
-    _write_json(out, {
+    _write_json(out or "condition.csv", {
         "config": setup.config, "u": float(setup.u), "rho": float(sample.rho),
         "theta": float(sample.theta), "t_u_re": float(np.real(sample.t_u)),
         "t_u_im": float(np.imag(sample.t_u)), "r2": float(sample.r2),
         "sup_dist": rec.sup_dist, "l2_dist": rec.l2_dist, "bound_rhs": rec.bound_rhs},
-        (["x", "re_phi", "im_phi"],
-         [setup.grid.points, np.real(sample.values), np.imag(sample.values)]))
+        {"x": setup.grid.points, "re_phi": np.real(sample.values),
+         "im_phi": np.imag(sample.values)})
     return EXIT_OK
 
 
@@ -184,16 +185,11 @@ def _sweep(setup: _Setup, u_list) -> cc.SweepReport:
 
 
 def cmd_sweep(setup: _Setup, out) -> int:
-    out = out or "sweep.csv"
     report = _sweep(setup, setup.u_list)
-    c = report.columns
-    c = dict(c, ratio_re=c["ratio"].real, ratio_im=c["ratio"].imag)
-    header = ["u", "sample_index", "rho", "theta", "sup_dist", "l2_dist", "bound_rhs",
-              "ratio_re", "ratio_im", "r", "applicable", "est0_ok", "est12_ok"]
-    _write_json(out, {
+    _write_json(out or "sweep.csv", {
         "config": setup.config, "per_u": list(report.per_u), "slope": report.slope,
         "violations_est0": report.violations_est0, "violations_est12": report.violations_est12},
-        (header, [c[name] for name in header]))
+        report.columns)
     if report.violations_est0 or report.violations_est12:
         print("theorem bound violated; see report", file=sys.stderr)
         return EXIT_VERIFY

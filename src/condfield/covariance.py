@@ -391,9 +391,9 @@ def _pivoted_pairs(op):
     Certificate: ||E||_2 <= 10 sqrt(2/pi) max_i ||E w_i||_2 for any E but with probability
     10^-r over r = _PROBES Gaussian w_i (Halko, Martinsson & Tropp 2011, SIAM Rev. 53:217,
     Lemma 4.1), drawn from a fixed Philox key so the verdict is deterministic.  Accepted
-    where it is at most DEFAULT_CLIP_TOL for E / lam_max (scale-free: no square of E w_i
-    over- or underflows), E = op - V Lambda V^T, with op's products from `_matvec`: op's
-    spectrum is then in the clip window.
+    where it is at most DEFAULT_CLIP_TOL for E / lam_max, E = op - V Lambda V^T, with op's
+    products from `_matvec` (scale-free: the w_i are scaled by lam_max's power of two, so no
+    product over- or underflows): op's spectrum is then in the clip window.
     """
     m, cap = op.shape[0], op.shape[0] // 2
     d = op.diagonal().copy()
@@ -415,10 +415,11 @@ def _pivoted_pairs(op):
     del rows
     lam = s ** 2  # descending
     p = int(np.count_nonzero(lam > EPS * lam[0]))
-    omega = np.random.Generator(np.random.Philox(key=0)).standard_normal((m, _PROBES))
+    f, e = np.frexp(lam[0])  # lam_max = f 2^e, and the probes are scaled by 2^-e exactly
+    omega = np.ldexp(np.random.Generator(np.random.Philox(key=0)).standard_normal((m, _PROBES)), -e)
     y = _matvec(op, omega)
     y -= vt[:p].T @ (lam[:p, None] * (vt[:p] @ omega))
-    bound = 10 * np.sqrt(2 / np.pi) * np.linalg.norm(y / lam[0], axis=0).max()
+    bound = 10 * np.sqrt(2 / np.pi) * np.linalg.norm(y / f, axis=0).max()
     return (lam[:p], vt[:p].T) if bound <= DEFAULT_CLIP_TOL else None  # NaN fails
 
 
@@ -453,6 +454,8 @@ def sqrt_factor(cov: CovOperator) -> Factor:
         n_cut = int(np.count_nonzero(lam <= EPS * max(float(lam[-1]), 0.0)))
         pairs = lam[n_cut:][::-1], vec[:, n_cut:][:, ::-1]
     lam, vec = pairs
+    if lam.size and not float(lam[0]) / float(cov.grid.w) < np.inf:  # K's largest eigenvalue
+        raise InvalidKernelParams(f"{cov.kernel!r}: an eigenvalue of K = op / w is not finite")
     modes = vec * np.sqrt(lam / cov.grid.w)
     for arr in (modes, lam):
         arr.setflags(write=False)

@@ -574,11 +574,19 @@ def test_condition_csv_is_the_row_by_row_csv(tmp_path, scalar):
 def test_write_csv_is_the_row_by_row_csv_across_blocks(tmp_path):
     n = NOISE_BLOCK + 3
     floats = np.resize([-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, -2.5, 0.1], n)
-    header = ["f", "g", "i", "b"]
-    columns = [floats, -floats[::-1], np.arange(n) - 5, np.arange(n) % 3 == 0]
-    cli._write_csv(str(tmp_path / "w.csv"), header, columns)
-    rows = ([float(f), float(v), int(i), int(b)] for f, v, i, b in zip(*columns))
-    assert (tmp_path / "w.csv").read_bytes() == _row_by_row_csv(header, rows)
+    table = {"f": floats, "g": -floats[::-1], "i": np.arange(n) - 5, "b": np.arange(n) % 3 == 0,
+             "z": floats[::-1] + 1j * floats}
+    cli._write_csv(str(tmp_path / "w.csv"), table)
+    rows = ([float(f), float(v), int(i), int(b), z.real, z.imag]
+            for f, v, i, b, z in zip(*table.values()))
+    want = _row_by_row_csv(["f", "g", "i", "b", "z_re", "z_im"], rows)
+    assert (tmp_path / "w.csv").read_bytes() == want
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_csv(str(tmp_path / "w.csv"), {"i": np.arange(NOISE_BLOCK + 1),
+                                                 "x": np.zeros(NOISE_BLOCK)})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
@@ -586,7 +594,7 @@ def test_write_csv_rejects_a_non_finite_column(tmp_path, bad):
     x = np.zeros(NOISE_BLOCK + 1, type(bad))
     x[-1] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        cli._write_csv(str(tmp_path / "w.csv"), ["i", "x"], [np.arange(len(x)), x])
+        cli._write_csv(str(tmp_path / "w.csv"), {"i": np.arange(len(x)), "x": x})
     assert not any(tmp_path.iterdir())
 
 
@@ -634,6 +642,24 @@ def test_non_finite_result_exits_2(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "usage: condfield" in err
+
+
+# the certificate's probe products of op, and K = op / w itself, past the double range
+KERNELS_PAST_THE_DOUBLE_RANGE = [
+    ["condition", "--grid", "256", "--kernel", "sqexp:1e307:0.2", "--u", "10"],
+    ["condition", "--grid", "2048", "--kernel", "sqexp:1e307:0.2", "--u", "10"],
+    ["sweep", "--grid", "256", "--kernel", "sqexp:1e307:0.2", "--u-list", "10"],
+    ["condition", "--grid", "256", "--kernel", "rankk:1e307@1", "--u", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", KERNELS_PAST_THE_DOUBLE_RANGE, ids=" ".join)
+def test_kernel_past_the_double_range_exits_2_without_a_warning(tmp_path, capsys, argv):
+    # run under the suite's error::RuntimeWarning filter: an overflow on the way fails it
+    assert run(argv + ["--out", str(tmp_path / "o.csv")]) == 2
+    assert not any(tmp_path.iterdir())
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "not finite" in err.splitlines()[0]
 
 
 @pytest.mark.parametrize("command", [["verify", "prop3"], ["profile"]])

@@ -334,13 +334,21 @@ def test_pivoted_certificate_does_not_depend_on_the_scale():
     bump[10, 100] = bump[100, 10] = 1e-9 * lam_max
     for op in (op, op - 1e-9 * lam_max * np.eye(g.m), op + bump):
         verdict = covariance._pivoted_pairs(op) is not None
-        for s in (1e-300, 1e-160, 1e150, 1e300):
+        for s in (1e-300, 1e-160, 1e150, 1e300, 1e307):
             assert (covariance._pivoted_pairs(s * op) is not None) == verdict, s
     g = make_grid(0, 1, 2048)
     for spec, rank in (("sqexp:1e300:0.2", 21), ("rankk:1e300@1", 1)):
         cov = assemble(kernel_from_spec(spec), g)
         lam, _ = covariance._pivoted_pairs(cov)
         assert len(lam) == rank and sqrt_factor(cov).rank == rank, spec
+    # at 1e307 the FFT and mode-sum products of op pass the double range unless the
+    # probes are scaled; the factor of K = op / w does, and is rejected
+    for spec, rank in (("sqexp:1e307:0.2", 21), ("rankk:1e307@1", 1)):
+        cov = assemble(kernel_from_spec(spec), g)
+        lam, _ = covariance._pivoted_pairs(cov)
+        assert len(lam) == rank, spec
+        with pytest.raises(errors.InvalidKernelParams, match="not finite"):
+            sqrt_factor(cov)
 
 
 def test_pivoted_factor_peak_memory_is_an_eighth_of_one_operator():
