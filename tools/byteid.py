@@ -132,7 +132,7 @@ import contextlib, io, json, os, sys
 src, out = sys.argv[1:]
 sys.path.insert(0, src)
 import warnings
-warnings.simplefilter("always")
+warnings.simplefilter("always")  # a command's warnings, whatever ran before it
 from condfield import cli
 if os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))) != src:
     raise SystemExit(f"condfield imported from {cli.__file__}, not from {src}")
@@ -168,8 +168,7 @@ def run_tree(src: Path, out: Path, cmds: list) -> list:
     """Run `cmds` on the tree `src` in one fresh interpreter; per command its exit
     code, first stderr line and {file: bytes} of what it wrote."""
     env = {k: v for k, v in os.environ.items() if k not in ("CONDENSATE_SEED", "PYTHONPATH")}
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONHASHSEED="0")
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out.mkdir()
     subprocess.run([sys.executable, "-c", RUNNER, str(src.resolve()), str(out)],
                    input=json.dumps(cmds), text=True, env=env, check=True)
