@@ -133,18 +133,19 @@ def _write_csv(path: str, table: dict):
     NOISE_BLOCK rows at a time: a complex column as two, <name>_re and <name>_im;
     each field the repr of its int or float (booleans as 0/1), unquoted, as every
     field is a number, and rows ended by \\r\\n.  A non-finite value raises
-    ValueError and leaves no file; columns of unequal length raise it at the end of
-    the shortest."""
+    ValueError and leaves no file, as do columns of unequal length."""
     cols = {}
     for name, c in table.items():
         if c.dtype.kind == "c":
             cols[name + "_re"], cols[name + "_im"] = c.real, c.imag
         else:
             cols[name] = c.astype(int) if c.dtype == bool else c
+    if len({len(c) for c in cols.values()}) > 1:
+        raise ValueError(f"columns of unequal length: {[len(c) for c in cols.values()]}")
     for name, c in cols.items():
         if c.dtype.kind == "f" and not np.all(np.isfinite(c)):
             raise ValueError(f"column {name} holds a non-finite value")
-    rows = zip(*map(_reprs, cols.values()), strict=True)
+    rows = zip(*map(_reprs, cols.values()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\r\n")
         while text := "".join(",".join(row) + "\r\n"

@@ -392,8 +392,8 @@ def _pivoted_pairs(op):
     10^-r over r = _PROBES Gaussian w_i (Halko, Martinsson & Tropp 2011, SIAM Rev. 53:217,
     Lemma 4.1), drawn from a fixed Philox key so the verdict is deterministic.  Accepted
     where it is at most DEFAULT_CLIP_TOL for E / lam_max, E = op - V Lambda V^T, with op's
-    products from `_matvec` (scale-free: the w_i are scaled by lam_max's power of two, so no
-    product over- or underflows): op's spectrum is then in the clip window.
+    products from `_matvec` (the w_i scaled down, never up, by lam_max's power of two, so
+    no product overflows at either end of the range): op's spectrum is then in the clip window.
     """
     m, cap = op.shape[0], op.shape[0] // 2
     d = op.diagonal().copy()
@@ -415,11 +415,11 @@ def _pivoted_pairs(op):
     del rows
     lam = s ** 2  # descending
     p = int(np.count_nonzero(lam > EPS * lam[0]))
-    f, e = np.frexp(lam[0])  # lam_max = f 2^e, and the probes are scaled by 2^-e exactly
+    e = max(int(np.frexp(lam[0])[1]), 0)  # lam_max < 2^e: probes scaled down by 2^-e exactly
     omega = np.ldexp(np.random.Generator(np.random.Philox(key=0)).standard_normal((m, _PROBES)), -e)
     y = _matvec(op, omega)
     y -= vt[:p].T @ (lam[:p, None] * (vt[:p] @ omega))
-    bound = 10 * np.sqrt(2 / np.pi) * np.linalg.norm(y / f, axis=0).max()
+    bound = 10 * np.sqrt(2 / np.pi) * np.linalg.norm(y / np.ldexp(lam[0], -e), axis=0).max()
     return (lam[:p], vt[:p].T) if bound <= DEFAULT_CLIP_TOL else None  # NaN fails
 
 

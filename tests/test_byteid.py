@@ -5,7 +5,6 @@ of the same source are byte-identical."""
 import importlib.util
 import shutil
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -21,20 +20,27 @@ def _has_git_head() -> bool:
     return probe.returncode == 0
 
 
-@pytest.mark.skipif(not _has_git_head(), reason="needs git and a commit to extract")
-def test_byteid_finds_head_identical_to_itself():
-    res = subprocess.run([sys.executable, str(ROOT / "tools" / "byteid.py"),
-                          "--quick", "--rev", "HEAD", "--tree", "HEAD"],
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stdout + res.stderr
-    last = res.stdout.splitlines()[-1]
-    assert last.endswith(": identical") and " 0 files" not in last, last
-
-
-def test_byteid_reports_each_kind_of_difference():
+def _byteid():
     spec = importlib.util.spec_from_file_location("byteid", ROOT / "tools" / "byteid.py")
     byteid = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(byteid)
+    return byteid
+
+
+@pytest.mark.skipif(not _has_git_head(), reason="needs git and a commit to extract")
+def test_byteid_finds_head_identical_to_itself(tmp_path):
+    byteid = _byteid()
+    cmds = byteid.matrix(True)
+    a, b = (byteid.run_tree(byteid.extract("HEAD", tmp_path / side), tmp_path / f"o{side}",
+                            cmds) for side in "ab")
+    assert len(a) == len(b) == len(cmds)
+    assert sum(len(r["files"]) for r in a) > 0
+    for argv, ra, rb in zip(cmds, a, b):
+        assert byteid.differences(ra, rb) == [], argv
+
+
+def test_byteid_reports_each_kind_of_difference():
+    byteid = _byteid()
     a = {"rc": 0, "stderr": "", "files": {"o.csv": b"x\r\n1.0\r\n", "o.json": b"{}"}}
     assert byteid.differences(a, a) == []
     b = {"rc": 2, "stderr": "config error: e", "files": {"o.csv": b"x\r\n1.5\r\n"}}

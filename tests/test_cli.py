@@ -584,9 +584,10 @@ def test_write_csv_is_the_row_by_row_csv_across_blocks(tmp_path):
 
 
 def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unequal length"):
         cli._write_csv(str(tmp_path / "w.csv"), {"i": np.arange(NOISE_BLOCK + 1),
                                                  "x": np.zeros(NOISE_BLOCK)})
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])

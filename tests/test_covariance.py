@@ -334,7 +334,7 @@ def test_pivoted_certificate_does_not_depend_on_the_scale():
     bump[10, 100] = bump[100, 10] = 1e-9 * lam_max
     for op in (op, op - 1e-9 * lam_max * np.eye(g.m), op + bump):
         verdict = covariance._pivoted_pairs(op) is not None
-        for s in (1e-300, 1e-160, 1e150, 1e300, 1e307):
+        for s in (1e-307, 1e-300, 1e-160, 1e150, 1e300, 1e307):
             assert (covariance._pivoted_pairs(s * op) is not None) == verdict, s
     g = make_grid(0, 1, 2048)
     for spec, rank in (("sqexp:1e300:0.2", 21), ("rankk:1e300@1", 1)):
@@ -349,6 +349,14 @@ def test_pivoted_certificate_does_not_depend_on_the_scale():
         assert len(lam) == rank, spec
         with pytest.raises(errors.InvalidKernelParams, match="not finite"):
             sqrt_factor(cov)
+    # at 1e-307 the probes are not scaled up, so no product passes the double range
+    # there either: the certificate runs warning-free at M = 2048, and at M = 256 (where
+    # the dense eigh it falls back to is cheap) the factor is finite; op's entries are
+    # subnormal far from the diagonal, so the rank is not that at scale 1
+    for spec in ("sqexp:1e-307:0.2", "rankk:1e-307@1"):
+        covariance._pivoted_pairs(assemble(kernel_from_spec(spec), g))
+        cov = assemble(kernel_from_spec(spec), make_grid(0, 1, 256))
+        assert np.all(np.isfinite(sqrt_factor(cov).modes)), spec
 
 
 def test_pivoted_factor_peak_memory_is_an_eighth_of_one_operator():
