@@ -1,26 +1,26 @@
 """Covariance kernels, the discretized covariance operator and its factor.
 
-Coordinate convention (`grid` owns inner products and norms, this module the
-weight in op and the factor's scaling): field vectors hold point values, the
-operator matrix is ``op = w * K`` with K[i, j] = C(x_i, x_j), for a stationary C
-formed as C((i - j) h) from the index lag, so that op is exactly Toeplitz on every
-grid.  Acting on a value vector, ``op @ phi`` is the midpoint approximation of the
-integral operator.  With this convention the pointwise variance of generated samples
-equals the kernel diagonal C(x, x), while orthonormality of eigenmodes is with respect to
-the weighted inner product: a plain-orthonormal eigenvector v corresponds to
-the weighted-orthonormal mode v / sqrt(w).  The operator serves its rows and
-diagonal on demand: a stationary kernel's from one cached lag row, evaluated once, any
-other kernel's from the kernel; the M x M op is formed only where something reads it,
-which a smooth or stationary kernel's factor and the theory constants never do.  A field
-is a factor L of K = L L^T applied to i.i.d. standard coefficients, one per column of L,
-from one of three routes (`sqrt_factor`).  A smooth kernel's columns are
-its modes whose eigenvalue is above eps * lam_max (eps the double machine epsilon), the
-operator's numerical rank, from one SVD of its pivoted Cholesky rows, certified by a
-randomized bound on ||op - w L L^T||_2 (10 fixed probes, applied by FFT where op is
-Toeplitz).  Any other stationary kernel's L is exact with N ~ 2M columns, from the
-circulant that embeds its Toeplitz op, and is applied by one FFT.  Every other kernel,
-and a stationary one whose embedding is not positive, takes its modes from a dense eigh.
-Every route's factor is a `Factor`, whose `apply` gives a row of a block bitwise as alone.
+Coordinate convention (`grid` owns inner products and norms, this module the weight in op
+and the factor's scaling): field vectors hold point values, the operator matrix is
+``op = w * K`` with K[i, j] = C(x_i, x_j), for a stationary C formed as C((i - j) h) from
+the index lag, so that op is exactly Toeplitz on every grid.  Acting on a value vector,
+``op @ phi`` is the midpoint approximation of the integral operator.  With this convention
+the pointwise variance of generated samples equals the kernel diagonal C(x, x), while
+orthonormality of eigenmodes is with respect to the weighted inner product: a
+plain-orthonormal eigenvector v corresponds to the weighted-orthonormal mode v / sqrt(w).
+The operator serves its rows and diagonal on demand: a stationary kernel's from one cached
+lag row, evaluated once, any other kernel's from the kernel; the M x M op is formed only
+where something reads it, which the theory constants and the RankK, pivoted and embedding
+factors never do.  A field is a factor L of K = L L^T applied to i.i.d. standard
+coefficients, one per column of L, by a route picked from the kernel's structure
+(`sqrt_factor`).  A RankK kernel's columns are its modes sqrt(lam_k) e_k.  A smooth
+stationary kernel's are its modes whose eigenvalue is above eps * lam_max (eps the double
+machine epsilon), the operator's numerical rank, from one SVD of its pivoted Cholesky rows,
+certified by a randomized bound on ||op - w L L^T||_2 (10 fixed probes, applied by FFT).
+Any other stationary kernel's L is exact with N ~ 2M columns, from the circulant that
+embeds its Toeplitz op, and is applied by one FFT.  Every other kernel, and a stationary
+one whose embedding is not positive, takes its modes from a dense eigh.  Every route's
+factor is a `Factor`, whose `apply` gives a row of a block bitwise as alone.
 """
 
 import functools
@@ -105,8 +105,8 @@ class RankK:
 
     C(x, y) = sum_k lam_k e_k(x) e_k(y) with e_0 = 1/sqrt(b - a) and
     e_k(x) = sqrt(2/(b - a)) cos(k pi (x - a)/(b - a)) for k >= 1.  The modes
-    are exactly orthonormal under the midpoint quadrature, so the assembled
-    operator has eigenvalues exactly {lam_k} (plus zeros).
+    are exactly orthonormal under the midpoint quadrature, so the assembled operator
+    has eigenvalues exactly {lam_k} (plus zeros) and eigenvectors sqrt(w) e_k.
     """
 
     modes: tuple  # ((lam, k), ...)
@@ -128,6 +128,12 @@ class RankK:
                 raise InvalidKernelParams(f"mode index {k} needs a grid with M > {k}")
             yield lam, (np.full_like(x, 1.0 / np.sqrt(b - a)) if k == 0 else
                         np.sqrt(2.0 / (b - a)) * np.cos(k * np.pi * (x - a) / (b - a)))
+
+    def _eigenpairs(self, grid: Grid):
+        """op's (lam, V): lam descending (ties in the spec's order), V's columns sqrt(w) e_k."""
+        lam, e = zip(*self._terms(grid))
+        order = np.argsort(np.negative(lam), kind="stable")
+        return np.array(lam)[order], np.sqrt(grid.w) * np.column_stack(e)[:, order]
 
     def rows(self, grid: Grid, idx) -> np.ndarray:
         """K[idx] for an index or slice of the grid points."""
@@ -205,14 +211,26 @@ class CovOperator:
 
     def apply(self, phi) -> np.ndarray:
         """op @ phi from the rows in phi's support (op is symmetric), _BLOCK_ROWS at a
-        time: one row for a point functional, its stencil rows for a derivative."""
+        time: one row for a point functional, its stencil rows for a derivative.  Where
+        the sum is not finite, it is formed again from phi scaled below 1 by a power of
+        two, so a product whose terms overflow but that fits is finite, and any other is
+        bitwise the plain sum."""
         phi = _check(phi, self.grid)
-        out = np.zeros(self.grid.m, np.result_type(phi, float))
         support = np.flatnonzero(phi)
         first, last = (support[0], support[-1]) if support.size else (0, -1)
-        for lo in range(first, last + 1, _BLOCK_ROWS):
-            blk = slice(lo, min(lo + _BLOCK_ROWS, last + 1))
-            out += phi[blk] @ self[blk]
+
+        def product(x):
+            out = np.zeros(self.grid.m, np.result_type(x, float))
+            for lo in range(first, last + 1, _BLOCK_ROWS):
+                blk = slice(lo, min(lo + _BLOCK_ROWS, last + 1))
+                out += x[blk] @ self[blk]
+            return out
+
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is formed again
+            out = product(phi)
+            if not np.isfinite(out).all():
+                scale = np.ldexp(1.0, -max(int(np.frexp(np.abs(phi).max())[1]), 0))
+                out = product(phi * scale) / scale
         return out
 
 
@@ -260,10 +278,10 @@ class Factor:
 
 @dataclass(frozen=True)
 class SqrtFactor(Factor):
-    """Spectral factor L = V_P sqrt(Lambda_P / w) of K = op / w = L L^T over the
-    P = M - n_clipped eigenpairs of op above eps * lam_max, from a dense eigh or one SVD of
-    pivoted Cholesky rows (||op - w L L^T||_2 <= DEFAULT_CLIP_TOL * lam_max then, bar a
-    1e-10 chance).  Column n is the Karhunen-Loeve term sqrt(lam_n) e_n."""
+    """Spectral factor L = V_P sqrt(Lambda_P / w) of K = op / w = L L^T over P = M - n_clipped
+    eigenpairs of op: a RankK kernel's K, or those above eps * lam_max from a dense eigh or
+    one SVD of pivoted Cholesky rows (||op - w L L^T||_2 <= DEFAULT_CLIP_TOL * lam_max then,
+    bar a 1e-10 chance).  Column n is the Karhunen-Loeve term sqrt(lam_n) e_n."""
 
     modes: np.ndarray = field(repr=False)  # L, M x P, columns by descending eigenvalue
     eigenvalues: np.ndarray = field(repr=False)  # of op, the P kept, descending
@@ -355,25 +373,19 @@ def _circulant_factor(cov: CovOperator) -> CirculantFactor | None:
 
 
 def _matvec(op, x):
-    """op @ x for an (M, r) block x: an ndarray's product, RankK's w sum_k lam_k e_k (e_k^T x),
-    a stationary kernel's by one rfft/irfft pair of the circulant that embeds its
-    Toeplitz op (`_embedding`), any other kernel's by `apply` on each column."""
+    """op @ x for an (M, r) block x: an ndarray's product, or a stationary kernel's by one
+    rfft/irfft pair of the circulant that embeds its Toeplitz op (`_embedding`)."""
     if isinstance(op, np.ndarray):
         return op @ x
-    g, kernel = op.grid, op.kernel
-    if isinstance(kernel, RankK):
-        return g.w * sum(lam * np.multiply.outer(e, e @ x) for lam, e in kernel._terms(g))
-    if not isinstance(kernel, _Stationary):
-        return np.column_stack([op.apply(col) for col in x.T])
     lam = _embedding(op)
     n = lam.size
-    return np.fft.irfft(np.fft.rfft(x, n, axis=0) * lam[:n // 2 + 1, None], n, axis=0)[:g.m]
+    return np.fft.irfft(np.fft.rfft(x, n, axis=0) * lam[:n // 2 + 1, None], n, axis=0)[:op.grid.m]
 
 
 def _pivoted_pairs(op):
     """The kept (lam, V) of op, lam > eps * lam_max in descending order, from one SVD of
-    its pivoted Cholesky rows, or None.  op is read only by op[i], op.diagonal(), op.shape
-    and `_matvec`; an ndarray serves.
+    its pivoted Cholesky rows, or None.  op is a stationary kernel's `CovOperator` or an
+    ndarray, read only by op[i], op.diagonal(), op.shape and `_matvec`.
 
     Pivots on the largest residual diagonal (Harbrecht, Peters & Schneider 2012) until,
     after j pivots, it is at most (j + 1) eps * max diag(op): the roundoff bound of the
@@ -424,25 +436,25 @@ def _pivoted_pairs(op):
 
 
 def sqrt_factor(cov: CovOperator) -> Factor:
-    """Factor L of K = op / w = L L^T, by the first of three routes that takes op.
+    """Factor L of K = op / w = L L^T, by the route the kernel's structure picks.
 
-    1. A smooth kernel's eigenpairs come from `_pivoted_pairs`, which reads the
-       operator's rows (a stationary kernel's from its lag row), where it certifies them.
-    2. A stationary kernel takes the circulant embedding (`CirculantFactor`, rank N)
-       unless an eigenvalue of the embedding is below -DEFAULT_CLIP_TOL * lam_max: so
-       every `exp`, and a `sqexp` that needs more than M/2 pivots.
+    1. A `RankK` kernel's eigenpairs are its K modes (`RankK._eigenpairs`).
+    2. A stationary kernel's come from `_pivoted_pairs` where it is smooth and they are
+       certified; else it takes the circulant embedding (`CirculantFactor`, rank N)
+       unless an eigenvalue of the embedding is below -DEFAULT_CLIP_TOL * lam_max.
     3. Any other operator goes through a dense eigh of the formed `cov.op`.
 
-    Routes 1 and 3 give the `SqrtFactor` over op's numerical rank: eigenvalues at or
-    below eps * lam_max (eps the double machine epsilon) are roundoff, and both drop them
-    and their modes.  An eigenvalue of op below the window -DEFAULT_CLIP_TOL * lam_max
-    means the kernel was not positive semidefinite and raises; only the dense eigh can
-    see one.
+    The pivoted and dense routes keep op's numerical rank: eigenvalues at or below
+    eps * lam_max (eps the double machine epsilon) are roundoff, and both drop them and
+    their modes.  An eigenvalue of op below -DEFAULT_CLIP_TOL * lam_max means the kernel
+    was not positive semidefinite and raises; only the dense eigh can see one.
     """
-    pairs = _pivoted_pairs(cov) if cov.kernel.smooth else None
-    if pairs is None and isinstance(cov.kernel, _Stationary):
-        factor = _circulant_factor(cov)
-        if factor is not None:
+    kernel, pairs = cov.kernel, None
+    if isinstance(kernel, RankK):
+        pairs = kernel._eigenpairs(cov.grid)
+    elif isinstance(kernel, _Stationary):
+        pairs = _pivoted_pairs(cov) if kernel.smooth else None
+        if pairs is None and (factor := _circulant_factor(cov)) is not None:
             return factor
     if pairs is None:
         lam, vec = np.linalg.eigh(cov.op)

@@ -59,10 +59,13 @@ def _check(phi: np.ndarray, grid: Grid, rows: bool = False) -> np.ndarray:
 
 
 def inner(psi, phi, grid: Grid):
-    """Quadrature inner product, conjugate-linear in the first argument."""
+    """Quadrature inner product, conjugate-linear in the first argument.  Where the
+    plain sum is not finite, it is formed again with w applied to psi first."""
     psi = _check(psi, grid)
     phi = _check(phi, grid)
-    return grid.w * np.vdot(psi, phi)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is for the caller
+        val = grid.w * np.vdot(psi, phi)
+        return val if np.isfinite(val) else np.vdot(grid.w * psi, phi)
 
 
 def inners(psi, block, grid: Grid) -> np.ndarray:

@@ -663,6 +663,40 @@ def test_kernel_past_the_double_range_exits_2_without_a_warning(tmp_path, capsys
     assert err.startswith("config error: ") and "not finite" in err.splitlines()[0]
 
 
+# sums whose terms overflow although the weighted sum fits: <T|C|T> of a point and a
+# first-derivative functional (its plain vdot overflows before w is applied), C T of a
+# second derivative, about 2.5e307 (its stencil's products overflow), and prop1's
+# variance estimate, about 1e306 (the sum of 1000 squares overflows before the mean)
+SUMS_WITH_OVERFLOWING_TERMS = [
+    ["condition", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--u", "10"],
+    ["condition", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--u", "10",
+     "--functional", "dpoint:0.5:1"],
+    ["profile", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--functional", "dpoint:0.5:2:4"],
+    ["verify", "prop1", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--mc", "1000"],
+]
+
+
+@pytest.mark.parametrize("argv", SUMS_WITH_OVERFLOWING_TERMS, ids=" ".join)
+def test_sum_whose_terms_overflow_exits_0_without_a_warning(tmp_path, capsys, argv):
+    # run under the suite's error::RuntimeWarning filter: an overflow on the way fails
+    # it; exit 0 is a passed check for verify prop1, and a JSON file holds no inf
+    out = tmp_path / ("o.json" if argv[0] == "verify" else "o.csv")
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    if out.suffix == ".csv":
+        assert np.all(np.isfinite(np.array(read_csv(out)[1:], dtype=float)))
+
+
+def test_tct_past_the_double_range_exits_2_without_a_warning(tmp_path, capsys):
+    # C T of dpoint:0.5:2:4 fits (above), but <T|C|T>, about 1.9e309, does not
+    assert run(["condition", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--u", "10",
+                "--functional", "dpoint:0.5:2:4", "--out", str(tmp_path / "o.csv")]) == 2
+    assert not any(tmp_path.iterdir())
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("config error: non-finite theory constants: <T|C|T> = ")
+    assert err[1].startswith("usage: condfield") and len(err) == 2
+
+
 @pytest.mark.parametrize("command", [["verify", "prop3"], ["profile"]])
 def test_non_finite_analytic_curve_exits_2(tmp_path, capsys, command):
     # d^4 C(x, x0)/d x0^4 at ell = 1e-40 is ell^-4 He_4(s) exp(-s^2/2), inf * 0 off x0

@@ -713,7 +713,6 @@ def test_ritz_and_eigh_factors_give_the_same_prop1_verdict(monkeypatch, eigh_fac
 @pytest.mark.parametrize("kernel, functional, scalar, mode", [
     ("sqexp:1:0.2", "point:0.5", COMPLEX, FIXED_RHO),
     ("sqexp:1:0.2", "integral:cosine", REAL, RANDOM),
-    ("rankk:4@1,1@3,0.5@0", "point:0.5", COMPLEX, RANDOM),
     ("sqexp:2:0.3", "dpoint:0.5:1", REAL, FIXED_RHO),
 ])
 def test_ritz_and_eigh_factors_give_the_same_sweep_slope(kernel, functional, scalar, mode,

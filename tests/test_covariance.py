@@ -39,10 +39,10 @@ def grid64():
 
 class MatrixKernel:
     """K = op / w for a given op, which no kernel of the package gives; exact
-    where w is a power of two."""
+    where w is a power of two.  Its operator is factored by the dense eigh."""
 
-    def __init__(self, op, smooth=True):
-        self.op, self.smooth = op, smooth
+    def __init__(self, op):
+        self.op = op
 
     def rows(self, grid, idx):
         return self.op[idx] / grid.w
@@ -51,10 +51,9 @@ class MatrixKernel:
         return np.diag(self.op) / grid.w
 
 
-def _dense(cov, smooth=False):
-    """cov's operator served as a formed matrix, which only the dense eigh factors
-    where it is not smooth."""
-    return CovOperator(grid=cov.grid, kernel=MatrixKernel(cov.op, smooth=smooth))
+def _dense(cov):
+    """cov's operator served as a formed matrix, which the dense eigh factors."""
+    return CovOperator(grid=cov.grid, kernel=MatrixKernel(cov.op))
 
 
 def test_sqexp_assemble_diagonal(grid64):
@@ -124,7 +123,7 @@ def test_sqrt_factor_residual():
 def test_sqrt_factor_rejects_negative_eigenvalue(grid64):
     cov = assemble(SquaredExponential(1, 0.2), grid64)
     bad = cov.op - 0.1 * np.eye(grid64.m)
-    bad_cov = CovOperator(grid=grid64, kernel=MatrixKernel(bad, smooth=False))
+    bad_cov = CovOperator(grid=grid64, kernel=MatrixKernel(bad))
     with pytest.raises(errors.NotPositive):
         sqrt_factor(bad_cov)
 
@@ -293,10 +292,9 @@ def test_ritz_factor_meets_its_certificate(spec, m):
 
 @pytest.mark.parametrize("kernel", [Exponential(1, 0.1), SquaredExponential(1, 0.002)], ids=repr)
 def test_dense_route_factor_is_the_eigh_factor(kernel, eigh_factor):
-    # an operator served as a matrix that is not smooth, and a smooth one that
-    # needs more than M/2 pivots, are factored by a dense eigh: bitwise the
-    # reference factor
-    cov = _dense(assemble(kernel, make_grid(0, 1, 128)), smooth=kernel.smooth)
+    # an operator served as a matrix is factored by a dense eigh, whatever kernel it
+    # came from: bitwise the reference factor
+    cov = _dense(assemble(kernel, make_grid(0, 1, 128)))
     fac, ref = sqrt_factor(cov), eigh_factor(cov)
     assert fac.rank == 128
     assert fac.modes.tobytes() == ref.modes.tobytes()
@@ -307,8 +305,8 @@ def test_shifted_smooth_kernel_is_not_positive():
     # a smooth kernel's op shifted by -1e-9 lam_max, or given +1e-9 lam_max at
     # (10, 100) and (100, 10) with its diagonal unchanged (smallest eigenvalue
     # -8.9e-10 lam_max, which a certificate that reads only the residual
-    # diagonal would miss), fails the pivoted certificate, and the dense eigh
-    # rejects it; MatrixKernel's products come from apply's row blocks
+    # diagonal would miss), fails the pivoted certificate, and the dense eigh, which
+    # a MatrixKernel's operator always takes, rejects it
     g = make_grid(0, 1, 128)
     cov = assemble(SquaredExponential(1, 0.2), g)
     lam_max = np.linalg.eigvalsh(cov.op)[-1]
@@ -337,24 +335,29 @@ def test_pivoted_certificate_does_not_depend_on_the_scale():
         for s in (1e-307, 1e-300, 1e-160, 1e150, 1e300, 1e307):
             assert (covariance._pivoted_pairs(s * op) is not None) == verdict, s
     g = make_grid(0, 1, 2048)
+
+    def certify(cov):  # a stationary operator as served, a RankK one formed
+        return covariance._pivoted_pairs(
+            cov if isinstance(cov.kernel, covariance._Stationary) else cov.op)
+
     for spec, rank in (("sqexp:1e300:0.2", 21), ("rankk:1e300@1", 1)):
         cov = assemble(kernel_from_spec(spec), g)
-        lam, _ = covariance._pivoted_pairs(cov)
+        lam, _ = certify(cov)
         assert len(lam) == rank and sqrt_factor(cov).rank == rank, spec
-    # at 1e307 the FFT and mode-sum products of op pass the double range unless the
+    # at 1e307 the FFT and matrix products of op pass the double range unless the
     # probes are scaled; the factor of K = op / w does, and is rejected
     for spec, rank in (("sqexp:1e307:0.2", 21), ("rankk:1e307@1", 1)):
         cov = assemble(kernel_from_spec(spec), g)
-        lam, _ = covariance._pivoted_pairs(cov)
+        lam, _ = certify(cov)
         assert len(lam) == rank, spec
         with pytest.raises(errors.InvalidKernelParams, match="not finite"):
             sqrt_factor(cov)
     # at 1e-307 the probes are not scaled up, so no product passes the double range
     # there either: the certificate runs warning-free at M = 2048, and at M = 256 (where
-    # the dense eigh it falls back to is cheap) the factor is finite; op's entries are
-    # subnormal far from the diagonal, so the rank is not that at scale 1
+    # the dense eigh that sqexp falls back to is cheap) the factor is finite; op's
+    # entries are subnormal far from the diagonal, so sqexp's rank is not that at scale 1
     for spec in ("sqexp:1e-307:0.2", "rankk:1e-307@1"):
-        covariance._pivoted_pairs(assemble(kernel_from_spec(spec), g))
+        certify(assemble(kernel_from_spec(spec), g))
         cov = assemble(kernel_from_spec(spec), make_grid(0, 1, 256))
         assert np.all(np.isfinite(sqrt_factor(cov).modes)), spec
 
@@ -445,8 +448,8 @@ ROW_KERNELS = ["sqexp:1:0.2", "sqexp:2.5:0.03", "exp:1:0.1", "rankk:4@1,1@3,0.5@
 @pytest.mark.parametrize("a, b, m", [(0, 1, 128), (-0.3, 2.7, 97), (0, 1, 512), (-0.3, 2.7, 68)])
 def test_served_rows_are_bitwise_the_rows_of_op(spec, a, b, m):
     # every kernel's K is exactly symmetric, so w (0.5 (K + K^T)) row by row
-    # from the kernel is op row by row, and the pivoted route reads the same
-    # numbers from the operator as from its formed matrix.  A stationary operator
+    # from the kernel is op row by row, and the pivoted route reads the same numbers
+    # from a stationary operator as from its formed matrix.  A stationary operator
     # serves them from its lag row (N = 135 at M = 68, odd), so a wide and a stencil
     # functional's products match the kernel's rows in apply's row blocks bitwise
     g = make_grid(a, b, m)
@@ -460,10 +463,11 @@ def test_served_rows_are_bitwise_the_rows_of_op(spec, a, b, m):
         assert served[i].tobytes() == cov.op[i].tobytes()
     for lo, hi in ((0, 64), (max(m - 70, 0), m - 6), (m - 7, m), (10, 11)):
         assert served[lo:hi].tobytes() == cov.op[lo:hi].tobytes()
-    got, ref = covariance._pivoted_pairs(served), covariance._pivoted_pairs(cov.op)
-    assert (got is None) == (ref is None)
-    for x, y in zip(got or (), ref or ()):
-        assert x.tobytes() == y.tobytes()
+    if isinstance(kernel, covariance._Stationary):
+        got, ref = covariance._pivoted_pairs(served), covariance._pivoted_pairs(cov.op)
+        assert (got is None) == (ref is None)
+        for x, y in zip(got or (), ref or ()):
+            assert x.tobytes() == y.tobytes()
     for text in ("integral:cosine", "dpoint:0.5:2:4"):
         t = functional_from_spec(text, g)
         support = np.flatnonzero(t.coeff)
@@ -521,16 +525,16 @@ def test_smooth_paths_never_form_op(monkeypatch, spec):
                       max_size=5, unique_by=lambda md: md[1]),  # k < M
        m=st.sampled_from([64, 100, 128, 250, 256, 512, 777, 1024]))
 def test_pivoted_certificate_is_sound_and_deterministic(kind, domain, scale, ell, modes, m):
-    # wherever the randomized certificate accepts, served by the kernel (FFT or
-    # mode sums) or by the formed matrix, ||op - w L L^T||_2 is inside the
-    # window; the probes are fixed, so a second call gives the same bits.  The
+    # wherever the randomized certificate accepts, served by a stationary kernel
+    # (FFT) or by the formed matrix, ||op - w L L^T||_2 is inside the window;
+    # the probes are fixed, so a second call gives the same bits.  The
     # 2-norm is bounded by that of E's symmetric part plus the Frobenius norm
     # of its skew part (roundoff of the product)
     g = make_grid(*domain, m)
     kernel = SquaredExponential(scale, ell * g.length) if kind == "sqexp" else RankK(tuple(modes))
     cov = assemble(kernel, g)
     lam_max = np.linalg.eigvalsh(cov.op)[-1]
-    for op in (cov, cov.op):
+    for op in (cov, cov.op) if kind == "sqexp" else (cov.op,):
         got, again = covariance._pivoted_pairs(op), covariance._pivoted_pairs(op)
         assert (got is None) == (again is None)
         for x, y in zip(got or (), again or ()):
@@ -540,6 +544,66 @@ def test_pivoted_certificate_is_sound_and_deterministic(kind, domain, scale, ell
             e = cov.op - (vec * lam) @ vec.T
             norm = np.abs(np.linalg.eigvalsh(e + e.T)).max() / 2 + np.linalg.norm(e - e.T) / 2
             assert norm <= DEFAULT_CLIP_TOL * lam_max
+
+
+@pytest.mark.parametrize("spec", ["rankk:4@1,1@3,0.5@0", "rankk:1@2,0.3@7,2.5@30,0.01@60"])
+@pytest.mark.parametrize("a, b, m", [(0, 1, 68), (-0.3, 2.7, 97), (0, 1, 128), (0, 1, 2048)])
+def test_rankk_factor_is_the_pivoted_factor_up_to_sign(spec, a, b, m):
+    # RankK's own pairs (lam_k, sqrt(w) e_k), read off its factor, against the certified
+    # pivoted pairs of its formed op.  With S = V Lambda V^T and E = S - V' Lambda' V'^T,
+    # ||E||_2 <= ||op - S||_F + DEFAULT_CLIP_TOL * lam_max (the certificate), so each
+    # eigenvalue moves by at most ||E||_2 (Weyl) and each unit eigenvector, sign-aligned,
+    # by at most 2^(3/2) ||E||_2 / gap_k (Davis-Kahan; Yu, Wang & Samworth 2015,
+    # Biometrika 102:315, Cor. 1), gap_k the distance from lam_k to the rest of S's
+    # spectrum, zero included.  V is orthonormal to roundoff, far inside that bound.
+    g = make_grid(a, b, m)
+    cov = assemble(kernel_from_spec(spec), g)
+    fac = sqrt_factor(cov)
+    lam, vec = fac.eigenvalues, fac.modes / np.sqrt(fac.eigenvalues / g.w)
+    ref_lam, ref_vec = covariance._pivoted_pairs(cov.op)
+    assert fac.rank == ref_lam.size == len(cov.kernel.modes)
+    assert np.abs(vec.T @ vec - np.eye(fac.rank)).max() <= m * np.finfo(float).eps
+    e_norm = np.linalg.norm(cov.op - (vec * lam) @ vec.T) + DEFAULT_CLIP_TOL * lam[0]
+    assert np.all(np.abs(lam - ref_lam) <= e_norm)
+    spectrum = np.append(lam, 0.0)
+    gap = [np.abs(np.delete(spectrum, k) - lam[k]).min() for k in range(fac.rank)]
+    sign = np.sign(np.sum(vec * ref_vec, axis=0))
+    assert np.all(np.linalg.norm(vec - sign * ref_vec, axis=0) <= 2 ** 1.5 * e_norm / gap)
+
+
+def test_rankk_factor_is_its_modes_with_the_kernel_rank(monkeypatch):
+    # the columns are sqrt(lam_k) e_k, lam descending and ties in the spec's order, with
+    # no pivots, no eigh and no formed op; 40 equal modes keep rank 40 (the dense eigh
+    # kept 44 at M = 64, four at roundoff level)
+    def refuse(*args):
+        raise AssertionError("a RankK factor was computed numerically")
+
+    monkeypatch.setattr(covariance, "_pivoted_pairs", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(CovOperator, "op", property(refuse))
+    g = make_grid(0, 1, 64)
+    fac = sqrt_factor(assemble(RankK(((1.0, 5), (2.0, 1), (1.0, 3))), g))
+    e = [np.sqrt(2) * np.cos(k * np.pi * g.points) for k in (1, 5, 3)]
+    want = np.column_stack(e) * np.sqrt([2.0, 1.0, 1.0])
+    assert np.array_equal(fac.eigenvalues, [2.0, 1.0, 1.0])
+    assert np.abs(fac.modes - want).max() <= 8 * np.finfo(float).eps
+    for m in (64, 68):
+        spec = "rankk:" + ",".join(f"1@{k}" for k in range(40))
+        fac = sqrt_factor(assemble(kernel_from_spec(spec), make_grid(0, 1, m)))
+        assert fac.rank == 40 and np.array_equal(fac.eigenvalues, np.ones(40))
+
+
+def test_apply_whose_terms_overflow_is_formed_from_phi_scaled_down():
+    # C T of dpoint:0.5:2:4 on sqexp:1e306:0.2 is about 2.5e307: its stencil's terms
+    # overflow, and phi scaled by a power of two gives 1e306 times the scale-1 sum,
+    # within the roundoff of the kernel values and of the sum, with no warning
+    g = make_grid(0, 1, 256)
+    t = functional_from_spec("dpoint:0.5:2:4", g)
+    got = assemble(SquaredExponential(1e306, 0.2), g).apply(t.coeff)
+    unit = assemble(SquaredExponential(1, 0.2), g)
+    scale = np.abs(t.coeff) @ np.abs(unit.op)
+    assert np.all(np.isfinite(got)) and np.abs(got).max() > 1e307
+    assert np.all(np.abs(got / 1e306 - unit.apply(t.coeff)) <= 8 * np.finfo(float).eps * scale)
 
 
 @pytest.mark.parametrize("spec, a, b, m", [

@@ -70,6 +70,18 @@ def test_inner_is_weight_times_vdot():
     assert inner(psi, phi, g) == g.w * np.vdot(psi, phi)
 
 
+def test_inner_whose_terms_overflow_is_formed_with_the_weight_first():
+    # a point functional's T_i = 1/w against p_i = 1e306: T_i p_i overflows, w T_i p_i
+    # does not; a finite plain value keeps its bits (above), and a value past the
+    # double range is still inf, with no warning (an error under the suite's filter)
+    g = make_grid(0, 1, 256)
+    t, p = np.zeros(256), np.zeros(256)
+    t[128], p[128] = 1 / g.w, 1e306
+    assert inner(t, p, g) == 1e306 and inner(1j * t, p, g) == -1e306j
+    t[100], p[100], p[128] = 1 / g.w, 1e308, 1e308
+    assert inner(t, p, g) == np.inf
+
+
 def test_inner_length_mismatch():
     g = make_grid(0, 1, 8)
     with pytest.raises(errors.LengthMismatch):

@@ -53,7 +53,7 @@ def _nonstationary(grid):
     package gives it, so it is factored by the dense eigh."""
     x = grid.points
     k = np.exp(-np.subtract.outer(x, x) ** 2 / (2 * 0.2 ** 2)) * (1.0 + np.multiply.outer(x, x))
-    return CovOperator(grid=grid, kernel=MatrixKernel(grid.w * k, smooth=False))
+    return CovOperator(grid=grid, kernel=MatrixKernel(grid.w * k))
 
 
 ROUTES = {

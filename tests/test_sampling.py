@@ -30,6 +30,7 @@ from condfield.sampling import (
     truncated_normal_lower,
     white_noise,
 )
+from test_oracle import _nonstationary
 
 
 @pytest.fixture(scope="module")
@@ -82,14 +83,31 @@ def test_complex_coefficient_null_second_moment(setup64):
     assert abs(rng_vals.mean()) < 4 / np.sqrt(n)
 
 
-def test_unconditional_covariance_matches_kernel():
-    g = make_grid(0, 1, 16)
-    cov = assemble(SquaredExponential(1, 0.2), g)
-    fac = sqrt_factor(cov)
+# an operator on each factor route, with its factor's rank: at M = 16 sqexp:1:0.2 needs
+# more than M/2 = 8 pivots and its embedding is not positive, so it falls back to the
+# dense eigh; at M = 32 sqexp:1:0.5 takes 12 pivots; exp's embedding has N = 30 columns
+ROUTE_COVS = {
+    "sqexp-eigh": (lambda: assemble(SquaredExponential(1, 0.2), make_grid(0, 1, 16)), 16),
+    "pivoted": (lambda: assemble(SquaredExponential(1, 0.5), make_grid(0, 1, 32)), 12),
+    "embedding": (lambda: assemble(Exponential(1, 0.1), make_grid(0, 1, 16)), 30),
+    "rankk": (lambda: assemble(kernel_from_spec("rankk:4@1,1@3,0.5@0"), make_grid(0, 1, 16)), 3),
+    "matrix-eigh": (lambda: _nonstationary(make_grid(0, 1, 16)), 16),
+}
+
+
+@pytest.mark.parametrize("route", ROUTE_COVS)
+def test_unconditional_covariance_matches_kernel(monkeypatch, route):
+    # the empirical covariance of 20000 complex draws L g against K, entry by entry;
+    # a block's rows are bitwise the single draws of substream(21, 0, i)
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    make, rank = ROUTE_COVS[route]
+    cov = make()
+    g, fac = cov.grid, sqrt_factor(cov)
+    assert fac.rank == rank and bool(calls) == route.endswith("eigh")
     n = 20000
-    samples = np.empty((n, g.m), dtype=complex)
-    for i in range(n):
-        samples[i] = fac.apply(white_noise(fac.rank, COMPLEX, substream(21, 0, i)))
+    samples = fac.apply(np.array([white_noise(fac.rank, COMPLEX, rng)
+                                  for rng in keyed_streams(stream_keys(21, 0, n=n))]))
     emp = (samples.conj().T @ samples).real / n
     diag = np.diag(cov.op) / g.w
     se = np.sqrt((np.outer(diag, diag) + (cov.op / g.w) ** 2) / n)

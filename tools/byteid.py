@@ -100,6 +100,17 @@ EDGES = (
      "--kernel", "sqexp:1:1e-41"],
     ["condition", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--u", "10"],
     ["condition", "--grid", "256", "--kernel", "exp:1e307:0.2", "--u", "10"],
+    # sums whose terms overflow although the weighted sum fits (<T|C|T>, C T and prop1's
+    # variance estimate), and a <T|C|T> that does not fit
+    ["condition", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--u", "10",
+     "--functional", "dpoint:0.5:1"],
+    ["profile", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--functional", "dpoint:0.5:2:4"],
+    ["verify", "prop1", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--mc", "1000"],
+    ["condition", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--u", "10",
+     "--functional", "dpoint:0.5:2:4"],
+    # 40 equal modes: a factor of the kernel's rank, 40
+    ["condition", "--grid", "64", "--kernel", "rankk:" + ",".join(f"1@{k}" for k in range(40)),
+     "--u", "10"],
     # kernels whose operator's products pass the double range
     ["condition", "--grid", "256", "--kernel", "sqexp:1e307:0.2", "--u", "10"],
     ["condition", "--grid", "2048", "--kernel", "sqexp:1e307:0.2", "--u", "10"],
