@@ -49,7 +49,6 @@ from .sampling import (
     sample_conditional,
     sample_t_u,
     substream,
-    truncated_normal_lower,
     white_noise,
 )
 

@@ -447,7 +447,8 @@ def sqrt_factor(cov: CovOperator) -> Factor:
     The pivoted and dense routes keep op's numerical rank: eigenvalues at or below
     eps * lam_max (eps the double machine epsilon) are roundoff, and both drop them and
     their modes.  An eigenvalue of op below -DEFAULT_CLIP_TOL * lam_max means the kernel
-    was not positive semidefinite and raises; only the dense eigh can see one.
+    was not positive semidefinite and raises NotPositive, or InvalidKernelParams where
+    op's spectrum is below the smallest normal double; only the dense eigh can see one.
     """
     kernel, pairs = cov.kernel, None
     if isinstance(kernel, RankK):
@@ -460,6 +461,9 @@ def sqrt_factor(cov: CovOperator) -> Factor:
         lam, vec = np.linalg.eigh(cov.op)
         floor = -DEFAULT_CLIP_TOL * max(float(lam[-1]), 0.0)
         if lam[0] < floor:
+            if max(-lam[0], lam[-1]) < np.finfo(float).tiny:  # the window lost its bits too
+                raise InvalidKernelParams(f"{kernel!r}: op is below the normal doubles, where "
+                                          "its entries keep too few bits for a positivity test")
             raise NotPositive(f"eigenvalue {lam[0]:.3e} below the clip window {floor:.3e}; "
                               "covariance is not positive semidefinite")
         # eigh returns ascending eigenvalues, so the cut ones (<= eps * lam_max) lead

@@ -162,7 +162,7 @@ def constants(t: LinearFunctional, cov: cv.CovOperator) -> TheoryConstants:
     tct_val = float(inner(t.coeff, p, t.grid).real)
     w_t1 = t.grid.w * float(np.abs(t.coeff).sum())
     bound = np.finfo(float).eps * a2 * (w_t1 * w_t1)  # float ** would raise on overflow
-    if tct_val <= 100.0 * bound:
+    if math.isfinite(tct_val) and tct_val <= 100.0 * bound:  # the bound may overflow
         raise DegenerateFunctional(f"<T|C|T> = {tct_val:.6g} is numerically zero: not above "
                                    f"100x its roundoff bound {bound:.3g}")
     p_norm = l2_norm(p, t.grid)

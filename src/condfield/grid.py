@@ -59,13 +59,18 @@ def _check(phi: np.ndarray, grid: Grid, rows: bool = False) -> np.ndarray:
 
 
 def inner(psi, phi, grid: Grid):
-    """Quadrature inner product, conjugate-linear in the first argument.  Where the
-    plain sum is not finite, it is formed again with w applied to psi first."""
+    """Quadrature inner product, conjugate-linear in the first argument.  Where the plain
+    sum is not finite, it is formed again from w psi scaled below 1 by a power of two, as
+    `CovOperator.apply` does: no term overflows, so a product that does not fit reads inf."""
     psi = _check(psi, grid)
     phi = _check(phi, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is for the caller
         val = grid.w * np.vdot(psi, phi)
-        return val if np.isfinite(val) else np.vdot(grid.w * psi, phi)
+        if not np.isfinite(val):
+            x = grid.w * psi
+            scale = np.ldexp(1.0, -max(int(np.frexp(np.abs(x).max())[1]), 0))
+            val = np.vdot(x * scale, phi) / scale
+        return val
 
 
 def inners(psi, block, grid: Grid) -> np.ndarray:

@@ -21,11 +21,11 @@ only where read.  A block's noise is dropped before the block is scored, and t_1
 r^2 and `Factor.apply` take a few rows at a time: a sweep's peak is one noise
 block and under two n x M arrays (M = 65,536, 100 samples: 246 MB real, 400 MB complex).
 
-Reproducibility: streams are counter-based (Philox) and splittable, keyed by
-numpy's SeedSequence(seed, spawn_key=path) keys (`stream_keys`: all of a sweep's
-in one array pass).  A conditioned sample is one stream read in one order: g,
-then (t_u, rho, theta) for each threshold; complex coefficient n is the normals
-(2n, 2n+1), so a stream's leading coefficients do not depend on the rank.
+Reproducibility: streams are counter-based (Philox) and splittable, keyed by numpy's
+SeedSequence(seed, spawn_key=path): one stream by numpy itself (`substream`), a batch
+in one array pass (`stream_keys`).  A conditioned sample is one stream read in one
+order: g, then (t_u, rho, theta) for each threshold; complex coefficient n is the
+normals (2n, 2n+1), so a stream's leading coefficients do not depend on the rank.
 Sweeps and conditional draws give sample i its own substream(seed, path..., i),
 so they are order-independent; a sweep reads them through one re-keyed Philox
 (`keyed_streams`), each fully before the next.  `verify prop1` draws its
@@ -61,22 +61,20 @@ _HASH_B = (0x8B51F9DD, 0x58F38DED)  # of generate_state's hash
 _MIX = (0xCA01F9DD, 0x4973F715)  # and the pool mixer's pair
 
 
-def stream_keys(seed: int, *path: int, n: int | None = None) -> np.ndarray:
+def stream_keys(seed: int, *path: int, n: int) -> np.ndarray:
     """numpy's SeedSequence(seed, spawn_key=(*path, i)).generate_state(2, np.uint64)
-    for i < n as an (n, 2) array; without n, the key of spawn_key=path.  Words
-    common to all i are hashed as ints, the word i as one uint32 array.  Raises
-    ValueError on a negative seed or path entry, and unless n < 2**32 (so that
-    i is one word)."""
-    if n is not None and not 0 <= n < 2 ** 32:
+    for i < n as an (n, 2) array, in one array pass: the words common to all i are
+    hashed as ints, the word i as one uint32 array.  Raises ValueError on a negative
+    seed or path entry, and unless 0 <= n < 2**32 (so that i is one word)."""
+    if not 0 <= n < 2 ** 32:
         raise ValueError(f"need 0 <= n < 2**32 streams, got {n}")
     ints = [int(x) for x in (seed, *path)]
     if min(ints) < 0:
         raise ValueError(f"expected non-negative integers, got {ints}")
     mask = 0xFFFFFFFF
     words = [[(x >> s) & mask for s in range(0, max(x.bit_length(), 1), 32)] for x in ints]
-    if path or n is not None:  # as numpy >= 1.19, spawned entropy is padded to the pool
-        words[0] += [0] * (4 - len(words[0]))
-    entropy = [w for x in words for w in x] + ([] if n is None else [np.arange(n, dtype=np.uint32)])
+    words[0] += [0] * (4 - len(words[0]))  # as numpy >= 1.19, spawned entropy is padded to the pool
+    entropy = [w for x in words for w in x] + [np.arange(n, dtype=np.uint32)]
     h, mult = _HASH_A
 
     def hashmix(value):  # value ^ h, then h *= mult, then value * h: mod 2**32
@@ -88,7 +86,7 @@ def stream_keys(seed: int, *path: int, n: int | None = None) -> np.ndarray:
         x = ((_MIX[0] * pool[dst] & mask) - (_MIX[1] * hashmix(value) & mask)) & mask
         pool[dst] = x ^ x >> 16
 
-    pool = [hashmix(w) for w in (entropy + [0] * 4)[:4]]
+    pool = [hashmix(w) for w in entropy[:4]]
     for src, dst in itertools.permutations(range(4), 2):
         mix_in(dst, pool[src])
     for word, dst in itertools.product(entropy[4:], range(4)):
@@ -111,8 +109,9 @@ def keyed_streams(keys):
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent, order-free stream for a (seed, path) pair: numpy's
-    Generator(Philox(SeedSequence(seed, spawn_key=path))), keyed by `stream_keys`."""
-    return np.random.Generator(np.random.Philox(key=stream_keys(seed, *path)))
+    Generator(Philox(SeedSequence(seed, spawn_key=path))).  Raises ValueError on a
+    negative seed or path entry."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
 
 
 @dataclass(frozen=True)
@@ -184,7 +183,10 @@ def white_noise(m: int, scalar: str, rng: np.random.Generator,
 
 
 def _lower_tail(alpha: float):
-    """`truncated_normal_lower` at alpha as rng -> z, with its rate formed once."""
+    """A standard normal conditioned on z >= alpha, as rng -> z with its rate formed once:
+    plain rejection for alpha <= 0 (acceptance >= 1/2), else a shifted-exponential proposal
+    of the optimal rate lam = (alpha + sqrt(alpha^2 + 4)) / 2, stable for alpha >> 1.
+    Where alpha^2 overflows, every proposal would round to alpha, which is returned."""
     if alpha <= 0.0:
         def draw(rng):
             while True:
@@ -204,17 +206,6 @@ def _lower_tail(alpha: float):
             if rng.random() <= math.exp(-((z - lam) ** 2) / 2.0):
                 return z
     return draw
-
-
-def truncated_normal_lower(alpha: float, rng: np.random.Generator) -> float:
-    """Standard normal conditioned on z >= alpha.
-
-    Plain rejection for alpha <= 0 (acceptance >= 1/2); for alpha > 0 a
-    shifted-exponential proposal with the optimal rate
-    lam = (alpha + sqrt(alpha^2 + 4)) / 2, stable for thresholds >> 1.  Where
-    alpha^2 overflows, lam is alpha and every proposal rounds to alpha.
-    """
-    return _lower_tail(alpha)(rng)
 
 
 def _t_u_drawer(spec: ConditionSpec, tct: float):

@@ -697,6 +697,33 @@ def test_tct_past_the_double_range_exits_2_without_a_warning(tmp_path, capsys):
     assert err[1].startswith("usage: condfield") and len(err) == 2
 
 
+# <T|C|T> past the double range, whose stencil terms would cancel into NaN, and operators
+# below the normal doubles, whose clip window underflows or keeps too few bits
+TCT_OVERFLOWS_AND_SUBNORMAL_KERNELS = [
+    (["condition", "--domain", "0,1e-40", "--functional", "dpoint:5e-41:4", "--u", "10",
+      "--kernel", "sqexp:1:1e-41"], "non-finite theory constants: <T|C|T> = inf, "),
+    (["condition", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--u", "10",
+      "--functional", "dpoint:0.5:2:4"], "non-finite theory constants: <T|C|T> = inf, "),
+    (["condition", "--u", "10", "--kernel", "sqexp:1e-320:0.2"], "below the normal doubles"),
+    (["condition", "--grid", "256", "--u", "10", "--kernel", "exp:1e-320:0.1"],
+     "below the normal doubles"),
+    (["condition", "--grid", "256", "--u", "10", "--kernel", "sqexp:1e-310:0.2"],
+     "below the normal doubles"),
+]
+
+
+@pytest.mark.parametrize("argv, says", TCT_OVERFLOWS_AND_SUBNORMAL_KERNELS,
+                         ids=[" ".join(argv) for argv, _ in TCT_OVERFLOWS_AND_SUBNORMAL_KERNELS])
+def test_overflowing_tct_and_subnormal_kernel_exit_2_saying_so(tmp_path, capsys, argv, says):
+    # run under the suite's error::RuntimeWarning filter; a subnormal op is not blamed for
+    # positivity, and a <T|C|T> that overflows reads inf, neither nan nor numerically zero
+    assert run(argv + ["--out", str(tmp_path / "o.csv")]) == 2
+    assert not any(tmp_path.iterdir())
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("config error: ") and says in first
+    assert "positive semidefinite" not in first and "numerically zero" not in first
+
+
 @pytest.mark.parametrize("command", [["verify", "prop3"], ["profile"]])
 def test_non_finite_analytic_curve_exits_2(tmp_path, capsys, command):
     # d^4 C(x, x0)/d x0^4 at ell = 1e-40 is ell^-4 He_4(s) exp(-s^2/2), inf * 0 off x0

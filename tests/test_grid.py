@@ -80,6 +80,14 @@ def test_inner_whose_terms_overflow_is_formed_with_the_weight_first():
     assert inner(t, p, g) == 1e306 and inner(1j * t, p, g) == -1e306j
     t[100], p[100], p[128] = 1 / g.w, 1e308, 1e308
     assert inner(t, p, g) == np.inf
+    # a stencil's w T_i p_i overflow to +inf and -inf, which would cancel into NaN: w T
+    # scaled below 1 keeps every term finite, so a sum that fits is finite, and one that
+    # does not, about 4e308 here, reads inf
+    t[:], p[:] = 0.0, 0.0
+    t[100:102], p[100:102] = (4 / g.w, -4 / g.w), (1e308, 0.9e308)
+    assert inner(t, p, g) == pytest.approx(4e307, rel=1e-15)
+    t[100:102], p[100:102] = (8 / g.w, -4 / g.w), (1e308, 1e308)
+    assert inner(t, p, g) == np.inf
 
 
 def test_inner_length_mismatch():

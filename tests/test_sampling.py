@@ -27,7 +27,6 @@ from condfield.sampling import (
     sample_t_u,
     stream_keys,
     substream,
-    truncated_normal_lower,
     white_noise,
 )
 from test_oracle import _nonstationary
@@ -257,16 +256,17 @@ def test_complex_white_noise_is_a_prefix_of_a_longer_draw(m1, m2):
 
 
 def test_truncated_normal_half_normal_mean():
-    # analytic oracle: mean of |N(0,1)| is sqrt(2/pi)
-    rng = substream(17, 0)
+    # a real random t_u at <T|C|T> = 1 is N(0, 1) conditioned on z >= u; analytic
+    # oracle at u = 0: the mean of |N(0,1)| is sqrt(2/pi)
+    rng, spec = substream(17, 0), ConditionSpec(u=0.0, scalar=REAL, mode=RANDOM)
     n = 100000
-    vals = np.array([truncated_normal_lower(0.0, rng) for _ in range(n)])
+    vals = np.array([sample_t_u(spec, 1.0, rng)[0] for _ in range(n)])
     assert vals.mean() == pytest.approx(np.sqrt(2 / np.pi), abs=0.01)
 
 
 def test_truncated_normal_respects_large_threshold():
-    rng = substream(18, 0)
-    vals = [truncated_normal_lower(40.0, rng) for _ in range(1000)]
+    rng, spec = substream(18, 0), ConditionSpec(u=40.0, scalar=REAL, mode=RANDOM)
+    vals = [sample_t_u(spec, 1.0, rng)[0] for _ in range(1000)]
     assert min(vals) >= 40.0
     # conditional tail mass concentrates just above the threshold
     assert max(vals) < 41.0
@@ -443,8 +443,7 @@ def test_condition_pathwise_stream_matches_single_calls(setup64, scalar, mode, t
 @pytest.mark.parametrize("seed", [0, 31, 2**32 - 1, 2**32, 2**64 + 5, 2**200])
 @pytest.mark.parametrize("path", [(), (0,), (3, 7), (2**40,)])
 def test_stream_keys_are_numpys_seed_sequence_keys(seed, path):
-    # bitwise numpy's keys; a bare seed (substream(seed)) gets no zero-padding
-    # of its entropy, unlike a seed with a spawn key
+    # bitwise numpy's keys, for a batch (stream_keys) and for one stream (substream)
     for n in (1, 128, 1000):
         want = [np.random.SeedSequence(seed, spawn_key=(*path, i)).generate_state(2, np.uint64)
                 for i in range(n)]
@@ -470,6 +469,12 @@ def test_stream_keys_refuse_what_numpy_refuses_or_would_wrap():
     for n in (2**32, 2**40, -1):
         with pytest.raises(ValueError):
             stream_keys(0, 0, n=n)
+
+
+def test_stream_keys_need_a_count():
+    # one stream is numpy's own (substream); stream_keys keys only a batch
+    with pytest.raises(TypeError):
+        stream_keys(3, 0)
 
 
 @pytest.mark.parametrize("scalar", [REAL, COMPLEX])
@@ -519,16 +524,12 @@ def test_conditioning_event_holds_on_every_route(kernel, functional, scalar):
         assert np.all(np.abs(g.w * (s.values @ t.coeff)) >= s.u * (1.0 - 1e-12))
 
 
-@pytest.mark.parametrize("alpha", [1e155, 1e300])
-def test_truncated_normal_returns_where_alpha_squared_overflows(deadline, alpha):
-    # alpha^2 overflows here; the optimal rate must not, or every proposal is rejected
-    assert truncated_normal_lower(alpha, substream(19, 0)) >= alpha
-
-
 @pytest.mark.parametrize("scalar, mode", [(REAL, FIXED_RHO), (REAL, RANDOM), (COMPLEX, RANDOM)])
 def test_sample_t_u_overflowing_square_raises(deadline, scalar, mode):
-    # u^2 overflows a double at u = 1e155; u^2/<T|C|T> alone does at u = 1e153
-    for u, tct in ((1e155, 1.0), (1e153, 1e-4)):
+    # u^2 overflows a double at u = 1e155 and 1e300; u^2/<T|C|T> alone does at u = 1e153.
+    # The real tail's alpha^2 overflows too: its optimal rate must not, or every proposal
+    # is rejected and the draw never returns
+    for u, tct in ((1e155, 1.0), (1e300, 1.0), (1e153, 1e-4)):
         with pytest.raises(errors.ThresholdOverflow):
             sample_t_u(ConditionSpec(u=u, scalar=scalar, mode=mode), tct, substream(20, 0))
 

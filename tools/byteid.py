@@ -116,6 +116,10 @@ EDGES = (
     ["condition", "--grid", "2048", "--kernel", "sqexp:1e307:0.2", "--u", "10"],
     ["sweep", "--grid", "256", "--kernel", "sqexp:1e307:0.2", "--u-list", "10"],
     ["condition", "--grid", "256", "--kernel", "rankk:1e307@1", "--u", "10"],
+    # operators below the normal doubles, whose positivity cannot be told
+    ["condition", "--u", "10", "--kernel", "sqexp:1e-320:0.2"],
+    ["condition", "--grid", "256", "--u", "10", "--kernel", "exp:1e-320:0.1"],
+    ["condition", "--grid", "256", "--u", "10", "--kernel", "sqexp:1e-310:0.2"],
     # kernels so small that probes scaled up to their scale would pass it
     ["condition", "--grid", "256", "--kernel", "sqexp:1e-307:0.2", "--u", "10"],
     ["condition", "--grid", "256", "--kernel", "rankk:1e-307@1", "--u", "10"],
