@@ -151,8 +151,8 @@ class CovOperator:
     rows: op[i], op[lo:hi] and diagonal(), which raise InvalidKernelParams where op is not
     finite.  A stationary kernel's op is exactly Toeplitz, op[i, j] its lag row (`_lags`)
     at the lag |i - j|: evaluated once, and served as copies of its windows.  Any other
-    kernel's rows are w * (0.5 (K + K^T)) from the kernel's rows, bitwise the rows of op
-    since its K is exactly symmetric.  The M x M `op` is formed on first read."""
+    kernel's rows are w times the kernel's rows, whose K is exactly symmetric.  The M x M
+    `op` is formed on first read."""
 
     grid: Grid
     kernel: object
@@ -179,9 +179,9 @@ class CovOperator:
             return self._scaled(self.kernel.diagonal(self.grid))
         return np.full(self.grid.m, self._lags[0])
 
-    def _scaled(self, k: np.ndarray) -> np.ndarray:  # w * (0.5 (k + k)), written over k
+    def _scaled(self, k: np.ndarray) -> np.ndarray:  # w * k, written over k
         with np.errstate(over="ignore"):  # an overflow to inf is rejected below
-            np.multiply(np.multiply(np.add(k, k, out=k), 0.5, out=k), self.grid.w, out=k)
+            np.multiply(k, self.grid.w, out=k)
         if not np.isfinite(k).all():
             raise InvalidKernelParams(f"{self.kernel!r} gives a covariance matrix that is not "
                                       f"finite in double precision on this grid")

@@ -1,4 +1,6 @@
+import importlib.util
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,16 @@ import pytest
 from condfield.covariance import SqrtFactor
 from condfield.grid import inner
 from condfield.sampling import REAL
+
+
+def load_byteid():
+    """tools/byteid.py as a module: its command matrix, its table of edge commands and
+    outcomes, and the functions that run them."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "byteid.py"
+    spec = importlib.util.spec_from_file_location("byteid", path)
+    byteid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(byteid)
+    return byteid
 
 
 def _adapted_split(factor, t, g, t_u, scalar):

@@ -1,13 +1,14 @@
 """tools/byteid.py, the byte-identity check of two trees' command-line outputs,
 run at its small size with HEAD on both sides: every output must match, so reruns
-of the same source are byte-identical."""
+of the same source are byte-identical.  Also the shape of its matrix and of its
+table of edge commands, whose outcomes tests/test_cli.py checks."""
 
-import importlib.util
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
+from conftest import load_byteid
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,16 +21,11 @@ def _has_git_head() -> bool:
     return probe.returncode == 0
 
 
-def _byteid():
-    spec = importlib.util.spec_from_file_location("byteid", ROOT / "tools" / "byteid.py")
-    byteid = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(byteid)
-    return byteid
+byteid = load_byteid()
 
 
 @pytest.mark.skipif(not _has_git_head(), reason="needs git and a commit to extract")
 def test_byteid_finds_head_identical_to_itself(tmp_path):
-    byteid = _byteid()
     cmds = byteid.matrix(True)
     a, b = (byteid.run_tree(byteid.extract("HEAD", tmp_path / side), tmp_path / f"o{side}",
                             cmds) for side in "ab")
@@ -40,10 +36,31 @@ def test_byteid_finds_head_identical_to_itself(tmp_path):
 
 
 def test_byteid_reports_each_kind_of_difference():
-    byteid = _byteid()
     a = {"rc": 0, "stderr": "", "files": {"o.csv": b"x\r\n1.0\r\n", "o.json": b"{}"}}
     assert byteid.differences(a, a) == []
     b = {"rc": 2, "stderr": "config error: e", "files": {"o.csv": b"x\r\n1.5\r\n"}}
     assert byteid.differences(a, b) == [
         "rc: 0 -> 2", "stderr: '' -> 'config error: e'",
         "o.csv: 8 B -> 8 B, differs first at line 2", "o.json: only in the first tree"]
+
+
+def test_no_command_runs_twice():
+    lines = [" ".join(argv) for argv in byteid.matrix(False)]
+    assert len(set(lines)) == len(lines)
+
+
+def test_quick_runs_the_edges_flagged_quick():
+    # chosen by flag, so a row added to the table does not change the quick matrix
+    edges = {e.line for e in byteid.EDGES}
+    assert [" ".join(argv) for argv in byteid.matrix(True) if " ".join(argv) in edges] == [
+        "profile", "profile --kernel matern:1:0.2",
+        "condition --grid 256 --kernel rankk:1e307@1 --u 10",
+        "condition --grid 256 --kernel sqexp:1e-307:0.2 --u 10",
+        "condition --grid 256 --kernel rankk:1e-307@1 --u 10"]
+
+
+def test_every_edge_row_states_an_outcome():
+    # a row that exits 0 says nothing on stderr; any other names its error
+    for edge in byteid.EDGES:
+        assert edge.rc in (0, 1, 2, 3), edge.line
+        assert (edge.says == "") == (edge.rc == 0), edge.line

@@ -13,28 +13,30 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import load_byteid
 
 import condfield as cf
 from condfield import cli, concentration, covariance
 from condfield.cli import main
 from condfield.sampling import NOISE_BLOCK
 
+byteid = load_byteid()
+
 
 def run(args):
     return main(args)
 
 
-def run_recording_warnings(args):
-    """`main` with RuntimeWarnings recorded, not raised: a run at extreme
-    scales may warn on its way to exit 2."""
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("always")
-        return main(args)
-
-
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def read_strict_json(path):
+    def refuse(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 def test_profile_writes_kernel_column(tmp_path):
@@ -50,15 +52,6 @@ def test_profile_writes_kernel_column(tmp_path):
     assert np.allclose(vals, np.exp(-((x - x0) ** 2) / (2 * 0.2 ** 2)), atol=1e-12)
 
 
-def test_profile_unknown_kernel_exits_2(tmp_path, capsys):
-    assert run(["profile", "--kernel", "matern:1:0.2",
-                "--out", str(tmp_path / "p.csv")]) == 2
-
-
-def test_profile_unwritable_path_exits_1(tmp_path):
-    assert run(["profile", "--out", str(tmp_path / "missing" / "p.csv")]) == 1
-
-
 def test_condition_deterministic(tmp_path):
     args = ["condition", "--u", "1000", "--mode", "fixed-rho:1", "--seed", "7",
             "--grid", "64"]
@@ -71,15 +64,6 @@ def test_condition_deterministic(tmp_path):
     assert sidecar["u"] == 1000.0
     assert sidecar["sup_dist"] <= sidecar["bound_rhs"] + 1e-9
     assert sidecar["config"]["seed"] == 7
-
-
-def test_condition_negative_u_exits_2(tmp_path):
-    assert run(["condition", "--u", "-3", "--out", str(tmp_path / "c.csv")]) == 2
-
-
-def test_condition_real_theta_forbidden(tmp_path):
-    assert run(["condition", "--u", "1", "--scalar", "real",
-                "--mode", "fixed-rho:1:1.57", "--out", str(tmp_path / "c.csv")]) == 2
 
 
 def test_sweep_outputs_and_determinism(tmp_path):
@@ -155,37 +139,6 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert run(["condition", "--u", "10", "--grid", "64", "--out", str(out)]) == 0
     sidecar = json.loads((tmp_path / "c.json").read_text())
     assert sidecar["config"]["seed"] == 123
-
-
-def test_usage_error_exits_2():
-    assert run(["sweep"]) == 2  # missing --u-list
-    assert run(["frobnicate"]) == 2
-
-
-@pytest.mark.parametrize("args", [
-    ["condition", "--u", "nan"],
-    ["condition", "--u", "inf"],
-    ["condition", "--u", "10", "--mode", "fixed-rho:nan"],
-    ["profile", "--kernel", "sqexp:nan:0.2"],
-    ["sweep", "--u-list", "10,nan", "--mc", "5"],
-])
-def test_non_finite_input_exits_2(tmp_path, args):
-    out = tmp_path / "o.csv"
-    assert run(args + ["--grid", "64", "--out", str(out)]) == 2
-    assert not out.exists()
-
-
-def test_domain_whose_step_overflows_exits_2(tmp_path, capsys):
-    # b - a overflows, so h = inf: the step is named, not a zero functional
-    out = tmp_path / "p.csv"
-    assert run(["profile", "--domain=-1e308,1e308", "--grid", "4", "--out", str(out)]) == 2
-    assert not any(tmp_path.iterdir())
-    assert capsys.readouterr().err.startswith("config error: step h = (b - a)/M = inf")
-
-
-def test_verify_bounds_zero_mc_exits_2(tmp_path):
-    assert run(["verify", "bounds", "--mc", "0", "--grid", "64",
-                "--out", str(tmp_path / "v.json")]) == 2
 
 
 @pytest.mark.parametrize("slack", [concentration.BOUND_SLACK, -0.1])
@@ -319,21 +272,6 @@ def test_one_factorization_per_command(tmp_path, monkeypatch, argv, factorizatio
     assert factor_calls == [64] * factor_applies
 
 
-@pytest.mark.parametrize("argv", [
-    ["profile", "--scalar", "real"],
-    ["profile", "--mode", "random"],
-    ["profile", "--mc", "10"],
-    ["profile", "--seed", "1"],
-    ["condition", "--u", "10", "--mc", "10"],
-    ["verify", "prop1", "--mc", "1000", "--mode", "random"],
-    ["verify", "prop1", "--mc", "1000", "--u", "10"],
-    ["verify", "prop3", "--mc", "10"],
-], ids=lambda argv: " ".join(argv))
-def test_option_the_command_does_not_read_exits_2(tmp_path, argv):
-    assert run(argv + ["--grid", "64", "--out", str(tmp_path / "o.json")]) == 2
-    assert not any(tmp_path.iterdir())
-
-
 @pytest.mark.parametrize("argv, keys", [
     (["condition", "--u", "10"], {"scalar", "mode", "rho", "theta", "seed", "u"}),
     (["sweep", "--u-list", "10,100", "--mc", "5"],
@@ -373,19 +311,6 @@ def test_env_seed_read_only_by_commands_with_seed(tmp_path, monkeypatch):
     assert not (tmp_path / "c.csv").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["condition", "--kernel", "sqexp:1e-4:0.2", "--scalar", "real", "--mode", "random",
-     "--u", "1e153"],
-    ["condition", "--u", "1e155"],
-    ["sweep", "--u-list", "10,1e155", "--mc", "5"],
-    ["verify", "bounds", "--u", "1e155", "--mc", "5"],
-], ids=lambda argv: " ".join(argv))
-def test_overflowing_threshold_exits_2(tmp_path, deadline, argv):
-    # |t_u|^2 overflows in every case
-    assert run(argv + ["--grid", "64", "--out", str(tmp_path / "o.json")]) == 2
-    assert not any(tmp_path.iterdir())
-
-
 def _assert_condition_stays_finite(tmp_path, u):
     out = tmp_path / "c.csv"
     assert run(["condition", "--u", u, "--grid", "64", "--out", str(out)]) == 0
@@ -407,19 +332,9 @@ def test_prop3_stays_finite_where_only_the_squared_norm_overflows(tmp_path, dead
     # ||phi_u|| of the analytic comparison is rescaled as the records' norms are
     out = tmp_path / "p.json"
     assert run(["verify", "prop3", "--u", "1e154", "--grid", "64", "--out", str(out)]) == 0
-
-    def refuse(name):
-        raise ValueError(f"non-strict JSON constant {name}")
-
-    result = json.loads(out.read_text(), parse_constant=refuse)["result"]
+    result = read_strict_json(out)["result"]
     assert result["passed"]
     assert all(np.isfinite(v) for v in result.values() if isinstance(v, float))
-
-
-def test_negative_seed_exits_2(tmp_path):
-    assert run(["sweep", "--u-list", "10", "--mc", "5", "--grid", "32", "--seed", "-1",
-                "--out", str(tmp_path / "s.csv")]) == 2
-    assert not any(tmp_path.iterdir())
 
 
 def test_condition_distance_keeps_its_rate_at_the_largest_thresholds(tmp_path):
@@ -470,14 +385,6 @@ def test_custom_functional_from_a_file_with_no_data_exits_2(tmp_path, capsys, te
     assert run(["profile", "--functional", f"custom:@{path}", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: bad functional spec")
     assert not out.exists()
-
-
-@pytest.mark.parametrize("command", [["profile"], ["verify", "prop3"]])
-def test_dpoint_at_n0_with_unsupported_order_exits_2(tmp_path, command):
-    out = tmp_path / "o.json"
-    assert run(command + ["--grid", "64", "--functional", "dpoint:0.5:0:5",
-                          "--out", str(out)]) == 2
-    assert not any(tmp_path.iterdir())
 
 
 def test_dpoint_at_n0_is_point_evaluation(tmp_path):
@@ -619,131 +526,56 @@ def test_run_leaves_numpy_ma_unimported(tmp_path, argv):
         "assert main(sys.argv[1:]) == 0\nprint('numpy.ma' in sys.modules)", *argv, "--grid", "32")
 
 
-@pytest.mark.parametrize("argv", [
-    # <T|C|T> and ||C T||_2 overflow, so B and D are NaN
-    ["sweep", "--grid", "32", "--kernel", "exp:1e300:0.2", "--functional", "dpoint:0.5:4",
-     "--u-list", "10,100", "--mc", "3"],
-    # symmetrizing K overflows
-    ["profile", "--grid", "32", "--kernel", "exp:1.7e308:0.2"],
-    # ell^2 underflows to 0, or overflows
-    ["profile", "--kernel", "sqexp:1:1e-200"],
-    ["profile", "--kernel", "sqexp:1:1e160"],
-    ["condition", "--u", "10", "--kernel", "sqexp:1:1e160"],
-    # the analytic curve is inf * 0, or ell^-n overflows
-    ["profile", "--grid", "32", "--kernel", "sqexp:1e300:1e-5", "--functional", "dpoint:0.5:1"],
-    ["profile", "--kernel", "sqexp:1:1e-60", "--functional", "dpoint:0.5:4"],
-    ["profile", "--functional", "dpoint:0.5:4", "--kernel", "sqexp:1:1e-80"],
-    ["verify", "prop3", "--functional", "dpoint:0.5:4", "--kernel", "sqexp:1:1e-80"],
-    # so does (w sum_i |T_i|)^2 in the roundoff bound on <T|C|T>
-    ["condition", "--domain", "0,1e-40", "--functional", "dpoint:5e-41:4", "--u", "10",
-     "--kernel", "sqexp:1:1e-41"],
-], ids=lambda argv: " ".join(argv))
-def test_non_finite_result_exits_2(tmp_path, capsys, argv):
-    assert run_recording_warnings(argv + ["--out", str(tmp_path / "o.csv")]) == 2
-    assert not any(tmp_path.iterdir())
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "usage: condfield" in err
-
-
-# the certificate's probe products of op, and K = op / w itself, past the double range
-KERNELS_PAST_THE_DOUBLE_RANGE = [
-    ["condition", "--grid", "256", "--kernel", "sqexp:1e307:0.2", "--u", "10"],
-    ["condition", "--grid", "2048", "--kernel", "sqexp:1e307:0.2", "--u", "10"],
-    ["sweep", "--grid", "256", "--kernel", "sqexp:1e307:0.2", "--u-list", "10"],
-    ["condition", "--grid", "256", "--kernel", "rankk:1e307@1", "--u", "10"],
-]
-
-
-@pytest.mark.parametrize("argv", KERNELS_PAST_THE_DOUBLE_RANGE, ids=" ".join)
-def test_kernel_past_the_double_range_exits_2_without_a_warning(tmp_path, capsys, argv):
-    # run under the suite's error::RuntimeWarning filter: an overflow on the way fails it
-    assert run(argv + ["--out", str(tmp_path / "o.csv")]) == 2
-    assert not any(tmp_path.iterdir())
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "not finite" in err.splitlines()[0]
-
-
-# sums whose terms overflow although the weighted sum fits: <T|C|T> of a point and a
-# first-derivative functional (its plain vdot overflows before w is applied), C T of a
-# second derivative, about 2.5e307 (its stencil's products overflow), and prop1's
-# variance estimate, about 1e306 (the sum of 1000 squares overflows before the mean)
-SUMS_WITH_OVERFLOWING_TERMS = [
-    ["condition", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--u", "10"],
-    ["condition", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--u", "10",
-     "--functional", "dpoint:0.5:1"],
-    ["profile", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--functional", "dpoint:0.5:2:4"],
-    ["verify", "prop1", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--mc", "1000"],
-]
-
-
-@pytest.mark.parametrize("argv", SUMS_WITH_OVERFLOWING_TERMS, ids=" ".join)
-def test_sum_whose_terms_overflow_exits_0_without_a_warning(tmp_path, capsys, argv):
-    # run under the suite's error::RuntimeWarning filter: an overflow on the way fails
-    # it; exit 0 is a passed check for verify prop1, and a JSON file holds no inf
-    out = tmp_path / ("o.json" if argv[0] == "verify" else "o.csv")
-    assert run(argv + ["--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    if out.suffix == ".csv":
-        assert np.all(np.isfinite(np.array(read_csv(out)[1:], dtype=float)))
-
-
-def test_tct_past_the_double_range_exits_2_without_a_warning(tmp_path, capsys):
-    # C T of dpoint:0.5:2:4 fits (above), but <T|C|T>, about 1.9e309, does not
-    assert run(["condition", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--u", "10",
-                "--functional", "dpoint:0.5:2:4", "--out", str(tmp_path / "o.csv")]) == 2
-    assert not any(tmp_path.iterdir())
+@pytest.mark.parametrize("edge", byteid.EDGES, ids=lambda edge: edge.line)
+def test_edge_row(tmp_path, monkeypatch, capsys, deadline, edge):
+    # in a directory of its own, under the suite's error::RuntimeWarning filter: an
+    # error names itself and writes nothing, a result is finite
+    monkeypatch.chdir(tmp_path)
+    assert run(edge.argv) == edge.rc
     err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith("config error: non-finite theory constants: <T|C|T> = ")
-    assert err[1].startswith("usage: condfield") and len(err) == 2
+    written = sorted(tmp_path.iterdir())
+    if edge.rc == 0:
+        assert err == [] and written
+        for path in written:
+            if path.suffix == ".csv":
+                assert np.all(np.isfinite(np.array(read_csv(path)[1:], dtype=float)))
+            else:
+                read_strict_json(path)
+        return
+    assert not written
+    assert edge.says in err[0]
+    if edge.rc == 1:
+        assert err[0].startswith("i/o error: ")
+    elif edge.says == byteid.USAGE:
+        assert err[0].startswith(byteid.USAGE)
+    elif edge.rc == 2:
+        assert err[0].startswith("config error: ")
+        assert len(err) == 2 and err[1].startswith(byteid.USAGE)
 
 
-# <T|C|T> past the double range, whose stencil terms would cancel into NaN, and operators
-# below the normal doubles, whose clip window underflows or keeps too few bits
-TCT_OVERFLOWS_AND_SUBNORMAL_KERNELS = [
-    (["condition", "--domain", "0,1e-40", "--functional", "dpoint:5e-41:4", "--u", "10",
-      "--kernel", "sqexp:1:1e-41"], "non-finite theory constants: <T|C|T> = inf, "),
-    (["condition", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--u", "10",
-      "--functional", "dpoint:0.5:2:4"], "non-finite theory constants: <T|C|T> = inf, "),
-    (["condition", "--u", "10", "--kernel", "sqexp:1e-320:0.2"], "below the normal doubles"),
-    (["condition", "--grid", "256", "--u", "10", "--kernel", "exp:1e-320:0.1"],
-     "below the normal doubles"),
-    (["condition", "--grid", "256", "--u", "10", "--kernel", "sqexp:1e-310:0.2"],
-     "below the normal doubles"),
-]
+def edges_saying(*fragments):
+    return [edge for edge in byteid.EDGES if any(part in edge.says for part in fragments)]
 
 
-@pytest.mark.parametrize("argv, says", TCT_OVERFLOWS_AND_SUBNORMAL_KERNELS,
-                         ids=[" ".join(argv) for argv, _ in TCT_OVERFLOWS_AND_SUBNORMAL_KERNELS])
-def test_overflowing_tct_and_subnormal_kernel_exit_2_saying_so(tmp_path, capsys, argv, says):
-    # run under the suite's error::RuntimeWarning filter; a subnormal op is not blamed for
-    # positivity, and a <T|C|T> that overflows reads inf, neither nan nor numerically zero
-    assert run(argv + ["--out", str(tmp_path / "o.csv")]) == 2
-    assert not any(tmp_path.iterdir())
+@pytest.mark.parametrize("edge", edges_saying("<T|C|T> = inf", "below the normal doubles"),
+                         ids=lambda edge: edge.line)
+def test_overflowing_tct_and_subnormal_kernel_exit_2_saying_so(tmp_path, capsys, edge):
+    # a subnormal op is not blamed for positivity, and a <T|C|T> that overflows reads
+    # inf, neither nan nor numerically zero
+    assert run(edge.argv + ["--out", str(tmp_path / "o.csv")]) == 2
     first = capsys.readouterr().err.splitlines()[0]
-    assert first.startswith("config error: ") and says in first
     assert "positive semidefinite" not in first and "numerically zero" not in first
 
 
-@pytest.mark.parametrize("command", [["verify", "prop3"], ["profile"]])
-def test_non_finite_analytic_curve_exits_2(tmp_path, capsys, command):
-    # d^4 C(x, x0)/d x0^4 at ell = 1e-40 is ell^-4 He_4(s) exp(-s^2/2), inf * 0 off x0
-    assert run(command + ["--functional", "dpoint:0.5:4", "--kernel", "sqexp:1:1e-40",
-                          "--out", str(tmp_path / "o.csv")]) == 2
-    assert not any(tmp_path.iterdir())
-    assert capsys.readouterr().err.startswith("config error: analytic curve is not finite")
-
-
-@pytest.mark.parametrize("spec, name", [
-    ("exp:1.7e308:0.2", "Exponential(variance=1.7e+308, ell=0.2)"),
-    ("rankk:1.7e308@1", "RankK(modes=((1.7e+308, 1),))"),  # lam e_1(x)^2 overflows
-], ids=["exp", "rankk"])
-def test_overflowing_covariance_exits_2_with_a_named_error(tmp_path, capsys, spec, name):
-    # 0.5 (K + K^T) overflows: assemble names it, with no warning on the way
-    assert run(["profile", "--grid", "32", "--kernel", spec,
-                "--out", str(tmp_path / "p.csv")]) == 2
-    assert not any(tmp_path.iterdir())
+@pytest.mark.parametrize("edge", edges_saying("gives a covariance matrix that is not finite"),
+                         ids=lambda edge: edge.argv[edge.argv.index("--kernel") + 1]
+                         .split(":")[0])
+def test_overflowing_covariance_exits_2_with_a_named_error(tmp_path, capsys, edge):
+    # the error names the kernel by the repr of what its spec parses to
+    spec = edge.argv[edge.argv.index("--kernel") + 1]
+    assert run(edge.argv + ["--out", str(tmp_path / "p.csv")]) == 2
     assert capsys.readouterr().err.startswith(
-        f"config error: {name} gives a covariance matrix that is not finite")
+        f"config error: {covariance.kernel_from_spec(spec)!r} gives a covariance matrix")
 
 
 def test_overflow_to_a_zero_correlation_is_silent(tmp_path, capsys):
@@ -757,14 +589,6 @@ def test_overflow_to_a_zero_correlation_is_silent(tmp_path, capsys):
     assert np.array_equal(rows[:, 1:], np.eye(32)[i0][:, None] * np.ones(2))
 
 
-@pytest.mark.parametrize("ell", ["1e150", "1e-150"])
-def test_extreme_but_representable_length_scale_exits_0(tmp_path, ell):
-    out = tmp_path / "p.csv"
-    assert run_recording_warnings(["profile", "--kernel", f"sqexp:1:{ell}",
-                                   "--out", str(out)]) == 0
-    assert np.all(np.isfinite(np.array(read_csv(out)[1:], dtype=float)))
-
-
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(kernel=st.sampled_from(["sqexp", "exp"]),
@@ -776,9 +600,10 @@ def test_extreme_but_representable_length_scale_exits_0(tmp_path, ell):
 def test_outside_inputs_exit_cleanly(tmp_path, deadline, kernel, log_variance, log_ell,
                                      functional, command):
     # any kernel scale in doubles: a result (every CSV value finite), a config
-    # error that writes nothing, or a failed verification; never a traceback
+    # error that writes nothing, or a failed verification; never a traceback, and
+    # never a RuntimeWarning (an error under the suite's filter)
     out = tempfile.mkdtemp(dir=tmp_path)
-    code = run_recording_warnings(command + [
+    code = run(command + [
         "--grid", "32", "--kernel", f"{kernel}:{10.0 ** log_variance!r}:{10.0 ** log_ell!r}",
         "--functional", functional, "--out", f"{out}/o.csv"])
     assert code in (0, 2, 3)

@@ -385,10 +385,10 @@ def test_zero_operator_has_rank_zero():
 
 
 def test_assemble_rejects_an_operator_that_is_not_finite():
-    # finite kernel values whose symmetrized sum overflows: a named error, and
-    # no overflow warning (an error under the suite's RuntimeWarning filter)
+    # finite kernel values whose product with w = h = 2.5e9 overflows: a named error,
+    # and no overflow warning (an error under the suite's RuntimeWarning filter)
     with pytest.raises(errors.InvalidKernelParams, match="not finite"):
-        assemble(Exponential(1.7e308, 0.2), make_grid(0, 1, 32))
+        assemble(Exponential(1e308, 0.2), make_grid(0, 1e10, 4))
 
 
 @pytest.mark.parametrize("m", [128, 512, 2048])
@@ -447,8 +447,8 @@ ROW_KERNELS = ["sqexp:1:0.2", "sqexp:2.5:0.03", "exp:1:0.1", "rankk:4@1,1@3,0.5@
 @pytest.mark.parametrize("spec", ROW_KERNELS)
 @pytest.mark.parametrize("a, b, m", [(0, 1, 128), (-0.3, 2.7, 97), (0, 1, 512), (-0.3, 2.7, 68)])
 def test_served_rows_are_bitwise_the_rows_of_op(spec, a, b, m):
-    # every kernel's K is exactly symmetric, so w (0.5 (K + K^T)) row by row
-    # from the kernel is op row by row, and the pivoted route reads the same numbers
+    # every kernel's K is exactly symmetric, so w K row by row from the kernel
+    # is op row by row, and the pivoted route reads the same numbers
     # from a stationary operator as from its formed matrix.  A stationary operator
     # serves them from its lag row (N = 135 at M = 68, odd), so a wide and a stencil
     # functional's products match the kernel's rows in apply's row blocks bitwise
@@ -456,7 +456,8 @@ def test_served_rows_are_bitwise_the_rows_of_op(spec, a, b, m):
     kernel = kernel_from_spec(spec)
     kmat = kernel.rows(g, slice(None))
     cov, served = assemble(kernel, g), assemble(kernel, g)
-    assert cov.op.tobytes() == (g.w * (0.5 * (kmat + kmat.T))).tobytes()
+    assert kmat.tobytes() == kmat.T.tobytes()
+    assert cov.op.tobytes() == (g.w * kmat).tobytes()
     assert served.shape == cov.op.shape
     assert served.diagonal().tobytes() == np.diag(cov.op).tobytes()
     for i in (0, 1, m // 2, m - 1):

@@ -9,7 +9,13 @@ runs the whole matrix in one fresh interpreter, with one BLAS thread and
 $CONDENSATE_SEED removed, and each command in a directory of its own.  Every
 output file, exit code and first stderr line is then compared.  The script
 prints a manifest of the runs and each difference, and exits 1 on any
-difference.  ``--quick`` runs a small subset.
+difference.  ``--quick`` runs a small subset: every command on one model and
+the edge rows flagged quick.
+
+``EDGES`` is the one table of edge commands, malformed or extreme inputs: each
+row holds a command line, its exit code, a fragment of its first stderr line
+and whether ``--quick`` runs it.  Adding an edge case means adding one row;
+tests/test_cli.py runs every row in-process and checks its outcome.
 """
 
 import argparse
@@ -21,6 +27,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,80 +65,143 @@ LARGE = (
     ["condition", "--grid", "65536", "--kernel", "sqexp:1e300:0.2", "--scalar", "complex",
      "--u", "10", "--out", "c.csv"],
 )
+
+USAGE = "usage: condfield"  # the start of an argparse error's first stderr line
+T_U = "|t_u|^2 is not representable in doubles"
+
+
+class Edge(NamedTuple):
+    """An edge command and its outcome: the exit code, a fragment of the first stderr
+    line ('' for exit 0), and whether --quick runs it."""
+
+    line: str
+    rc: int
+    says: str = ""
+    quick: bool = False
+
+    @property
+    def argv(self) -> list:
+        return self.line.split()
+
+
 EDGES = (
     # default output names
-    ["profile"],
-    ["verify", "prop1", "--mc", "1000"],
+    Edge("profile", 0, quick=True),
+    Edge("verify prop1 --mc 1000", 0),
     # malformed input
-    ["profile", "--kernel", "matern:1:0.2"],
-    ["profile", "--grid", "1"],
-    ["profile", "--domain", "1,0"],
-    ["profile", "--functional", "point:2"],
-    ["profile", "--functional", "dpoint:0.5:0:5"],
-    ["condition", "--u", "-1"],
-    ["condition", "--u", "nan"],
-    ["condition", "--u", "inf"],
-    ["condition", "--u", "10", "--mode", "fixed-rho:nan"],
-    ["condition", "--u", "10", "--mode", "fixed-rho:1:0.5", "--scalar", "real"],
-    ["condition", "--u", "10", "--seed", "-1"],
-    ["condition", "--u", "10", "--mc", "10"],
-    ["profile", "--kernel", "sqexp:nan:0.2"],
-    ["sweep", "--u-list", "10,nan", "--mc", "5"],
-    ["sweep", "--u-list", "100,10", "--mc", "5"],
-    ["verify", "prop1", "--mc", "10"],
-    ["verify", "prop3", "--functional", "integral:cosine"],
-    ["profile", "--out", "missing/p.csv"],
+    Edge("profile --kernel matern:1:0.2", 2, "unknown kernel spec 'matern:1:0.2'", quick=True),
+    Edge("profile --grid 1", 2, "need an integer number of grid points >= 2, got 1"),
+    Edge("profile --domain 1,0", 2, "need finite a < b"),
+    Edge("profile --domain=-1e308,1e308 --grid 4", 2, "step h = (b - a)/M = inf"),
+    Edge("profile --functional point:2", 2, "x0=2.0 outside [0.0, 1.0]"),
+    Edge("profile --functional dpoint:0.5:0:5", 2, "order must be one of (2, 4, 6), got 5"),
+    Edge("verify prop3 --functional dpoint:0.5:0:5", 2, "order must be one of (2, 4, 6), got 5"),
+    Edge("condition --u -1", 2, "threshold u must be finite and >= 0, got -1.0"),
+    Edge("condition --u nan", 2, "threshold u must be finite and >= 0, got nan"),
+    Edge("condition --u inf", 2, "threshold u must be finite and >= 0, got inf"),
+    Edge("condition --u 10 --mode fixed-rho:nan", 2, "need finite rho >= 0 and theta"),
+    Edge("condition --u 10 --mode fixed-rho:1:0.5 --scalar real", 2,
+         "real scalar field requires theta = 0"),
+    Edge("condition --u 10 --seed -1", 2, "expected non-negative integer"),
+    Edge("sweep --u-list 10 --mc 5 --grid 32 --seed -1", 2, "expected non-negative integers"),
+    Edge("profile --kernel sqexp:nan:0.2", 2, "needs finite variance > 0 and ell > 0"),
+    Edge("sweep --u-list 10,nan --mc 5", 2, "threshold u must be finite and >= 0, got nan"),
+    Edge("sweep --u-list 100,10 --mc 5", 2, "u_list must be strictly ascending"),
+    Edge("verify bounds --mc 0", 2, "n_mc must be >= 1, got 0"),
+    Edge("verify prop1 --mc 10", 2, "need n_mc >= 1000, got 10"),
+    Edge("verify prop3 --functional integral:cosine", 2, "needs a point or dpoint functional"),
+    Edge("profile --out missing/p.csv", 1, "No such file or directory"),
+    # a missing option, an unknown command, and options the command does not read
+    Edge("sweep", 2, USAGE),
+    Edge("frobnicate", 2, USAGE),
+    Edge("profile --scalar real", 2, USAGE),
+    Edge("profile --mode random", 2, USAGE),
+    Edge("profile --mc 10", 2, USAGE),
+    Edge("profile --seed 1", 2, USAGE),
+    Edge("condition --u 10 --mc 10", 2, USAGE),
+    Edge("verify prop1 --mc 1000 --mode random", 2, USAGE),
+    Edge("verify prop1 --mc 1000 --u 10", 2, USAGE),
+    Edge("verify prop3 --mc 10", 2, USAGE),
     # non-finite or extreme values on the way
-    ["profile", "--functional", "point:nan"],
-    ["condition", "--u", "100", "--functional", "custom:inf"],
-    ["condition", "--u", "1e155", "--grid", "64"],
-    ["sweep", "--u-list", "10,1e155", "--mc", "5", "--grid", "64"],
-    ["verify", "bounds", "--u", "1e155", "--mc", "5", "--grid", "64"],
-    ["sweep", "--kernel", "sqexp:1e-200:0.2", "--u-list", "1,2", "--mc", "5", "--grid", "64"],
-    ["profile", "--grid", "32", "--kernel", "exp:1.7e308:0.2"],
-    ["profile", "--kernel", "sqexp:1:1e-200"],
-    ["profile", "--kernel", "sqexp:1:1e160"],
-    ["condition", "--u", "10", "--kernel", "sqexp:1:1e160"],
-    ["profile", "--grid", "32", "--kernel", "sqexp:1e300:1e-5", "--functional", "dpoint:0.5:1"],
-    ["profile", "--functional", "dpoint:0.5:4", "--kernel", "sqexp:1:1e-80"],
-    ["verify", "prop3", "--functional", "dpoint:0.5:4", "--kernel", "sqexp:1:1e-40"],
-    ["profile", "--grid", "32", "--kernel", "exp:1:1e-320"],
-    ["condition", "--domain", "0,1e-40", "--functional", "dpoint:5e-41:4", "--u", "10",
-     "--kernel", "sqexp:1:1e-41"],
-    ["condition", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--u", "10"],
-    ["condition", "--grid", "256", "--kernel", "exp:1e307:0.2", "--u", "10"],
+    Edge("profile --functional point:nan", 2, "x0=nan outside [0.0, 1.0]"),
+    Edge("condition --u 100 --functional custom:inf", 2, "unknown functional spec 'custom:inf'"),
+    Edge("condition --kernel sqexp:1e-4:0.2 --scalar real --mode random --u 1e153", 2, T_U),
+    Edge("condition --u 1e155 --grid 64", 2, T_U),
+    Edge("sweep --u-list 10,1e155 --mc 5 --grid 64", 2, T_U),
+    Edge("verify bounds --u 1e155 --mc 5 --grid 64", 2, T_U),
+    Edge("sweep --kernel sqexp:1e-200:0.2 --u-list 1,2 --mc 5 --grid 64", 0),
+    # w K fits, although 2 K would not; w K overflows, or lam e_1(x)^2 does
+    Edge("profile --grid 32 --kernel exp:1.7e308:0.2", 0),
+    Edge("condition --grid 32 --kernel exp:1e308:0.2 --u 10", 0),
+    Edge("profile --domain 0,1e10 --grid 4 --kernel exp:1e308:0.2", 2,
+         "Exponential(variance=1e+308, ell=0.2) gives a covariance matrix that is not finite"),
+    Edge("profile --grid 32 --kernel rankk:1.7e308@1", 2,
+         "RankK(modes=((1.7e+308, 1),)) gives a covariance matrix that is not finite"),
+    # ell^2 underflows to 0, or overflows, or neither at an extreme but representable ell
+    Edge("profile --kernel sqexp:1:1e-200", 2, "needs 2 ell^2 to be a positive finite double"),
+    Edge("profile --kernel sqexp:1:1e160", 2, "needs 2 ell^2 to be a positive finite double"),
+    Edge("condition --u 10 --kernel sqexp:1:1e160", 2,
+         "needs 2 ell^2 to be a positive finite double"),
+    Edge("profile --kernel sqexp:1:1e150", 0),
+    Edge("profile --kernel sqexp:1:1e-150", 0),
+    # the analytic curve is inf * 0, or ell^-n overflows
+    Edge("profile --grid 32 --kernel sqexp:1e300:1e-5 --functional dpoint:0.5:1", 2,
+         "analytic curve is not finite for d^1 C(x, x0)/d x0^1"),
+    Edge("profile --kernel sqexp:1:1e-60 --functional dpoint:0.5:4", 2,
+         "analytic curve is not finite for d^4 C(x, x0)/d x0^4"),
+    Edge("profile --functional dpoint:0.5:4 --kernel sqexp:1:1e-40", 2,
+         "analytic curve is not finite for d^4 C(x, x0)/d x0^4"),
+    Edge("verify prop3 --functional dpoint:0.5:4 --kernel sqexp:1:1e-40", 2,
+         "analytic curve is not finite for d^4 C(x, x0)/d x0^4"),
+    Edge("profile --functional dpoint:0.5:4 --kernel sqexp:1:1e-80", 2,
+         "ell^-4 overflows a double"),
+    Edge("verify prop3 --functional dpoint:0.5:4 --kernel sqexp:1:1e-80", 2,
+         "ell^-4 overflows a double"),
+    # -|x - y|/ell overflows to -inf, and exp(-inf) = 0 is the correlation
+    Edge("profile --grid 32 --kernel exp:1:1e-320", 0),
+    # <T|C|T> and ||C T||_2 overflow, also through (w sum_i |T_i|)^2 in its roundoff bound
+    Edge("sweep --grid 32 --kernel exp:1e300:0.2 --functional dpoint:0.5:4 --u-list 10,100 "
+         "--mc 3", 2, "non-finite theory constants: <T|C|T> = inf, "),
+    Edge("condition --domain 0,1e-40 --functional dpoint:5e-41:4 --u 10 --kernel sqexp:1:1e-41",
+         2, "non-finite theory constants: <T|C|T> = inf, "),
+    Edge("condition --grid 256 --kernel sqexp:1e306:0.2 --u 10", 0),
+    Edge("condition --grid 256 --kernel exp:1e307:0.2 --u 10", 0),
     # sums whose terms overflow although the weighted sum fits (<T|C|T>, C T and prop1's
     # variance estimate), and a <T|C|T> that does not fit
-    ["condition", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--u", "10",
-     "--functional", "dpoint:0.5:1"],
-    ["profile", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--functional", "dpoint:0.5:2:4"],
-    ["verify", "prop1", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--mc", "1000"],
-    ["condition", "--grid", "256", "--kernel", "sqexp:1e306:0.2", "--u", "10",
-     "--functional", "dpoint:0.5:2:4"],
+    Edge("condition --grid 256 --kernel sqexp:1e306:0.2 --u 10 --functional dpoint:0.5:1", 0),
+    Edge("profile --grid 256 --kernel sqexp:1e306:0.2 --functional dpoint:0.5:2:4", 0),
+    Edge("verify prop1 --grid 256 --kernel sqexp:1e306:0.2 --mc 1000", 0),
+    Edge("condition --grid 256 --kernel sqexp:1e306:0.2 --u 10 --functional dpoint:0.5:2:4", 2,
+         "non-finite theory constants: <T|C|T> = inf, "),
     # 40 equal modes: a factor of the kernel's rank, 40
-    ["condition", "--grid", "64", "--kernel", "rankk:" + ",".join(f"1@{k}" for k in range(40)),
-     "--u", "10"],
+    Edge("condition --grid 64 --kernel rankk:" + ",".join(f"1@{k}" for k in range(40))
+         + " --u 10", 0),
     # kernels whose operator's products pass the double range
-    ["condition", "--grid", "256", "--kernel", "sqexp:1e307:0.2", "--u", "10"],
-    ["condition", "--grid", "2048", "--kernel", "sqexp:1e307:0.2", "--u", "10"],
-    ["sweep", "--grid", "256", "--kernel", "sqexp:1e307:0.2", "--u-list", "10"],
-    ["condition", "--grid", "256", "--kernel", "rankk:1e307@1", "--u", "10"],
+    Edge("condition --grid 256 --kernel sqexp:1e307:0.2 --u 10", 2,
+         "an eigenvalue of K = op / w is not finite"),
+    Edge("condition --grid 2048 --kernel sqexp:1e307:0.2 --u 10", 2,
+         "an eigenvalue of K = op / w is not finite"),
+    Edge("sweep --grid 256 --kernel sqexp:1e307:0.2 --u-list 10", 2,
+         "an eigenvalue of K = op / w is not finite"),
+    Edge("condition --grid 256 --kernel rankk:1e307@1 --u 10", 2,
+         "an eigenvalue of K = op / w is not finite", quick=True),
     # operators below the normal doubles, whose positivity cannot be told
-    ["condition", "--u", "10", "--kernel", "sqexp:1e-320:0.2"],
-    ["condition", "--grid", "256", "--u", "10", "--kernel", "exp:1e-320:0.1"],
-    ["condition", "--grid", "256", "--u", "10", "--kernel", "sqexp:1e-310:0.2"],
+    Edge("condition --u 10 --kernel sqexp:1e-320:0.2", 2, "below the normal doubles"),
+    Edge("condition --grid 256 --u 10 --kernel exp:1e-320:0.1", 2, "below the normal doubles"),
+    Edge("condition --grid 256 --u 10 --kernel sqexp:1e-310:0.2", 2, "below the normal doubles"),
     # kernels so small that probes scaled up to their scale would pass it
-    ["condition", "--grid", "256", "--kernel", "sqexp:1e-307:0.2", "--u", "10"],
-    ["condition", "--grid", "256", "--kernel", "rankk:1e-307@1", "--u", "10"],
+    Edge("condition --grid 256 --kernel sqexp:1e-307:0.2 --u 10", 2, T_U, quick=True),
+    Edge("condition --grid 256 --kernel rankk:1e-307@1 --u 10", 2, T_U, quick=True),
 )
 
 
 def matrix(quick: bool) -> list:
-    """The command lines, each a list of arguments to `cli.main`."""
+    """The command lines, each a list of arguments to `cli.main`; `quick`, every
+    command on one model and the edges flagged quick."""
     if quick:
         model = ["--grid", "68", "--kernel", SQEXP, "--functional", "dpoint:0.5:2:4"]
         return ([c + model for c in PER_MODEL + PER_KERNEL_AND_FUNCTIONAL]
-                + [EDGES[0], EDGES[2]] + list(EDGES[-3:]))
+                + [e.argv for e in EDGES if e.quick])
     cmds = []
     for (domain, m), kernel, functional in itertools.product(GRIDS, KERNELS, FUNCTIONALS):
         model = [f"--domain={domain}", "--grid", str(m), "--kernel", kernel,
@@ -140,7 +210,7 @@ def matrix(quick: bool) -> list:
     for kernel, functional in itertools.product(KERNELS, FUNCTIONALS):
         model = ["--kernel", kernel, "--functional", functional]
         cmds += [c + model for c in PER_KERNEL_AND_FUNCTIONAL]
-    return cmds + list(LARGE) + list(EDGES)
+    return cmds + list(LARGE) + [e.argv for e in EDGES]
 
 
 # run in a fresh interpreter: argv[1] the tree's src directory, argv[2] the output
