@@ -80,8 +80,12 @@ class _Setup:
         self.functional = fn.functional_from_spec(args.functional, self.grid)
         self.config = c = {name: value for name, value in vars(args).items()
                            if name not in ("command", "check", "handler", "out")}
-        if "seed" in c and c["seed"] is None:
-            c["seed"] = int(os.environ.get("CONDENSATE_SEED", "0"))
+        if "seed" in c:
+            if c["seed"] is None:
+                c["seed"] = int(os.environ.get("CONDENSATE_SEED", "0"))
+            if c["seed"] < 0:
+                raise ConfigError(f"seed must be >= 0 (--seed, else $CONDENSATE_SEED), "
+                                  f"got {c['seed']}")
         if "mode" in c:
             c["mode"], c["rho"], c["theta"] = c["mode"]
         vars(self).update((name, value) for name, value in c.items() if name not in MODEL)

@@ -36,7 +36,8 @@ import numpy as np
 from . import covariance as cv
 from . import functionals as fn
 from . import sampling as sp
-from .errors import ConfigError, EmptyUList, GridMismatch, ThresholdOverflow, ZeroVector
+from .errors import (ConfigError, DegenerateFunctional, EmptyUList, GridMismatch,
+                     ThresholdOverflow, ZeroVector)
 from .grid import inners, l2_norm, l2_norms, make_grid, sup_norm
 from .sampling import NOISE_BLOCK
 
@@ -252,6 +253,9 @@ def verify_prop1(t: fn.LinearFunctional, cov: cv.CovOperator, n_mc: int, seed: i
             var_hat = float(np.sum((np.abs(vals) / math.sqrt(n_mc)) ** 2))
     tol = 5.0 / math.sqrt(n_mc) + 0.02
     rel_err = abs(var_hat / tct_val - 1.0)
+    if not (math.isfinite(var_hat) and math.isfinite(rel_err)):
+        raise DegenerateFunctional(f"the empirical variance of <T|phi> is not a finite "
+                                   f"double: var_hat = {var_hat}, rel_err = {rel_err}")
     return {"n_mc": n_mc, "all_finite": finite, "var_hat": var_hat, "tct": tct_val,
             "rel_err": rel_err, "tolerance": tol, "passed": finite and rel_err <= tol}
 

@@ -1,14 +1,18 @@
 """tools/byteid.py, the byte-identity check of two trees' command-line outputs,
 run at its small size with HEAD on both sides: every output must match, so reruns
-of the same source are byte-identical.  Also the shape of its matrix and of its
-table of edge commands, whose outcomes tests/test_cli.py checks."""
+of the same source are byte-identical.  Also the shape of its matrix, of its
+table of edge commands, whose outcomes tests/test_cli.py checks, and of its table
+of large commands, which CI gates on time and peak RSS."""
 
+import re
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
 from conftest import load_byteid
+
+from condfield import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,3 +68,25 @@ def test_every_edge_row_states_an_outcome():
     for edge in byteid.EDGES:
         assert edge.rc in (0, 1, 2, 3), edge.line
         assert (edge.says == "") == (edge.rc == 0), edge.line
+
+
+def test_every_large_row_parses_and_is_bounded():
+    # no tier-1 test runs a large row: the quick matrix holds none
+    parser = cli.build_parser()
+    quick = {" ".join(argv) for argv in byteid.matrix(True)}
+    for row in byteid.LARGE:
+        parser.parse_args(row.argv + ["--out", "x.csv"])
+        assert "--out" not in row.argv and row.timeout_s > 0 and row.rss_mb > 0, row.line
+        assert row.line not in quick, row.line
+
+
+def test_ci_runs_command_lines_only_from_the_large_table():
+    # outside the README step no CI step names a subcommand, and the one step that
+    # calls cli.main reads its command lines from LARGE, so CI and byteid cannot drift
+    steps = (ROOT / ".github" / "workflows" / "tests.yml").read_text().split("- name: ")
+    others = [step for step in steps[1:] if not step.startswith("README")]
+    assert len(others) == len(steps) - 2
+    assert not [step for step in others
+                if re.search(r"\b(profile|condition|sweep|verify)\b", step)]
+    calls = [step for step in others if "cli.main" in step]
+    assert len(calls) == 1 and 'run_path("tools/byteid.py")["LARGE"]' in calls[0]

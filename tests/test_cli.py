@@ -303,12 +303,14 @@ def test_verify_prop3_reports_the_library_verdict(tmp_path, kernel, spec, order,
     assert expected["passed"] == (grid == 128)
 
 
-def test_env_seed_read_only_by_commands_with_seed(tmp_path, monkeypatch):
-    monkeypatch.setenv("CONDENSATE_SEED", "abc")
-    assert run(["profile", "--grid", "64", "--out", str(tmp_path / "p.csv")]) == 0
-    assert run(["condition", "--u", "10", "--grid", "64",
-                "--out", str(tmp_path / "c.csv")]) == 2
-    assert not (tmp_path / "c.csv").exists()
+def test_env_seed_read_only_by_commands_with_seed(tmp_path, monkeypatch, capsys):
+    for value, says in (("abc", "invalid literal for int()"), ("-1", byteid.SEED)):
+        monkeypatch.setenv("CONDENSATE_SEED", value)
+        assert run(["profile", "--grid", "64", "--out", str(tmp_path / "p.csv")]) == 0
+        assert run(["condition", "--u", "10", "--grid", "64",
+                    "--out", str(tmp_path / "c.csv")]) == 2
+        assert not (tmp_path / "c.csv").exists()
+        assert says in capsys.readouterr().err.splitlines()[0]
 
 
 def _assert_condition_stays_finite(tmp_path, u):

@@ -16,6 +16,10 @@ the edge rows flagged quick.
 row holds a command line, its exit code, a fragment of its first stderr line
 and whether ``--quick`` runs it.  Adding an edge case means adding one row;
 tests/test_cli.py runs every row in-process and checks its outcome.
+
+``LARGE`` is the one table of large commands: each row holds a command line, a
+timeout and a peak RSS bound, which CI gates it on in a fresh interpreter; the
+full matrix runs every row.  Adding a large-run gate means adding one row.
 """
 
 import argparse
@@ -38,36 +42,21 @@ GRIDS = (("0,1", 68), ("0,1", 97), ("0,1", 128), ("0,1", 512), ("-0.3,2.7", 97))
 
 # each is one command line; --out, where given, is relative to the command's directory
 PER_MODEL = (
-    ["profile", "--out", "p.csv"],
-    ["condition", "--u", "10", "--scalar", "complex", "--mode", "fixed-rho:1.5:0.3",
-     "--seed", "1", "--out", "c.csv"],
-    ["condition", "--u", "1000", "--scalar", "real", "--mode", "random", "--seed", "2",
-     "--out", "c.csv"],
-    ["sweep", "--u-list", "10,100,1000", "--mc", "40", "--scalar", "complex",
-     "--mode", "fixed-rho:1", "--seed", "3", "--out", "s.csv"],
-    ["sweep", "--u-list", "10,10000", "--mc", "40", "--scalar", "real", "--mode", "random",
-     "--seed", "4", "--out", "s.csv"],
+    "profile --out p.csv",
+    "condition --u 10 --scalar complex --mode fixed-rho:1.5:0.3 --seed 1 --out c.csv",
+    "condition --u 1000 --scalar real --mode random --seed 2 --out c.csv",
+    "sweep --u-list 10,100,1000 --mc 40 --scalar complex --mode fixed-rho:1 --seed 3 --out s.csv",
+    "sweep --u-list 10,10000 --mc 40 --scalar real --mode random --seed 4 --out s.csv",
 )
 PER_KERNEL_AND_FUNCTIONAL = (
-    ["verify", "bounds", "--u", "100", "--mc", "40", "--mode", "random", "--out", "b.json"],
-    ["verify", "prop1", "--mc", "1000", "--scalar", "real", "--out", "p1.json"],
-    ["verify", "prop3", "--u", "1e6", "--out", "p3.json"],
-)
-LARGE = (
-    # the first-target sweep, and one draw at M = 65536 on each route
-    ["sweep", "--grid", "2048", "--kernel", SQEXP, "--functional", "point:0.5", "--scalar",
-     "complex", "--mode", "fixed-rho:1", "--mc", "200", "--u-list", "10,100,1000,10000",
-     "--out", "s.csv"],
-    ["condition", "--grid", "65536", "--kernel", EXP, "--scalar", "complex", "--u", "10",
-     "--out", "c.csv"],
-    ["condition", "--grid", "65536", "--kernel", SQEXP, "--scalar", "real", "--u", "10",
-     "--out", "c.csv"],
-    ["condition", "--grid", "65536", "--kernel", "sqexp:1e300:0.2", "--scalar", "complex",
-     "--u", "10", "--out", "c.csv"],
+    "verify bounds --u 100 --mc 40 --mode random --out b.json",
+    "verify prop1 --mc 1000 --scalar real --out p1.json",
+    "verify prop3 --u 1e6 --out p3.json",
 )
 
 USAGE = "usage: condfield"  # the start of an argparse error's first stderr line
 T_U = "|t_u|^2 is not representable in doubles"
+SEED = "seed must be >= 0 (--seed, else $CONDENSATE_SEED), got -1"
 
 
 class Edge(NamedTuple):
@@ -102,8 +91,9 @@ EDGES = (
     Edge("condition --u 10 --mode fixed-rho:nan", 2, "need finite rho >= 0 and theta"),
     Edge("condition --u 10 --mode fixed-rho:1:0.5 --scalar real", 2,
          "real scalar field requires theta = 0"),
-    Edge("condition --u 10 --seed -1", 2, "expected non-negative integer"),
-    Edge("sweep --u-list 10 --mc 5 --grid 32 --seed -1", 2, "expected non-negative integers"),
+    Edge("condition --u 10 --seed -1", 2, SEED),
+    Edge("sweep --u-list 10 --mc 5 --grid 32 --seed -1", 2, SEED),
+    Edge("verify prop1 --mc 1000 --seed -1", 2, SEED),
     Edge("profile --kernel sqexp:nan:0.2", 2, "needs finite variance > 0 and ell > 0"),
     Edge("sweep --u-list 10,nan --mc 5", 2, "threshold u must be finite and >= 0, got nan"),
     Edge("sweep --u-list 100,10 --mc 5", 2, "u_list must be strictly ascending"),
@@ -167,10 +157,12 @@ EDGES = (
     Edge("condition --grid 256 --kernel sqexp:1e306:0.2 --u 10", 0),
     Edge("condition --grid 256 --kernel exp:1e307:0.2 --u 10", 0),
     # sums whose terms overflow although the weighted sum fits (<T|C|T>, C T and prop1's
-    # variance estimate), and a <T|C|T> that does not fit
+    # variance estimate), and a variance estimate or a <T|C|T> that does not fit
     Edge("condition --grid 256 --kernel sqexp:1e306:0.2 --u 10 --functional dpoint:0.5:1", 0),
     Edge("profile --grid 256 --kernel sqexp:1e306:0.2 --functional dpoint:0.5:2:4", 0),
     Edge("verify prop1 --grid 256 --kernel sqexp:1e306:0.2 --mc 1000", 0),
+    Edge("verify prop1 --grid 32 --kernel exp:1.7e308:0.2 --mc 1000", 2,
+         "the empirical variance of <T|phi> is not a finite double: var_hat = inf"),
     Edge("condition --grid 256 --kernel sqexp:1e306:0.2 --u 10 --functional dpoint:0.5:2:4", 2,
          "non-finite theory constants: <T|C|T> = inf, "),
     # 40 equal modes: a factor of the kernel's rank, 40
@@ -195,22 +187,56 @@ EDGES = (
 )
 
 
+class Large(NamedTuple):
+    """A large command, its timeout in s and its peak RSS bound in MB."""
+
+    line: str
+    timeout_s: int
+    rss_mb: int
+    argv = Edge.argv
+
+
+LARGE = (
+    # prop1's setup stays linear in M, also far from 0; a wide functional reads the lag row
+    Large("verify prop1 --grid 65536 --kernel sqexp:1:0.2 --functional point:0.5 --mc 1000",
+          60, 110),
+    Large("verify prop1 --domain 10000,10001 --grid 60000 --kernel sqexp:1:0.2 "
+          "--functional point:10000.5 --mc 1000", 60, 110),
+    Large("profile --grid 65536 --kernel sqexp:1:0.2 --functional integral:cosine", 20, 95),
+    # the first-target sweep, a many-sample sweep, and exp sweeps that hold one noise block
+    Large("sweep --grid 2048 --kernel sqexp:1:0.2 --functional point:0.5 --scalar complex "
+          "--mode fixed-rho:1 --mc 200 --u-list 10,100,1000,10000", 30, 70),
+    Large("sweep --grid 128 --kernel exp:1:0.1 --functional point:0.5 --scalar real "
+          "--mode random --mc 20000 --u-list 10,100,1000,10000", 20, 70),
+    Large("sweep --grid 65536 --kernel exp:1:0.1 --functional point:0.5 --scalar real "
+          "--mode random --mc 100 --u-list 10,100,1000,10000", 60, 300),
+    Large("sweep --grid 65536 --kernel exp:1:0.1 --functional point:0.5 --scalar complex "
+          "--mode random --mc 100 --u-list 10,100,1000,10000", 60, 560),
+    # one draw on each route: no noise block, one chunk of GEMM rows, a scale-free certificate
+    Large("condition --grid 65536 --kernel exp:1:0.1 --scalar complex --u 10", 30, 70),
+    Large("condition --grid 65536 --kernel sqexp:1:0.2 --scalar real --u 10", 30, 110),
+    Large("condition --grid 65536 --kernel sqexp:1:0.2 --scalar complex --u 10", 30, 110),
+    Large("condition --grid 65536 --kernel sqexp:1e300:0.2 --scalar real --u 10", 30, 110),
+    Large("condition --grid 65536 --kernel sqexp:1e300:0.2 --scalar complex --u 10", 30, 110),
+)
+
+
 def matrix(quick: bool) -> list:
     """The command lines, each a list of arguments to `cli.main`; `quick`, every
     command on one model and the edges flagged quick."""
     if quick:
         model = ["--grid", "68", "--kernel", SQEXP, "--functional", "dpoint:0.5:2:4"]
-        return ([c + model for c in PER_MODEL + PER_KERNEL_AND_FUNCTIONAL]
+        return ([c.split() + model for c in PER_MODEL + PER_KERNEL_AND_FUNCTIONAL]
                 + [e.argv for e in EDGES if e.quick])
     cmds = []
     for (domain, m), kernel, functional in itertools.product(GRIDS, KERNELS, FUNCTIONALS):
         model = [f"--domain={domain}", "--grid", str(m), "--kernel", kernel,
                  "--functional", functional]  # '=', as a domain may start with '-'
-        cmds += [c + model for c in PER_MODEL]
+        cmds += [c.split() + model for c in PER_MODEL]
     for kernel, functional in itertools.product(KERNELS, FUNCTIONALS):
         model = ["--kernel", kernel, "--functional", functional]
-        cmds += [c + model for c in PER_KERNEL_AND_FUNCTIONAL]
-    return cmds + list(LARGE) + [e.argv for e in EDGES]
+        cmds += [c.split() + model for c in PER_KERNEL_AND_FUNCTIONAL]
+    return cmds + [row.argv for row in LARGE] + [e.argv for e in EDGES]
 
 
 # run in a fresh interpreter: argv[1] the tree's src directory, argv[2] the output
