@@ -7,6 +7,7 @@ central finite-difference stencil scaled by 1/(w h^n).
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,6 +26,7 @@ from .errors import (
 from .grid import Grid, inner, l2_norm
 
 SUPPORTED_ORDERS = (2, 4, 6)
+_LOG_MAX = math.log(sys.float_info.max)  # n! is a finite double where lgamma(n + 1) is below
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,14 @@ def stencil_coefficients(n: int, order: int):
         raise UnsupportedOrder(f"order must be one of {SUPPORTED_ORDERS}, got {order}")
     if n < 0:
         raise UnsupportedOrder(f"derivative order n must be >= 0, got {n}")
+    if math.lgamma(n + 1) > _LOG_MAX:  # before anything n-sized is formed
+        raise UnsupportedOrder(f"derivative order n = {n}: n! is not a finite double")
     if n == 0:
         return np.array([0]), np.array([1.0])
     p = (n + 1) // 2 - 1 + order // 2
     offsets = np.arange(-p, p + 1)
-    vander = np.vander(offsets.astype(float), increasing=True).T  # row k: offsets^k
+    with np.errstate(over="ignore"):  # offsets^k past the doubles: non-finite coefficients raise
+        vander = np.vander(offsets.astype(float), increasing=True).T  # row k: offsets^k
     rhs = np.zeros(2 * p + 1)
     rhs[n] = math.factorial(n)
     coeffs = np.linalg.solve(vander, rhs)
@@ -103,8 +108,13 @@ def make_derivative_functional(
 ) -> LinearFunctional:
     """Stencil approximation of phi -> phi^(n)(x0), accuracy O(h^order)."""
     offsets, coeffs = stencil_coefficients(n, order)
-    return _snapped(grid, x0, offsets, coeffs / (grid.w * grid.w ** n), "derivative",
-                    n=int(n), order=int(order))
+    try:
+        w_n = grid.w ** n
+    except OverflowError:  # float ** raises where * and / return inf
+        w_n = math.inf
+    with np.errstate(over="ignore", divide="ignore"):  # non-finite or zero coefficients raise
+        weights = coeffs / (grid.w * w_n)
+    return _snapped(grid, x0, offsets, weights, "derivative", n=int(n), order=int(order))
 
 
 _NAMED_WEIGHTS = {
@@ -161,7 +171,7 @@ def constants(t: LinearFunctional, cov: cv.CovOperator) -> TheoryConstants:
     a2 = cv.point_variance_max(cov)
     tct_val = float(inner(t.coeff, p, t.grid).real)
     w_t1 = t.grid.w * float(np.abs(t.coeff).sum())
-    bound = np.finfo(float).eps * a2 * (w_t1 * w_t1)  # float ** would raise on overflow
+    bound = sys.float_info.epsilon * a2 * (w_t1 * w_t1)  # Python floats: inf, no warning
     if math.isfinite(tct_val) and tct_val <= 100.0 * bound:  # the bound may overflow
         raise DegenerateFunctional(f"<T|C|T> = {tct_val:.6g} is numerically zero: not above "
                                    f"100x its roundoff bound {bound:.3g}")

@@ -100,7 +100,7 @@ def l2_norms(block, grid: Grid) -> np.ndarray:
     nrm = np.sqrt(sq)
     for i in np.flatnonzero((sq < _UNDERFLOW) | (sq == np.inf)):
         scale = sup_norm(block[i])
-        if scale > 0.0:
+        if 0.0 < scale < np.inf:  # a row with an infinite entry keeps its inf
             nrm[i] = scale * np.sqrt(grid.w * _sum_squares(block[i] / scale))
     return nrm
 

@@ -10,7 +10,7 @@ import subprocess
 from pathlib import Path
 
 import pytest
-from conftest import load_byteid
+from shared import load
 
 from condfield import cli
 
@@ -25,7 +25,7 @@ def _has_git_head() -> bool:
     return probe.returncode == 0
 
 
-byteid = load_byteid()
+byteid = load("tools/byteid.py")
 
 
 @pytest.mark.skipif(not _has_git_head(), reason="needs git and a commit to extract")

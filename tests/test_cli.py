@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import load_byteid
+from shared import load
 
 import condfield as cf
 from condfield import cli, concentration, covariance
 from condfield.cli import main
 from condfield.sampling import NOISE_BLOCK
 
-byteid = load_byteid()
+byteid = load("tools/byteid.py")
 
 
 def run(args):
@@ -596,8 +596,9 @@ def test_overflow_to_a_zero_correlation_is_silent(tmp_path, capsys):
 @given(kernel=st.sampled_from(["sqexp", "exp"]),
        log_variance=st.floats(-300.0, 308.2),
        log_ell=st.floats(-300.0, 300.0),
-       functional=st.sampled_from(["point:0.5", *(f"dpoint:0.5:{n}" for n in range(5)),
-                                   "integral:cosine"]),
+       functional=st.sampled_from([
+           "point:0.5", "integral:cosine",
+           *(f"dpoint:0.5:{n}" for n in (0, 1, 2, 3, 4, 10, 20, 30, 100, 170, 171, 10**30))]),
        command=st.sampled_from([["profile"], ["condition", "--u", "10"]]))
 def test_outside_inputs_exit_cleanly(tmp_path, deadline, kernel, log_variance, log_ell,
                                      functional, command):

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from shared import ZeroStream, adapted_split, eigh_factor, route_operator, routes_for
 
-from condfield import concentration, covariance, errors
+from condfield import concentration, errors
 from condfield.concentration import (
     distance_record,
     normalized_sup_distance,
@@ -70,10 +71,10 @@ def test_sup_distance_sign_flip(setup128):
     assert normalized_sup_distance(s, prof) == pytest.approx(expected, rel=1e-12)
 
 
-def test_sup_distance_zero_noise_sample(setup128, zero_stream):
+def test_sup_distance_zero_noise_sample(setup128):
     g, cov, fac, t, prof, k = setup128
     spec = ConditionSpec(u=3.0, mode=FIXED_RHO, rho=0.0)
-    s = sample_conditional(fac, t, spec, zero_stream)
+    s = sample_conditional(fac, t, spec, ZeroStream())
     assert normalized_sup_distance(s, prof) < 1e-12
     with pytest.raises(errors.ZeroVector):
         normalized_sup_distance(FieldSample(phi=np.zeros(g.m), scalar=REAL, t_u=1.0,
@@ -81,10 +82,10 @@ def test_sup_distance_zero_noise_sample(setup128, zero_stream):
                                 prof)
 
 
-def test_estimate0_zero_noise_vanishes(setup128, zero_stream):
+def test_estimate0_zero_noise_vanishes(setup128):
     g, cov, fac, t, prof, k = setup128
     spec = ConditionSpec(u=3.0, mode=FIXED_RHO, rho=0.0)
-    s = sample_conditional(fac, t, spec, zero_stream)
+    s = sample_conditional(fac, t, spec, ZeroStream())
     rec = distance_record(s)
     assert rec.bound_rhs == pytest.approx(0.0, abs=1e-10)
     assert abs(rec.ratio) == pytest.approx(k.b_const, rel=1e-10)
@@ -233,22 +234,21 @@ def test_discretization_insensitivity():
 EPS = np.finfo(float).eps
 
 
-@pytest.mark.parametrize("kernel, weight, scalar, mode, rho, theta, u_list", [
-    (SquaredExponential(1, 0.2), None, COMPLEX, FIXED_RHO, 1.0, 0.0, [10, 1e4, 1e8]),
-    (SquaredExponential(1, 0.2), "cosine", COMPLEX, FIXED_RHO, 2.0, 0.7, [1, 1e3, 1e6]),
-    (Exponential(1, 0.1), None, REAL, RANDOM, 1.0, 0.0, [10, 1e4, 1e8]),
-    (Exponential(1, 0.1), "cosine", COMPLEX, RANDOM, 1.0, 0.0, [1, 1e2, 1e5]),
+@pytest.mark.parametrize("route, weight, scalar, mode, rho, theta, u_list", [
+    ("pivoted-sqexp", None, COMPLEX, FIXED_RHO, 1.0, 0.0, [10, 1e4, 1e8]),
+    ("pivoted-sqexp", "cosine", COMPLEX, FIXED_RHO, 2.0, 0.7, [1, 1e3, 1e6]),
+    ("dense", None, REAL, RANDOM, 1.0, 0.0, [10, 1e4, 1e8]),
+    ("dense", "cosine", COMPLEX, RANDOM, 1.0, 0.0, [1, 1e2, 1e5]),
 ])
-def test_sweep_matches_adapted_basis_records(kernel, weight, scalar, mode, rho, theta,
-                                             u_list, adapted_split, eigh_factor):
+def test_sweep_matches_adapted_basis_records(route, weight, scalar, mode, rho, theta,
+                                             u_list):
     # every sweep record against one built from the adapted-basis split with
     # xi and then each threshold's draw, in u order, read from substream(seed, 0, i);
     # distances (and at large u the bound) are differences of unit-scale
     # vectors, so they get an absolute floor.  The split reads the modes of a
-    # spectral factor, so exp's comes from the dense route
-    g = make_grid(0, 1, 128)
-    cov = assemble(kernel, g)
-    fac = sqrt_factor(cov) if kernel.smooth else eigh_factor(cov)
+    # spectral factor, so exp's operator is served as a matrix
+    cov = route_operator(route, "model")
+    g, fac = cov.grid, sqrt_factor(cov)
     t = make_point_functional(g, 0.5) if weight is None else make_integral_functional(g, weight)
     prof, k = profile(t, cov), constants(t, cov)
     tct = k.tct
@@ -695,74 +695,39 @@ def test_no_command_forms_the_symmetric_root(monkeypatch):
     assert all("s" not in vars(f) for f in (fac, *made))
 
 
-def test_ritz_and_eigh_factors_give_the_same_prop1_verdict(monkeypatch, eigh_factor):
-    # the routes draw different samples (P = 21 against 22 here), so they are
-    # compared on statistics: verify_prop1 passes on both, seed by seed
-    g = make_grid(0, 1, 512)
-    cov = assemble(SquaredExponential(1, 0.2), g)
-    t = make_point_functional(g, 0.5)
-    ritz, dense = sqrt_factor(cov), eigh_factor(cov)
-    assert ritz.rank < dense.rank
-    for fac in (ritz, dense):
-        monkeypatch.setattr(concentration.cv, "sqrt_factor", lambda c, fac=fac: fac)
+@pytest.mark.parametrize("route", routes_for("prop1"))
+def test_route_and_eigh_factors_give_the_same_prop1_verdict(monkeypatch, route):
+    # the routes draw other samples than the eigh factor: the pivoted one fewer modes
+    # (P = 21 against 22 here), exp's embedding more (N = 1024 against M = 512), so they
+    # are compared on statistics: verify_prop1 passes on both, seed by seed
+    cov = route_operator(route, "prop1")
+    t = make_point_functional(cov.grid, 0.5)
+    fac, dense = sqrt_factor(cov), eigh_factor(cov)
+    assert fac.rank < dense.rank or dense.rank == cov.grid.m < fac.rank
+    for each in (fac, dense):
+        monkeypatch.setattr(concentration.cv, "sqrt_factor", lambda c, each=each: each)
         for scalar, seeds in ((COMPLEX, range(8)), (REAL, range(4))):
             for seed in seeds:
                 assert verify_prop1(t, cov, 20000, seed=seed, scalar=scalar)["passed"]
 
 
-@pytest.mark.parametrize("kernel, functional, scalar, mode", [
-    ("sqexp:1:0.2", "point:0.5", COMPLEX, FIXED_RHO),
-    ("sqexp:1:0.2", "integral:cosine", REAL, RANDOM),
-    ("sqexp:2:0.3", "dpoint:0.5:1", REAL, FIXED_RHO),
+@pytest.mark.parametrize("route, use, functional, scalar, mode", [
+    ("pivoted-sqexp", "model", "point:0.5", COMPLEX, FIXED_RHO),
+    ("pivoted-sqexp", "model", "integral:cosine", REAL, RANDOM),
+    ("pivoted-sqexp", "slope", "dpoint:0.5:1", REAL, FIXED_RHO),
+    ("embedding-exp", "model", "point:0.5", COMPLEX, FIXED_RHO),
+    ("embedding-exp", "model", "integral:cosine", REAL, RANDOM),
+    ("embedding-exp", "model", "point:0.3", COMPLEX, RANDOM),
+    ("embedding-exp", "model", "point:0.5", REAL, RANDOM),
 ])
-def test_ritz_and_eigh_factors_give_the_same_sweep_slope(kernel, functional, scalar, mode,
-                                                         eigh_factor):
-    # over u in [1e2, 1e8] both routes' q50 follow the 1/u rate
-    g = make_grid(0, 1, 128)
-    cov = assemble(kernel_from_spec(kernel), g)
-    t = functional_from_spec(functional, g)
-    assert covariance._pivoted_pairs(cov.op) is not None
-    ritz, dense = sqrt_factor(cov), eigh_factor(cov)
-    u_list = [10.0 ** k for k in range(2, 9)]
-    reps = [sweep(fac, t, cov, u_list, 200, scalar=scalar, mode=mode, seed=1) for fac in (ritz, dense)]
-    for rep in reps:
-        assert rep.violations_est0 == rep.violations_est12 == 0
-    assert abs(reps[0].slope - reps[1].slope) <= 1e-3
-
-
-def test_circulant_and_eigh_factors_give_the_same_prop1_verdict(monkeypatch, eigh_factor):
-    # exp's embedding draws N = 1024 coefficients, the dense route M = 512, so the
-    # routes are compared on statistics: verify_prop1 passes on both, seed by seed
-    g = make_grid(0, 1, 512)
-    cov = assemble(Exponential(1, 0.1), g)
-    t = make_point_functional(g, 0.5)
-    circulant, dense = sqrt_factor(cov), eigh_factor(cov)
-    assert isinstance(circulant, covariance.CirculantFactor)
-    assert (circulant.rank, dense.rank) == (1024, 512)
-    for fac in (circulant, dense):
-        monkeypatch.setattr(concentration.cv, "sqrt_factor", lambda c, fac=fac: fac)
-        for scalar, seeds in ((COMPLEX, range(8)), (REAL, range(4))):
-            for seed in seeds:
-                assert verify_prop1(t, cov, 20000, seed=seed, scalar=scalar)["passed"]
-
-
-@pytest.mark.parametrize("functional, scalar, mode", [
-    ("point:0.5", COMPLEX, FIXED_RHO),
-    ("integral:cosine", REAL, RANDOM),
-    ("point:0.3", COMPLEX, RANDOM),
-    ("point:0.5", REAL, RANDOM),
-])
-def test_circulant_and_eigh_factors_give_the_same_sweep_slope(functional, scalar, mode,
-                                                              eigh_factor):
-    # over u in [1e2, 1e8] both routes' q50 follow the 1/u rate on exp
-    g = make_grid(0, 1, 128)
-    cov = assemble(Exponential(1, 0.1), g)
-    t = functional_from_spec(functional, g)
-    circulant, dense = sqrt_factor(cov), eigh_factor(cov)
-    assert isinstance(circulant, covariance.CirculantFactor)
+def test_route_and_eigh_factors_give_the_same_sweep_slope(route, use, functional, scalar,
+                                                          mode):
+    # over u in [1e2, 1e8] both factors' q50 follow the 1/u rate
+    cov = route_operator(route, use)
+    t = functional_from_spec(functional, cov.grid)
     u_list = [10.0 ** k for k in range(2, 9)]
     reps = [sweep(fac, t, cov, u_list, 200, scalar=scalar, mode=mode, seed=1)
-            for fac in (circulant, dense)]
+            for fac in (sqrt_factor(cov), eigh_factor(cov))]
     for rep in reps:
         assert rep.violations_est0 == rep.violations_est12 == 0
     assert abs(reps[0].slope - reps[1].slope) <= 1e-3

@@ -5,6 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from shared import (
+    ROUTES,
+    MatrixKernel,
+    WideGaussian,
+    as_matrix,
+    eigh_factor,
+    factor_route,
+    route_operator,
+    routes_for,
+)
 
 from condfield import covariance, errors
 from condfield.covariance import (
@@ -35,25 +45,6 @@ from condfield.sampling import NOISE_BLOCK, REAL, ConditionSpec, sample_conditio
 @pytest.fixture
 def grid64():
     return make_grid(0, 1, 64)
-
-
-class MatrixKernel:
-    """K = op / w for a given op, which no kernel of the package gives; exact
-    where w is a power of two.  Its operator is factored by the dense eigh."""
-
-    def __init__(self, op):
-        self.op = op
-
-    def rows(self, grid, idx):
-        return self.op[idx] / grid.w
-
-    def diagonal(self, grid):
-        return np.diag(self.op) / grid.w
-
-
-def _dense(cov):
-    """cov's operator served as a formed matrix, which the dense eigh factors."""
-    return CovOperator(grid=cov.grid, kernel=MatrixKernel(cov.op))
 
 
 def test_sqexp_assemble_diagonal(grid64):
@@ -212,20 +203,14 @@ def test_point_variance_max_within_one_ulp(kernel, m):
         assert got == exact
 
 
-@pytest.mark.parametrize("kernel, rank", [
-    (SquaredExponential(1, 0.2), 21),
-    (Exponential(1, 0.1), 128),
-    (RankK(((4.0, 1), (1.0, 3), (0.5, 0))), None),
-], ids=repr)
-def test_factor_keeps_the_modes_the_clip_leaves(kernel, rank):
+@pytest.mark.parametrize("route", ["pivoted-sqexp", "dense", "rankk"])
+def test_factor_keeps_the_modes_the_clip_leaves(route):
     # P = M - n_clipped modes above eps * lam_max, and L L^T w is the operator:
-    # the same matrix as the symmetric root squared, within criterion 1's 1e-10;
-    # exp's op, served as a matrix, takes the dense route
-    g = make_grid(0, 1, 128)
-    cov = assemble(kernel, g) if kernel.smooth else _dense(assemble(kernel, g))
-    fac = sqrt_factor(cov)
-    assert fac.rank == g.m - fac.n_clipped == (rank or fac.rank)
-    assert fac.rank >= len(getattr(kernel, "modes", ()))
+    # the same matrix as the symmetric root squared, within criterion 1's 1e-10
+    cov = route_operator(route, "model")
+    g, fac = cov.grid, sqrt_factor(cov)
+    assert fac.rank == g.m - fac.n_clipped
+    assert fac.rank >= len(getattr(cov.kernel, "modes", ()))
     assert fac.modes.shape == (g.m, fac.rank)
     assert fac.eigenvalues.shape == (fac.rank,) and np.all(fac.eigenvalues > 0)
     llt = fac.modes @ fac.modes.T * g.w
@@ -255,7 +240,7 @@ def test_factor_cuts_at_eps_times_the_largest_eigenvalue(kernel, m, rank, ritz):
     # E = op - w L L^T, whose own eigenvalues are the kept ones and zeros (Weyl);
     # exp's op, served as a matrix, takes the dense route
     g = make_grid(0, 1, m)
-    cov = assemble(kernel, g) if ritz else _dense(assemble(kernel, g))
+    cov = assemble(kernel, g) if ritz else as_matrix(assemble(kernel, g))
     fac = sqrt_factor(cov)
     lam = np.linalg.eigh(cov.op)[0][::-1]
     cut = np.finfo(float).eps * lam[0]
@@ -290,11 +275,20 @@ def test_ritz_factor_meets_its_certificate(spec, m):
     assert fac.rank <= m // 2
 
 
+@pytest.mark.parametrize("route, use", [(r, use) for r in ROUTES for use in ROUTES[r].ops])
+def test_every_route_row_takes_its_route(route, use):
+    # each operator of a ROUTES row, on the grid its tests use, takes the row's route
+    # with the rank the row gives, so the tests that read the row run on that route
+    fac, took = factor_route(route_operator(route, use))
+    assert took == ROUTES[route].route
+    assert ROUTES[route].ops[use][2] in (None, fac.rank)
+
+
 @pytest.mark.parametrize("kernel", [Exponential(1, 0.1), SquaredExponential(1, 0.002)], ids=repr)
-def test_dense_route_factor_is_the_eigh_factor(kernel, eigh_factor):
+def test_dense_route_factor_is_the_eigh_factor(kernel):
     # an operator served as a matrix is factored by a dense eigh, whatever kernel it
     # came from: bitwise the reference factor
-    cov = _dense(assemble(kernel, make_grid(0, 1, 128)))
+    cov = as_matrix(assemble(kernel, make_grid(0, 1, 128)))
     fac, ref = sqrt_factor(cov), eigh_factor(cov)
     assert fac.rank == 128
     assert fac.modes.tobytes() == ref.modes.tobytes()
@@ -425,14 +419,13 @@ def test_factor_apply_reads_p_coefficients():
                                                                           rel=1e-12)
 
 
-@pytest.mark.parametrize("spec", ["sqexp:1:0.2", "exp:1:0.1", "rankk:4@1,1@3,0.5@0"])
-def test_adjoint_is_the_transpose_of_apply(spec):
+@pytest.mark.parametrize("route", ["pivoted-sqexp", "dense", "rankk"],
+                         ids=lambda route: ROUTES[route].ops["model"][0])
+def test_adjoint_is_the_transpose_of_apply(route):
     # <phi|L g> = <w L^T phi|g> for real phi, within the roundoff of two sums
-    # of M P products, each at most w |phi|^T |L| |g|; exp's op, served as a
-    # matrix, takes the dense route
-    g = make_grid(0, 1, 128)
-    cov = assemble(kernel_from_spec(spec), g)
-    fac = sqrt_factor(cov if cov.kernel.smooth else _dense(cov))
+    # of M P products, each at most w |phi|^T |L| |g|
+    cov = route_operator(route, "model")
+    g, fac = cov.grid, sqrt_factor(cov)
     rng = np.random.default_rng(18)
     phi = rng.normal(size=g.m)
     for coeff in (rng.normal(size=fac.rank), [1, 1j] @ rng.normal(size=(2, fac.rank))):
@@ -732,51 +725,38 @@ def test_circulant_adjoint_is_the_transpose_of_apply(spec, a, b, m):
         assert err <= 4 * (g.m + fac.rank) * np.finfo(float).eps * scale
 
 
-def test_circulant_rows_do_not_depend_on_the_block():
-    # on every route (pivoted, rank-k, embedding, dense) apply's rows are bitwise the
-    # same at every position and height of a block, real or complex, and as a 1-D row:
-    # apply hands _real chunks of _CHUNK_ROWS rows, a SqrtFactor takes GEMMs of one
-    # _CHUNK_ROWS height (a one-row product would be a GEMV), the embedding one rfft per
-    # row; widths straddle that chunk height and NOISE_BLOCK.  apply leaves its input as
-    # it was.  So a conditioned draw is the sweep's row
-    g = make_grid(0, 1, 128)
-    t = make_point_functional(g, 0.5)
+@pytest.mark.parametrize("route", routes_for("model"))
+def test_apply_rows_do_not_depend_on_the_block(route):
+    # apply's rows are bitwise the same at every position and height of a block, real
+    # or complex, and as a 1-D row: apply hands _real chunks of _CHUNK_ROWS rows, a
+    # SqrtFactor takes GEMMs of one _CHUNK_ROWS height (a one-row product would be a
+    # GEMV), the embedding one rfft per row; widths straddle that chunk height and
+    # NOISE_BLOCK.  apply leaves its input as it was.  So a conditioned draw is the
+    # sweep's row
+    fac = sqrt_factor(route_operator(route, "model"))
+    t = make_point_functional(fac.cov.grid, 0.5)
     spec = ConditionSpec(u=100.0, scalar=REAL, mode="random")
     seed = 23
     chunk = covariance._CHUNK_ROWS
     assert 2 * chunk + 1 <= NOISE_BLOCK
-    for route in ("sqexp:1:0.2", "rankk:4@1,1@3,0.5@0", "exp:1:0.1", "dense"):
-        cov = assemble(kernel_from_spec("exp:1:0.1" if route == "dense" else route), g)
-        fac = sqrt_factor(_dense(cov) if route == "dense" else cov)
-        assert isinstance(fac, CirculantFactor if route == "exp:1:0.1" else SqrtFactor), route
-        rng = np.random.default_rng(20)
-        block = rng.normal(size=(NOISE_BLOCK + 6, fac.rank))
-        for rows in (block, block + 1j * rng.normal(size=block.shape)):
-            before = rows.tobytes()
-            full = fac.apply(rows)
-            assert fac.apply(rows[7]).tobytes() == full[7].tobytes(), route
-            for width in (1, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 64, NOISE_BLOCK + 1):
-                for lo in (0, 5, len(rows) - width):
-                    got = fac.apply(rows[lo:lo + width])
-                    assert got.tobytes() == full[lo:lo + width].tobytes(), (route, width, lo)
-            assert rows.tobytes() == before, route
-        rep = sweep(fac, t, fac.cov, [spec.u], NOISE_BLOCK + 2, scalar=REAL, mode="random",
-                    seed=seed)
-        for i in (0, 5, NOISE_BLOCK + 1):
-            s = sample_conditional(fac, t, spec, substream(seed, 0, i))
-            want = dataclasses.replace(distance_record(s), sample_index=i)
-            for f in dataclasses.fields(want):
-                assert getattr(rep.records[i], f.name) == getattr(want, f.name), (route, f.name)
-
-
-@dataclasses.dataclass(frozen=True)
-class _WideGaussian(covariance._Stationary):
-    """A squared exponential that does not claim to be smooth, so that it skips the
-    pivoted route; with ell = 0.5 on (0, 1) its embedding is far from positive."""
-
-    name = "wide-gaussian"
-    smooth = False
-    decay = SquaredExponential.decay
+    rng = np.random.default_rng(20)
+    block = rng.normal(size=(NOISE_BLOCK + 6, fac.rank))
+    for rows in (block, block + 1j * rng.normal(size=block.shape)):
+        before = rows.tobytes()
+        full = fac.apply(rows)
+        assert fac.apply(rows[7]).tobytes() == full[7].tobytes()
+        for width in (1, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 64, NOISE_BLOCK + 1):
+            for lo in (0, 5, len(rows) - width):
+                got = fac.apply(rows[lo:lo + width])
+                assert got.tobytes() == full[lo:lo + width].tobytes(), (width, lo)
+        assert rows.tobytes() == before
+    rep = sweep(fac, t, fac.cov, [spec.u], NOISE_BLOCK + 2, scalar=REAL, mode="random",
+                seed=seed)
+    for i in (0, 5, NOISE_BLOCK + 1):
+        s = sample_conditional(fac, t, spec, substream(seed, 0, i))
+        want = dataclasses.replace(distance_record(s), sample_index=i)
+        for f in dataclasses.fields(want):
+            assert getattr(rep.records[i], f.name) == getattr(want, f.name), f.name
 
 
 @dataclasses.dataclass(frozen=True)
@@ -790,11 +770,11 @@ class _Box(covariance._Stationary):
         return np.less(np.abs(d, out=d), self.ell, out=d, casting="unsafe")
 
 
-def test_stationary_kernel_whose_embedding_is_not_positive_takes_the_dense_route(eigh_factor):
+def test_stationary_kernel_whose_embedding_is_not_positive_takes_the_dense_route():
     # an embedding eigenvalue below -DEFAULT_CLIP_TOL * lam_max sends the kernel to the
     # dense eigh: bitwise its factor where op is positive, NotPositive where it is not
     g = make_grid(0, 1, 128)
-    cov = assemble(_WideGaussian(1, 0.5), g)
+    cov = assemble(WideGaussian(1, 0.5), g)
     lam = covariance._embedding(cov)
     assert lam.min() < -DEFAULT_CLIP_TOL * lam.max()
     fac, ref = sqrt_factor(cov), eigh_factor(cov)

@@ -19,52 +19,28 @@ and its correlation with t_u, are checked entry by entry within 5 standard error
 
 import numpy as np
 import pytest
+from shared import route_operator, routes_for
 
 from condfield import (
     COMPLEX,
     RANDOM,
     REAL,
     ConditionSpec,
-    CovOperator,
-    Exponential,
-    SquaredExponential,
-    assemble,
     constants,
     functional_from_spec,
-    kernel_from_spec,
-    make_grid,
     sqrt_factor,
 )
-from condfield.covariance import CirculantFactor
 from condfield.grid import inners
 from condfield.sampling import condition_blocks, keyed_streams, stream_keys, substream, white_noise
-from test_covariance import MatrixKernel
 
-M = 64
 N_DRAWS = 4000
 U_OVER_SIGMA = 1.3  # u = 1.3 sqrt(<T|C|T>): 10% of real draws and 18% of complex ones are kept
-POINTS = (5, 19, 32, 50)  # grid indices at which phi is compared
+POINTS = (5, 19, 32, 50)  # grid indices at which phi is compared, of the M = 64 of each route
 ALPHA = 1e-3  # family-wise
 
-
-def _nonstationary(grid):
-    """op = w K for K(x, y) = exp(-(x - y)^2 / (2 0.2^2)) (1 + x y), positive
-    semidefinite as the Schur product of two such kernels; no kernel of the
-    package gives it, so it is factored by the dense eigh."""
-    x = grid.points
-    k = np.exp(-np.subtract.outer(x, x) ** 2 / (2 * 0.2 ** 2)) * (1.0 + np.multiply.outer(x, x))
-    return CovOperator(grid=grid, kernel=MatrixKernel(grid.w * k))
-
-
-ROUTES = {
-    "pivoted-sqexp": lambda g: assemble(SquaredExponential(1, 0.2), g),
-    "embedding-exp": lambda g: assemble(Exponential(1, 0.1), g),
-    "rankk": lambda g: assemble(kernel_from_spec("rankk:4@1,1@3,0.5@0"), g),
-    "dense": _nonstationary,
-}
 FUNCTIONALS = ("point:0.3", "integral:cosine", "dpoint:0.3:1:4")
 SCALARS = (REAL, COMPLEX)
-CASES = [(r, f, s) for r in ROUTES for f in FUNCTIONALS for s in SCALARS]
+CASES = [(r, f, s) for r in routes_for("oracle") for f in FUNCTIONALS for s in SCALARS]
 
 
 def _statistics(phi, t, scalar):
@@ -112,16 +88,10 @@ def _rejection_draws(factor, t, u, scalar, n):
     return np.concatenate(kept)[:n]
 
 
-@pytest.fixture(scope="module")
-def grid():
-    return make_grid(0, 1, M)
-
-
 @pytest.mark.parametrize("route, functional, scalar", CASES, ids=["-".join(c) for c in CASES])
-def test_conditional_law_matches_rejection_sampling(grid, route, functional, scalar):
-    cov = ROUTES[route](grid)
-    factor = sqrt_factor(cov)
-    assert isinstance(factor, CirculantFactor) == route.startswith("embedding")
+def test_conditional_law_matches_rejection_sampling(route, functional, scalar):
+    cov = route_operator(route, "oracle")
+    grid, factor = cov.grid, sqrt_factor(cov)
     t = functional_from_spec(functional, grid)
     k = constants(t, cov)
     u = U_OVER_SIGMA * np.sqrt(k.tct)

@@ -3,27 +3,16 @@ every name it uses must still resolve in the package."""
 
 import ast
 import importlib
-import importlib.util
 import inspect
 from pathlib import Path
 
 import pytest
+from shared import load
 
 import condfield
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load_spans():
-    # only the tables are read: spans.install would rewrap the package for
-    # every later test
-    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-spans = _load_spans()
+spans = load("perfbench/spans.py")  # only its tables: spans.install would rewrap the package
 TARGETS = [(mod, qual) for table in (spans.SPANS, spans.COUNTED_METHODS)
            for mod, quals in table.items() for qual in quals]
 

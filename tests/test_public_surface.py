@@ -1,7 +1,8 @@
 """Every name the package exports has a caller outside the tests: another
 module of the package, a demo, the benchmark harness or the README.  Only
-`covariance` reads the factor's matrix."""
+`covariance` reads the factor's matrix.  No test file imports another, nor conftest."""
 
+import ast
 import re
 import types
 from pathlib import Path
@@ -45,3 +46,15 @@ def test_only_covariance_reads_the_factor_matrix():
                for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
                if re.search(r"\.modes\b", line)]
     assert readers == []
+
+
+def test_no_test_file_imports_a_test_module_or_conftest():
+    # what the tests share lives in tests/shared.py; fixtures reach a test through pytest
+    imports = [f"{path.name}:{node.lineno}"
+               for path in sorted((ROOT / "tests").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for name in ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                            else [alias.name for alias in node.names])
+               if name.split(".")[0] == "conftest" or name.startswith("test_")]
+    assert imports == []

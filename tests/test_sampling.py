@@ -2,15 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from shared import ROUTES, ZeroStream, adapted_split, route_operator, routes_for
 
 from condfield import errors
-from condfield.covariance import (
-    Exponential,
-    SquaredExponential,
-    assemble,
-    kernel_from_spec,
-    sqrt_factor,
-)
+from condfield.covariance import Exponential, SquaredExponential, assemble, sqrt_factor
 from condfield.functionals import constants, functional_from_spec, make_point_functional
 from condfield.grid import inner, make_grid
 from condfield.sampling import (
@@ -29,7 +24,6 @@ from condfield.sampling import (
     substream,
     white_noise,
 )
-from test_oracle import _nonstationary
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +46,9 @@ def test_field_sample_needs_its_conditioning_record():
         FieldSample(phi=np.ones(4), scalar=REAL, theta=0.0)
 
 
-def test_forced_zero_noise_gives_zero_field(setup64, zero_stream):
+def test_forced_zero_noise_gives_zero_field(setup64):
     g, cov, fac, t = setup64
-    s = sample_conditional(fac, t, ConditionSpec(u=0.0, rho=0.0), zero_stream)
+    s = sample_conditional(fac, t, ConditionSpec(u=0.0, rho=0.0), ZeroStream())
     assert s.t_u == 0.0
     assert np.all(s.values == 0)
 
@@ -82,28 +76,12 @@ def test_complex_coefficient_null_second_moment(setup64):
     assert abs(rng_vals.mean()) < 4 / np.sqrt(n)
 
 
-# an operator on each factor route, with its factor's rank: at M = 16 sqexp:1:0.2 needs
-# more than M/2 = 8 pivots and its embedding is not positive, so it falls back to the
-# dense eigh; at M = 32 sqexp:1:0.5 takes 12 pivots; exp's embedding has N = 30 columns
-ROUTE_COVS = {
-    "sqexp-eigh": (lambda: assemble(SquaredExponential(1, 0.2), make_grid(0, 1, 16)), 16),
-    "pivoted": (lambda: assemble(SquaredExponential(1, 0.5), make_grid(0, 1, 32)), 12),
-    "embedding": (lambda: assemble(Exponential(1, 0.1), make_grid(0, 1, 16)), 30),
-    "rankk": (lambda: assemble(kernel_from_spec("rankk:4@1,1@3,0.5@0"), make_grid(0, 1, 16)), 3),
-    "matrix-eigh": (lambda: _nonstationary(make_grid(0, 1, 16)), 16),
-}
-
-
-@pytest.mark.parametrize("route", ROUTE_COVS)
-def test_unconditional_covariance_matches_kernel(monkeypatch, route):
+@pytest.mark.parametrize("route", routes_for("unconditional"))
+def test_unconditional_covariance_matches_kernel(route):
     # the empirical covariance of 20000 complex draws L g against K, entry by entry;
     # a block's rows are bitwise the single draws of substream(21, 0, i)
-    eigh, calls = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
-    make, rank = ROUTE_COVS[route]
-    cov = make()
+    cov = route_operator(route, "unconditional")
     g, fac = cov.grid, sqrt_factor(cov)
-    assert fac.rank == rank and bool(calls) == route.endswith("eigh")
     n = 20000
     samples = fac.apply(np.array([white_noise(fac.rank, COMPLEX, rng)
                                   for rng in keyed_streams(stream_keys(21, 0, n=n))]))
@@ -291,10 +269,10 @@ def test_conditional_event_complex_field(setup64):
             assert abs(s.t_u) ** 2 == pytest.approx(s.rho + u ** 2 / 1.0, rel=1e-10)
 
 
-def test_zero_noise_hook_gives_collinear_profile(setup64, zero_stream):
+def test_zero_noise_hook_gives_collinear_profile(setup64):
     g, cov, fac, t = setup64
     spec = ConditionSpec(u=3.0, mode=FIXED_RHO, rho=0.0)
-    s = sample_conditional(fac, t, spec, zero_stream)
+    s = sample_conditional(fac, t, spec, ZeroStream())
     assert s.t_u == pytest.approx(3.0, rel=1e-12)  # u / sqrt(tct), tct = 1
     expected = (3.0 / 1.0) * cov.apply(t.coeff)  # tct = 1 here
     assert np.allclose(s.values, expected, atol=1e-10)
@@ -366,19 +344,16 @@ def test_determinism(setup64):
     assert a.t_u == b.t_u and a.rho == b.rho and a.theta == b.theta
 
 
-@pytest.mark.parametrize("kernel, n_clipped", [(SquaredExponential(1, 0.2), 107),
-                                               (Exponential(1, 0.1), 0)])
+@pytest.mark.parametrize("route, n_clipped", [("pivoted-sqexp", 107), ("dense", 0)])
 @pytest.mark.parametrize("scalar", [REAL, COMPLEX])
-def test_pathwise_matches_adapted_basis_split(kernel, n_clipped, scalar, adapted_split,
-                                              eigh_factor):
+def test_pathwise_matches_adapted_basis_split(route, n_clipped, scalar):
     # the rank-one update and the adapted-basis split are the same draw, to
     # roundoff, with and without cut eigenvalues; the split reads the modes of
-    # a spectral factor, so exp's comes from the dense route
-    g = make_grid(0, 1, 128)
-    cov = assemble(kernel, g)
-    fac = sqrt_factor(cov) if kernel.smooth else eigh_factor(cov)
+    # a spectral factor, so exp's operator is served as a matrix
+    cov = route_operator(route, "model")
+    fac = sqrt_factor(cov)
     assert fac.n_clipped == n_clipped
-    t = make_point_functional(g, 0.5)
+    t = make_point_functional(cov.grid, 0.5)
     tct = constants(t, fac.cov).tct
     for i in range(20):
         for u in (0.0, 10.0, 1e4, 1e8):
@@ -509,14 +484,14 @@ def test_condition_pathwise_needs_specs_of_one_scalar_type(setup64):
             next(condition_blocks(fac, t, specs, [substream(0, 0)]))
 
 
-@pytest.mark.parametrize("kernel", ["exp:1:0.1", "sqexp:2.5:0.25", "rankk:4@1,1@3,0.5@0"])
+@pytest.mark.parametrize("route", routes_for("event"), ids=lambda r: ROUTES[r].ops["event"][0])
 @pytest.mark.parametrize("functional", ["point:0.5", "dpoint:0.37:1:4", "integral:cosine"])
 @pytest.mark.parametrize("scalar", [REAL, COMPLEX])
-def test_conditioning_event_holds_on_every_route(kernel, functional, scalar):
+def test_conditioning_event_holds_on_every_route(route, functional, scalar):
     # t_u is drawn with the constants' <T|C|T>, while <T|L g> = <l|g> reads the
-    # factor's l: on the dense, pivoted and rank-k routes the two agree to roundoff
-    g = make_grid(0, 1, 128)
-    cov = assemble(kernel_from_spec(kernel), g)
+    # factor's l: on every route the two agree to roundoff
+    cov = route_operator(route, "event")
+    g = cov.grid
     fac, t = sqrt_factor(cov), functional_from_spec(functional, g)
     specs = [ConditionSpec(u=u, scalar=scalar, mode=RANDOM) for u in (5.0, 1e6)]
     rngs = (substream(5, 0, i) for i in range(200))

@@ -38,7 +38,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SQEXP, EXP, RANKK = "sqexp:1:0.2", "exp:1:0.1", "rankk:4@1,1@3,0.5@0"
 KERNELS = (SQEXP, EXP, RANKK)
 FUNCTIONALS = ("point:0.5", "integral:cosine", "dpoint:0.5:2:4")
-GRIDS = (("0,1", 68), ("0,1", 97), ("0,1", 128), ("0,1", 512), ("-0.3,2.7", 97))
+# at M = 32 sqexp:1:0.2 takes the dense eigh, by fallback; at every other size, pivots
+GRIDS = (("0,1", 32), ("0,1", 68), ("0,1", 97), ("0,1", 128), ("0,1", 512),
+         ("-0.3,2.7", 97))
 
 # each is one command line; --out, where given, is relative to the command's directory
 PER_MODEL = (
@@ -120,6 +122,14 @@ EDGES = (
     Edge("sweep --u-list 10,1e155 --mc 5 --grid 64", 2, T_U),
     Edge("verify bounds --u 1e155 --mc 5 --grid 64", 2, T_U),
     Edge("sweep --kernel sqexp:1e-200:0.2 --u-list 1,2 --mc 5 --grid 64", 0),
+    # derivative orders whose n!, stencil weights or w^n pass the doubles
+    Edge("profile --grid 32 --functional dpoint:0.5:171", 2, "n! is not a finite double"),
+    Edge("profile --grid 256 --functional dpoint:0.5:100", 2,
+         "derivative functional has non-finite coefficients"),
+    Edge("profile --domain 0,1e6 --grid 256 --functional dpoint:500000:100", 2,
+         "derivative functional is identically zero"),
+    Edge("condition --u 10 --grid 32 --kernel exp:1e300:100 --functional dpoint:0.5:30", 2,
+         "non-finite theory constants: <T|C|T> = nan, "),
     # w K fits, although 2 K would not; w K overflows, or lam e_1(x)^2 does
     Edge("profile --grid 32 --kernel exp:1.7e308:0.2", 0),
     Edge("condition --grid 32 --kernel exp:1e308:0.2 --u 10", 0),
