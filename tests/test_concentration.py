@@ -720,8 +720,7 @@ def test_route_and_eigh_factors_give_the_same_prop1_verdict(monkeypatch, route):
     ("embedding-exp", "model", "point:0.3", COMPLEX, RANDOM),
     ("embedding-exp", "model", "point:0.5", REAL, RANDOM),
 ])
-def test_route_and_eigh_factors_give_the_same_sweep_slope(route, use, functional, scalar,
-                                                          mode):
+def test_route_and_eigh_sweep_slopes_agree(route, use, functional, scalar, mode):
     # over u in [1e2, 1e8] both factors' q50 follow the 1/u rate
     cov = route_operator(route, use)
     t = functional_from_spec(functional, cov.grid)
