@@ -103,19 +103,20 @@ def record_columns(sample: sp.FieldSample) -> dict:
     psi_n = l2_norms(psi, k.grid)[:, None]
     tu_abs = np.abs(t_u)
     phase = np.cos(theta) + 1j * np.sin(theta) if sample.scalar == sp.COMPLEX else 1.0
-    z = tu_abs / b + np.conj(phase) * (c - t1 / b)
-    z_abs = np.abs(z)
-    nrm = np.hypot(z_abs, psi_n)
+    # a sum past the doubles is inf: an inf N raises below, and a quotient by N + |z| is 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z = tu_abs / b + np.conj(phase) * (c - t1 / b)
+        z_abs = np.abs(z)
+        nrm = np.hypot(z_abs, psi_n)
+        z_less = z - z_abs  # exact for a real z
+        if np.iscomplexobj(z):  # divide and invalid only in the branch np.where drops
+            z_less = np.where(z.real > 0.0, -z.imag * (z.imag / (z.real + z_abs)) + 1j * z.imag,
+                              z_less)
+        gamma = phase * (z_less - psi_n * (psi_n / (nrm + z_abs)))
     if not np.all(nrm):
         raise ZeroVector("cannot normalize a zero vector")
     if not np.all(nrm < math.inf):  # also NaN
         raise ThresholdOverflow(f"||phi_u|| is not representable at u = {sample.u}")
-    z_less = z - z_abs  # exact for a real z
-    if np.iscomplexobj(z):
-        with np.errstate(divide="ignore", invalid="ignore"):  # in the branch np.where drops
-            z_less = np.where(z.real > 0.0, -z.imag * (z.imag / (z.real + z_abs)) + 1j * z.imag,
-                              z_less)
-    gamma = phase * (z_less - psi_n * (psi_n / (nrm + z_abs)))
     # the one M-sized pass, a threshold at a time, in one n x M scratch s (|s| in mag)
     s = np.empty_like(psi)
     mag = s if s.dtype == float else np.empty(s.shape)
@@ -124,7 +125,7 @@ def record_columns(sample: sp.FieldSample) -> dict:
     ratio = t_u / nrm
     a1 = np.abs(ratio - phase * b)
     r_n = r / nrm
-    rhs = k.a_const * np.sqrt(a1 ** 2 + r_n ** 2)
+    rhs = k.a_const * np.hypot(a1, r_n)
     dr = k.d_const * r
     applicable = tu_abs > dr
     tol = BOUND_SLACK * (1.0 + b)

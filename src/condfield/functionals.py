@@ -165,11 +165,13 @@ def constants(t: LinearFunctional, cov: cv.CovOperator) -> TheoryConstants:
 
     Since |C(x, y)| <= A^2, the roundoff in <T|C|T> is at most
     eps A^2 (w sum_i |T_i|)^2; a value not above 100 times that bound (1%
-    roundoff) is rejected, and so is a non-finite <T|C|T>, ||p||_2, A, B or D."""
+    roundoff) is rejected, and so is a non-finite entry of p, <T|C|T>, ||p||_2, A, B or D."""
     p = profile(t, cov)
     p.setflags(write=False)
     a2 = cv.point_variance_max(cov)
     tct_val = float(inner(t.coeff, p, t.grid).real)
+    if not math.isfinite(tct_val) and not np.all(np.isfinite(p)):  # whose infs may cancel
+        raise DegenerateFunctional("the profile C T has entries that are not finite doubles")
     w_t1 = t.grid.w * float(np.abs(t.coeff).sum())
     bound = sys.float_info.epsilon * a2 * (w_t1 * w_t1)  # Python floats: inf, no warning
     if math.isfinite(tct_val) and tct_val <= 100.0 * bound:  # the bound may overflow

@@ -6,9 +6,10 @@ the P modes with eigenvalue above eps * lam_max, or the N columns of a circulant
 embedding.
 A conditional draw adds a rank-one update along the profile (Matheron's rule):
 with p = C T, q = p/||p||_2, B and <T|C|T> the sample's `k` (`functionals.constants`),
-l = w L^T T (so <T|L g> = <l|g>), v = l/||l||, t_1 = <v|g> and
-|t_u|^2 = rho + u^2/<T|C|T>, phi_u = L g + ((t_u - t_1)/B) q.  As L v = q/B,
-this is the adapted-basis split L(t_u v + g_perp), with the same law, and
+l = w L^T T (so <T|L g> = <l|g>), v = l/||l||, t_1 = <v|g>, alpha = u/sqrt(<T|C|T>),
+|t_u| = hypot(sqrt(rho), alpha) (neither is squared; on a real field in random mode
+t_u is drawn and rho = (t_u - alpha)(t_u + alpha)) and phi_u = L g + ((t_u - t_1)/B) q.
+As L v = q/B, this is the adapted-basis split L(t_u v + g_perp), with the same law, and
 <T|phi_u> = t_u sqrt(<T|C|T>) to roundoff: the event is |<T|phi>| >= u on a complex
 field and <T|phi> >= u on a real one (t_u >= 0; the symmetric event's law is this
 one times a fair random sign).  The factor supplies only L g and v.
@@ -185,8 +186,8 @@ def white_noise(m: int, scalar: str, rng: np.random.Generator,
 def _lower_tail(alpha: float):
     """A standard normal conditioned on z >= alpha, as rng -> z with its rate formed once:
     plain rejection for alpha <= 0 (acceptance >= 1/2), else a shifted-exponential proposal
-    of the optimal rate lam = (alpha + sqrt(alpha^2 + 4)) / 2, stable for alpha >> 1.
-    Where alpha^2 overflows, every proposal would round to alpha, which is returned."""
+    of the optimal rate lam = (alpha + sqrt(alpha^2 + 4)) / 2, formed as
+    alpha/2 + hypot(alpha/2, 1) so that no alpha is squared."""
     if alpha <= 0.0:
         def draw(rng):
             while True:
@@ -194,10 +195,7 @@ def _lower_tail(alpha: float):
                 if z >= alpha:
                     return float(z)
         return draw
-    a2 = alpha * alpha
-    if not a2 < math.inf:
-        return lambda rng: float(alpha)
-    lam = (alpha + math.sqrt(a2 + 4.0)) / 2.0
+    lam = alpha / 2.0 + math.hypot(alpha / 2.0, 1.0)
     scale = 1.0 / lam
 
     def draw(rng):
@@ -209,40 +207,38 @@ def _lower_tail(alpha: float):
 
 
 def _t_u_drawer(spec: ConditionSpec, tct: float):
-    """`sample_t_u` for one spec as rng -> (t_u, rho, theta), with u^2/<T|C|T> and
-    the lower tail's alpha = u/sqrt(<T|C|T>) and proposal rate formed once."""
-    if tct <= 0.0:
+    """`sample_t_u` for one spec as rng -> (t_u, rho, theta), with alpha = u/sqrt(<T|C|T>)
+    and the lower tail's proposal rate formed once; raises ThresholdOverflow where alpha
+    is not a finite double."""
+    if not tct > 0.0:
         raise DegenerateFunctional(f"<T|C|T> = {tct} must be positive")
-    try:
-        base = spec.u ** 2 / tct
-    except OverflowError:  # float ** raises where * and / return inf
-        base = spec.u * (spec.u / tct)
-    tail = (_lower_tail(spec.u / math.sqrt(tct))
-            if spec.mode == RANDOM and spec.scalar == REAL else None)
+    alpha = spec.u / math.sqrt(tct)
+    if not alpha < math.inf:
+        raise ThresholdOverflow(f"u/sqrt(<T|C|T>) is not a finite double at u = {spec.u}")
+    tail = _lower_tail(alpha) if spec.mode == RANDOM and spec.scalar == REAL else None
 
     def draw(rng):
         if tail is not None:
-            t_u = tail(rng)
-            rho, theta = float(t_u * t_u - base), 0.0
+            t_u = tail(rng)  # rho = (t_u - alpha)(t_u + alpha), with the sum halved to fit
+            return t_u, 2.0 * ((t_u - alpha) * (t_u / 2.0 + alpha / 2.0)), 0.0
+        if spec.mode == FIXED_RHO:
+            rho, theta = spec.rho, spec.theta
         else:
-            if spec.mode == FIXED_RHO:
-                rho, theta = spec.rho, spec.theta
-            else:
-                # rng.exponential(1.0) and rng.uniform(0.0, 2 pi), bitwise, without their checks
-                rho = float(rng.standard_exponential())
-                theta = float(2.0 * math.pi * rng.random())
-            t_u = math.sqrt(rho + base)
-            if spec.scalar == COMPLEX:
-                t_u *= complex(math.cos(theta), math.sin(theta))
-        if not rho + base < math.inf:  # NaN too, from inf - inf
-            raise ThresholdOverflow(f"|t_u|^2 is not representable in doubles at u = {spec.u}")
+            # rng.exponential(1.0) and rng.uniform(0.0, 2 pi), bitwise, without their checks
+            rho = float(rng.standard_exponential())
+            theta = float(2.0 * math.pi * rng.random())
+        t_u = math.hypot(math.sqrt(rho), alpha)
+        if spec.scalar == COMPLEX:
+            t_u *= complex(math.cos(theta), math.sin(theta))
         return t_u, rho, theta
     return draw
 
 
 def sample_t_u(spec: ConditionSpec, tct: float, rng: np.random.Generator):
     """Draw (t_u, rho, theta) for the conditional first coefficient, with
-    |t_u|^2 = rho + u^2/<T|C|T>; raises ThresholdOverflow where that overflows."""
+    |t_u| = hypot(sqrt(rho), alpha) and alpha = u/sqrt(<T|C|T>), squaring neither
+    (on a real field in random mode, t_u is drawn and rho = (t_u - alpha)(t_u + alpha));
+    raises ThresholdOverflow where alpha is not a finite double."""
     return _t_u_drawer(spec, tct)(rng)
 
 

@@ -58,6 +58,7 @@ def test_quick_runs_the_edges_flagged_quick():
     edges = {e.line for e in byteid.EDGES}
     assert [" ".join(argv) for argv in byteid.matrix(True) if " ".join(argv) in edges] == [
         "profile", "profile --kernel matern:1:0.2",
+        "condition --u 1e300 --grid 64 --kernel sqexp:1e-20:0.2",
         "condition --grid 256 --kernel rankk:1e307@1 --u 10",
         "condition --grid 256 --kernel sqexp:1e-307:0.2 --u 10",
         "condition --grid 256 --kernel rankk:1e-307@1 --u 10"]

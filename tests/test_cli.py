@@ -331,25 +331,28 @@ def test_condition_stays_finite_where_only_the_squared_norm_overflows(tmp_path, 
 
 
 def test_prop3_stays_finite_where_only_the_squared_norm_overflows(tmp_path, deadline):
-    # ||phi_u|| of the analytic comparison is rescaled as the records' norms are
-    out = tmp_path / "p.json"
-    assert run(["verify", "prop3", "--u", "1e154", "--grid", "64", "--out", str(out)]) == 0
-    result = read_strict_json(out)["result"]
-    assert result["passed"]
-    assert all(np.isfinite(v) for v in result.values() if isinstance(v, float))
+    # ||phi_u|| of the analytic comparison is rescaled as the records' norms are; at
+    # u = 1e300 u^2 overflows too, and the check still passes with no RuntimeWarning
+    for u in ("1e154", "1e300"):
+        out = tmp_path / f"p{u}.json"
+        assert run(["verify", "prop3", "--u", u, "--grid", "64", "--out", str(out)]) == 0
+        result = read_strict_json(out)["result"]
+        assert result["passed"]
+        assert all(np.isfinite(v) for v in result.values() if isinstance(v, float))
 
 
 def test_condition_distance_keeps_its_rate_at_the_largest_thresholds(tmp_path):
-    # the same noise at u = 1e6 and 1e150: sup_dist u is the same to 1e-4, and
+    # the same noise at u = 1e6, 1e150 and 1e300: sup_dist u is the same to 1e-4, and
     # the envelope holds with no slack, where a difference of two unit vectors
     # would leave a distance of about eps
     dist = {}
-    for u in ("1e6", "1e150"):
+    for u in ("1e6", "1e150", "1e300"):
         out = tmp_path / f"c{u}.csv"
         assert run(["condition", "--u", u, "--grid", "64", "--out", str(out)]) == 0
         dist[u] = json.loads(out.with_suffix(".json").read_text())
         assert dist[u]["sup_dist"] <= dist[u]["bound_rhs"]
-    assert dist["1e150"]["sup_dist"] * 1e150 == pytest.approx(dist["1e6"]["sup_dist"] * 1e6,
+    for u in ("1e150", "1e300"):
+        assert dist[u]["sup_dist"] * float(u) == pytest.approx(dist["1e6"]["sup_dist"] * 1e6,
                                                                rel=1e-4)
 
 

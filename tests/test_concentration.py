@@ -1,10 +1,14 @@
 import dataclasses
+import functools
+import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from shared import ZeroStream, adapted_split, eigh_factor, route_operator, routes_for
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from shared import ZeroStream, adapted_split, eigh_factor, load, route_operator, routes_for
 
 from condfield import concentration, errors
 from condfield.concentration import (
@@ -45,6 +49,8 @@ from condfield.sampling import (
     substream,
     white_noise,
 )
+
+byteid = load("tools/byteid.py")
 
 
 @pytest.fixture(scope="module")
@@ -612,20 +618,61 @@ def test_large_u_floor_does_not_depend_on_the_factor(kernel, functional, m):
     ("sqexp:1:0.2", COMPLEX, FIXED_RHO),
     ("exp:1:0.1", REAL, RANDOM),
 ])
-def test_rate_and_envelope_hold_up_to_u_1e150(monkeypatch, kernel, scalar, mode):
+def test_rate_and_envelope_hold_up_to_u_1e300(monkeypatch, kernel, scalar, mode):
     # the distances carry no difference of two unit vectors, so q50 u stays put
     # past u = 1e15, where that roundoff (about eps) would set q50, and the
-    # envelope holds with no slack
+    # envelope holds with no slack; nothing squares u, so the range ends at 1e300
     monkeypatch.setattr(concentration, "BOUND_SLACK", 0.0)
     g = make_grid(0, 1, 128)
     cov = assemble(kernel_from_spec(kernel), g)
-    u_list = [1e2, 1e6, 1e10, 1e14, 1e16, 1e50, 1e100, 1e150]
+    u_list = [1e2, 1e6, 1e10, 1e14, 1e16, 1e50, 1e100, 1e150, 1e200, 1e250, 1e300]
     rep = sweep(sqrt_factor(cov), make_point_functional(g, 0.5), cov, u_list, 200,
                 scalar=scalar, mode=mode, seed=1)
     assert abs(rep.slope + 1.0) <= 0.01
     q50_u = np.array([row["q50"] * row["u"] for row in rep.per_u])
     assert np.all(np.abs(q50_u / q50_u[1] - 1.0) <= 0.01)
     assert np.max(rep.columns["sup_dist"] / rep.columns["bound_rhs"]) <= 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def _byteid_model(kernel, m):
+    cov = assemble(kernel_from_spec(kernel), make_grid(0, 1, m))
+    return cov, sqrt_factor(cov)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kernel=st.sampled_from(byteid.KERNELS), functional=st.sampled_from(byteid.FUNCTIONALS),
+       scalar=st.sampled_from([REAL, COMPLEX]), mode=st.sampled_from([FIXED_RHO, RANDOM]),
+       log_u=st.lists(st.floats(0.0, 300.0), min_size=1, max_size=3),
+       m=st.sampled_from([m for domain, m in byteid.GRIDS if domain == "0,1" and m <= 128]),
+       n_mc=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_records_over_the_double_range_are_finite_and_hold_the_bounds(
+        deadline, kernel, functional, scalar, mode, log_u, m, n_mc, seed):
+    # u log-uniform in [1, 1e300] on the byteid models: finite records that hold the
+    # bound chain at the default slack, or ThresholdOverflow, and the same on a rerun
+    cov, fac = _byteid_model(kernel, m)
+    t = functional_from_spec(functional, cov.grid)
+    try:
+        tct = constants(t, cov).tct
+    except errors.DegenerateFunctional:  # at every u, as rankk's dpoint at M = 97 is
+        assume(False)
+    u_list = sorted({10.0 ** x for x in log_u})
+
+    def run():
+        try:
+            return sweep(fac, t, cov, u_list, n_mc, scalar=scalar, mode=mode, seed=seed)
+        except errors.ThresholdOverflow:
+            return None
+
+    rep, again = run(), run()
+    if rep is None:  # only where alpha = u/sqrt(<T|C|T>) itself overflows
+        assert again is None and not u_list[-1] / math.sqrt(tct) < math.inf
+        return
+    assert rep.violations_est0 == rep.violations_est12 == 0
+    for name, col in rep.columns.items():
+        assert col.dtype.kind not in "fc" or np.all(np.isfinite(col)), name
+        assert col.tobytes() == again.columns[name].tobytes(), name
 
 
 @pytest.mark.parametrize("kernel, m, scalar, mode", [

@@ -1,4 +1,7 @@
+import math
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -120,69 +123,69 @@ GOLDEN_DRAWS = {
         "0x1.6a09e667f3bcdp+0 0x1.0000000000000p+1 0x0.0p+0",
         "0x1.6a09e667f3bcdp+0 0x1.0000000000000p+1 0x0.0p+0"),
     (REAL, FIXED_RHO, 1.0): (
-        "0x1.1593c0ea1a25bp+1 0x1.0000000000000p+1 0x0.0p+0",
-        "0x1.1593c0ea1a25bp+1 0x1.0000000000000p+1 0x0.0p+0"),
+        "0x1.1593c0ea1a25cp+1 0x1.0000000000000p+1 0x0.0p+0",
+        "0x1.1593c0ea1a25cp+1 0x1.0000000000000p+1 0x0.0p+0"),
     (REAL, FIXED_RHO, 10.0): (
         "0x1.08028413931ffp+4 0x1.0000000000000p+1 0x0.0p+0",
         "0x1.08028413931ffp+4 0x1.0000000000000p+1 0x0.0p+0"),
     (REAL, FIXED_RHO, 1000000.0): (
-        "0x1.915d5df807a94p+20 0x1.0000000000000p+1 0x0.0p+0",
-        "0x1.915d5df807a94p+20 0x1.0000000000000p+1 0x0.0p+0"),
+        "0x1.915d5df807a95p+20 0x1.0000000000000p+1 0x0.0p+0",
+        "0x1.915d5df807a95p+20 0x1.0000000000000p+1 0x0.0p+0"),
     (REAL, FIXED_RHO, 1e+153): (
-        "0x1.f63a7b55bdd27p+508 0x1.0000000000000p+1 0x0.0p+0",
-        "0x1.f63a7b55bdd27p+508 0x1.0000000000000p+1 0x0.0p+0"),
+        "0x1.f63a7b55bdd28p+508 0x1.0000000000000p+1 0x0.0p+0",
+        "0x1.f63a7b55bdd28p+508 0x1.0000000000000p+1 0x0.0p+0"),
     (REAL, RANDOM, 0.0): (
         "0x1.489c61d0261d5p+1 0x1.a5d11a2cbcb8fp+2 0x0.0p+0",
         "0x1.a363b2af3b292p-1 0x1.5787c0dea5f44p-1 0x0.0p+0"),
     (REAL, RANDOM, 1.0): (
-        "0x1.0b3ab344c62fep+1 0x1.a7e9aa95cd2d8p+0 0x0.0p+0",
-        "0x1.c6634c369e318p+0 0x1.ca80173b5b208p-2 0x0.0p+0"),
+        "0x1.0b3ab344c62fep+1 0x1.a7e9aa95cd2d2p+0 0x0.0p+0",
+        "0x1.c6634c369e318p+0 0x1.ca80173b5b1f9p-2 0x0.0p+0"),
     (REAL, RANDOM, 10.0): (
-        "0x1.0a01b38483cd7p+4 0x1.889628e4bb900p+2 0x0.0p+0",
-        "0x1.07f2f53c65806p+4 0x1.dfea07f5c6000p+0 0x0.0p+0"),
+        "0x1.0a01b38483cd7p+4 0x1.889628e4bb88fp+2 0x0.0p+0",
+        "0x1.07f2f53c65806p+4 0x1.dfea07f5c5eebp+0 0x0.0p+0"),
     (REAL, RANDOM, 1000000.0): (
-        "0x1.915d5df808f9dp+20 0x1.87d8000000000p+2 0x0.0p+0",
-        "0x1.915d5df8079f6p+20 0x1.e120000000000p+0 0x0.0p+0"),
+        "0x1.915d5df808f9dp+20 0x1.87cf8d03688f2p+2 0x0.0p+0",
+        "0x1.915d5df8079f6p+20 0x1.e0eea058f2c65p+0 0x0.0p+0"),
     (REAL, RANDOM, 1e+153): (
-        "0x1.f63a7b55bdd28p+508 0x1.0000000000000p+966 0x0.0p+0",
-        "0x1.f63a7b55bdd28p+508 0x1.0000000000000p+966 0x0.0p+0"),
+        "0x1.f63a7b55bdd28p+508 0x0.0p+0 0x0.0p+0",
+        "0x1.f63a7b55bdd28p+508 0x0.0p+0 0x0.0p+0"),
     (COMPLEX, FIXED_RHO, 0.0): (
         "0x1.14e706f25f1cep+0 0x1.d276a378efe7bp-1 0x1.0000000000000p+1 0x1.6666666666666p-1",
         "0x1.14e706f25f1cep+0 0x1.d276a378efe7bp-1 0x1.0000000000000p+1 0x1.6666666666666p-1"),
     (COMPLEX, FIXED_RHO, 1.0): (
-        "0x1.a89afea4a887ap+0 0x1.65a3e673c1dfcp+0 0x1.0000000000000p+1 0x1.6666666666666p-1",
-        "0x1.a89afea4a887ap+0 0x1.65a3e673c1dfcp+0 0x1.0000000000000p+1 0x1.6666666666666p-1"),
+        "0x1.a89afea4a887cp+0 0x1.65a3e673c1dfdp+0 0x1.0000000000000p+1 0x1.6666666666666p-1",
+        "0x1.a89afea4a887cp+0 0x1.65a3e673c1dfdp+0 0x1.0000000000000p+1 0x1.6666666666666p-1"),
     (COMPLEX, FIXED_RHO, 10.0): (
         "0x1.93da098f1d960p+3 0x1.5428dba2d9385p+3 0x1.0000000000000p+1 0x1.6666666666666p-1",
         "0x1.93da098f1d960p+3 0x1.5428dba2d9385p+3 0x1.0000000000000p+1 0x1.6666666666666p-1"),
     (COMPLEX, FIXED_RHO, 1000000.0): (
-        "0x1.32fb0cf75157bp+20 0x1.0290f5a96a4f2p+20 0x1.0000000000000p+1 0x1.6666666666666p-1",
-        "0x1.32fb0cf75157bp+20 0x1.0290f5a96a4f2p+20 0x1.0000000000000p+1 0x1.6666666666666p-1"),
+        "0x1.32fb0cf75157bp+20 0x1.0290f5a96a4f3p+20 0x1.0000000000000p+1 0x1.6666666666666p-1",
+        "0x1.32fb0cf75157bp+20 0x1.0290f5a96a4f3p+20 0x1.0000000000000p+1 0x1.6666666666666p-1"),
     (COMPLEX, FIXED_RHO, 1e+153): (
-        "0x1.802020e58bad3p+508 0x1.438b60dff75ddp+508 0x1.0000000000000p+1 0x1.6666666666666p-1",
-        "0x1.802020e58bad3p+508 0x1.438b60dff75ddp+508 0x1.0000000000000p+1 0x1.6666666666666p-1"),
+        "0x1.802020e58bad4p+508 0x1.438b60dff75dep+508 0x1.0000000000000p+1 0x1.6666666666666p-1",
+        "0x1.802020e58bad4p+508 0x1.438b60dff75dep+508 0x1.0000000000000p+1 0x1.6666666666666p-1"),
     (COMPLEX, RANDOM, 0.0): (
         "-0x1.0af8c9e27f017p+0 -0x1.67a34e83ef7edp+0 0x1.87d2b1dac9e3ep+1 0x1.04b953ef796f2p+2",
         "0x1.d2a5743cf0fb9p-1 0x1.5143d5d912141p-2 0x1.e0d9d86e58d03p-1 0x1.63175f6221cf9p-2"),
     (COMPLEX, RANDOM, 1.0): (
-        "-0x1.6e563e7ae048dp+0 -0x1.ed7e1e59a1832p+0 0x1.87d2b1dac9e3ep+1 0x1.04b953ef796f2p+2",
-        "0x1.cb763d4a67e9ep+0 0x1.4c128eaa9a089p-1 0x1.e0d9d86e58d03p-1 0x1.63175f6221cf9p-2"),
+        "-0x1.6e563e7ae048ep+0 -0x1.ed7e1e59a1834p+0 0x1.87d2b1dac9e3ep+1 0x1.04b953ef796f2p+2",
+        "0x1.cb763d4a67e9fp+0 0x1.4c128eaa9a08ap-1 0x1.e0d9d86e58d03p-1 0x1.63175f6221cf9p-2"),
     (COMPLEX, RANDOM, 10.0): (
         "-0x1.3b5740f1a3373p+3 -0x1.a8cbbba63bde7p+3 0x1.87d2b1dac9e3ep+1 0x1.04b953ef796f2p+2",
         "0x1.ef9f0ee1ef05bp+3 0x1.6634d9d54f3a8p+2 0x1.e0d9d86e58d03p-1 0x1.63175f6221cf9p-2"),
     (COMPLEX, RANDOM, 1000000.0): (
-        "-0x1.de784e9fb3b94p+19 -0x1.4246096ffe603p+20 0x1.87d2b1dac9e3ep+1 0x1.04b953ef796f2p+2",
-        "0x1.79794a1271854p+20 0x1.10d0f50619100p+19 0x1.e0d9d86e58d03p-1 0x1.63175f6221cf9p-2"),
+        "-0x1.de784e9fb3b95p+19 -0x1.4246096ffe603p+20 0x1.87d2b1dac9e3ep+1 0x1.04b953ef796f2p+2",
+        "0x1.79794a1271855p+20 0x1.10d0f50619101p+19 0x1.e0d9d86e58d03p-1 0x1.63175f6221cf9p-2"),
     (COMPLEX, RANDOM, 1e+153): (
-        "-0x1.2b5aed862ad43p+508 -0x1.9342f555060a5p+508 0x1.87d2b1dac9e3ep+1 0x1.04b953ef796f2p+2",
-        "0x1.d8556c011f0c5p+508 0x1.55601ff005e65p+507 0x1.e0d9d86e58d03p-1 0x1.63175f6221cf9p-2"),
+        "-0x1.2b5aed862ad43p+508 -0x1.9342f555060a6p+508 0x1.87d2b1dac9e3ep+1 0x1.04b953ef796f2p+2",
+        "0x1.d8556c011f0c6p+508 0x1.55601ff005e66p+507 0x1.e0d9d86e58d03p-1 0x1.63175f6221cf9p-2"),
 }
 
 
 @pytest.mark.parametrize("scalar, mode, u", sorted(GOLDEN_DRAWS))
 def test_sample_t_u_draws_are_pinned(scalar, mode, u):
-    # the per-spec constants (alpha, the proposal rate, u^2/<T|C|T>) are formed
-    # once per spec, and the draws stay bitwise these
+    # the per-spec constants (alpha and the proposal rate) are formed once per
+    # spec, and the draws stay bitwise these
     theta = 0.7 if (scalar, mode) == (COMPLEX, FIXED_RHO) else 0.0
     spec = ConditionSpec(u=u, scalar=scalar, mode=mode, rho=2.0, theta=theta)
     rng = substream(4, 1)
@@ -499,14 +502,35 @@ def test_conditioning_event_holds_on_every_route(route, functional, scalar):
         assert np.all(np.abs(g.w * (s.values @ t.coeff)) >= s.u * (1.0 - 1e-12))
 
 
-@pytest.mark.parametrize("scalar, mode", [(REAL, FIXED_RHO), (REAL, RANDOM), (COMPLEX, RANDOM)])
-def test_sample_t_u_overflowing_square_raises(deadline, scalar, mode):
-    # u^2 overflows a double at u = 1e155 and 1e300; u^2/<T|C|T> alone does at u = 1e153.
-    # The real tail's alpha^2 overflows too: its optimal rate must not, or every proposal
-    # is rejected and the draw never returns
-    for u, tct in ((1e155, 1.0), (1e300, 1.0), (1e153, 1e-4)):
+@pytest.mark.parametrize("mode", [FIXED_RHO, RANDOM])
+@pytest.mark.parametrize("scalar", [REAL, COMPLEX])
+def test_sample_t_u_overflows_exactly_where_alpha_does(deadline, scalar, mode):
+    # alpha = u/sqrt(<T|C|T>) is formed once per spec, before the stream is read, and
+    # nothing is squared: u^2/<T|C|T> would overflow at every finite pair below, and
+    # the real tail's proposals must all round to alpha, not be rejected forever
+    for u, tct in ((1e300, 1e-300), (1.7e308, 0.25)):
         with pytest.raises(errors.ThresholdOverflow):
-            sample_t_u(ConditionSpec(u=u, scalar=scalar, mode=mode), tct, substream(20, 0))
+            sample_t_u(ConditionSpec(u=u, scalar=scalar, mode=mode), tct, None)
+    for u, tct in ((1e155, 1.0), (1e300, 1.0), (1e153, 1e-4), (sys.float_info.max, 1.0)):
+        alpha = u / math.sqrt(tct)
+        rng = substream(20, 0)
+        for _ in range(20):
+            t_u, rho, theta = sample_t_u(ConditionSpec(u=u, scalar=scalar, mode=mode), tct, rng)
+            assert all(math.isfinite(v) for v in (abs(t_u), rho, theta))
+            assert abs(t_u) >= alpha * (1.0 - 2.0 * sys.float_info.epsilon)  # e^{i theta}'s ulp
+
+
+@pytest.mark.parametrize("u", [10.0, 1e3, 1e6, 1e153])
+def test_real_tail_rho_is_the_exact_difference_of_squares(u):
+    # rho = (t_u - alpha)(t_u + alpha) for the t_u returned, to 2 eps |rho|, where
+    # t_u^2 - u^2/<T|C|T> would keep only its leading bits, or none (2^966 at 1e153)
+    tct = 0.37
+    alpha = u / math.sqrt(tct)
+    rng, spec = substream(21, 0), ConditionSpec(u=u, scalar=REAL, mode=RANDOM)
+    for _ in range(200):
+        t_u, rho, _ = sample_t_u(spec, tct, rng)
+        exact = Fraction(t_u) ** 2 - Fraction(alpha) ** 2
+        assert abs(Fraction(rho) - exact) <= Fraction(2 * sys.float_info.epsilon) * abs(exact)
 
 
 def test_tiny_variance_draw_is_not_rejected_by_a_fixed_floor():

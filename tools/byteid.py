@@ -57,7 +57,7 @@ PER_KERNEL_AND_FUNCTIONAL = (
 )
 
 USAGE = "usage: condfield"  # the start of an argparse error's first stderr line
-T_U = "|t_u|^2 is not representable in doubles"
+T_U = "u/sqrt(<T|C|T>) is not a finite double"
 SEED = "seed must be >= 0 (--seed, else $CONDENSATE_SEED), got -1"
 
 
@@ -117,10 +117,18 @@ EDGES = (
     # non-finite or extreme values on the way
     Edge("profile --functional point:nan", 2, "x0=nan outside [0.0, 1.0]"),
     Edge("condition --u 100 --functional custom:inf", 2, "unknown functional spec 'custom:inf'"),
-    Edge("condition --kernel sqexp:1e-4:0.2 --scalar real --mode random --u 1e153", 2, T_U),
-    Edge("condition --u 1e155 --grid 64", 2, T_U),
-    Edge("sweep --u-list 10,1e155 --mc 5 --grid 64", 2, T_U),
-    Edge("verify bounds --u 1e155 --mc 5 --grid 64", 2, T_U),
+    # u is never squared: u/sqrt(<T|C|T>) fits, or it does not
+    Edge("condition --kernel sqexp:1e-4:0.2 --scalar real --mode random --u 1e153", 0),
+    Edge("condition --u 1e155 --grid 64", 0),
+    Edge("sweep --u-list 10,1e155 --mc 5 --grid 64", 0),
+    Edge("verify bounds --u 1e155 --mc 5 --grid 64", 0),
+    # alpha fits at u = 1.7e308, although the sums N + |z| and t_u + alpha would not
+    Edge("condition --u 1.7e308 --grid 64", 0),
+    Edge("condition --u 1.7e308 --grid 64 --scalar real --mode random", 0),
+    Edge("condition --u 1e300 --grid 64 --kernel sqexp:1e-20:0.2", 2, T_U, quick=True),
+    Edge("sweep --u-list 10,1.7e308 --mc 5 --grid 64 --kernel sqexp:0.25:0.2", 2, T_U),
+    Edge("verify bounds --u 1e300 --mc 5 --grid 64 --kernel sqexp:1e-20:0.2 --mode random", 2,
+         T_U),
     Edge("sweep --kernel sqexp:1e-200:0.2 --u-list 1,2 --mc 5 --grid 64", 0),
     # derivative orders whose n!, stencil weights or w^n pass the doubles
     Edge("profile --grid 32 --functional dpoint:0.5:171", 2, "n! is not a finite double"),
@@ -129,7 +137,7 @@ EDGES = (
     Edge("profile --domain 0,1e6 --grid 256 --functional dpoint:500000:100", 2,
          "derivative functional is identically zero"),
     Edge("condition --u 10 --grid 32 --kernel exp:1e300:100 --functional dpoint:0.5:30", 2,
-         "non-finite theory constants: <T|C|T> = nan, "),
+         "the profile C T has entries that are not finite doubles"),
     # w K fits, although 2 K would not; w K overflows, or lam e_1(x)^2 does
     Edge("profile --grid 32 --kernel exp:1.7e308:0.2", 0),
     Edge("condition --grid 32 --kernel exp:1e308:0.2 --u 10", 0),
@@ -192,8 +200,8 @@ EDGES = (
     Edge("condition --grid 256 --u 10 --kernel exp:1e-320:0.1", 2, "below the normal doubles"),
     Edge("condition --grid 256 --u 10 --kernel sqexp:1e-310:0.2", 2, "below the normal doubles"),
     # kernels so small that probes scaled up to their scale would pass it
-    Edge("condition --grid 256 --kernel sqexp:1e-307:0.2 --u 10", 2, T_U, quick=True),
-    Edge("condition --grid 256 --kernel rankk:1e-307@1 --u 10", 2, T_U, quick=True),
+    Edge("condition --grid 256 --kernel sqexp:1e-307:0.2 --u 10", 0, quick=True),
+    Edge("condition --grid 256 --kernel rankk:1e-307@1 --u 10", 0, quick=True),
 )
 
 
@@ -216,6 +224,9 @@ LARGE = (
     # the first-target sweep, a many-sample sweep, and exp sweeps that hold one noise block
     Large("sweep --grid 2048 --kernel sqexp:1:0.2 --functional point:0.5 --scalar complex "
           "--mode fixed-rho:1 --mc 200 --u-list 10,100,1000,10000", 30, 70),
+    # the same model over the whole double range, in random mode
+    Large("sweep --grid 2048 --kernel sqexp:1:0.2 --functional point:0.5 --scalar complex "
+          "--mode random --mc 200 --u-list 1e2,1e100,1e200,1e300", 30, 70),
     Large("sweep --grid 128 --kernel exp:1:0.1 --functional point:0.5 --scalar real "
           "--mode random --mc 20000 --u-list 10,100,1000,10000", 20, 70),
     Large("sweep --grid 65536 --kernel exp:1:0.1 --functional point:0.5 --scalar real "
